@@ -8,6 +8,13 @@ scaled squaring. No floating point enters any certified path, which keeps
 these routines fully independent of the high-precision decimal oracles used
 in the test suite.
 
+The series run in integer fixed point: plain ints scaled by 2**p, where p is
+the target precision plus GUARD_BITS. Each loop keeps a lower and an upper
+partial sum; every product and quotient is floored for the lower sum and
+ceiled for the upper one, and the truncation remainder is ceiled, so each
+bracket holds by construction while the at most one ulp lost per step stays
+below the guard bits. A Fraction is built once per series, at the end.
+
 Precision escalates adaptively: computations start at START_BITS and double
 until the requested width is met, up to HARD_CAP_BITS.
 """
@@ -24,6 +31,7 @@ from .errors import PrecisionCapError
 
 START_BITS = 128
 HARD_CAP_BITS = 8192
+GUARD_BITS = 20
 
 Rational = Union[int, Fraction]
 
@@ -145,16 +153,37 @@ def _ceil_scaled(x: Fraction, scale: int) -> int:
     return -((-x.numerator * scale) // x.denominator)
 
 
-def hull(a: Enclosure, b: Enclosure) -> Enclosure:
-    return Enclosure(min(a.lo, b.lo), max(a.hi, b.hi))
+# Fixed point: an int n stands for n * 2**-p. Lower bounds are rounded down
+# and upper bounds up; d is a positive integer divisor.
+
+
+def _fixed(x: Fraction, p: int) -> tuple[int, int]:
+    """Floor and ceiling of x * 2**p."""
+    scale = 1 << p
+    return _floor_scaled(x, scale), _ceil_scaled(x, scale)
+
+
+def _mul_down(a: int, b: int, p: int, d: int = 1) -> int:
+    return (a * b >> p) // d  # floor(a * b / (d * 2**p))
+
+
+def _mul_up(a: int, b: int, p: int, d: int = 1) -> int:
+    return -((-a * b >> p) // d)  # ceil(a * b / (d * 2**p))
+
+
+def _alternate(lo: int, hi: int, k: int, a_lo: int, a_hi: int) -> tuple[int, int]:
+    """Add (-1)**k * a, for a in [a_lo, a_hi], to the bracket [lo, hi]."""
+    if k % 2 == 0:
+        return lo + a_lo, hi + a_hi
+    return lo - a_hi, hi - a_lo
+
+
+def _from_fixed(lo: int, hi: int, p: int) -> Enclosure:
+    return Enclosure(Fraction(lo, 1 << p), Fraction(hi, 1 << p))
 
 
 def max_enclosure(a: Enclosure, b: Enclosure) -> Enclosure:
     return Enclosure(max(a.lo, b.lo), max(a.hi, b.hi))
-
-
-def min_enclosure(a: Enclosure, b: Enclosure) -> Enclosure:
-    return Enclosure(min(a.lo, b.lo), min(a.hi, b.hi))
 
 
 def refine(
@@ -223,33 +252,24 @@ def sqrt_enclosure(x: Rational, bits: int) -> Enclosure:
     return Enclosure(Fraction(s, den), Fraction(s + 1, den))
 
 
-def inv_sqrt_enclosure(n: int, bits: int) -> Enclosure:
-    """Enclosure of n**(-1/2) for a positive integer n."""
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    return sqrt_enclosure(Fraction(1, n), bits)
-
-
 # ---------------------------------------------------------------------------
 # pi
 
 
 def _arctan_inv(m: int, bits: int) -> Enclosure:
     """Alternating-series enclosure of arctan(1/m) for integer m >= 2."""
-    guard = bits + 8
-    total = Fraction(0)
-    k = 0
-    power = Fraction(1, m)  # (1/m)**(2k+1)
+    p = bits + 8 + GUARD_BITS
+    lo = hi = 0
+    pw_lo, pw_hi = _fixed(Fraction(1, m), p)  # (1/m)**(2k+1)
     m2 = m * m
+    k = 0
     while True:
-        term = power / (2 * k + 1)
-        if term.numerator.bit_length() + guard < term.denominator.bit_length():
-            # term < 2**-guard: bracket by one further alternating step
-            if k % 2 == 0:
-                return Enclosure(total, total + term)
-            return Enclosure(total - term, total)
-        total = total + term if k % 2 == 0 else total - term
-        power = power / m2
+        a_lo, a_hi = pw_lo // (2 * k + 1), -(-pw_hi // (2 * k + 1))
+        if a_hi < 1 << GUARD_BITS:
+            # term < 2**-(bits+8): the tail lies between 0 and (-1)**k * term
+            return _from_fixed(*_alternate(lo, hi, k, 0, a_hi), p)
+        lo, hi = _alternate(lo, hi, k, a_lo, a_hi)
+        pw_lo, pw_hi = pw_lo // m2, -(-pw_hi // m2)
         k += 1
 
 
@@ -273,22 +293,20 @@ def _sin_taylor(t: Fraction, bits: int) -> Enclosure:
         return Enclosure.point(0)
     if not 0 < t <= 2:
         raise ValueError("sin bracket only supports arguments in [0, 2]")
-    guard_scale = 1 << (bits + 8)
-    total = Fraction(0)
-    term = t
-    t2 = t * t
+    p = bits + 8 + GUARD_BITS
+    a_lo, a_hi = _fixed(t, p)  # t**(2k+1) / (2k+1)!
+    sq_lo, sq_hi = _mul_down(a_lo, a_lo, p), _mul_up(a_hi, a_hi, p)
+    lo = hi = 0
     k = 0
     while True:
-        if term.denominator > term.numerator * guard_scale:
-            if k % 2 == 0:
-                enc = Enclosure(total, total + term)
-            else:
-                enc = Enclosure(total - term, total)
-            return enc.rounded(bits + 4)
-        total = total + term if k % 2 == 0 else total - term
+        if a_hi < 1 << GUARD_BITS:
+            # term < 2**-(bits+8): the tail lies between 0 and (-1)**k * term
+            return _from_fixed(*_alternate(lo, hi, k, 0, a_hi), p).rounded(bits + 4)
+        lo, hi = _alternate(lo, hi, k, a_lo, a_hi)
         k += 1
         # terms strictly decrease for t <= 2 since (2k)(2k+1) >= 6 > t*t
-        term = term * t2 / ((2 * k) * (2 * k + 1))
+        d = (2 * k) * (2 * k + 1)
+        a_lo, a_hi = _mul_down(a_lo, sq_lo, p, d), _mul_up(a_hi, sq_hi, p, d)
 
 
 def sin_pi_enclosure(x: Enclosure, bits: int) -> Enclosure:
@@ -302,25 +320,14 @@ def sin_pi_enclosure(x: Enclosure, bits: int) -> Enclosure:
     pi = pi_enclosure(bits + 6)
     lo_arg = pi.lo * x.lo
     hi_arg = pi.hi * x.hi
-    lower = _sin_taylor(_round_down(lo_arg, bits + 8), bits + 6).lo
+    lower = _sin_taylor(lo_arg, bits + 6).lo
     if hi_arg <= pi.lo / 2:
-        upper = _sin_taylor(_round_up(hi_arg, bits + 8), bits + 6).hi
-        upper = min(upper, Fraction(1))
+        upper = min(_sin_taylor(hi_arg, bits + 6).hi, Fraction(1))
     else:
         # x.hi at or next to 1/2: sin(pi*x.hi) is within ulp of 1
         upper = Fraction(1)
     lower = max(lower, Fraction(0))
     return Enclosure(lower, upper)
-
-
-def _round_down(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(_floor_scaled(x, scale), scale)
-
-
-def _round_up(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(_ceil_scaled(x, scale), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +340,20 @@ def _atanh_series(t: Fraction, bits: int) -> Enclosure:
         return Enclosure.point(0)
     if not 0 < t <= Fraction(1, 2):
         raise ValueError("atanh series only supports t in [0, 1/2]")
-    goal = Fraction(1, 1 << (bits + 6))
-    one_minus = 1 - t * t
-    total = Fraction(0)
-    power = t
+    p = bits + 6 + GUARD_BITS
+    pw_lo, pw_hi = _fixed(t, p)  # t**(2k+1)
+    sq_lo, sq_hi = _mul_down(pw_lo, pw_lo, p), _mul_up(pw_hi, pw_hi, p)
+    one_minus = (1 << p) - sq_hi  # 1 - t*t, rounded down
+    lo = hi = 0
     k = 0
     while True:
-        term = power / (2 * k + 1)
-        remainder = power * t * t / ((2 * k + 3) * one_minus)
-        if remainder <= goal:
-            total += term
-            return Enclosure(total, total + remainder).rounded(bits + 4)
-        total += term
-        power = power * t * t
+        lo += pw_lo // (2 * k + 1)
+        hi += -(-pw_hi // (2 * k + 1))
+        pw_lo, pw_hi = _mul_down(pw_lo, sq_lo, p), _mul_up(pw_hi, sq_hi, p)
+        # the tail after term k is below t**(2k+3) / ((2k+3) (1 - t*t))
+        remainder = -(-(pw_hi << p) // ((2 * k + 3) * one_minus))
+        if remainder <= 1 << GUARD_BITS:  # 2**-(bits+6)
+            return _from_fixed(lo, hi + remainder, p).rounded(bits + 4)
         k += 1
 
 
@@ -355,21 +363,9 @@ def _ln2(bits: int) -> Enclosure:
 
 
 def _floor_log2(x: Fraction) -> int:
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    while _pow2_cmp(x, e) < 0:
-        e -= 1
-    while _pow2_cmp(x, e + 1) >= 0:
-        e += 1
-    return e
-
-
-def _pow2_cmp(x: Fraction, e: int) -> int:
-    """Sign of x - 2**e via integer cross-multiplication."""
-    if e >= 0:
-        lhs, rhs = x.numerator, x.denominator << e
-    else:
-        lhs, rhs = x.numerator << (-e), x.denominator
-    return (lhs > rhs) - (lhs < rhs)
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()  # floor(log2(x)) is e or e - 1
+    return e - 1 if n << max(-e, 0) < d << max(e, 0) else e
 
 
 def log_enclosure(y: Rational, bits: int) -> Enclosure:
@@ -395,27 +391,25 @@ def exp_enclosure(u: Rational, bits: int) -> Enclosure:
     if q < 0:
         pos = exp_enclosure(-q, bits + 4)
         return Enclosure(1 / pos.hi, 1 / pos.lo).rounded(bits + 2)
-    halvings = 0
-    w = q
-    while w > Fraction(1, 2):
+    halvings = 0  # w = q / 2**halvings <= 1/2
+    while q > Fraction(1 << halvings, 2):
         halvings += 1
-        w = q / (1 << halvings)
-    guard = bits + 2 * halvings + 10
-    goal = Fraction(1, 1 << guard)
-    total = Fraction(1)
-    term = Fraction(1)
+    p = bits + 2 * halvings + 10 + GUARD_BITS
+    w_lo, w_hi = _fixed(q, p - halvings)
+    lo = hi = a_lo = a_hi = 1 << p  # a = w**k / k!
     k = 0
     while True:
         k += 1
-        term = term * w / k
+        a_lo, a_hi = _mul_down(a_lo, w_lo, p, k), _mul_up(a_hi, w_hi, p, k)
         # for w <= 1/2 the Taylor tail is below twice the next term
-        if 2 * term <= goal:
-            enc = Enclosure(total, total + 2 * term)
+        if 2 * a_hi <= 1 << GUARD_BITS:
+            hi += 2 * a_hi
             break
-        total += term
+        lo += a_lo
+        hi += a_hi
     for _ in range(halvings):
-        enc = Enclosure(enc.lo * enc.lo, enc.hi * enc.hi).rounded(guard)
-    return enc.rounded(bits + 2)
+        lo, hi = _mul_down(lo, lo, p), _mul_up(hi, hi, p)
+    return _from_fixed(lo, hi, p).rounded(bits + 2)
 
 
 def pow_enclosure(n: int, exponent: Rational, bits: int) -> Enclosure:

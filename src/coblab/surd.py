@@ -16,12 +16,10 @@ from functools import lru_cache
 from math import isqrt
 from typing import Union
 
-from .certify import Enclosure, refine
+from .certify import HARD_CAP_BITS, Enclosure, refine
 from .errors import ConfigError, PrecisionCapError
 
 Rational = Union[int, Fraction]
-
-HARD_CAP_BITS = 8192
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -339,6 +337,8 @@ def parse_surd(text: str, label: str | None = None) -> QuadraticSurd:
                 c = int(rest[1:])
             except ValueError:
                 raise ConfigError(f"bad denominator in {text!r}") from None
+            if c == 0:
+                raise ConfigError(f"zero denominator in {text!r}")
     else:
         body = s
     m = _SURD_BODY.match(body)

@@ -175,3 +175,77 @@ def test_sin_monotone_bounds_random(num, den):
     pi = pi_enclosure(96)
     assert enc.hi <= pi.hi * x or x == 0
     assert enc.lo >= 2 * x * Fraction(999, 1000) or x == 0
+
+
+# Randomized containment across the precisions the callers use. Each width
+# bound is one the kernel meets by its error budget: the final outward
+# rounding costs 2**-(bits+1), the series and ln2 terms a small multiple of
+# 2**-(bits+5), and exp's squaring steps scale that with the value.
+
+BITS = st.sampled_from([128, 256, 512, 1024])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=BITS,
+    y=st.one_of(
+        st.integers(min_value=2, max_value=10**12),
+        # the dyadic arguments _log_power passes: 192-bit denominators
+        st.integers(min_value=1, max_value=2**200).map(lambda n: Fraction(n, 2**192)),
+    ),
+)
+def test_log_enclosure_random(bits, y):
+    y = Fraction(y)
+    enc = log_enclosure(y, bits)
+    assert_contains_oracle(enc, lambda: mpmath.log(mpf_frac(y)))
+    # |floor(log2 y)| is at most this many binades
+    e = abs(y.numerator.bit_length() - y.denominator.bit_length()) + 1
+    assert enc.width <= Fraction(128 + e, 128 * 2**bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=BITS,
+    u=st.one_of(
+        st.fractions(min_value=-40, max_value=0, max_denominator=10**6),
+        # several halvings before the Taylor step
+        st.fractions(min_value=8, max_value=40, max_denominator=10**6),
+    ),
+)
+def test_exp_enclosure_random(bits, u):
+    enc = exp_enclosure(u, bits)
+    value = lambda: mpmath.exp(mpf_frac(u))
+    assert_contains_oracle(enc, value)
+    assert enc.lo > 0
+    assert enc.width <= (1 + oracle(value)[1]) / 2**bits
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bits=BITS,
+    n=st.integers(min_value=2, max_value=10**6),
+    sign=st.sampled_from([1, -1]),
+    offset=st.fractions(
+        min_value=Fraction(-1, 10), max_value=Fraction(1, 10), max_denominator=10**4
+    ),
+)
+def test_pow_enclosure_near_half(bits, n, sign, offset):
+    expo = sign * (Fraction(1, 2) + offset)
+    enc = pow_enclosure(n, expo, bits)
+    value = lambda: mpmath.power(n, mpf_frac(expo))
+    assert_contains_oracle(enc, value)
+    assert enc.width <= (1 + oracle(value)[1]) / 2**bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bits=BITS,
+    a=st.integers(min_value=0, max_value=2**16),
+    e=st.integers(min_value=17, max_value=1100),
+)
+def test_sin_pi_enclosure_near_half(bits, a, e):
+    x = Fraction(1, 2) - Fraction(a, 2**e)
+    enc = sin_pi_enclosure(Enclosure.point(x), bits)
+    assert_contains_oracle(enc, lambda: mpmath.sin(mpmath.pi * mpf_frac(x)))
+    assert Fraction(0) <= enc.lo and enc.hi <= Fraction(1)
+    assert enc.width <= Fraction(1, 2**bits)

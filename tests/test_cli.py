@@ -331,6 +331,13 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "config"
 
+    def test_main_rejects_zero_surd_denominator(self, capsys):
+        assert main(["approx", "cf", "--alpha", "(1+sqrt(2))/0"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "config"
+        assert err["error"]["type"] == "ConfigError"
+        assert "zero denominator" in err["error"]["message"]
+
     def test_main_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["juggle"])
