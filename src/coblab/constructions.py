@@ -59,8 +59,8 @@ from .fourier import (
     SparseFourierSeries,
     apply_difference,
     coefficient_magnitude_enclosure,
+    coefficient_mass,
     fraction_to_mpf,
-    mpf_to_fraction,
     transfer_coefficients,
     unit_phase,
 )
@@ -734,9 +734,7 @@ def check_bad_joint(
     else:
         exact = Fraction(0)
         for n, c in f.items():
-            re = mpf_to_fraction(mpmath.re(c))
-            im = mpf_to_fraction(mpmath.im(c))
-            exact += n * n * (re * re + im * im)
+            exact += n * n * coefficient_mass(c)
         entries.append(
             CertificateEntry(
                 "sum over support of k**2 * |f_hat(k)|**2 (exact)",
@@ -940,19 +938,13 @@ def petersen_series(
     total = Enclosure.point(0)
     terms = []
     for n, c in f.items():
-        mass = Enclosure.point(_mass_fraction(c))
+        mass = Enclosure.point(coefficient_mass(c))
         num = _half_sine(_tight_dist(beta, abs(n))).square()
         den = _half_sine(_tight_dist(alpha, abs(n))).square()
         term = mass * num / den
         terms.append((n, term))
         total = total + term
     return PartialSum(value=total, terms=tuple(terms))
-
-
-def _mass_fraction(c) -> Fraction:
-    re = mpf_to_fraction(mpmath.re(c))
-    im = mpf_to_fraction(mpmath.im(c))
-    return re * re + im * im
 
 
 def kac_salem_series(

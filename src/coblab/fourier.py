@@ -9,10 +9,14 @@ below 1e-30 throughout the supported desk scale. Certified interval
 statements (small-divisor reports) are produced separately with the exact
 kernel; the midpoint arithmetic here never feeds a certificate directly.
 
-Ergodic-sum diagnostics reduce their arguments exactly and evaluate the
-Dirichlet kernel D(n, x) = |sin(pi*n*x)/sin(pi*x)| in float64; with exact
-reduction the relative error is a few 1e-15, far inside the 1e-9 tolerances
-these diagnostics are quoted at.
+Ergodic-sum diagnostics evaluate the Dirichlet kernel
+D(n, x) = |sin(pi*n*x)/sin(pi*x)| in float64 on exactly reduced arguments, a
+relative error of a few 1e-15 against their 1e-9 tolerances. What does not
+depend on n is computed once: each series memoises its float masses
+|f_hat(nu)|**2, and a table per (rotation, support) holds frac(nu*x) * 2**192
+and sin(pi*||nu*x||). The residue of n*nu*x is then (n * frac(nu*x)) mod
+2**192, the same bits as reducing n*nu*x directly, so every value equals the
+term-by-term evaluation exactly; n*|nu| past the reducer's range is refused.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ from .surd import FixedPointReducer, QuadraticSurd
 WORK_PREC = 128
 _GUARD = 12
 _REDUCER_BITS = 192
-TRACKED_REL_ERROR = 1e-30
+_MOD = 1 << _REDUCER_BITS
+_MASK = _MOD - 1
+_HALF = _MOD >> 1
+# pi * 2**-192 is exact, so pi_ulp * t rounds exactly as pi * ldexp(t, -192)
+_PI_ULP = math.pi * 2.0**-_REDUCER_BITS
 
 Rational = Union[int, float, Fraction]
 
@@ -70,6 +78,17 @@ def fraction_to_mpf(value: Fraction):
 @lru_cache(maxsize=64)
 def _reducer(alpha: QuadraticSurd) -> FixedPointReducer:
     return FixedPointReducer(alpha, bits=_REDUCER_BITS)
+
+
+@lru_cache(maxsize=64)
+def _residue_table(alpha: QuadraticSurd, freqs: tuple[int, ...]) -> tuple:
+    """max_k and, per frequency, (frac_fixed(nu), sin(pi*||nu*alpha||)); None at nu = 0."""
+    red = _reducer(alpha)
+    rows = tuple(
+        None if nu == 0 else (red.frac_fixed(nu), math.sin(math.pi * red.dist_float(nu)))
+        for nu in freqs
+    )
+    return red.max_k, rows
 
 
 @lru_cache(maxsize=1 << 16)
@@ -106,7 +125,7 @@ class SparseFourierSeries:
     are built symmetrically, so the symmetry survives every operation here).
     """
 
-    __slots__ = ("_coeffs", "real_valued")
+    __slots__ = ("_coeffs", "real_valued", "_masses")
 
     def __init__(
         self,
@@ -129,6 +148,7 @@ class SparseFourierSeries:
                         )
         object.__setattr__(self, "_coeffs", data)
         object.__setattr__(self, "real_valued", real_valued)
+        object.__setattr__(self, "_masses", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseFourierSeries is immutable")
@@ -180,15 +200,19 @@ class SparseFourierSeries:
 
     def l2_norm_sq_exact(self) -> Fraction:
         """Exact Parseval mass: coefficients are dyadic, so this is a Fraction."""
-        total = Fraction(0)
-        for _, c in self._coeffs.items():
-            re = mpf_to_fraction(mpmath.re(c))
-            im = mpf_to_fraction(mpmath.im(c))
-            total += re * re + im * im
-        return total
+        return sum(map(coefficient_mass, self._coeffs.values()), Fraction(0))
 
     def l2_norm(self) -> float:
         return math.sqrt(float(self.l2_norm_sq_exact()))
+
+    def _float_masses(self) -> tuple:
+        """(frequencies, |f_hat|**2 as floats, max |nu|), in storage order."""
+        if self._masses is None:
+            freqs = tuple(self._coeffs)
+            weights = tuple(abs(complex(c)) ** 2 for c in self._coeffs.values())
+            top = max(map(abs, freqs), default=0)
+            object.__setattr__(self, "_masses", (freqs, weights, top))
+        return self._masses
 
     def l1_norm(self) -> float:
         with mp.workprec(WORK_PREC + _GUARD):
@@ -199,10 +223,7 @@ class SparseFourierSeries:
     def to_csv(self, fileobj) -> None:
         writer = csv.writer(fileobj)
         writer.writerow(["n", "re", "im"])
-        for n, c in self.items():
-            writer.writerow(
-                [n, mpmath.nstr(mpmath.re(c), 36), mpmath.nstr(mpmath.im(c), 36)]
-            )
+        writer.writerows(self.to_json_dict()["coefficients"])
 
     @classmethod
     def from_csv(cls, fileobj, real_valued: bool = False) -> "SparseFourierSeries":
@@ -210,13 +231,8 @@ class SparseFourierSeries:
         header = next(reader)
         if header[:3] != ["n", "re", "im"]:
             raise ValueError(f"unexpected series header {header}")
-        data = {}
-        with mp.workprec(WORK_PREC + _GUARD):
-            for row in reader:
-                if not row:
-                    continue
-                data[int(row[0])] = mpmath.mpc(mpmath.mpf(row[1]), mpmath.mpf(row[2]))
-        return cls(data, real_valued)
+        rows = [row[:3] for row in reader if row]
+        return cls.from_json_dict({"coefficients": rows, "real_valued": real_valued})
 
     def to_json_dict(self) -> dict:
         return {
@@ -286,7 +302,8 @@ def divisor_enclosure(alpha: QuadraticSurd, n: int, tol: Rational = Fraction(1, 
     return 2 * sin_pi_enclosure(dist, 192)
 
 
-def _magnitude_sq_fraction(c) -> Fraction:
+def coefficient_mass(c) -> Fraction:
+    """Exact |c|**2 of a working-precision coefficient (its parts are dyadic)."""
     re = mpf_to_fraction(mpmath.re(c))
     im = mpf_to_fraction(mpmath.im(c))
     return re * re + im * im
@@ -294,7 +311,7 @@ def _magnitude_sq_fraction(c) -> Fraction:
 
 def coefficient_magnitude_enclosure(c, bits: int = 160) -> Enclosure:
     """Certified |c| for a working-precision coefficient, taken as exact input."""
-    return sqrt_enclosure(_magnitude_sq_fraction(c), bits)
+    return sqrt_enclosure(coefficient_mass(c), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +412,20 @@ def double_solve(
 # ergodic sums
 
 
-def _dirichlet_kernel_sq(red: FixedPointReducer, nu: int, n: int) -> float:
-    """D(n, nu*x)**2 with exact argument reduction; D(n, 0 mod 1) = n."""
-    if nu == 0:
-        return float(n) * float(n)
-    num = math.sin(math.pi * red.dist_float(n * nu))
-    den = math.sin(math.pi * red.dist_float(nu))
-    ratio = num / den
-    return ratio * ratio
+def _kernel_sq(f: SparseFourierSeries, alpha: QuadraticSurd, label: str, n: int) -> list:
+    """D(n, nu*alpha)**2 per frequency of f, in storage order."""
+    freqs, _, top = f._float_masses()
+    max_k, rows = _residue_table(alpha.require_irrational(label), freqs)
+    if n * top > max_k:
+        raise ValueError(f"n*|nu| = {n * top} exceeds the exact-reduction range {max_k}")
+    out, sin = [], math.sin
+    for row in rows:
+        q = float(n)  # D(n, 0)
+        if row is not None:
+            t = (n * row[0]) & _MASK  # the residue of n*nu*alpha, exactly
+            q = sin(_PI_ULP * (t if t <= _HALF else _MOD - t)) / row[1]
+        out.append(q * q)
+    return out
 
 
 def double_ergodic_sum_norm(
@@ -419,14 +442,11 @@ def double_ergodic_sum_norm(
     """
     if n < 1 or m < 1:
         raise ValueError("sum lengths must be positive")
-    red_a = _reducer(alpha.require_irrational("alpha"))
-    red_b = _reducer(beta.require_irrational("beta"))
+    d_a = _kernel_sq(f, alpha, "alpha", n)
+    d_b = _kernel_sq(f, beta, "beta", m)
     total = 0.0
-    for nu, c in f._coeffs.items():
-        weight = abs(complex(c)) ** 2
-        total += weight * _dirichlet_kernel_sq(red_a, nu, n) * _dirichlet_kernel_sq(
-            red_b, nu, m
-        )
+    for w, a, b in zip(f._float_masses()[1], d_a, d_b):
+        total += w * a * b
     return math.sqrt(total)
 
 
@@ -434,11 +454,9 @@ def browder_sum_norm(f: SparseFourierSeries, alpha: QuadraticSurd, n: int) -> fl
     """L2 norm of sum_{k<n} T_alpha^k f, the one-rotation ergodic sum."""
     if n < 1:
         raise ValueError("sum length must be positive")
-    red = _reducer(alpha.require_irrational("alpha"))
     total = 0.0
-    for nu, c in f._coeffs.items():
-        weight = abs(complex(c)) ** 2
-        total += weight * _dirichlet_kernel_sq(red, nu, n)
+    for w, a in zip(f._float_masses()[1], _kernel_sq(f, alpha, "alpha", n)):
+        total += w * a
     return math.sqrt(total)
 
 

@@ -382,10 +382,7 @@ class FixedPointReducer:
         which is harmless for periodic consumers such as exp(2*pi*i*.)"""
         return math.ldexp(float(self.frac_fixed(k)), -self.bits)
 
-    def dist_fixed(self, k: int) -> int:
-        t = self.frac_fixed(k)
-        return min(t, (1 << self.bits) - t)
-
     def dist_float(self, k: int) -> float:
         """Distance from k*x to the nearest integer, as a float64."""
-        return math.ldexp(float(self.dist_fixed(k)), -self.bits)
+        t = self.frac_fixed(k)
+        return math.ldexp(float(min(t, (1 << self.bits) - t)), -self.bits)

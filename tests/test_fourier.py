@@ -28,7 +28,7 @@ from coblab.fourier import (
     transfer_coefficients,
     unit_phase,
 )
-from coblab.surd import parse_surd
+from coblab.surd import FixedPointReducer, parse_surd
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
 BETA = parse_surd("(-1+1*sqrt(3))/1", label="beta")
@@ -326,6 +326,89 @@ def test_browder_sum_norm_large_frequency():
     got = browder_sum_norm(f, ALPHA, 1000)
     expected = brute_single_norm(f, ALPHA, 1000, dps=80)
     assert got == pytest.approx(expected, rel=1e-9)
+
+
+def reference_kernel_sq(red, nu, n):
+    """D(n, nu*x)**2 with n*nu*x reduced afresh, the per-term evaluation."""
+    if nu == 0:
+        return float(n) * float(n)
+    ratio = math.sin(math.pi * red.dist_float(n * nu)) / math.sin(
+        math.pi * red.dist_float(nu)
+    )
+    return ratio * ratio
+
+
+# Both references sum in storage order, the order the module sums in, so
+# equal arithmetic gives equal bits.
+def reference_double_norm(f, x, y, n, m):
+    red_x = FixedPointReducer(x, bits=192)
+    red_y = FixedPointReducer(y, bits=192)
+    total = 0.0
+    for nu, c in f._coeffs.items():
+        weight = abs(complex(c)) ** 2
+        total += weight * reference_kernel_sq(red_x, nu, n) * reference_kernel_sq(red_y, nu, m)
+    return math.sqrt(total)
+
+
+def reference_single_norm(f, x, n):
+    red = FixedPointReducer(x, bits=192)
+    total = 0.0
+    for nu, c in f._coeffs.items():
+        total += abs(complex(c)) ** 2 * reference_kernel_sq(red, nu, n)
+    return math.sqrt(total)
+
+
+LENGTHS = (1, 2, 3, 7, 64, 311, 999, 1000, 65537, 10**9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 12])
+def test_ergodic_norms_bit_identical_to_per_term_kernel(seed):
+    base = random_real_series(seed=seed, max_freq=10)
+    phi = apply_difference(apply_difference(base, ALPHA), BETA)
+    for n in LENGTHS:
+        assert browder_sum_norm(phi, ALPHA, n) == reference_single_norm(phi, ALPHA, n)
+        for m in (n, n + 1, 17):
+            got = double_ergodic_sum_norm(phi, ALPHA, BETA, n, m)
+            assert got == reference_double_norm(phi, ALPHA, BETA, n, m)
+
+
+def test_ergodic_norms_bit_identical_with_zero_frequency():
+    f = random_real_series(seed=3, max_freq=6, centered=False, unit_l2=False)
+    assert 0 in f.support
+    wide = SparseFourierSeries({652982: 1.0, -57649: 0.5 + 0.25j, 0: 2.0, 3: 1j})
+    for g in (f, wide):
+        for n in LENGTHS:
+            assert browder_sum_norm(g, BETA, n) == reference_single_norm(g, BETA, n)
+            got = double_ergodic_sum_norm(g, BETA, ALPHA, n, 2 * n + 1)
+            assert got == reference_double_norm(g, BETA, ALPHA, n, 2 * n + 1)
+
+
+def test_memoised_tables_keep_series_and_rotations_apart():
+    # same support, different coefficients; one series under alpha and beta
+    f = random_real_series(seed=8, max_freq=5)
+    g = random_real_series(seed=9, max_freq=5)
+    assert f.support == g.support
+    cases = [(s, x, n) for s in (f, g) for x in (ALPHA, BETA) for n in (13, 400)]
+    expected = [reference_single_norm(s, x, n) for s, x, n in cases]
+    assert len(set(expected)) == len(cases)
+    for _ in range(2):  # the second round finds every table memoised
+        for (s, x, n), value in zip(cases, expected):
+            assert browder_sum_norm(s, x, n) == value
+            assert double_ergodic_sum_norm(s, x, x, n, 1) == value
+
+
+def test_ergodic_norms_refuse_lengths_past_the_reduction_range():
+    max_k = FixedPointReducer(ALPHA, bits=192).max_k
+    f = SparseFourierSeries({-4: 1.0, 2: 0.5})
+    limit = max_k // 4
+    assert math.isfinite(browder_sum_norm(f, ALPHA, limit))
+    assert math.isfinite(double_ergodic_sum_norm(f, ALPHA, BETA, limit, limit))
+    with pytest.raises(ValueError):
+        browder_sum_norm(f, ALPHA, limit + 1)
+    with pytest.raises(ValueError):
+        double_ergodic_sum_norm(f, ALPHA, BETA, limit + 1, 1)
+    with pytest.raises(ValueError):
+        double_ergodic_sum_norm(f, ALPHA, BETA, 1, limit + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ Parseval masses), 40-digit mpmath recomputations of single-atom integrands,
 and literal Dirichlet-kernel products for the one-mode rate profile.
 """
 
+import dataclasses
 import io
 import math
 from fractions import Fraction
@@ -142,6 +143,24 @@ def test_joint_criterion_is_sum_of_sides():
     assert abs(float(joint.value.mid) - float(recombined.mid)) < 1e-12 * max(
         float(recombined.mid), 1.0
     )
+
+
+def test_joint_criterion_rejects_sides_that_drift_apart(monkeypatch):
+    from coblab import spectral
+    from coblab.errors import CertificationError
+
+    m = spectral_measure(random_real_series(17, 8), ALPHA, BETA)
+    honest = spectral.coboundary_integral
+
+    def shifted(measure, which):
+        side = honest(measure, which)
+        if which == "beta":  # far below a float midpoint test, far above the widths
+            side = dataclasses.replace(side, value=side.value + Fraction(1, 10**20))
+        return side
+
+    monkeypatch.setattr(spectral, "coboundary_integral", shifted)
+    with pytest.raises(CertificationError):
+        joint_criterion_sum(m)
 
 
 def test_joint_criterion_empty_measure():
