@@ -66,9 +66,6 @@ class Enclosure:
     def __contains__(self, value: Rational) -> bool:
         return self.lo <= Fraction(value) <= self.hi
 
-    def contains_enclosure(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __add__(self, other: "Enclosure | Rational") -> "Enclosure":
         if isinstance(other, Enclosure):
             return Enclosure(self.lo + other.lo, self.hi + other.hi)

@@ -34,7 +34,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import mpmath
-import numpy as np
 
 from .certify import (
     Enclosure,
@@ -52,7 +51,9 @@ from .diophantine import (
     bad_pair_constant,
     convergents,
     dirichlet_pair_search,
+    dyadic_blocks,
     select_summable_lacunary,
+    small_multiples,
 )
 from .errors import CertificationError, ConfigError, ShortfallError
 from .fourier import (
@@ -657,38 +658,20 @@ def _select_family_frequencies(
     C: Fraction,
     K: int,
 ) -> list[int]:
-    """First K certified frequencies for the family, via prefilter + proof.
+    """First K certified frequencies for the family, in increasing q.
 
-    The float64 scan proposes q with ||q*beta|| >~ ||q*alpha|| and
-    sqrt(q)*||q*beta|| inside the widened band [C/2 - m, 2C + m]; every
-    proposal is then settled by exact or certified-interval comparison, so
-    prefilter error can only cost extra confirmations, never a wrong accept.
+    A q with sqrt(q)*||q*beta|| <= 2C in block [lo, 2*lo) has ||q*beta|| <=
+    2C/isqrt(lo), so small_multiples visits it; each visited q is settled by
+    exact or certified comparison of ||q*beta|| >= ||q*alpha|| and the band.
     """
-    from .diophantine import _float_fraction
-
-    a_f = _float_fraction(alpha)
-    b_f = _float_fraction(beta)
-    margin = Q * 2.0**-49 + 2.0**-40
-    lo_band = float(C) / 2
-    hi_band = 2 * float(C)
     chosen: list[int] = []
-    chunk = 1 << 20
-    for start in range(1, Q + 1, chunk):
-        stop = min(start + chunk - 1, Q)
-        q = np.arange(start, stop + 1, dtype=np.float64)
-        da = np.abs(q * a_f - np.rint(q * a_f))
-        db = np.abs(q * b_f - np.rint(q * b_f))
-        sq = np.sqrt(q)
-        mask = (db >= da - margin) & (sq * db >= lo_band - sq * margin) & (
-            sq * db <= hi_band + sq * margin
-        )
-        for qi in np.nonzero(mask)[0]:
-            q_int = start + int(qi)
-            if not _certified_at_least(alpha, beta, q_int):
+    for lo, hi in dyadic_blocks(Q):
+        for q, _ in small_multiples(beta, lo, hi, 2 * C / math.isqrt(lo)):
+            if not _certified_at_least(alpha, beta, q):
                 continue
-            band = _sqrt_q_dist(beta, q_int)
+            band = _sqrt_q_dist(beta, q)
             if band.lo >= C / 2 and band.hi <= 2 * C:
-                chosen.append(q_int)
+                chosen.append(q)
                 if len(chosen) == K:
                     return chosen
     return chosen

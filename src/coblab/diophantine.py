@@ -3,10 +3,9 @@
 The central search asks for denominators q that approximate two rotation
 numbers simultaneously: max(||q*alpha||, ||q*beta||) < q**(-1/2), the
 two-dimensional pigeonhole guarantee evaluated here by exact arithmetic.
-Bulk scans run a float64 prefilter with a documented error margin; every
-candidate the prefilter surfaces is confirmed or rejected exactly, and the
-margin certifies that nothing admissible was skipped (product rounding over
-q <= Q stays below Q * 2**-49, far under the margin).
+The rotation scans enumerate candidates exactly and in O(sqrt(Q)) steps with
+small_multiples, an integer walk, and settle each one exactly or by certified
+comparison. Only the square scan keeps a float64 prescan with a margin.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,11 +28,13 @@ from .certify import (
     sqrt_enclosure,
 )
 from .errors import ConfigError, PrecisionCapError, ShortfallError
-from .surd import QuadraticSurd
+from .surd import FixedPointReducer, QuadraticSurd
 
 Rational = Union[int, float, Fraction]
 
-_CHUNK = 1 << 20
+_FP_BITS = 192
+_FP_ONE = 1 << _FP_BITS
+_FP_HALF = _FP_ONE >> 1
 
 
 @dataclass(frozen=True)
@@ -180,31 +181,88 @@ def badness_profile(x: QuadraticSurd, depth: int) -> BadnessProfile:
 
 
 # ---------------------------------------------------------------------------
+# exact enumeration of small multiples
+
+
+def _rotation_step(x: QuadraticSurd, n_max: int) -> int:
+    """Odd X with |X - frac(x)*2**192| < 2: n*X mod 2**192 tracks frac(n*x)
+    within 2n ulps and is nonzero for 0 < n < 2**192. n_max past the
+    reducer's proven range (2**112) raises ConfigError."""
+    red = FixedPointReducer(x, _FP_BITS)
+    if n_max > red.max_k:
+        raise ConfigError(
+            f"scan bound {n_max} exceeds the fixed-point range {red.max_k}"
+        )
+    return red.X | 1
+
+
+def _signed(residue: int) -> int:
+    """residue mod 2**192 as an offset in [-2**191, 2**191)."""
+    return (residue + _FP_HALF) % _FP_ONE - _FP_HALF
+
+
+def _first_returns(X: int, L: int, cap: int) -> tuple[int, int, int, int]:
+    """(a, A, b, B): the least a >= 1 with A = a*X mod 2**192 < L and the
+    least b >= 1 with B = -b*X mod 2**192 < L; a time at or past cap comes
+    back as (cap, L). The one-sided minima of the residue are the intermediate
+    fractions of X/2**192, which the subtractive Euclid recursion visits in
+    order."""
+    p, P, q, Q = 1, X, 0, _FP_ONE  # p*X = P and q*X = -Q mod 2**192
+    while (P >= L or Q >= L) and p < cap and q < cap:
+        if P < Q:  # a run of subtractions, cut where it drops below L
+            k = min(Q // P, (Q - L) // P + 1)
+            q, Q = q + k * p, Q - k * P
+        else:
+            k = min(P // Q, (P - L) // Q + 1)
+            p, P = p + k * q, P - k * Q
+    a, A = (p, P) if P < L and p < cap else (cap, L)
+    b, B = (q, Q) if Q < L and q < cap else (cap, L)
+    return a, A, b, B
+
+
+def small_multiples(
+    x: QuadraticSurd, lo: int, hi: int, eps: Rational
+) -> Iterator[tuple[int, int]]:
+    """(q, s) for every q in [lo, hi) with ||q*x|| < eps, in increasing q.
+
+    s is the signed residue of q*X, the step of _rotation_step, so abs(s) is
+    within 2q ulps of ||q*x||*2**192. The window is widened by 2*hi ulps: a
+    few extra q may appear (every q if eps >~ 1/4), none is missed. Each hit
+    follows the last after a, b or a+b steps (the three-gap theorem; Slater
+    1967), so the walk costs O(1) per hit, counting the hits below lo.
+    """
+    x.require_irrational("x")
+    eps_f = _as_fraction(eps, "eps")
+    if lo < 1 or eps_f <= 0:
+        raise ConfigError(f"need lo >= 1 and eps > 0, got lo={lo}, eps={eps}")
+    X = _rotation_step(x, hi - 1)
+    E = math.ceil(eps_f * _FP_ONE) + 2 * hi  # hits have |s| < E
+    if 4 * E >= _FP_ONE:
+        yield from ((n, _signed(n * X)) for n in range(lo, hi))
+        return
+    L, c = 2 * E - 1, E - 1  # t = (n*X + c) mod 2**192 is a hit when t < L
+    a, A, b, B = _first_returns(X, L, hi)
+    n, t = 0, c
+    while True:
+        if t < L - A:
+            n, t = n + a, t + A
+        elif t >= B:
+            n, t = n + b, t - B
+        else:
+            n, t = n + a + b, t + A - B
+        if n >= hi:
+            return
+        if n >= lo:
+            yield n, t - c
+
+
+def dyadic_blocks(Q: int) -> Iterator[tuple[int, int]]:
+    """The blocks [2**j, 2**(j+1)) covering 1..Q, the last one cut at Q + 1."""
+    return ((1 << j, min(2 << j, Q + 1)) for j in range(Q.bit_length()))
+
+
+# ---------------------------------------------------------------------------
 # simultaneous Dirichlet search
-
-
-def _float_fraction(x: QuadraticSurd) -> float:
-    """float64 of frac(x), good to one ulp via the certified enclosure."""
-    return float(x.frac().enclosure(96).mid)
-
-
-def _scan_candidates(alpha_f: float, beta_f: float, Q: int, margin: float) -> list[int]:
-    """Float64 prescan: all q whose distances sit within margin of q**-1/2."""
-    out: list[int] = []
-    for start in range(1, Q + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, Q)
-        q = np.arange(start, stop + 1, dtype=np.float64)
-        thr = 1.0 / np.sqrt(q) + margin
-        fa = (q * alpha_f) % 1.0
-        da = np.minimum(fa, 1.0 - fa)
-        mask = da < thr
-        if mask.any():
-            fb = (q[mask] * beta_f) % 1.0
-            db = np.minimum(fb, 1.0 - fb)
-            hits = np.nonzero(db < thr[mask])[0]
-            base = q[mask][hits].astype(np.int64)
-            out.extend(int(v) for v in base)
-    return out
 
 
 def _quality_enclosure(
@@ -234,39 +292,39 @@ def dirichlet_pair_search(
 ) -> list[ApproximationRecord]:
     """All q <= Q with max(||q*alpha||, ||q*beta||) < q**(-1/2), certified.
 
-    A float64 prescan proposes candidates (margin Q*2**-49 + 2**-40 dominates
-    the scan's rounding error, so no admissible q is missed for Q up to 1e8);
-    each candidate is then settled by exact integer arithmetic: q*dist**2 - 1
-    is a quadratic surd whose sign decides strict admissibility.
+    Each dyadic block [lo, 2*lo) walks small_multiples(alpha, ...) with
+    eps = 1/isqrt(lo) >= q**(-1/2). A q whose beta residue proves
+    q*||q*beta||**2 >= 1 is dropped; every other one is settled exactly by the
+    sign of the quadratic surd q*dist**2 - 1. Q past 2**112 raises ConfigError.
     """
     alpha.require_irrational("alpha")
     beta.require_irrational("beta")
     if Q < 1:
         raise ConfigError(f"Q must be a positive integer, got {Q}")
-    if Q > 10**8:
-        raise ConfigError("scan bound above 1e8 exceeds the prefilter's margin")
     tol_f = _as_fraction(tol, "tol")
 
-    margin = Q * 2.0**-49 + 2.0**-40
-    candidates = _scan_candidates(_float_fraction(alpha), _float_fraction(beta), Q, margin)
-
+    beta_step = _rotation_step(beta, Q)
+    one_sq = _FP_ONE * _FP_ONE
     records = []
-    for q in candidates:
-        da = (alpha * q).dist_to_int()
-        if ((da * da * q) - 1).sign() >= 0:
-            continue
-        db = (beta * q).dist_to_int()
-        if ((db * db * q) - 1).sign() >= 0:
-            continue
-        records.append(
-            ApproximationRecord(
-                q=q,
-                dist_alpha=_half_clamp(refine(da.enclosure, tol_f)),
-                dist_beta=_half_clamp(refine(db.enclosure, tol_f)),
-                quality=_quality_enclosure(q, da, db, tol_f),
+    for lo, hi in dyadic_blocks(Q):
+        for q, _ in small_multiples(alpha, lo, hi, Fraction(1, math.isqrt(lo))):
+            low_b = abs(_signed(q * beta_step)) - 2 * q
+            if low_b > 0 and q * low_b * low_b >= one_sq:
+                continue
+            da = (alpha * q).dist_to_int()
+            if ((da * da * q) - 1).sign() >= 0:
+                continue
+            db = (beta * q).dist_to_int()
+            if ((db * db * q) - 1).sign() >= 0:
+                continue
+            records.append(
+                ApproximationRecord(
+                    q=q,
+                    dist_alpha=_half_clamp(refine(da.enclosure, tol_f)),
+                    dist_beta=_half_clamp(refine(db.enclosure, tol_f)),
+                    quality=_quality_enclosure(q, da, db, tol_f),
+                )
             )
-        )
-    records.sort(key=lambda r: r.q)
     return records
 
 
@@ -326,35 +384,32 @@ def bad_pair_constant(
 
     A finite-depth upper estimate of the pair's badness constant: the true
     infimum over all q can only be smaller. Returns (enclosure, argmin q).
-    A float64 pass locates near-minimal q; the winner among them is settled
-    by adaptive certified comparison.
+
+    The upper bound c on the minimum starts at 1/2 (the bound at q = 1) and
+    falls with each visited q. Block [lo, 2*lo) walks small_multiples(alpha,
+    ...) with eps >= c/sqrt(lo); q is kept while its fixed-point lower bound
+    can reach c, and the kept q are settled in increasing order by certified
+    comparison, ties staying at the smaller q. Memory does not grow with Q.
     """
     alpha.require_irrational("alpha")
     beta.require_irrational("beta")
     if Q < 1:
         raise ConfigError(f"Q must be a positive integer, got {Q}")
 
-    alpha_f, beta_f = _float_fraction(alpha), _float_fraction(beta)
-    best_float = math.inf
-    values = []
-    for start in range(1, Q + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, Q)
-        q = np.arange(start, stop + 1, dtype=np.float64)
-        fa = (q * alpha_f) % 1.0
-        fb = (q * beta_f) % 1.0
-        v = np.sqrt(q) * np.maximum(
-            np.minimum(fa, 1.0 - fa), np.minimum(fb, 1.0 - fb)
-        )
-        values.append(v)
-        best_float = min(best_float, float(v.min()))
-    # float error on sqrt(q)*dist stays below ~Q**0.5 * Q * 2**-50; the safety
-    # band is far wider at desk scale
-    safety = max(1e-6, Q**1.5 * 2.0**-48)
-    candidate_qs: list[int] = []
-    for i, v in enumerate(values):
-        base = i * _CHUNK + 1
-        hits = np.nonzero(v <= best_float + safety)[0]
-        candidate_qs.extend(int(base + h) for h in hits)
+    beta_step = _rotation_step(beta, Q)
+    # c2 = (c * 2**192)**2, so with m = max(dist) * 2**192 in ulps,
+    # sqrt(q) * max(dist) <= c exactly when q*m*m <= c2
+    c2 = _FP_ONE * _FP_ONE // 4
+    kept: list[tuple[int, int]] = []
+    for lo, hi in dyadic_blocks(Q):
+        eps = Fraction(math.isqrt(c2 // lo) + 1, _FP_ONE)
+        for q, s_alpha in small_multiples(alpha, lo, hi, eps):
+            # each residue is within 2q ulps of its distance * 2**192
+            d = max(abs(s_alpha), abs(_signed(q * beta_step)))
+            low = q * max(d - 2 * q, 0) ** 2
+            if low <= c2:
+                c2 = min(c2, q * (d + 2 * q) ** 2)
+                kept = [(k, v) for k, v in kept if v <= c2] + [(q, low)]
 
     def producer_for(q: int):
         da = (alpha * q).dist_to_int()
@@ -367,9 +422,9 @@ def bad_pair_constant(
 
         return producer
 
-    best_q = candidate_qs[0]
+    best_q = kept[0][0]
     best_producer = producer_for(best_q)
-    for q in candidate_qs[1:]:
+    for q, _ in kept[1:]:
         contender = producer_for(q)
         try:
             if separate(contender, best_producer) < 0:
@@ -402,7 +457,7 @@ def square_approximation_search(
     if N > 10**6:
         raise ConfigError("square scan bound above 1e6 exceeds the float margin")
 
-    beta_f = _float_fraction(beta)
+    beta_f = float(beta.frac().enclosure(96).mid)  # frac(beta) to one ulp
     n = np.arange(1, N + 1, dtype=np.float64)
     fa = (n * n * beta_f) % 1.0
     dist = np.minimum(fa, 1.0 - fa)

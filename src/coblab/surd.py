@@ -95,11 +95,6 @@ class QuadraticSurd:
             raise ConfigError(f"{what} must be irrational, got {self}")
         return self
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not a rational value")
-        return Fraction(self.a, self.c)
-
     def with_label(self, label: str) -> "QuadraticSurd":
         return QuadraticSurd(self.a, self.b, self.d, self.c, label=label)
 

@@ -338,6 +338,23 @@ class TestMain:
         assert err["error"]["type"] == "ConfigError"
         assert "zero denominator" in err["error"]["message"]
 
+    def test_main_scans_dirichlet_to_1e10(self, capsys):
+        assert main(
+            ["approx", "dirichlet", "--Q", "10000000000", "--format", "json"]
+        ) == 0
+        records = json.loads(capsys.readouterr().out)["result"]["records"]
+        qs = [r["q"] for r in records]
+        assert qs[:5] == [1, 2, 3, 4, 5]
+        assert qs == sorted(qs) and qs[-1] <= 10**10
+
+    @pytest.mark.parametrize("action", ["dirichlet", "bad-pair"])
+    def test_main_rejects_q_past_the_fixed_point_range(self, capsys, action):
+        assert main(["approx", action, "--Q", str(2**112 + 1)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "config"
+        assert err["error"]["type"] == "ConfigError"
+        assert "fixed-point range" in err["error"]["message"]
+
     def test_main_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["juggle"])

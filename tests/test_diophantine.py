@@ -1,9 +1,11 @@
 """Diophantine search tests, cross-checked against mpmath brute force."""
 
 import io
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from coblab.diophantine import (
     nearest_integer_distance,
     records_to_csv,
     select_summable_lacunary,
+    small_multiples,
     square_approximation_search,
     summability_enclosure,
 )
@@ -29,6 +32,12 @@ from coblab.surd import QuadraticSurd, parse_surd, sqrt_int
 ALPHA = parse_surd("(-1+1*sqrt(2))/1")
 BETA = parse_surd("(-1+1*sqrt(3))/1")
 GOLDEN = parse_surd("(1+sqrt(5))/2")
+
+# the two surd pairs of the benchmark's scan workload
+PAIRS = [
+    (ALPHA, BETA),
+    (parse_surd("(-2+1*sqrt(5))/1"), parse_surd("(-2+1*sqrt(7))/1")),
+]
 
 # simultaneous Dirichlet solutions for (sqrt(2)-1, sqrt(3)-1) up to 100,
 # frozen from an independent high-precision scan
@@ -156,6 +165,77 @@ def test_dirichlet_other_pair_consistency():
     assert [r.q for r in records] == oracle_dirichlet(gamma, delta, 300)
 
 
+def float_prescan_reference(alpha, beta, Q):
+    """The float64 prescan the search used before the exact walk, then the
+    exact confirmation: q*dist**2 - 1 < 0 for both rotations."""
+    alpha_f = float(alpha.frac().enclosure(96).mid)
+    beta_f = float(beta.frac().enclosure(96).mid)
+    margin = Q * 2.0**-49 + 2.0**-40
+    q = np.arange(1, Q + 1, dtype=np.float64)
+    thr = 1.0 / np.sqrt(q) + margin
+    fa = (q * alpha_f) % 1.0
+    fb = (q * beta_f) % 1.0
+    mask = (np.minimum(fa, 1.0 - fa) < thr) & (np.minimum(fb, 1.0 - fb) < thr)
+    hits = []
+    for q_int in (int(v) for v in q[mask]):
+        da = (alpha * q_int).dist_to_int()
+        db = (beta * q_int).dist_to_int()
+        if (da * da * q_int - 1).sign() < 0 and (db * db * q_int - 1).sign() < 0:
+            hits.append(q_int)
+    return hits
+
+
+@pytest.mark.parametrize("pair", [0, 1])
+def test_dirichlet_matches_float_prescan_reference_at_1e6(pair):
+    alpha, beta = PAIRS[pair]
+    records = dirichlet_pair_search(alpha, beta, 10**6)
+    assert [r.q for r in records] == float_prescan_reference(alpha, beta, 10**6)
+
+
+def test_dirichlet_rejects_q_past_the_fixed_point_range():
+    with pytest.raises(ConfigError, match="fixed-point range"):
+        dirichlet_pair_search(ALPHA, BETA, 2**112 + 1)
+
+
+# -- exact enumeration of small multiples -------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(-20, 20),
+    b=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    c=st.integers(1, 30),
+    d=st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]),
+    hi=st.integers(1, 10**4),
+    span=st.integers(0, 1500),
+    eps=st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(3, 5),
+                     max_denominator=10**6),
+)
+def test_small_multiples_yields_every_exact_hit_in_order(a, b, c, d, hi, span, eps):
+    x = QuadraticSurd(a, b, d, c)
+    lo = max(1, hi - span)
+    got = list(small_multiples(x, lo, hi, eps))
+    qs = [q for q, _ in got]
+    assert all(u < v for u, v in zip(qs, qs[1:]))
+    assert all(lo <= q < hi for q in qs)
+    exact = [q for q in range(lo, hi) if (x * q).dist_to_int() < eps]
+    assert set(exact) <= set(qs)
+    for q, s in got:
+        # the signed residue tracks ||q*x|| * 2**192 within 2q ulps
+        dist = (x * q).dist_to_int().enclosure(256)
+        assert dist.lo * 2**192 - 2 * q <= abs(s) <= dist.hi * 2**192 + 2 * q
+
+
+def test_small_multiples_validates():
+    with pytest.raises(ConfigError):
+        next(small_multiples(ALPHA, 0, 10, Fraction(1, 10)))
+    with pytest.raises(ConfigError):
+        next(small_multiples(ALPHA, 1, 10, 0))
+    with pytest.raises(ConfigError, match="fixed-point range"):
+        next(small_multiples(ALPHA, 1, 2**112 + 2, Fraction(1, 10)))
+    assert list(small_multiples(ALPHA, 5, 5, Fraction(1, 10))) == []
+
+
 # -- greedy selection ----------------------------------------------------------
 
 
@@ -229,6 +309,49 @@ def test_bad_pair_constant_matches_brute_force():
                 best, best_q = v, q
         assert argmin == best_q
         assert float(enc.mid) == pytest.approx(float(best), abs=1e-15)
+
+
+def mp_bad_pair_argmin(alpha, beta, Q, dps=40):
+    best, best_q = None, None
+    with mpmath.workdps(dps):
+        a, b = surd_mpf(alpha, dps), surd_mpf(beta, dps)
+        for q in range(1, Q + 1):
+            v = mpmath.sqrt(q) * max(mp_dist(q * a), mp_dist(q * b))
+            if best is None or v < best:
+                best, best_q = v, q
+    return best_q
+
+
+@pytest.mark.parametrize("pair", [0, 1])
+def test_bad_pair_argmin_matches_brute_force_at_20000(pair):
+    alpha, beta = PAIRS[pair]
+    _, argmin = bad_pair_constant(alpha, beta, 20000)
+    assert argmin == mp_bad_pair_argmin(alpha, beta, 20000)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.integers(-9, 9),
+    b=st.sampled_from([-2, -1, 1, 2]),
+    c=st.integers(1, 12),
+    d=st.sampled_from([2, 3, 5, 6, 7]),
+    d2=st.sampled_from([10, 11, 13]),
+    Q=st.integers(1, 3000),
+)
+def test_bad_pair_argmin_matches_brute_force_on_random_pairs(a, b, c, d, d2, Q):
+    alpha, beta = QuadraticSurd(a, b, d, c), QuadraticSurd(c, 1, d2, 7)
+    _, argmin = bad_pair_constant(alpha, beta, Q)
+    assert argmin == mp_bad_pair_argmin(alpha, beta, Q)
+
+
+def test_bad_pair_memory_does_not_grow_with_q():
+    tracemalloc.start()
+    try:
+        bad_pair_constant(ALPHA, BETA, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 # -- squares -------------------------------------------------------------------
