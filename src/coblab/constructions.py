@@ -65,7 +65,7 @@ from .fourier import (
     transfer_coefficients,
     unit_phase,
 )
-from .surd import QuadraticSurd
+from .surd import FixedPointReducer, QuadraticSurd
 
 Rational = Union[int, float, Fraction]
 
@@ -661,12 +661,28 @@ def _select_family_frequencies(
     """First K certified frequencies for the family, in increasing q.
 
     A q with sqrt(q)*||q*beta|| <= 2C in block [lo, 2*lo) has ||q*beta|| <=
-    2C/isqrt(lo), so small_multiples visits it; each visited q is settled by
-    exact or certified comparison of ||q*beta|| >= ||q*alpha|| and the band.
+    2C/isqrt(lo), so small_multiples visits it. Its beta residue (within 2q
+    ulps of ||q*beta||*2**192) and alpha's FixedPointReducer residue (within
+    q + 1 ulps) drop every q proven outside the band or with ||q*alpha||
+    proven above ||q*beta||; those fail the exact checks anyway. Each other q
+    is settled by exact or certified comparison of ||q*beta|| >= ||q*alpha||
+    and the band.
     """
+    one = 1 << 192
+    alpha_red = FixedPointReducer(alpha, 192)
+    # sqrt(q)*m*2**-192 < C/2 when q*m*m < lo_edge, > 2C when q*m*m > hi_edge
+    lo_edge = math.floor(C * C * one * one / 4)
+    hi_edge = math.ceil(4 * C * C * one * one)
     chosen: list[int] = []
     for lo, hi in dyadic_blocks(Q):
-        for q, _ in small_multiples(beta, lo, hi, 2 * C / math.isqrt(lo)):
+        for q, s in small_multiples(beta, lo, hi, 2 * C / math.isqrt(lo)):
+            b_hi = abs(s) + 2 * q
+            b_lo = max(abs(s) - 2 * q, 0)
+            if q * b_hi * b_hi < lo_edge or q * b_lo * b_lo > hi_edge:
+                continue
+            t = alpha_red.frac_fixed(q)
+            if min(t, one - t) - q - 1 > b_hi:
+                continue
             if not _certified_at_least(alpha, beta, q):
                 continue
             band = _sqrt_q_dist(beta, q)

@@ -5,7 +5,9 @@ numbers simultaneously: max(||q*alpha||, ||q*beta||) < q**(-1/2), the
 two-dimensional pigeonhole guarantee evaluated here by exact arithmetic.
 The rotation scans enumerate candidates exactly and in O(sqrt(Q)) steps with
 small_multiples, an integer walk, and settle each one exactly or by certified
-comparison. Only the square scan keeps a float64 prescan with a margin.
+comparison. The square scan steps n^2*beta in the same 192-bit fixed point and
+screens each n with an integer window and one float compare whose error bound
+and range are stated and enforced in _proven_at_least_power.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
-
-import numpy as np
 
 from .certify import (
     Enclosure,
@@ -184,14 +184,23 @@ def badness_profile(x: QuadraticSurd, depth: int) -> BadnessProfile:
 # exact enumeration of small multiples
 
 
+# the walks cost O(sqrt(n_max)) steps: about 8 s at 10**12, so about 25 s here
+_SCAN_CAP = 10**13
+
+
 def _rotation_step(x: QuadraticSurd, n_max: int) -> int:
     """Odd X with |X - frac(x)*2**192| < 2: n*X mod 2**192 tracks frac(n*x)
     within 2n ulps and is nonzero for 0 < n < 2**192. n_max past the
-    reducer's proven range (2**112) raises ConfigError."""
+    reducer's proven range (2**112), or past the practical cap 10**13 on the
+    walks' running time, raises ConfigError."""
     red = FixedPointReducer(x, _FP_BITS)
     if n_max > red.max_k:
         raise ConfigError(
             f"scan bound {n_max} exceeds the fixed-point range {red.max_k}"
+        )
+    if n_max > _SCAN_CAP:
+        raise ConfigError(
+            f"scan bound {n_max} exceeds the running-time cap 10**13"
         )
     return red.X | 1
 
@@ -295,7 +304,7 @@ def dirichlet_pair_search(
     Each dyadic block [lo, 2*lo) walks small_multiples(alpha, ...) with
     eps = 1/isqrt(lo) >= q**(-1/2). A q whose beta residue proves
     q*||q*beta||**2 >= 1 is dropped; every other one is settled exactly by the
-    sign of the quadratic surd q*dist**2 - 1. Q past 2**112 raises ConfigError.
+    sign of the quadratic surd q*dist**2 - 1. Q past 10**13 raises ConfigError.
     """
     alpha.require_irrational("alpha")
     beta.require_irrational("beta")
@@ -439,14 +448,45 @@ def bad_pair_constant(
 # square denominators and integer dependence
 
 
+_SQUARE_N_MAX = 10**6
+
+
+def _proven_at_least_power(lower: int, n: int, delta: Fraction) -> bool:
+    """Whether lower * 2**-192 >= n**(-delta) is proven by a float compare.
+
+    The test is fl(lower * 2**-192) >= fl(fl(n**-fl(delta)) * fl(1 + 1e-12)).
+    On the range enforced here, 1 <= n <= 10**6 and 1/2 < delta < 1 with
+    0 < lower < 2**192, the errors are:
+    - lower converts with one rounding (relative 2**-53); the scaling by
+      2**-192 is exact, far above the subnormal range;
+    - fl(delta) is within 2**-54 of delta, which moves n**-delta by a factor
+      within exp(2**-54 * ln(10**6)), below 1 + 8e-16; n converts exactly;
+    - pow, the constant 1 + 1e-12 and the product each add at most one ulp.
+    Together the two sides are off by a factor below 1 + 2e-15, far inside
+    the 1e-12 slack, so True proves lower * 2**-192 > n**-delta. False
+    proves nothing.
+    """
+    if not (1 <= n <= _SQUARE_N_MAX and Fraction(1, 2) < delta < 1):
+        raise ValueError(f"float power screen used outside its range: n={n}")
+    return math.ldexp(lower, -_FP_BITS) >= n ** -float(delta) * (1 + 1e-12)
+
+
 def square_approximation_search(
     beta: QuadraticSurd, delta: Rational, N: int
 ) -> list[int]:
     """All n <= N with ||n^2 * beta|| < n**(-delta), each settled exactly.
 
     delta must sit in (1/2, 2/3); float inputs are taken at their exact
-    binary value. Thresholds n**(-delta) are certified power enclosures and
-    the comparison escalates precision until strict.
+    binary value. N is capped at 10**6 because the scan visits every n.
+
+    The residue r of n^2 * X, X = FixedPointReducer(beta, 192).X, is stepped
+    exactly (r += s, s += 2X, mod 2**192), and its distance d to 0 is within
+    n^2 ulps of ||n^2 * beta|| * 2**192. Two screens drop n:
+    - an integer window per dyadic block [lo, hi): d >= E, where
+      E = isqrt(2**384 // lo) + 1 + hi**2, implies n*(d - n^2)**2 >= 2**384,
+      so ||n^2 * beta|| > n**(-1/2) > n**(-delta);
+    - _proven_at_least_power on d - n^2, the one float argument.
+    Every other n is settled by certified comparison with n**(-delta).
     """
     beta.require_irrational("beta")
     delta_f = _as_fraction(delta, "delta")
@@ -454,27 +494,30 @@ def square_approximation_search(
         raise ConfigError(f"delta must lie in (1/2, 2/3), got {float(delta_f)}")
     if N < 1:
         raise ConfigError(f"N must be a positive integer, got {N}")
-    if N > 10**6:
-        raise ConfigError("square scan bound above 1e6 exceeds the float margin")
+    if N > _SQUARE_N_MAX:
+        raise ConfigError(
+            f"square scan bound {N} exceeds 10**6: the scan visits every n"
+        )
 
-    beta_f = float(beta.frac().enclosure(96).mid)  # frac(beta) to one ulp
-    n = np.arange(1, N + 1, dtype=np.float64)
-    fa = (n * n * beta_f) % 1.0
-    dist = np.minimum(fa, 1.0 - fa)
-    # n^2*beta rounding stays below N**2 * 2**-50 ~ 1e-3 margin at N = 1e6
-    margin = max(1e-8, N * N * 2.0**-50)
-    thr = n ** (-float(delta_f)) + margin + 1e-12 * n ** (-float(delta_f))
-    candidates = np.nonzero(dist < thr)[0] + 1
-
+    X = FixedPointReducer(beta, _FP_BITS).X
+    mask, step = _FP_ONE - 1, 2 * X
     accepted = []
-    for n_val in (int(v) for v in candidates):
-        dist_surd = (beta * (n_val * n_val)).dist_to_int()
-        if n_val == 1:
-            accepted.append(1)  # threshold is 1 and distances never exceed 1/2
-            continue
-        threshold = lambda bits, nv=n_val: pow_enclosure(nv, -delta_f, bits)
-        if separate(dist_surd.enclosure, threshold) < 0:
-            accepted.append(n_val)
+    for lo, hi in dyadic_blocks(N):
+        E = math.isqrt(_FP_ONE * _FP_ONE // lo) + 1 + hi * hi
+        L, c = 2 * E - 1, E - 1  # n is in the window when t < L
+        t, s = (lo * lo * X + c) & mask, (2 * lo + 1) * X
+        for n in range(lo, hi):
+            if t < L:
+                lower = abs(_signed(t - c)) - n * n
+                if n == 1:
+                    accepted.append(1)  # threshold is 1; distances are <= 1/2
+                elif lower <= 0 or not _proven_at_least_power(lower, n, delta_f):
+                    dist = (beta * (n * n)).dist_to_int()
+                    threshold = lambda bits, nv=n: pow_enclosure(nv, -delta_f, bits)
+                    if separate(dist.enclosure, threshold) < 0:
+                        accepted.append(n)
+            t = (t + s) & mask
+            s += step
     return accepted
 
 

@@ -372,11 +372,6 @@ class FixedPointReducer:
     def frac_fixed(self, k: int) -> int:
         return (k * self.X) & self.mask
 
-    def frac_float(self, k: int) -> float:
-        """frac(k*x) in [0, 1); near the wrap the value may alias 1-eps vs eps,
-        which is harmless for periodic consumers such as exp(2*pi*i*.)"""
-        return math.ldexp(float(self.frac_fixed(k)), -self.bits)
-
     def dist_float(self, k: int) -> float:
         """Distance from k*x to the nearest integer, as a float64."""
         t = self.frac_fixed(k)

@@ -8,9 +8,13 @@ machine-readable JSON written to stderr.
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coblab
 from coblab.cli import (
     ExperimentConfig,
     build_parser,
@@ -354,6 +358,34 @@ class TestMain:
         assert err["error"]["kind"] == "config"
         assert err["error"]["type"] == "ConfigError"
         assert "fixed-point range" in err["error"]["message"]
+
+    @pytest.mark.parametrize("action", ["dirichlet", "bad-pair"])
+    def test_main_rejects_q_past_the_running_time_cap(self, capsys, action):
+        assert main(["approx", action, "--Q", str(10**13 + 1)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "config"
+        assert err["error"]["type"] == "ConfigError"
+        assert "running-time cap" in err["error"]["message"]
+
+    def test_main_never_imports_numpy(self):
+        # numpy is a test dependency only; a fresh interpreter shows whether
+        # the CLI path pulls it in
+        script = (
+            "import sys\n"
+            "from coblab.cli import main\n"
+            "assert main(['approx', 'squares', '--N', '1000']) == 0\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n"
+            "sys.exit('numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(coblab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_main_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -18,6 +18,9 @@ from coblab.certify import Enclosure
 from coblab.constructions import (
     Certificate,
     CertificateEntry,
+    _certified_at_least,
+    _select_family_frequencies,
+    _sqrt_q_dist,
     build_bad_pair_family,
     build_joint_not_double,
     check_bad_joint,
@@ -34,7 +37,9 @@ from coblab.diophantine import (
     Dependence,
     bad_pair_constant,
     convergents,
+    dyadic_blocks,
     integer_dependence_search,
+    small_multiples,
 )
 from coblab.errors import ConfigError, ShortfallError
 from coblab.fourier import (
@@ -277,6 +282,38 @@ def test_family_selects_three_member_band():
     assert fam.verdict
     kinds = [c.kind for c in fam.certificates]
     assert kinds == ["joint-upper-bound", "divergence-witness"]
+
+
+def unscreened_family_reference(alpha, beta, Q, C, K):
+    """The family selection without its fixed-point screens: every q that
+    the walk visits is settled by the exact checks."""
+    chosen = []
+    for lo, hi in dyadic_blocks(Q):
+        for q, _ in small_multiples(beta, lo, hi, 2 * C / math.isqrt(lo)):
+            if _certified_at_least(alpha, beta, q):
+                band = _sqrt_q_dist(beta, q)
+                if band.lo >= C / 2 and band.hi <= 2 * C:
+                    chosen.append(q)
+    return chosen[:K]
+
+
+@pytest.mark.parametrize("widen", [1, 2])
+@pytest.mark.parametrize(
+    "pair",
+    [
+        ("(-2+1*sqrt(5))/1", "(-1+1*sqrt(2))/1"),
+        ("(1+sqrt(5))/2", "(-1+1*sqrt(2))/1"),
+        ("(-1+1*sqrt(3))/1", "(-1+1*sqrt(2))/1"),
+        ("(1+2*sqrt(5))/3", "(0+1*sqrt(7))/2"),
+        ("(1+sqrt(5))/2", "(3+sqrt(5))/7"),  # one field: exact comparison
+    ],
+)
+def test_family_screen_keeps_the_unscreened_selection(pair, widen):
+    alpha, beta = parse_surd(pair[0]), parse_surd(pair[1])
+    Q = 10**5
+    C = bad_pair_constant(alpha, beta, Q)[0].mid * widen
+    got = _select_family_frequencies(alpha, beta, Q, C, 60)
+    assert got == unscreened_family_reference(alpha, beta, Q, C, 60)
 
 
 def test_family_band_membership_certified():

@@ -1,6 +1,7 @@
 """Diophantine search tests, cross-checked against mpmath brute force."""
 
 import io
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coblab.certify import Enclosure
+from coblab.certify import Enclosure, pow_enclosure, separate
 from coblab.diophantine import (
     ApproximationRecord,
+    _proven_at_least_power,
     badness_profile,
     bad_pair_constant,
     continued_fraction,
@@ -385,6 +387,77 @@ def test_square_search_validates_delta():
     for bad in (0.5, 0.7, Fraction(2, 3), Fraction(1, 2)):
         with pytest.raises(ConfigError):
             square_approximation_search(BETA, bad, 10)
+
+
+def test_square_search_bounds_n_and_the_float_screen_range():
+    with pytest.raises(ConfigError, match="visits every n"):
+        square_approximation_search(BETA, Fraction(3, 5), 10**6 + 1)
+    threshold = 2**192 * (10**6) ** -0.6  # n**-delta in ulps at n = 10**6
+    assert _proven_at_least_power(math.ceil(threshold * (1 + 1e-11)), 10**6, Fraction(3, 5))
+    assert not _proven_at_least_power(math.floor(threshold), 10**6, Fraction(3, 5))
+    for n, delta in ((0, Fraction(3, 5)), (10**6 + 1, Fraction(3, 5)),
+                     (2, Fraction(1, 2)), (2, Fraction(1))):
+        with pytest.raises(ValueError, match="outside its range"):
+            _proven_at_least_power(1, n, delta)
+
+
+def float_square_prescan_reference(beta, delta, N):
+    """The float64 prescan the square scan used before the fixed-point
+    screen, then the same exact confirmation of every candidate."""
+    beta_f = float(beta.frac().enclosure(96).mid)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    fa = (n * n * beta_f) % 1.0
+    dist = np.minimum(fa, 1.0 - fa)
+    margin = max(1e-8, N * N * 2.0**-50)
+    thr = n ** (-float(delta)) + margin + 1e-12 * n ** (-float(delta))
+    hits = []
+    for n_val in (int(v) for v in np.nonzero(dist < thr)[0] + 1):
+        dist_surd = (beta * (n_val * n_val)).dist_to_int()
+        threshold = lambda bits, nv=n_val: pow_enclosure(nv, -delta, bits)
+        if n_val == 1 or separate(dist_surd.enclosure, threshold) < 0:
+            hits.append(n_val)
+    return hits
+
+
+@pytest.mark.parametrize("delta", [Fraction(51, 100), Fraction(3, 5), Fraction(13, 20)])
+@pytest.mark.parametrize("pair", [0, 1])
+def test_square_search_matches_float_prescan_reference_at_1e5(pair, delta):
+    beta = PAIRS[pair][1]
+    got = square_approximation_search(beta, delta, 10**5)
+    assert got == float_square_prescan_reference(beta, delta, 10**5)
+
+
+def brute_force_squares(x, delta, N):
+    """Every n <= N, settled on the exact distance: exact signs drop n with
+    ||n^2 x|| >= n**-1/2 and keep n with ||n^2 x|| < n**-2/3; the rest are
+    compared with pow_enclosure."""
+    hits = [1]
+    for n in range(2, N + 1):
+        d = (x * (n * n)).dist_to_int()
+        if (d * d * n - 1).sign() >= 0:
+            continue
+        if (d * d * d * (n * n) - 1).sign() < 0:
+            hits.append(n)
+        elif d.enclosure(512).hi < pow_enclosure(n, -delta, 512).lo:
+            hits.append(n)
+        else:
+            assert d.enclosure(512).lo > pow_enclosure(n, -delta, 512).hi
+    return hits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.integers(-20, 20),
+    b=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    c=st.integers(1, 30),
+    d=st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]),
+    N=st.integers(1, 500),
+    delta=st.fractions(min_value=Fraction(501, 1000), max_value=Fraction(333, 500),
+                       max_denominator=1000),
+)
+def test_square_search_matches_brute_force(a, b, c, d, N, delta):
+    x = QuadraticSurd(a, b, d, c)
+    assert square_approximation_search(x, delta, N) == brute_force_squares(x, delta, N)
 
 
 # -- dependence ----------------------------------------------------------------

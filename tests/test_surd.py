@@ -173,8 +173,11 @@ def test_fixed_point_reducer_matches_oracle(k):
 def test_fixed_point_reducer_frac_is_periodic_safe():
     red = FixedPointReducer(GOLDEN, bits=192)
     for k in (1, 2, 34, 6765):
-        fr = red.frac_float(k)
-        assert 0.0 <= fr < 1.0
+        fr = red.frac_fixed(k)
+        assert 0 <= fr < 1 << 192
+        # within k ulps of frac(k*x) * 2**192, measured around the circle
+        gap = abs(fr - (GOLDEN * k).frac().enclosure(256).mid * 2**192)
+        assert min(gap, 2**192 - gap) <= k + 1
 
 
 def test_sqrt_int_validates():
