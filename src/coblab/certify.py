@@ -31,6 +31,8 @@ from .errors import PrecisionCapError
 
 START_BITS = 128
 HARD_CAP_BITS = 8192
+# precision of the midpoint (non-certified) arithmetic in coblab.fourier
+WORK_PREC = 128
 GUARD_BITS = 20
 
 Rational = Union[int, Fraction]
@@ -116,9 +118,6 @@ class Enclosure:
         a, b = self.lo * self.lo, self.hi * self.hi
         lo = Fraction(0) if self.lo < 0 < self.hi else min(a, b)
         return Enclosure(lo, max(a, b))
-
-    def intersect(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def strictly_below(self, other: "Enclosure | Rational") -> bool:
         if isinstance(other, Enclosure):

@@ -20,27 +20,18 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional
 
-import mpmath
-
-from . import __version__
-from .certify import HARD_CAP_BITS, Enclosure
-from .constructions import (
-    build_joint_not_double,
-    check_bad_joint,
-    check_double_bad,
-    check_mur_envelope,
-    kac_salem_series,
-    large_coeff_witness,
-    petersen_series,
-)
-from .diophantine import (
-    _decimal_str,
-    bad_pair_constant,
-    continued_fraction,
-    convergents,
-    dirichlet_pair_search,
-    records_to_csv,
-    square_approximation_search,
+# The package registers its submodules lazily; calling them by qualified name
+# means each subcommand executes only the modules it uses.
+from . import (
+    __version__,
+    certify,
+    constructions,
+    diophantine,
+    fourier,
+    report,
+    shift_example,
+    spectral,
+    surd,
 )
 from .errors import (
     CertificationError,
@@ -48,31 +39,6 @@ from .errors import (
     PrecisionCapError,
     ShortfallError,
 )
-from .fourier import (
-    WORK_PREC,
-    apply_difference,
-    browder_sum_norm,
-    mpf_to_fraction,
-    random_real_series,
-)
-from .shift_example import (
-    build_h,
-    build_q,
-    divergence_certificate,
-    lp_partial_norm,
-    shift_grid_to_csv,
-)
-from .spectral import (
-    cesaro_rate_profile,
-    coboundary_integral,
-    criterion_to_csv,
-    double_criterion_sum,
-    doubling_tripling_variance,
-    joint_criterion_sum,
-    profile_to_csv,
-    spectral_measure,
-)
-from .surd import parse_surd
 
 _SCHEMA = "coblab-report-v1"
 
@@ -208,16 +174,9 @@ class _Body:
 
 def _precision_policy() -> dict:
     return {
-        "working_bits": WORK_PREC,
+        "working_bits": certify.WORK_PREC,
         "enclosures": "rational intervals with outward dyadic rounding",
-        "enclosure_cap_bits": HARD_CAP_BITS,
-    }
-
-
-def _enc(enclosure: Enclosure) -> dict:
-    return {
-        "lo": _decimal_str(enclosure.lo, "down"),
-        "hi": _decimal_str(enclosure.hi, "up"),
+        "enclosure_cap_bits": certify.HARD_CAP_BITS,
     }
 
 
@@ -289,14 +248,14 @@ def _parallel_map(fn, items, threads: int):
 
 def _surds(config: ExperimentConfig):
     return (
-        parse_surd(config.alpha, label="alpha"),
-        parse_surd(config.beta, label="beta"),
+        surd.parse_surd(config.alpha, label="alpha"),
+        surd.parse_surd(config.beta, label="beta"),
     )
 
 
 def _flagship(config: ExperimentConfig):
     alpha, beta = _surds(config)
-    return build_joint_not_double(
+    return constructions.build_joint_not_double(
         alpha,
         beta,
         config.K,
@@ -309,7 +268,7 @@ def _flagship(config: ExperimentConfig):
 def _handle_approx(config: ExperimentConfig) -> _Body:
     alpha, beta = _surds(config)
     if config.action == "dirichlet":
-        records = dirichlet_pair_search(
+        records = diophantine.dirichlet_pair_search(
             alpha, beta, config.Q, tol=config.rational("tol")
         )
         data = {
@@ -317,30 +276,34 @@ def _handle_approx(config: ExperimentConfig) -> _Body:
             "records": [
                 {
                     "q": r.q,
-                    "dist_alpha": _enc(r.dist_alpha),
-                    "dist_beta": _enc(r.dist_beta),
-                    "quality": _enc(r.quality),
+                    "dist_alpha": report.enclosure_json(r.dist_alpha),
+                    "dist_beta": report.enclosure_json(r.dist_beta),
+                    "quality": report.enclosure_json(r.quality),
                 }
                 for r in records
             ],
         }
         text = [f"{len(records)} denominators up to Q = {config.Q}"] + [
-            f"q = {r.q}: quality in [{_decimal_str(r.quality.lo, 'down', 8)},"
-            f" {_decimal_str(r.quality.hi, 'up', 8)}]"
+            f"q = {r.q}: quality in {report.interval_str(r.quality, 8)}"
             for r in records[:25]
         ]
-        return _Body(data, text, lambda fh: records_to_csv(records, fh))
+        return _Body(
+            data, text, lambda fh: diophantine.records_to_csv(records, fh)
+        )
     if config.action == "bad-pair":
-        constant, argmin = bad_pair_constant(alpha, beta, config.Q)
-        data = {"constant": _enc(constant), "argmin": argmin, "Q": config.Q}
+        constant, argmin = diophantine.bad_pair_constant(alpha, beta, config.Q)
+        data = {
+            "constant": report.enclosure_json(constant),
+            "argmin": argmin,
+            "Q": config.Q,
+        }
         text = [
             f"liminf proxy over q <= {config.Q}: "
-            f"[{_decimal_str(constant.lo, 'down', 10)}, "
-            f"{_decimal_str(constant.hi, 'up', 10)}] at q = {argmin}"
+            f"{report.interval_str(constant, 10)} at q = {argmin}"
         ]
         return _Body(data, text)
     if config.action == "squares":
-        hits = square_approximation_search(
+        hits = diophantine.square_approximation_search(
             beta, config.rational("delta"), config.N
         )
         data = {
@@ -353,18 +316,11 @@ def _handle_approx(config: ExperimentConfig) -> _Body:
             f"{len(hits)} squares n**2 <= {config.N} with "
             f"||n**2 * beta|| < n**(-{config.delta})"
         ] + [str(n) for n in hits]
-
-        def write_csv(fh):
-            import csv as _csv
-
-            writer = _csv.writer(fh)
-            writer.writerow(["n"])
-            for n in hits:
-                writer.writerow([n])
-
-        return _Body(data, text, write_csv)
-    terms = continued_fraction(alpha, config.depth)
-    convs = convergents(alpha, config.depth)
+        return _Body(
+            data, text, lambda fh: report.write_rows(fh, ["n"], ([n] for n in hits))
+        )
+    terms = diophantine.continued_fraction(alpha, config.depth)
+    convs = diophantine.convergents(alpha, config.depth)
     data = {
         "terms": terms,
         "convergents": [[p, q] for p, q in convs],
@@ -374,12 +330,11 @@ def _handle_approx(config: ExperimentConfig) -> _Body:
     ]
 
     def write_csv(fh):
-        import csv as _csv
-
-        writer = _csv.writer(fh)
-        writer.writerow(["k", "a_k", "p_k", "q_k"])
-        for k, (a, (p, q)) in enumerate(zip(terms, convs)):
-            writer.writerow([k, a, p, q])
+        report.write_rows(
+            fh,
+            ["k", "a_k", "p_k", "q_k"],
+            ([k, a, p, q] for k, (a, (p, q)) in enumerate(zip(terms, convs))),
+        )
 
     return _Body(data, text, write_csv)
 
@@ -403,7 +358,7 @@ def _check_inputs(config: ExperimentConfig):
     """Canonical checker input: the flagship series and its magnitudes."""
     result = _flagship(config)
     magnitudes = [
-        (n, mpf_to_fraction(mpmath.re(c))) for n, c in result.f.items() if n > 0
+        (n, fourier.coefficient_real(c)) for n, c in result.f.items() if n > 0
     ]
     return result, magnitudes
 
@@ -412,8 +367,8 @@ def _handle_check(config: ExperimentConfig) -> _Body:
     alpha, beta = _surds(config)
     result, magnitudes = _check_inputs(config)
     if config.action == "bad-joint":
-        cert = check_bad_joint(result.f, "C")
-        extra = check_bad_joint(result.f, "L2")
+        cert = constructions.check_bad_joint(result.f, "C")
+        extra = constructions.check_bad_joint(result.f, "L2")
         data = {
             "C": cert.to_json_dict(),
             "L2": extra.to_json_dict(),
@@ -423,78 +378,66 @@ def _handle_check(config: ExperimentConfig) -> _Body:
     elif config.action == "mur":
         # The envelope criterion wants a non-increasing sequence; feed it
         # the decreasing rearrangement of the coefficient magnitudes.
-        cert = check_mur_envelope(sorted((m for _, m in magnitudes),
-                                         reverse=True))
+        cert = constructions.check_mur_envelope(
+            sorted((m for _, m in magnitudes), reverse=True)
+        )
         data = cert.to_json_dict()
         text = [cert.render()]
         certs = [cert]
     elif config.action == "double-bad":
         # The log-power envelope is undefined at |k| = 1; check the series
         # with its first harmonic removed.
-        from .fourier import SparseFourierSeries
-
-        trimmed = SparseFourierSeries(
+        trimmed = fourier.SparseFourierSeries(
             {n: c for n, c in result.f.items() if abs(n) >= 2},
             real_valued=result.f.real_valued,
         )
-        cert = check_double_bad(trimmed, config.rational("gamma"))
+        cert = constructions.check_double_bad(trimmed, config.rational("gamma"))
         data = cert.to_json_dict()
         text = [cert.render()]
         certs = [cert]
     elif config.action == "kac-salem":
-        partial, tail = kac_salem_series(magnitudes, beta)
+        partial, tail = constructions.kac_salem_series(magnitudes, beta)
         data = {
-            "partial": _enc(partial.value),
-            "tail": _enc(tail),
+            "partial": report.enclosure_json(partial.value),
+            "tail": report.enclosure_json(tail),
             "terms": len(partial.terms),
         }
         text = [
             f"partial sum of |a_k| / sin(pi ||k beta||) over "
-            f"{len(partial.terms)} terms: "
-            f"[{_decimal_str(partial.value.lo, 'down', 12)}, "
-            f"{_decimal_str(partial.value.hi, 'up', 12)}]",
-            f"tail allowance: [{_decimal_str(tail.lo, 'down', 12)}, "
-            f"{_decimal_str(tail.hi, 'up', 12)}]",
+            f"{len(partial.terms)} terms: {report.interval_str(partial.value, 12)}",
+            f"tail allowance: {report.interval_str(tail, 12)}",
         ]
         certs = []
     elif config.action == "large-coeff":
-        cert = large_coeff_witness(
+        cert = constructions.large_coeff_witness(
             result.f, beta, config.depth, threshold=config.rational("delta")
         )
         data = cert.to_json_dict()
         text = [cert.render()]
         certs = [cert]
     else:
-        partial = petersen_series(result.f, alpha, beta)
+        partial = constructions.petersen_series(result.f, alpha, beta)
         data = {
-            "value": _enc(partial.value),
-            "terms": [[n, _enc(e)] for n, e in partial.terms],
+            "value": report.enclosure_json(partial.value),
+            "terms": [[n, report.enclosure_json(e)] for n, e in partial.terms],
         }
         text = [
             f"quadratic-divisor series over {len(partial.terms)} atoms: "
-            f"[{_decimal_str(partial.value.lo, 'down', 12)}, "
-            f"{_decimal_str(partial.value.hi, 'up', 12)}]"
+            f"{report.interval_str(partial.value, 12)}"
         ]
         certs = []
 
     def write_csv(fh):
-        import csv as _csv
-
-        writer = _csv.writer(fh)
-        writer.writerow(
-            ["description", "value_lo", "value_hi", "comparison", "satisfied"]
+        report.write_rows(
+            fh,
+            ["description", "value_lo", "value_hi", "comparison", "satisfied"],
+            (
+                [e.description, *report.endpoints(e.value), e.comparison,
+                 e.satisfied]
+                for cert in certs
+                for e in cert.entries
+            ),
         )
-        for cert in certs:
-            for entry in cert.entries:
-                writer.writerow(
-                    [
-                        entry.description,
-                        _decimal_str(entry.value.lo, "down"),
-                        _decimal_str(entry.value.hi, "up"),
-                        entry.comparison,
-                        entry.satisfied,
-                    ]
-                )
 
     return _Body(data, text, write_csv if certs else None)
 
@@ -502,46 +445,44 @@ def _handle_check(config: ExperimentConfig) -> _Body:
 def _handle_spectral(config: ExperimentConfig) -> _Body:
     alpha, beta = _surds(config)
     result = _flagship(config)
-    measure = spectral_measure(result.f, alpha, beta)
-    joint = joint_criterion_sum(measure)
-    double = double_criterion_sum(measure)
-    alpha_side = coboundary_integral(measure, "alpha")
-    beta_side = coboundary_integral(measure, "beta")
+    measure = spectral.spectral_measure(result.f, alpha, beta)
+    joint = spectral.joint_criterion_sum(measure)
+    double = spectral.double_criterion_sum(measure)
+    alpha_side = spectral.coboundary_integral(measure, "alpha")
+    beta_side = spectral.coboundary_integral(measure, "beta")
     data = {
         "atoms": len(measure),
         "total_mass": str(measure.total_mass()),
         "alpha_integral": {
-            "value": _enc(alpha_side.value),
+            "value": report.enclosure_json(alpha_side.value),
             "divergent": alpha_side.divergent,
         },
         "beta_integral": {
-            "value": _enc(beta_side.value),
+            "value": report.enclosure_json(beta_side.value),
             "divergent": beta_side.divergent,
         },
-        "joint_sum": _enc(joint.value),
-        "double_sum": _enc(double.value),
+        "joint_sum": report.enclosure_json(joint.value),
+        "double_sum": report.enclosure_json(double.value),
     }
     text = [
         f"atomic measure with {len(measure)} atoms, "
         f"total mass {float(measure.total_mass()):.6g}",
-        f"alpha-side membership integral: "
-        f"[{_decimal_str(alpha_side.value.lo, 'down', 12)}, "
-        f"{_decimal_str(alpha_side.value.hi, 'up', 12)}]",
-        f"beta-side membership integral: "
-        f"[{_decimal_str(beta_side.value.lo, 'down', 12)}, "
-        f"{_decimal_str(beta_side.value.hi, 'up', 12)}]",
-        f"joint criterion sum: [{_decimal_str(joint.value.lo, 'down', 12)}, "
-        f"{_decimal_str(joint.value.hi, 'up', 12)}]",
-        f"double criterion sum: [{_decimal_str(double.value.lo, 'down', 12)},"
-        f" {_decimal_str(double.value.hi, 'up', 12)}]",
+        "alpha-side membership integral: "
+        + report.interval_str(alpha_side.value, 12),
+        "beta-side membership integral: "
+        + report.interval_str(beta_side.value, 12),
+        f"joint criterion sum: {report.interval_str(joint.value, 12)}",
+        f"double criterion sum: {report.interval_str(double.value, 12)}",
     ]
-    return _Body(data, text, lambda fh: criterion_to_csv(double, fh))
+    return _Body(data, text, lambda fh: spectral.criterion_to_csv(double, fh))
 
 
 def _handle_rates(config: ExperimentConfig) -> _Body:
     if config.doubling_tripling:
         ns = list(range(1, min(config.N, 64) + 1))
-        values = _parallel_map(doubling_tripling_variance, ns, config.threads)
+        values = _parallel_map(
+            spectral.doubling_tripling_variance, ns, config.threads
+        )
         data = {
             "n": ns,
             "normalized_variance": [str(v) for v in values],
@@ -552,19 +493,18 @@ def _handle_rates(config: ExperimentConfig) -> _Body:
         ] + [f"n = {n}: {v}" for n, v in zip(ns, values)]
 
         def write_csv(fh):
-            import csv as _csv
-
-            writer = _csv.writer(fh)
-            writer.writerow(["n", "value_lo", "value_hi"])
-            for n, v in zip(ns, values):
-                writer.writerow([n, str(v), str(v)])
+            report.write_rows(
+                fh,
+                ["n", "value_lo", "value_hi"],
+                ([n, str(v), str(v)] for n, v in zip(ns, values)),
+            )
 
         return _Body(data, text, write_csv)
     alpha, beta = _surds(config)
     result = _flagship(config)
     n_values = sorted({1 << i for i in range(config.N.bit_length())} | {config.N})
     n_values = [n for n in n_values if n <= config.N]
-    profile = cesaro_rate_profile(result.f, alpha, beta, n_values)
+    profile = spectral.cesaro_rate_profile(result.f, alpha, beta, n_values)
     data = {
         "rows": [[n, per_n, per_n_sq] for n, per_n, per_n_sq in profile]
     }
@@ -572,46 +512,45 @@ def _handle_rates(config: ExperimentConfig) -> _Body:
         f"n = {n}: |S_n|/n = {per_n:.6e}, |S_n|/n^2 = {per_n_sq:.6e}"
         for n, per_n, per_n_sq in profile
     ]
-    return _Body(data, text, lambda fh: profile_to_csv(profile, fh))
+    return _Body(data, text, lambda fh: spectral.profile_to_csv(profile, fh))
 
 
 def _handle_shift(config: ExperimentConfig) -> _Body:
     p = config.rational("p")
-    h = build_h(p)
+    h = shift_example.build_h(p)
     box = min(config.K, 2000)
-    norm = lp_partial_norm(h, p, box, box)
-    report = divergence_certificate(p, config.K)
+    norm = shift_example.lp_partial_norm(h, p, box, box)
+    divergence = shift_example.divergence_certificate(p, config.K)
     data = {
         "p": config.p,
         "K": config.K,
         "lp_norm": {
-            "partial": _enc(norm.partial),
-            "tail": _enc(norm.tail),
-            "total": _enc(norm.total),
+            "partial": report.enclosure_json(norm.partial),
+            "tail": report.enclosure_json(norm.tail),
+            "total": report.enclosure_json(norm.total),
             "diagonals": norm.diagonals,
         },
-        "row_sum_lower": _enc(report.row_sum_lower),
-        "bounded_exponent": report.bounded_exponent,
-        "lr_partial": _enc(report.lr_partial),
-        "log_threshold": report.log_threshold,
-        "certificate": report.certificate.to_json_dict(),
+        "row_sum_lower": report.enclosure_json(divergence.row_sum_lower),
+        "bounded_exponent": divergence.bounded_exponent,
+        "lr_partial": report.enclosure_json(divergence.lr_partial),
+        "log_threshold": divergence.log_threshold,
+        "certificate": divergence.certificate.to_json_dict(),
     }
     text = [
         f"l_{config.p} mass of h on the first {norm.diagonals} diagonals: "
-        f"[{_decimal_str(norm.total.lo, 'down', 12)}, "
-        f"{_decimal_str(norm.total.hi, 'up', 12)}]",
+        f"{report.interval_str(norm.total, 12)}",
         f"row sum of q**{config.p} over k <= {config.K} is at least "
-        f"{_decimal_str(report.row_sum_lower.lo, 'down', 10)}",
-        f"whole-lattice q**{report.bounded_exponent} mass stays below "
-        f"{_decimal_str(report.lr_partial.hi, 'up', 10)}",
+        f"{report.decimal_str(divergence.row_sum_lower.lo, 'down', 10)}",
+        f"whole-lattice q**{divergence.bounded_exponent} mass stays below "
+        f"{report.decimal_str(divergence.lr_partial.hi, 'up', 10)}",
         "",
-        report.certificate.render(),
+        divergence.certificate.render(),
     ]
     edge = min(config.N, 16)
 
     def write_csv(fh):
-        grid = build_q(h, edge, edge, tail_terms=256)
-        shift_grid_to_csv(grid, fh)
+        grid = shift_example.build_q(h, edge, edge, tail_terms=256)
+        shift_example.shift_grid_to_csv(grid, fh)
 
     return _Body(data, text, write_csv)
 
@@ -621,37 +560,39 @@ def _handle_selftest(config: ExperimentConfig) -> _Body:
     checks = []
 
     values = _parallel_map(
-        doubling_tripling_variance, range(1, 65), config.threads
+        spectral.doubling_tripling_variance, range(1, 65), config.threads
     )
     checks.append(
         ("doubling/tripling variance exactly 1 for n <= 64",
          all(v == 1 for v in values))
     )
 
-    result = build_joint_not_double(alpha, beta, min(config.K, 6), config.Q)
+    result = constructions.build_joint_not_double(
+        alpha, beta, min(config.K, 6), config.Q
+    )
     checks.append(("flagship construction certificates", result.verdict))
 
     ergodic_ok = True
     for offset in range(3):
-        g = random_real_series(config.seed + offset, 16)
+        g = fourier.random_real_series(config.seed + offset, 16)
         bound = 2 * g.l2_norm() + 1e-9
-        diff = apply_difference(g, alpha)
-        worst = max(browder_sum_norm(diff, alpha, n) for n in (1, 7, 50))
+        diff = fourier.apply_difference(g, alpha)
+        worst = max(fourier.browder_sum_norm(diff, alpha, n) for n in (1, 7, 50))
         ergodic_ok = ergodic_ok and worst <= bound
     checks.append(("seeded one-sided ergodic sums within 2||g||", ergodic_ok))
 
-    g = random_real_series(config.seed, 8)
-    phi = apply_difference(g, alpha)
-    measure = spectral_measure(phi, alpha, beta)
-    integral = coboundary_integral(measure, "alpha")
-    mass = spectral_measure(g, alpha, beta).total_mass()
+    g = fourier.random_real_series(config.seed, 8)
+    phi = fourier.apply_difference(g, alpha)
+    measure = spectral.spectral_measure(phi, alpha, beta)
+    integral = spectral.coboundary_integral(measure, "alpha")
+    mass = spectral.spectral_measure(g, alpha, beta).total_mass()
     checks.append(
         ("spectral change of variables recovers the solution mass",
          integral.value.lo <= mass <= integral.value.hi)
     )
 
-    h = build_h(2)
-    grid = build_q(h, 2, 2, tail_terms=128)
+    h = shift_example.build_h(2)
+    grid = shift_example.build_q(h, 2, 2, tail_terms=128)
     second = grid.diagonals[2] - 2 * grid.diagonals[3] + grid.diagonals[4]
     f_enc = h.diagonal_value(2) - h.diagonal_value(3)
     checks.append(

@@ -47,7 +47,6 @@ from .certify import (
 )
 from .diophantine import (
     ApproximationRecord,
-    _decimal_str,
     bad_pair_constant,
     convergents,
     dirichlet_pair_search,
@@ -65,112 +64,13 @@ from .fourier import (
     transfer_coefficients,
     unit_phase,
 )
+from .report import Certificate, CertificateEntry, decimal_str, enclosure_json, require
 from .surd import FixedPointReducer, QuadraticSurd
 
 Rational = Union[int, float, Fraction]
 
 _BITS = 192
 _DIST_CAP = 1 << 14
-
-CERTIFICATE_KINDS = (
-    "joint-upper-bound",
-    "double-lower-bound",
-    "membership",
-    "divergence-witness",
-)
-
-
-# ---------------------------------------------------------------------------
-# certificates
-
-
-@dataclass(frozen=True)
-class CertificateEntry:
-    """One certified comparison: value <op> threshold, or an annotation.
-
-    Comparisons hold only when the whole value interval sits on the required
-    side of the whole threshold interval. "info" and "assumption" entries
-    carry no comparison and never fail; "assumption" additionally marks
-    evidence that is finite-depth rather than analytic.
-    """
-
-    description: str
-    value: Enclosure
-    comparison: str = "info"
-    threshold: Optional[Enclosure] = None
-
-    def __post_init__(self):
-        if self.comparison not in ("<=", "<", ">=", ">", "info", "assumption"):
-            raise ValueError(f"unknown comparison {self.comparison!r}")
-        if self.comparison in ("info", "assumption"):
-            if self.threshold is not None:
-                raise ValueError("annotations take no threshold")
-        elif self.threshold is None:
-            raise ValueError(f"comparison {self.comparison!r} needs a threshold")
-
-    @property
-    def satisfied(self) -> bool:
-        if self.comparison in ("info", "assumption"):
-            return True
-        if self.comparison == "<=":
-            return self.value.hi <= self.threshold.lo
-        if self.comparison == "<":
-            return self.value.hi < self.threshold.lo
-        if self.comparison == ">=":
-            return self.value.lo >= self.threshold.hi
-        return self.value.lo > self.threshold.hi
-
-    def render(self) -> str:
-        lo = _decimal_str(self.value.lo, "down")
-        hi = _decimal_str(self.value.hi, "up")
-        if self.comparison in ("info", "assumption"):
-            tag = "noted" if self.comparison == "assumption" else "value"
-            return f"{self.description}: [{lo}, {hi}] ({tag})"
-        tlo = _decimal_str(self.threshold.lo, "down")
-        thi = _decimal_str(self.threshold.hi, "up")
-        state = "ok" if self.satisfied else "FAILED"
-        return (
-            f"{self.description}: [{lo}, {hi}] "
-            f"{self.comparison} [{tlo}, {thi}] ... {state}"
-        )
-
-    def to_json_dict(self) -> dict:
-        payload = {
-            "description": self.description,
-            "value": _enclosure_json(self.value),
-            "comparison": self.comparison,
-            "satisfied": self.satisfied,
-        }
-        if self.threshold is not None:
-            payload["threshold"] = _enclosure_json(self.threshold)
-        return payload
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A named chain of certified comparisons with an overall verdict."""
-
-    kind: str
-    entries: tuple[CertificateEntry, ...]
-
-    def __post_init__(self):
-        if self.kind not in CERTIFICATE_KINDS:
-            raise ValueError(f"unknown certificate kind {self.kind!r}")
-
-    @property
-    def verdict(self) -> bool:
-        return all(entry.satisfied for entry in self.entries)
-
-    def render(self) -> str:
-        head = f"[{self.kind}] verdict: {'PASS' if self.verdict else 'FAIL'}"
-        return "\n".join([head] + ["  " + e.render() for e in self.entries])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
 
 
 @dataclass(frozen=True)
@@ -179,13 +79,6 @@ class PartialSum:
 
     value: Enclosure
     terms: tuple[tuple[int, Enclosure], ...]
-
-
-def _enclosure_json(enc: Enclosure) -> dict:
-    return {
-        "lo": _decimal_str(enc.lo, "down"),
-        "hi": _decimal_str(enc.hi, "up"),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +111,6 @@ def _half_sine(dist: Enclosure) -> Enclosure:
 def _double_coefficient_magnitude(dist_b: Enclosure) -> Enclosure:
     """|h_hat| = ||q*beta|| / (2*sin(pi*||q*beta||)) from a tight distance."""
     return dist_b / (2 * _half_sine(dist_b))
-
-
-def _require(cert: Certificate, context: str) -> Certificate:
-    """Guaranteed inequalities must certify; a failure is a precision bug."""
-    if not cert.verdict:
-        raise CertificationError(
-            f"{context}: a mathematically guaranteed comparison failed\n"
-            + cert.render()
-        )
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +148,7 @@ class ConstructionResult:
             "f": self.f.to_json_dict(),
             "g": self.g.to_json_dict(),
             "certificates": [c.to_json_dict() for c in self.certificates],
-            "tail_bound": _enclosure_json(self.tail_bound),
+            "tail_bound": enclosure_json(self.tail_bound),
             "notes": list(self.notes),
             "verdict": self.verdict,
         }
@@ -279,7 +162,7 @@ class ConstructionResult:
             f"beta  = {self.beta}",
             "q sequence: " + ", ".join(str(r.q) for r in self.q_sequence),
             "tail bound (geometric model): "
-            + _decimal_str(self.tail_bound.hi, "up"),
+            + decimal_str(self.tail_bound.hi, "up"),
         ]
         for note in self.notes:
             lines.append("note: " + note)
@@ -319,7 +202,7 @@ def _assemble_joint_not_double(
     right_link = half_pi * inv_sqrt_total
     tail = _geometric_tail(chosen, half_pi)
 
-    joint_cert = _require(
+    joint_cert = require(
         Certificate(
             kind="joint-upper-bound",
             entries=(
@@ -364,7 +247,7 @@ def _assemble_joint_not_double(
         double_entries.append(
             CertificateEntry(f"|h_hat({rec.q})| vs 1/4", h_mag, "<=", upper)
         )
-    double_cert = _require(
+    double_cert = require(
         Certificate(kind="double-lower-bound", entries=tuple(double_entries)),
         "double lower bound",
     )
@@ -476,7 +359,7 @@ def refine_lacunary(result: ConstructionResult, ratio: Rational) -> Construction
             "assumption",
         )
     )
-    lac_cert = _require(
+    lac_cert = require(
         Certificate(kind="divergence-witness", entries=tuple(entries)),
         "lacunarity",
     )
@@ -622,7 +505,7 @@ def build_bad_pair_family(
             pi * a_total / 2,
         )
     )
-    joint_cert = _require(
+    joint_cert = require(
         Certificate(kind="joint-upper-bound", entries=tuple(joint_entries)),
         "bad-pair family joint bound",
     )

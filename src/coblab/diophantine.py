@@ -12,10 +12,8 @@ and range are stated and enforced in _proven_at_least_power.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -28,6 +26,7 @@ from .certify import (
     sqrt_enclosure,
 )
 from .errors import ConfigError, PrecisionCapError, ShortfallError
+from .report import endpoints, write_rows
 from .surd import FixedPointReducer, QuadraticSurd
 
 Rational = Union[int, float, Fraction]
@@ -564,20 +563,10 @@ def integer_dependence_search(
 # serialization
 
 
-def _decimal_str(value: Fraction, direction: str, digits: int = 30) -> str:
-    """Directed decimal rendering so CSV endpoints stay certified."""
-    rounding = ROUND_FLOOR if direction == "down" else ROUND_CEILING
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = rounding
-        d = Decimal(int(value.numerator)) / Decimal(int(value.denominator))
-    return format(d, "f")
-
-
 def records_to_csv(records: Iterable[ApproximationRecord], fileobj) -> None:
     """Write search records with outward-rounded interval endpoints."""
-    writer = csv.writer(fileobj)
-    writer.writerow(
+    write_rows(
+        fileobj,
         [
             "q",
             "dist_alpha_lo",
@@ -586,17 +575,10 @@ def records_to_csv(records: Iterable[ApproximationRecord], fileobj) -> None:
             "dist_beta_hi",
             "quality_lo",
             "quality_hi",
-        ]
+        ],
+        (
+            [rec.q, *endpoints(rec.dist_alpha), *endpoints(rec.dist_beta),
+             *endpoints(rec.quality)]
+            for rec in records
+        ),
     )
-    for rec in records:
-        writer.writerow(
-            [
-                rec.q,
-                _decimal_str(rec.dist_alpha.lo, "down"),
-                _decimal_str(rec.dist_alpha.hi, "up"),
-                _decimal_str(rec.dist_beta.lo, "down"),
-                _decimal_str(rec.dist_beta.hi, "up"),
-                _decimal_str(rec.quality.lo, "down"),
-                _decimal_str(rec.quality.hi, "up"),
-            ]
-        )

@@ -33,11 +33,10 @@ from typing import Mapping, Union
 import mpmath
 from mpmath import mp
 
-from .certify import Enclosure, sin_pi_enclosure, sqrt_enclosure
+from .certify import WORK_PREC, Enclosure, sin_pi_enclosure, sqrt_enclosure
 from .errors import PrecisionCapError
 from .surd import FixedPointReducer, QuadraticSurd
 
-WORK_PREC = 128
 _GUARD = 12
 _REDUCER_BITS = 192
 _MOD = 1 << _REDUCER_BITS
@@ -300,6 +299,11 @@ def divisor_enclosure(alpha: QuadraticSurd, n: int, tol: Rational = Fraction(1, 
     tol_f = Fraction(tol)
     dist = _positive_dist_enclosure(alpha, n, tol_f / 8)
     return 2 * sin_pi_enclosure(dist, 192)
+
+
+def coefficient_real(c) -> Fraction:
+    """Exact real part of a working-precision coefficient."""
+    return mpf_to_fraction(mpmath.re(c))
 
 
 def coefficient_mass(c) -> Fraction:

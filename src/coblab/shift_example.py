@@ -18,7 +18,6 @@ from below by a quantity that grows without bound.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
@@ -30,9 +29,8 @@ from .certify import (
     log_enclosure,
     sqrt_enclosure,
 )
-from .constructions import Certificate, CertificateEntry, _require
-from .diophantine import _decimal_str
 from .errors import ConfigError, PrecisionCapError
+from .report import Certificate, CertificateEntry, endpoints, require, write_rows
 
 Rational = Union[int, Fraction]
 
@@ -368,7 +366,7 @@ def build_q(
                 threshold=Enclosure(upper.hi, upper.hi),
             )
         )
-    cert = _require(
+    cert = require(
         Certificate(kind="membership", entries=tuple(entries)),
         "formal solution brackets",
     )
@@ -377,12 +375,10 @@ def build_q(
 
 def shift_grid_to_csv(grid: ShiftGrid, fileobj) -> None:
     """One row per lattice point with outward-rounded decimal endpoints."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["j", "k", "q_lo", "q_hi"])
-    for j, k, enc in grid.rows():
-        writer.writerow(
-            [j, k, _decimal_str(enc.lo, "down"), _decimal_str(enc.hi, "up")]
-        )
+    write_rows(
+        fileobj, ["j", "k", "q_lo", "q_hi"],
+        ([j, k, *endpoints(enc)] for j, k, enc in grid.rows()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +555,7 @@ def _power_divergence(p: Fraction, K: int) -> DivergenceReport:
             threshold=Enclosure.point(closed),
         )
     )
-    cert = _require(
+    cert = require(
         Certificate(kind="divergence-witness", entries=tuple(entries)),
         "divergence certificate",
     )
@@ -651,7 +647,7 @@ def _logpower_divergence(K: int) -> DivergenceReport:
             threshold=Enclosure.point(closed),
         )
     )
-    cert = _require(
+    cert = require(
         Certificate(kind="divergence-witness", entries=tuple(entries)),
         "divergence certificate",
     )

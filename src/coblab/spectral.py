@@ -16,13 +16,11 @@ each atom contributes at least an analytic floor.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .certify import Enclosure
-from .diophantine import _decimal_str
 from .errors import CertificationError, ConfigError
 from .fourier import (
     SparseFourierSeries,
@@ -30,6 +28,7 @@ from .fourier import (
     divisor_enclosure,
     double_ergodic_sum_norm,
 )
+from .report import endpoints, write_rows
 from .surd import QuadraticSurd
 
 # product table of doubling/tripling exponents is quadratic in n
@@ -230,12 +229,8 @@ def doubling_tripling_variance(n: int) -> Fraction:
 
 def criterion_to_csv(cs: CriterionSum, fileobj) -> None:
     """Per-atom certified terms with outward-rounded decimal endpoints."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["n", "value_lo", "value_hi"])
-    for n, term in cs.terms:
-        writer.writerow(
-            [n, _decimal_str(term.lo, "down"), _decimal_str(term.hi, "up")]
-        )
+    write_rows(fileobj, ["n", "value_lo", "value_hi"],
+               ([n, *endpoints(term)] for n, term in cs.terms))
 
 
 def profile_to_csv(
@@ -246,8 +241,9 @@ def profile_to_csv(
     """Rate-profile rows; float64 diagnostics, so lo and hi coincide."""
     if which not in ("n", "n_sq"):
         raise ConfigError(f"which must be 'n' or 'n_sq', got {which!r}")
-    writer = csv.writer(fileobj)
-    writer.writerow(["n", "value_lo", "value_hi"])
-    for n, per_n, per_n_sq in profile:
-        value = repr(per_n if which == "n" else per_n_sq)
-        writer.writerow([n, value, value])
+    values = (
+        (n, repr(per_n if which == "n" else per_n_sq))
+        for n, per_n, per_n_sq in profile
+    )
+    write_rows(fileobj, ["n", "value_lo", "value_hi"],
+               ([n, v, v] for n, v in values))

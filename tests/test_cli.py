@@ -34,6 +34,15 @@ def run_report(**kwargs):
     return code, stream.getvalue()
 
 
+def run_fresh(script):
+    """Run a Python script in a fresh interpreter that imports this coblab."""
+    src = os.path.dirname(os.path.dirname(coblab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def data_rows(report):
     return [line for line in report.splitlines() if not line.startswith("#")]
 
@@ -278,10 +287,10 @@ class TestExitCodes:
         assert err["error"]["kind"] == "shortfall"
 
     def test_failed_guarantee_exits_four(self, capsys, monkeypatch):
-        import coblab.cli as cli_module
+        from coblab import spectral
 
         monkeypatch.setattr(
-            cli_module, "doubling_tripling_variance", lambda n: 0
+            spectral, "doubling_tripling_variance", lambda n: 0
         )
         code, report = run_report(subcommand="selftest", K=6, Q=300)
         assert code == 4
@@ -370,7 +379,7 @@ class TestMain:
     def test_main_never_imports_numpy(self):
         # numpy is a test dependency only; a fresh interpreter shows whether
         # the CLI path pulls it in
-        script = (
+        done = run_fresh(
             "import sys\n"
             "from coblab.cli import main\n"
             "assert main(['approx', 'squares', '--N', '1000']) == 0\n"
@@ -380,11 +389,38 @@ class TestMain:
             "    assert exc.code == 0\n"
             "sys.exit('numpy' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(coblab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_scans_and_shift_never_import_mpmath(self):
+        # only the Fourier-based subcommands need mpmath
+        done = run_fresh(
+            "import sys\n"
+            "from coblab.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n"
+            "assert 'mpmath' not in sys.modules, '--help'\n"
+            "for argv in (['approx', 'dirichlet', '--Q', '1000'],\n"
+            "             ['approx', 'squares', '--N', '1000'],\n"
+            "             ['shift', '--p', '1', '--K', '100']):\n"
+            "    assert main(argv) == 0\n"
+            "    assert 'mpmath' not in sys.modules, argv\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_importing_the_cli_registers_every_layer(self):
+        # an external tracer patches these modules right after importing
+        # coblab.cli, so each must already be in sys.modules
+        layers = ("certify", "surd", "diophantine", "fourier", "spectral",
+                  "shift_example", "constructions", "cli")
+        done = run_fresh(
+            "import sys\n"
+            "import coblab.cli\n"
+            f"missing = [m for m in {layers!r}\n"
+            "           if 'coblab.' + m not in sys.modules]\n"
+            "assert not missing, missing\n"
+        )
         assert done.returncode == 0, done.stderr
 
     def test_main_rejects_unknown_subcommand(self):
@@ -400,3 +436,12 @@ class TestMain:
             subcommand="approx", action="cf", depth=8, format="json"
         )
         assert from_main == from_run
+
+
+def test_every_public_name_imports_from_the_package():
+    listed = dir(coblab)
+    for name in coblab.__all__:
+        namespace = {}
+        exec(f"from coblab import {name}", namespace)
+        assert namespace[name] is getattr(coblab, name), name
+        assert name in listed, name
