@@ -11,12 +11,16 @@ kernel; the midpoint arithmetic here never feeds a certificate directly.
 
 Ergodic-sum diagnostics evaluate the Dirichlet kernel
 D(n, x) = |sin(pi*n*x)/sin(pi*x)| in float64 on exactly reduced arguments, a
-relative error of a few 1e-15 against their 1e-9 tolerances. What does not
-depend on n is computed once: each series memoises its float masses
-|f_hat(nu)|**2, and a table per (rotation, support) holds frac(nu*x) * 2**192
-and sin(pi*||nu*x||). The residue of n*nu*x is then (n * frac(nu*x)) mod
-2**192, the same bits as reducing n*nu*x directly, so every value equals the
-term-by-term evaluation exactly; n*|nu| past the reducer's range is refused.
+relative error of a few 1e-15 against their 1e-9 tolerances. Per rotation x
+and sorted distinct magnitudes k = |nu|, a table holds frac(k*x) * 2**192 and
+sin(pi*||k*x||); the residue of n*k*x is (n * frac(k*x)) mod 2**192, the same
+bits as reducing n*k*x directly, and that of -n*k*x is 2**192 minus it, with
+the same distance. So an LRU cache of rows D(n, k*x)**2 per (x, magnitudes, n)
+serves both signs of nu and every series with those magnitudes: at most 8192
+rows of about 0.25 KB plus 32 bytes per magnitude (4 MB for ten). Each series
+memoises its float masses |f_hat(nu)|**2 and the row position of each |nu|,
+and sums in storage order, so every value equals the term-by-term evaluation
+exactly. A rational x or an n*|nu| past the reducer's range is refused first.
 """
 
 from __future__ import annotations
@@ -80,14 +84,26 @@ def _reducer(alpha: QuadraticSurd) -> FixedPointReducer:
 
 
 @lru_cache(maxsize=64)
-def _residue_table(alpha: QuadraticSurd, freqs: tuple[int, ...]) -> tuple:
-    """max_k and, per frequency, (frac_fixed(nu), sin(pi*||nu*alpha||)); None at nu = 0."""
+def _residue_table(alpha: QuadraticSurd, mags: tuple[int, ...]) -> tuple:
+    """Per magnitude k, (frac_fixed(k), sin(pi*||k*alpha||)); None at k = 0."""
     red = _reducer(alpha)
-    rows = tuple(
-        None if nu == 0 else (red.frac_fixed(nu), math.sin(math.pi * red.dist_float(nu)))
-        for nu in freqs
+    return tuple(
+        None if k == 0 else (red.frac_fixed(k), math.sin(math.pi * red.dist_float(k)))
+        for k in mags
     )
-    return red.max_k, rows
+
+
+@lru_cache(maxsize=1 << 13)  # memory per row: see the module docstring
+def _kernel_row(alpha: QuadraticSurd, mags: tuple[int, ...], n: int) -> tuple:
+    """D(n, k*alpha)**2 per magnitude k of mags, with D(n, 0)**2 = n**2."""
+    row, sin = [], math.sin
+    for entry in _residue_table(alpha, mags):
+        q = float(n)  # D(n, 0)
+        if entry is not None:
+            t = (n * entry[0]) & _MASK  # the residue of n*k*alpha, exactly
+            q = sin(_PI_ULP * (t if t <= _HALF else _MOD - t)) / entry[1]
+        row.append(q * q)
+    return tuple(row)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -205,12 +221,14 @@ class SparseFourierSeries:
         return math.sqrt(float(self.l2_norm_sq_exact()))
 
     def _float_masses(self) -> tuple:
-        """(frequencies, |f_hat|**2 as floats, max |nu|), in storage order."""
+        """(|f_hat|**2 floats, sorted distinct |nu|, row index per nu, max |nu|)."""
         if self._masses is None:
-            freqs = tuple(self._coeffs)
             weights = tuple(abs(complex(c)) ** 2 for c in self._coeffs.values())
-            top = max(map(abs, freqs), default=0)
-            object.__setattr__(self, "_masses", (freqs, weights, top))
+            mags = tuple(sorted({abs(nu) for nu in self._coeffs}))
+            slot = {k: i for i, k in enumerate(mags)}
+            index = tuple(slot[abs(nu)] for nu in self._coeffs)
+            top = mags[-1] if mags else 0
+            object.__setattr__(self, "_masses", (weights, mags, index, top))
         return self._masses
 
     def l1_norm(self) -> float:
@@ -416,20 +434,11 @@ def double_solve(
 # ergodic sums
 
 
-def _kernel_sq(f: SparseFourierSeries, alpha: QuadraticSurd, label: str, n: int) -> list:
-    """D(n, nu*alpha)**2 per frequency of f, in storage order."""
-    freqs, _, top = f._float_masses()
-    max_k, rows = _residue_table(alpha.require_irrational(label), freqs)
+def _check_length(alpha: QuadraticSurd, label: str, top: int, n: int) -> None:
+    """Refuse a rational rotation, or n*max|nu| past the exact-reduction range."""
+    max_k = _reducer(alpha.require_irrational(label)).max_k
     if n * top > max_k:
         raise ValueError(f"n*|nu| = {n * top} exceeds the exact-reduction range {max_k}")
-    out, sin = [], math.sin
-    for row in rows:
-        q = float(n)  # D(n, 0)
-        if row is not None:
-            t = (n * row[0]) & _MASK  # the residue of n*nu*alpha, exactly
-            q = sin(_PI_ULP * (t if t <= _HALF else _MOD - t)) / row[1]
-        out.append(q * q)
-    return out
 
 
 def double_ergodic_sum_norm(
@@ -446,11 +455,14 @@ def double_ergodic_sum_norm(
     """
     if n < 1 or m < 1:
         raise ValueError("sum lengths must be positive")
-    d_a = _kernel_sq(f, alpha, "alpha", n)
-    d_b = _kernel_sq(f, beta, "beta", m)
+    weights, mags, index, top = f._float_masses()
+    _check_length(alpha, "alpha", top, n)
+    _check_length(beta, "beta", top, m)
+    d_a = _kernel_row(alpha, mags, n)
+    d_b = _kernel_row(beta, mags, m)
     total = 0.0
-    for w, a, b in zip(f._float_masses()[1], d_a, d_b):
-        total += w * a * b
+    for w, i in zip(weights, index):
+        total += w * d_a[i] * d_b[i]
     return math.sqrt(total)
 
 
@@ -458,9 +470,12 @@ def browder_sum_norm(f: SparseFourierSeries, alpha: QuadraticSurd, n: int) -> fl
     """L2 norm of sum_{k<n} T_alpha^k f, the one-rotation ergodic sum."""
     if n < 1:
         raise ValueError("sum length must be positive")
+    weights, mags, index, top = f._float_masses()
+    _check_length(alpha, "alpha", top, n)
+    d_a = _kernel_row(alpha, mags, n)
     total = 0.0
-    for w, a in zip(f._float_masses()[1], _kernel_sq(f, alpha, "alpha", n)):
-        total += w * a
+    for w, i in zip(weights, index):
+        total += w * d_a[i]
     return math.sqrt(total)
 
 

@@ -20,14 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import fourier
 from .certify import Enclosure
 from .errors import CertificationError, ConfigError
-from .fourier import (
-    SparseFourierSeries,
-    coefficient_mass,
-    divisor_enclosure,
-    double_ergodic_sum_norm,
-)
 from .report import endpoints, write_rows
 from .surd import QuadraticSurd
 
@@ -86,22 +81,22 @@ class CriterionSum:
 
 
 def spectral_measure(
-    f: SparseFourierSeries, alpha: QuadraticSurd, beta: QuadraticSurd
+    f: fourier.SparseFourierSeries, alpha: QuadraticSurd, beta: QuadraticSurd
 ) -> AtomicSpectralMeasure:
     """Diagonalize f against the rotation pair: one atom per frequency."""
     alpha.require_irrational("alpha")
     beta.require_irrational("beta")
     atoms = []
     for n in sorted(f.support, key=lambda m: (abs(m), m)):
-        mass = coefficient_mass(f.coeff(n))
+        mass = fourier.coefficient_mass(f.coeff(n))
         if mass == 0:
             continue
         if n == 0:
             da_sq = Enclosure.point(0)
             db_sq = Enclosure.point(0)
         else:
-            da_sq = divisor_enclosure(alpha, n).square()
-            db_sq = divisor_enclosure(beta, n).square()
+            da_sq = fourier.divisor_enclosure(alpha, n).square()
+            db_sq = fourier.divisor_enclosure(beta, n).square()
         atoms.append(Atom(n=n, mass=mass, div_alpha_sq=da_sq, div_beta_sq=db_sq))
     return AtomicSpectralMeasure(alpha=alpha, beta=beta, atoms=tuple(atoms))
 
@@ -181,7 +176,7 @@ def double_criterion_sum(m: AtomicSpectralMeasure) -> CriterionSum:
 
 
 def cesaro_rate_profile(
-    f: SparseFourierSeries,
+    f: fourier.SparseFourierSeries,
     alpha: QuadraticSurd,
     beta: QuadraticSurd,
     n_values: Sequence[int],
@@ -199,7 +194,7 @@ def cesaro_rate_profile(
         raise ConfigError("lengths must be positive")
     profile = []
     for n in cleaned:
-        norm = double_ergodic_sum_norm(f, alpha, beta, n, n)
+        norm = fourier.double_ergodic_sum_norm(f, alpha, beta, n, n)
         profile.append((n, norm / n, norm / n**2))
     return profile
 

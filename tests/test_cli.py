@@ -403,7 +403,8 @@ class TestMain:
             "assert 'mpmath' not in sys.modules, '--help'\n"
             "for argv in (['approx', 'dirichlet', '--Q', '1000'],\n"
             "             ['approx', 'squares', '--N', '1000'],\n"
-            "             ['shift', '--p', '1', '--K', '100']):\n"
+            "             ['shift', '--p', '1', '--K', '100'],\n"
+            "             ['rates', '--doubling-tripling', '--N', '8']):\n"
             "    assert main(argv) == 0\n"
             "    assert 'mpmath' not in sys.modules, argv\n"
         )

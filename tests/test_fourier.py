@@ -13,8 +13,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from coblab.errors import ConfigError
 from coblab.fourier import (
     SparseFourierSeries,
+    _kernel_row,
     apply_difference,
     apply_rotation,
     browder_sum_norm,
@@ -28,7 +30,7 @@ from coblab.fourier import (
     transfer_coefficients,
     unit_phase,
 )
-from coblab.surd import FixedPointReducer, parse_surd
+from coblab.surd import FixedPointReducer, QuadraticSurd, parse_surd
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
 BETA = parse_surd("(-1+1*sqrt(3))/1", label="beta")
@@ -409,6 +411,83 @@ def test_ergodic_norms_refuse_lengths_past_the_reduction_range():
         double_ergodic_sum_norm(f, ALPHA, BETA, limit + 1, 1)
     with pytest.raises(ValueError):
         double_ergodic_sum_norm(f, ALPHA, BETA, 1, limit + 1)
+
+
+# Kernel rows are cached per (rotation, sorted distinct |nu|, n) and shared
+# by every series with those magnitudes and by both signs of nu.
+
+
+def assert_norms_exact(f, n, m):
+    assert browder_sum_norm(f, ALPHA, n) == reference_single_norm(f, ALPHA, n)
+    assert browder_sum_norm(f, BETA, m) == reference_single_norm(f, BETA, m)
+    assert double_ergodic_sum_norm(f, ALPHA, BETA, n, m) == reference_double_norm(
+        f, ALPHA, BETA, n, m
+    )
+    assert double_ergodic_sum_norm(f, BETA, ALPHA, m, n) == reference_double_norm(
+        f, BETA, ALPHA, m, n
+    )
+
+
+def test_kernel_rows_exact_for_any_storage_order():
+    base = random_real_series(seed=14, max_freq=6)
+    items = list(base.items())
+    for order in (items, items[::-1], items[1::2] + items[::2]):
+        f = SparseFourierSeries(dict(order), real_valued=True)
+        assert list(f._coeffs) == [nu for nu, _ in order]
+        for n in LENGTHS:
+            assert_norms_exact(f, n, n + 5)
+
+
+def test_kernel_rows_exact_with_partial_sign_pairs():
+    f = SparseFourierSeries({3: 1.0, -5: 0.5j, 7: 0.25 - 1j, -7: 2.0, 0: -0.75})
+    g = SparseFourierSeries({-3: 1.0, 5: -0.5j, 7: 1.5, 0: 0.125})
+    for n in LENGTHS:
+        assert_norms_exact(f, n, 2 * n + 1)
+        assert_norms_exact(g, n, 17)
+
+
+def test_kernel_rows_shared_across_series_and_rotations():
+    f = random_real_series(seed=21, max_freq=7)
+    g = SparseFourierSeries({nu: 1.0 + nu * 1j for nu in range(1, 8)})
+    for n in (5, 96, 4001, 5, 96):
+        assert_norms_exact(f, n, n + 1)
+        misses = _kernel_row.cache_info().misses
+        assert_norms_exact(g, n, n + 1)
+        assert _kernel_row.cache_info().misses == misses  # g reuses f's rows
+
+
+def test_kernel_row_cache_stays_bounded_and_exact():
+    f = SparseFourierSeries({1: 1.0, -2: 0.5j, 9: 0.25})
+    red = FixedPointReducer(ALPHA, bits=192)
+
+    def expected(n):
+        total = 0.0
+        for nu, c in f._coeffs.items():
+            total += abs(complex(c)) ** 2 * reference_kernel_sq(red, nu, n)
+        return math.sqrt(total)
+
+    size = _kernel_row.cache_info().maxsize
+    for n in range(1, size + 100):
+        assert browder_sum_norm(f, ALPHA, n) == expected(n)
+    assert _kernel_row.cache_info().currsize <= size
+    for n in (1, 2, 77, size + 99):  # evicted and still cached rows
+        assert browder_sum_norm(f, ALPHA, n) == expected(n)
+
+
+def test_checks_run_before_the_kernel_row_cache():
+    max_k = FixedPointReducer(ALPHA, bits=192).max_k
+    f = SparseFourierSeries({-4: 1.0, 2: 0.5})
+    limit = max_k // 4
+    assert math.isfinite(browder_sum_norm(f, ALPHA, limit))
+    assert math.isfinite(double_ergodic_sum_norm(f, ALPHA, ALPHA, limit, 3))
+    info = _kernel_row.cache_info()
+    with pytest.raises(ValueError):
+        browder_sum_norm(f, ALPHA, limit + 1)
+    with pytest.raises(ValueError):
+        double_ergodic_sum_norm(f, ALPHA, ALPHA, 3, limit + 1)
+    with pytest.raises(ConfigError):
+        browder_sum_norm(f, QuadraticSurd(1, 0, 2), 3)
+    assert _kernel_row.cache_info() == info  # no lookup was made
 
 
 # ---------------------------------------------------------------------------
