@@ -13,7 +13,9 @@ the target precision plus GUARD_BITS. Each loop keeps a lower and an upper
 partial sum; every product and quotient is floored for the lower sum and
 ceiled for the upper one, and the truncation remainder is ceiled, so each
 bracket holds by construction while the at most one ulp lost per step stays
-below the guard bits. A Fraction is built once per series, at the end.
+below the guard bits. log, exp and pow stay in ints to the end, since every
+later step (a coarser grid, e*ln 2, 1/exp(u), exponent*log(base)) is a floor
+or a ceiling onto a dyadic grid. A Fraction is built once per public result.
 
 Precision escalates adaptively: computations start at START_BITS and double
 until the requested width is met, up to HARD_CAP_BITS.
@@ -135,28 +137,19 @@ class Enclosure:
         Keeps denominators bounded at the cost of at most 2**-bits of extra
         width per endpoint; used to stop exact Fractions from snowballing.
         """
-        scale = 1 << bits
-        lo = Fraction(_floor_scaled(self.lo, scale), scale)
-        hi = Fraction(_ceil_scaled(self.hi, scale), scale)
-        return Enclosure(lo, hi)
-
-
-def _floor_scaled(x: Fraction, scale: int) -> int:
-    return (x.numerator * scale) // x.denominator
-
-
-def _ceil_scaled(x: Fraction, scale: int) -> int:
-    return -((-x.numerator * scale) // x.denominator)
+        lo, hi = self.lo, self.hi
+        lo_n = (lo.numerator << bits) // lo.denominator
+        hi_n = -((-hi.numerator << bits) // hi.denominator)
+        return _from_fixed(lo_n, hi_n, bits)
 
 
 # Fixed point: an int n stands for n * 2**-p. Lower bounds are rounded down
 # and upper bounds up; d is a positive integer divisor.
 
 
-def _fixed(x: Fraction, p: int) -> tuple[int, int]:
-    """Floor and ceiling of x * 2**p."""
-    scale = 1 << p
-    return _floor_scaled(x, scale), _ceil_scaled(x, scale)
+def _fixed(n: int, d: int, p: int) -> tuple[int, int]:
+    """Floor and ceiling of (n/d) * 2**p."""
+    return (n << p) // d, -((-n << p) // d)
 
 
 def _mul_down(a: int, b: int, p: int, d: int = 1) -> int:
@@ -256,7 +249,7 @@ def _arctan_inv(m: int, bits: int) -> Enclosure:
     """Alternating-series enclosure of arctan(1/m) for integer m >= 2."""
     p = bits + 8 + GUARD_BITS
     lo = hi = 0
-    pw_lo, pw_hi = _fixed(Fraction(1, m), p)  # (1/m)**(2k+1)
+    pw_lo, pw_hi = _fixed(1, m, p)  # (1/m)**(2k+1)
     m2 = m * m
     k = 0
     while True:
@@ -290,7 +283,7 @@ def _sin_taylor(t: Fraction, bits: int) -> Enclosure:
     if not 0 < t <= 2:
         raise ValueError("sin bracket only supports arguments in [0, 2]")
     p = bits + 8 + GUARD_BITS
-    a_lo, a_hi = _fixed(t, p)  # t**(2k+1) / (2k+1)!
+    a_lo, a_hi = _fixed(t.numerator, t.denominator, p)  # t**(2k+1) / (2k+1)!
     sq_lo, sq_hi = _mul_down(a_lo, a_lo, p), _mul_up(a_hi, a_hi, p)
     lo = hi = 0
     k = 0
@@ -330,73 +323,66 @@ def sin_pi_enclosure(x: Enclosure, bits: int) -> Enclosure:
 # log and exp
 
 
-def _atanh_series(t: Fraction, bits: int) -> Enclosure:
-    """Enclosure of atanh(t) for rational 0 <= t <= 1/2 (positive series)."""
-    if t == 0:
-        return Enclosure.point(0)
-    if not 0 < t <= Fraction(1, 2):
-        raise ValueError("atanh series only supports t in [0, 1/2]")
+def _atanh_fixed(n: int, d: int, bits: int) -> tuple[int, int]:
+    """atanh(n/d) for ints with 0 <= n/d <= 1/2, as ints on the 2**-(bits+4) grid."""
     p = bits + 6 + GUARD_BITS
-    pw_lo, pw_hi = _fixed(t, p)  # t**(2k+1)
+    pw_lo, pw_hi = _fixed(n, d, p)  # t**k
     sq_lo, sq_hi = _mul_down(pw_lo, pw_lo, p), _mul_up(pw_hi, pw_hi, p)
     one_minus = (1 << p) - sq_hi  # 1 - t*t, rounded down
     lo = hi = 0
-    k = 0
+    k = 1  # odd: the terms are t**k / k
     while True:
-        lo += pw_lo // (2 * k + 1)
-        hi += -(-pw_hi // (2 * k + 1))
-        pw_lo, pw_hi = _mul_down(pw_lo, sq_lo, p), _mul_up(pw_hi, sq_hi, p)
-        # the tail after term k is below t**(2k+3) / ((2k+3) (1 - t*t))
-        remainder = -(-(pw_hi << p) // ((2 * k + 3) * one_minus))
-        if remainder <= 1 << GUARD_BITS:  # 2**-(bits+6)
-            return _from_fixed(lo, hi + remainder, p).rounded(bits + 4)
-        k += 1
+        lo += pw_lo // k
+        hi -= -pw_hi // k
+        pw_lo, pw_hi = pw_lo * sq_lo >> p, -(-pw_hi * sq_hi >> p)
+        k += 2
+        # the tail from here on is below t**k / (k (1 - t*t)); its ceiling
+        # is at most 2**GUARD_BITS, i.e. 2**-(bits+6), exactly when
+        # pw_hi * 2**(p - GUARD_BITS) <= k * one_minus
+        if pw_hi << (p - GUARD_BITS) <= k * one_minus:
+            hi -= -(pw_hi << p) // (k * one_minus)
+            return lo >> (GUARD_BITS + 2), -(-hi >> (GUARD_BITS + 2))
 
 
 @lru_cache(maxsize=None)
-def _ln2(bits: int) -> Enclosure:
-    return 2 * _atanh_series(Fraction(1, 3), bits + 2)
+def _ln2_fixed(bits: int) -> tuple[int, int]:
+    """ln 2 = 2 atanh(1/3), as ints on the 2**-(bits+6) grid."""
+    lo, hi = _atanh_fixed(1, 3, bits + 2)
+    return 2 * lo, 2 * hi
 
 
-def _floor_log2(x: Fraction) -> int:
-    n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length()  # floor(log2(x)) is e or e - 1
-    return e - 1 if n << max(-e, 0) < d << max(e, 0) else e
+def _log_fixed(num: int, den: int, bits: int) -> tuple[int, int]:
+    """log(num/den) for positive ints, as ints on the 2**-(bits+2) grid."""
+    # num/den = m * 2**e with m in [1, 2): log = 2 atanh((m-1)/(m+1)) + e ln 2
+    e = num.bit_length() - den.bit_length()  # floor(log2(num/den)) is e or e - 1
+    if num << max(-e, 0) < den << max(e, 0):
+        e -= 1
+    a, b = num << max(-e, 0), den << max(e, 0)  # m = a/b
+    body_lo, body_hi = _atanh_fixed(a - b, a + b, bits + 4)  # grid 2**-(bits+8)
+    ln2_lo, ln2_hi = _ln2_fixed(bits + 4)  # grid 2**-(bits+10)
+    if e < 0:
+        ln2_lo, ln2_hi = ln2_hi, ln2_lo
+    lo = 8 * body_lo + e * ln2_lo
+    hi = 8 * body_hi + e * ln2_hi
+    return lo >> 8, -(-hi >> 8)
 
 
-def log_enclosure(y: Rational, bits: int) -> Enclosure:
-    """Enclosure of the natural log of a positive rational."""
-    q = Fraction(y)
-    if q <= 0:
-        raise ValueError("log of a nonpositive rational")
-    if q == 1:
-        return Enclosure.point(0)
-    e = _floor_log2(q)
-    m = q / Fraction(2) ** e  # in [1, 2)
-    t = (m - 1) / (m + 1)  # in [0, 1/3)
-    body = 2 * _atanh_series(t, bits + 4)
-    ln2 = _ln2(bits + 4)
-    return (body + e * ln2).rounded(bits + 2)
-
-
-def exp_enclosure(u: Rational, bits: int) -> Enclosure:
-    """Enclosure of exp(u) for rational u via Taylor plus scaled squaring."""
-    q = Fraction(u)
-    if q == 0:
-        return Enclosure.point(1)
-    if q < 0:
-        pos = exp_enclosure(-q, bits + 4)
-        return Enclosure(1 / pos.hi, 1 / pos.lo).rounded(bits + 2)
-    halvings = 0  # w = q / 2**halvings <= 1/2
-    while q > Fraction(1 << halvings, 2):
+def _exp_fixed(num: int, den: int, bits: int) -> tuple[int, int]:
+    """exp(num/den) for ints with den > 0, as ints on the 2**-(bits+2) grid."""
+    if num < 0:
+        lo, hi = _exp_fixed(-num, den, bits + 4)  # grid 2**-(bits+6)
+        one = 1 << (2 * bits + 8)
+        return one // hi, -(-one // lo)
+    halvings = 0  # w = (num/den) / 2**halvings <= 1/2
+    while 2 * num > den << halvings:
         halvings += 1
     p = bits + 2 * halvings + 10 + GUARD_BITS
-    w_lo, w_hi = _fixed(q, p - halvings)
+    w_lo, w_hi = _fixed(num, den, p - halvings)
     lo = hi = a_lo = a_hi = 1 << p  # a = w**k / k!
     k = 0
     while True:
         k += 1
-        a_lo, a_hi = _mul_down(a_lo, w_lo, p, k), _mul_up(a_hi, w_hi, p, k)
+        a_lo, a_hi = (a_lo * w_lo >> p) // k, -((-a_hi * w_hi >> p) // k)
         # for w <= 1/2 the Taylor tail is below twice the next term
         if 2 * a_hi <= 1 << GUARD_BITS:
             hi += 2 * a_hi
@@ -404,21 +390,38 @@ def exp_enclosure(u: Rational, bits: int) -> Enclosure:
         lo += a_lo
         hi += a_hi
     for _ in range(halvings):
-        lo, hi = _mul_down(lo, lo, p), _mul_up(hi, hi, p)
-    return _from_fixed(lo, hi, p).rounded(bits + 2)
+        lo, hi = lo * lo >> p, -(-hi * hi >> p)
+    shift = p - bits - 2
+    return lo >> shift, -(-hi >> shift)
 
 
-def pow_enclosure(n: int, exponent: Rational, bits: int) -> Enclosure:
-    """Enclosure of n**exponent for integer n >= 1 and rational exponent."""
-    if n < 1:
-        raise ValueError("base must be a positive integer")
-    if n == 1:
-        return Enclosure.point(1)
+def log_enclosure(y: Rational, bits: int) -> Enclosure:
+    """Enclosure of the natural log of a positive rational."""
+    q = Fraction(y)
+    if q <= 0:
+        raise ValueError("log of a nonpositive rational")
+    return _from_fixed(*_log_fixed(q.numerator, q.denominator, bits), bits + 2)
+
+
+def exp_enclosure(u: Rational, bits: int) -> Enclosure:
+    """Enclosure of exp(u) for rational u via Taylor plus scaled squaring."""
+    q = Fraction(u)
+    return _from_fixed(*_exp_fixed(q.numerator, q.denominator, bits), bits + 2)
+
+
+def pow_enclosure(base: Rational, exponent: Rational, bits: int) -> Enclosure:
+    """Enclosure of base**exponent for rational base > 0 and rational exponent."""
+    q = Fraction(base)
+    if q <= 0:
+        raise ValueError("base must be positive")
     expo = Fraction(exponent)
-    if expo == 0:
+    if q == 1 or expo == 0:
         return Enclosure.point(1)
-    ln_n = log_enclosure(n, bits + 8)
-    w = ln_n * expo
-    lower = exp_enclosure(w.lo, bits + 4).lo
-    upper = exp_enclosure(w.hi, bits + 4).hi
-    return Enclosure(max(lower, Fraction(0)), upper)
+    # exp(expo * log q), with log q on the 2**-(bits+10) grid
+    ln_lo, ln_hi = _log_fixed(q.numerator, q.denominator, bits + 8)
+    if expo < 0:
+        ln_lo, ln_hi = ln_hi, ln_lo
+    den = expo.denominator << (bits + 10)
+    lo = _exp_fixed(ln_lo * expo.numerator, den, bits + 4)[0]
+    hi = _exp_fixed(ln_hi * expo.numerator, den, bits + 4)[1]
+    return _from_fixed(lo, hi, bits + 6)

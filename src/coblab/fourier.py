@@ -43,6 +43,7 @@ from .surd import FixedPointReducer, QuadraticSurd
 
 _GUARD = 12
 _REDUCER_BITS = 192
+_MAX_K = 1 << (_REDUCER_BITS - 80)  # FixedPointReducer.max_k at _REDUCER_BITS
 _MOD = 1 << _REDUCER_BITS
 _MASK = _MOD - 1
 _HALF = _MOD >> 1
@@ -436,9 +437,9 @@ def double_solve(
 
 def _check_length(alpha: QuadraticSurd, label: str, top: int, n: int) -> None:
     """Refuse a rational rotation, or n*max|nu| past the exact-reduction range."""
-    max_k = _reducer(alpha.require_irrational(label)).max_k
-    if n * top > max_k:
-        raise ValueError(f"n*|nu| = {n * top} exceeds the exact-reduction range {max_k}")
+    alpha.require_irrational(label)
+    if n * top > _MAX_K:
+        raise ValueError(f"n*|nu| = {n * top} exceeds the exact-reduction range {_MAX_K}")
 
 
 def double_ergodic_sum_norm(

@@ -23,13 +23,8 @@ from fractions import Fraction
 from math import log
 from typing import Optional, Union
 
-from .certify import (
-    Enclosure,
-    exp_enclosure,
-    log_enclosure,
-    sqrt_enclosure,
-)
-from .errors import ConfigError, PrecisionCapError
+from .certify import Enclosure, log_enclosure, pow_enclosure, separate, sqrt_enclosure
+from .errors import ConfigError
 from .report import Certificate, CertificateEntry, endpoints, require, write_rows
 
 Rational = Union[int, Fraction]
@@ -39,8 +34,9 @@ Rational = Union[int, Fraction]
 # slack at the leading diagonals, so nothing real is given away.
 _EPS = Fraction(1, 1000)
 
-# Dyadic grid (2**-_ACC_BITS) for long directed-rounding accumulations.
+# Dyadic grids (2**-_ACC_BITS, 2**-_GRID) for long directed-rounding sums.
 _ACC_BITS = 120
+_GRID = _ACC_BITS + 40
 
 _TERM_BITS = 110
 
@@ -49,24 +45,48 @@ def _rational_pow(base: Fraction, expo: Fraction, bits: int) -> Enclosure:
     """Enclosure of base**expo for positive rational base and rational expo.
 
     Integer exponents are exact, half-integer exponents go through a single
-    integer square root, and everything else takes the exp(expo * log base)
-    route with outward rounding at both stages.
+    integer square root, and everything else is pow_enclosure.
     """
-    base = Fraction(base)
+    base, expo = Fraction(base), Fraction(expo)
     if base <= 0:
         raise ValueError("base must be positive")
-    expo = Fraction(expo)
-    if expo == 0 or base == 1:
-        return Enclosure.point(1)
-    if expo.denominator == 1:
+    if expo.denominator == 1 or base == 1:
         return Enclosure.point(base ** int(expo))
     if expo.denominator == 2:
         return sqrt_enclosure(base ** int(expo.numerator), bits)
-    ln = log_enclosure(base, bits + 8)
-    w = ln * expo
-    lo = exp_enclosure(w.lo, bits + 4).lo
-    upper = exp_enclosure(w.hi, bits + 4).hi
-    return Enclosure(max(lo, Fraction(0)), upper)
+    return pow_enclosure(base, expo, bits)
+
+
+# The long sums round each partial sum outward onto the 2**-_GRID grid. A
+# sum on the grid plus x rounds to that sum plus x rounded, so the partial
+# sums are kept as pairs of ints: floor and ceiling times 2**_GRID.
+
+
+def _on_grid(x: Enclosure) -> tuple[int, int]:
+    lo, hi = x.lo, x.hi
+    return (lo.numerator << _GRID) // lo.denominator, -(
+        (-hi.numerator << _GRID) // hi.denominator
+    )
+
+
+def _from_grid(lo: int, hi: int) -> Enclosure:
+    return Enclosure(Fraction(lo, 1 << _GRID), Fraction(hi, 1 << _GRID))
+
+
+def _grid_sum(pairs) -> Enclosure:
+    lo = hi = 0
+    for a, b in pairs:
+        lo, hi = lo + a, hi + b
+    return _from_grid(lo, hi)
+
+
+def _logpower_grid(s: int, m: int, num: int) -> tuple[int, int]:
+    """num * s**-2m * (log s)**-2m on the grid, log s at _TERM_BITS."""
+    ln, e = log_enclosure(s, _TERM_BITS), 2 * m
+    lo, hi = ln.lo, ln.hi
+    return (num * hi.denominator**e << _GRID) // (s * hi.numerator) ** e, -(
+        (-num * lo.denominator**e << _GRID) // (s * lo.numerator) ** e
+    )
 
 
 @dataclass(frozen=True)
@@ -216,23 +236,14 @@ def _integer_power_partial(S: int, kappa: int) -> Enclosure:
 def _generic_power_partial(
     f: LatticeFunction, p: Fraction, S: int
 ) -> Enclosure:
-    acc = Enclosure.point(0)
-    for s in range(2, S + 1):
-        acc = (acc + (s - 1) * _diag_power(f, s, p, _TERM_BITS)).rounded(
-            _ACC_BITS + 40
-        )
-    return acc
+    return _grid_sum(
+        _on_grid((s - 1) * _diag_power(f, s, p, _TERM_BITS))
+        for s in range(2, S + 1)
+    )
 
 
 def _logpower_partial(S: int, m: int) -> Enclosure:
-    acc = Enclosure.point(0)
-    for s in range(2, S + 1):
-        log_sq = log_enclosure(s, _TERM_BITS).square()
-        term = Enclosure.point(Fraction(s - 1, s ** (2 * m)))
-        for _ in range(m):
-            term = term / log_sq
-        acc = (acc + term).rounded(_ACC_BITS + 40)
-    return acc
+    return _grid_sum(_logpower_grid(s, m, s - 1) for s in range(2, S + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +312,29 @@ def _q_diagonal_upper(f: LatticeFunction, s: int, bits: int = 96) -> Enclosure:
             + _integral_power(2, f.exponent, bits)
         )
     # q(s) <= f(s) + int_s^inf <= (log s)**-2 (s**-2 + s**-1).
+    ln = log_enclosure(s, bits).lo
     return Enclosure.point(
-        (Fraction(1, s * s) + Fraction(1, s)) / log_enclosure(s, bits).lo ** 2
+        Fraction((s + 1) * ln.denominator**2, s * s * ln.numerator**2)
     )
+
+
+def _roll_down(
+    f: LatticeFunction, remainder: Enclosure, M: int, bottom: int, keep: int
+) -> dict:
+    """q(t) = f(t) + q(t+1) on the grid for t = M-1, ..., bottom, from the
+    remainder q(M); returns the values at t <= keep."""
+    lo, hi = _on_grid((f.diagonal_value(M - 1) + remainder).rounded(_GRID))
+    values = {}
+    for t in range(M - 1, bottom - 1, -1):
+        if t < M - 1:
+            if f.kind == "logpower":
+                a, b = _logpower_grid(t, 1, 1)
+            else:
+                a, b = _on_grid(f.diagonal_value(t))
+            lo, hi = lo + a, hi + b
+        if t <= keep:
+            values[t] = _from_grid(lo, hi)
+    return values
 
 
 def build_q(
@@ -325,12 +356,7 @@ def build_q(
     M = s_max + tail_terms
 
     remainder = _power_series_remainder(f, M)
-    diagonals: dict = {}
-    running = remainder
-    for t in range(M - 1, 1, -1):
-        running = (f.diagonal_value(t) + running).rounded(_ACC_BITS + 40)
-        if t <= s_max:
-            diagonals[t] = running
+    diagonals = _roll_down(f, remainder, M, 2, s_max)
 
     entries = [
         CertificateEntry(
@@ -435,19 +461,9 @@ def _isqrt_pow32_sum(terms) -> Enclosure:
 
 
 def _log4_below(n: int) -> bool:
-    """Certified test of (log n)**4 <= n."""
-    bits = 160
-    while True:
-        quart = log_enclosure(n, bits).square().square()
-        if quart.hi <= n:
-            return True
-        if quart.lo > n:
-            return False
-        if bits >= 4096:
-            raise PrecisionCapError(
-                f"(log {n})**4 vs {n} unresolved at the hard cap"
-            )
-        bits *= 2
+    """Certified test of (log n)**4 < n; the two are never equal."""
+    quartic = lambda bits: log_enclosure(n, bits).square().square()
+    return separate(quartic, lambda bits: Enclosure.point(n), start=160) < 0
 
 
 def _power_envelope_threshold() -> int:
@@ -468,10 +484,8 @@ def _power_envelope_threshold() -> int:
 
 def _q_point(f: LatticeFunction, s: int, terms: int = 48) -> Enclosure:
     """Direct enclosure of q(s) = sum_{t>=s} f(t) without a full grid."""
-    acc = _power_series_remainder(f, s + terms)
-    for t in range(s + terms - 1, s - 1, -1):
-        acc = (acc + f.diagonal_value(t)).rounded(_ACC_BITS + 40)
-    return acc
+    remainder = _power_series_remainder(f, s + terms)
+    return _roll_down(f, remainder, s + terms, s, s)[s]
 
 
 def _power_divergence(p: Fraction, K: int) -> DivergenceReport:
@@ -532,11 +546,10 @@ def _power_divergence(p: Fraction, K: int) -> DivergenceReport:
     # 1 - r/p < -1.  Partial sum plus integral tail, then a closed bound.
     e_r = 1 - Fraction(r, p)
     cap = 1000 if e_r.denominator in (1, 2) else 200
-    acc = Enclosure.point(0)
-    for m in range(1, cap + 1):
-        acc = (acc + _rational_pow(Fraction(m), e_r, _TERM_BITS)).rounded(
-            _ACC_BITS + 40
-        )
+    acc = _grid_sum(
+        _on_grid(_rational_pow(Fraction(m), e_r, _TERM_BITS))
+        for m in range(1, cap + 1)
+    )
     tail_hi = p * _rational_pow(Fraction(cap), Fraction(-1) / p, 96).hi
     coef_r = (
         Enclosure.point(p**r)
@@ -627,10 +640,10 @@ def _logpower_divergence(K: int) -> DivergenceReport:
     # l_3 control: q(s) <= (log s)**-2 (s**-2 + s**-1), so
     # (s-1) q**3 <= 8 s**-2 (log s)**-6 past the partial range.
     cap = 400
-    acc = Enclosure.point(0)
-    for s in range(2, cap + 1):
-        qhi = _q_diagonal_upper(f, s)
-        acc = (acc + (s - 1) * qhi * qhi * qhi).rounded(_ACC_BITS + 40)
+    acc = _grid_sum(
+        _on_grid(Enclosure.point((s - 1) * _q_diagonal_upper(f, s).hi ** 3))
+        for s in range(2, cap + 1)
+    )
     log_cap = log_enclosure(cap, 96).lo
     tail_hi = 8 / (Fraction(cap) * log_cap**6)
     lr_partial = acc + Enclosure(Fraction(0), tail_hi)

@@ -56,7 +56,7 @@ class QuadraticSurd:
     closed; operations that require irrationality validate explicitly.
     """
 
-    __slots__ = ("a", "b", "c", "d", "label")
+    __slots__ = ("a", "b", "c", "d", "label", "_hash")
 
     def __init__(self, a: int, b: int, d: int, c: int = 1, label: str | None = None):
         if c == 0:
@@ -80,6 +80,9 @@ class QuadraticSurd:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "label", label)
+        # a rational value hashes like the Fraction it equals
+        key = Fraction(a, c) if b == 0 else (a, b, c, d)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticSurd is immutable")
@@ -117,9 +120,7 @@ class QuadraticSurd:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.is_rational:
-            return hash(Fraction(self.a, self.c))
-        return hash((self.a, self.b, self.c, self.d))
+        return self._hash
 
     # -- arithmetic ---------------------------------------------------------
 

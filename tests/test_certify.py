@@ -2,18 +2,27 @@
 
 Every enclosure is checked against mpmath at several hundred bits, an
 independent route: the kernel uses only integer brackets and rational
-series, while the oracle uses binary floating point transcendentals.
+series, while the oracle uses binary floating point transcendentals. The
+integer log, exp and pow kernels must also give exactly the endpoints of the
+Fraction-valued kernels they replaced, kept below as a reference.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coblab.certify import (
+    GUARD_BITS,
     Enclosure,
+    _atanh_fixed,
+    _fixed,
+    _from_fixed,
+    _mul_down,
+    _mul_up,
     exp_enclosure,
     log_enclosure,
     pi_enclosure,
@@ -249,3 +258,154 @@ def test_sin_pi_enclosure_near_half(bits, a, e):
     assert_contains_oracle(enc, lambda: mpmath.sin(mpmath.pi * mpf_frac(x)))
     assert Fraction(0) <= enc.lo and enc.hi <= Fraction(1)
     assert enc.width <= Fraction(1, 2**bits)
+
+
+# Reference kernels: the Fraction-valued log, exp and pow that the integer
+# kernels replaced. Every step after the series builds normalised Fractions
+# and rounds through Enclosure.rounded; the integer kernels must reproduce
+# their endpoints exactly, not just contain the same value.
+
+
+def _ref_atanh_series(t, bits):
+    if t == 0:
+        return Enclosure.point(0)
+    p = bits + 6 + GUARD_BITS
+    pw_lo, pw_hi = _fixed(t.numerator, t.denominator, p)
+    sq_lo, sq_hi = _mul_down(pw_lo, pw_lo, p), _mul_up(pw_hi, pw_hi, p)
+    one_minus = (1 << p) - sq_hi
+    lo = hi = 0
+    k = 0
+    while True:
+        lo += pw_lo // (2 * k + 1)
+        hi += -(-pw_hi // (2 * k + 1))
+        pw_lo, pw_hi = _mul_down(pw_lo, sq_lo, p), _mul_up(pw_hi, sq_hi, p)
+        remainder = -(-(pw_hi << p) // ((2 * k + 3) * one_minus))
+        if remainder <= 1 << GUARD_BITS:
+            return _from_fixed(lo, hi + remainder, p).rounded(bits + 4)
+        k += 1
+
+
+def _ref_log(y, bits):
+    q = Fraction(y)
+    if q == 1:
+        return Enclosure.point(0)
+    n, d = q.numerator, q.denominator
+    e = n.bit_length() - d.bit_length()
+    e = e - 1 if n << max(-e, 0) < d << max(e, 0) else e
+    m = q / Fraction(2) ** e
+    body = 2 * _ref_atanh_series((m - 1) / (m + 1), bits + 4)
+    ln2 = 2 * _ref_atanh_series(Fraction(1, 3), bits + 6)
+    return (body + e * ln2).rounded(bits + 2)
+
+
+def _ref_exp(u, bits):
+    q = Fraction(u)
+    if q == 0:
+        return Enclosure.point(1)
+    if q < 0:
+        pos = _ref_exp(-q, bits + 4)
+        return Enclosure(1 / pos.hi, 1 / pos.lo).rounded(bits + 2)
+    halvings = 0
+    while q > Fraction(1 << halvings, 2):
+        halvings += 1
+    p = bits + 2 * halvings + 10 + GUARD_BITS
+    w_lo, w_hi = _fixed(q.numerator, q.denominator, p - halvings)
+    lo = hi = a_lo = a_hi = 1 << p
+    k = 0
+    while True:
+        k += 1
+        a_lo, a_hi = _mul_down(a_lo, w_lo, p, k), _mul_up(a_hi, w_hi, p, k)
+        if 2 * a_hi <= 1 << GUARD_BITS:
+            hi += 2 * a_hi
+            break
+        lo += a_lo
+        hi += a_hi
+    for _ in range(halvings):
+        lo, hi = _mul_down(lo, lo, p), _mul_up(hi, hi, p)
+    return _from_fixed(lo, hi, p).rounded(bits + 2)
+
+
+def _ref_pow(base, expo, bits):
+    base, expo = Fraction(base), Fraction(expo)
+    if base == 1 or expo == 0:
+        return Enclosure.point(1)
+    w = _ref_log(base, bits + 8) * expo
+    lower = _ref_exp(w.lo, bits + 4).lo
+    upper = _ref_exp(w.hi, bits + 4).hi
+    return Enclosure(max(lower, Fraction(0)), upper)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=-(2**200), max_value=2**200),
+    d=st.integers(min_value=1, max_value=2**200),
+    p=st.integers(min_value=0, max_value=1100),
+)
+def test_fixed_is_floor_and_ceiling(n, d, p):
+    scaled = Fraction(n, d) * 2**p
+    assert _fixed(n, d, p) == (math.floor(scaled), math.ceil(scaled))
+
+
+ANY_BITS = st.integers(min_value=64, max_value=1024)
+POSITIVE = st.one_of(
+    # num/den up to 2**200 on both sides of 1
+    st.builds(
+        Fraction,
+        st.integers(min_value=1, max_value=2**200),
+        st.integers(min_value=1, max_value=2**200),
+    ),
+    # below 1
+    st.fractions(min_value=Fraction(1, 10**9), max_value=1, max_denominator=10**9),
+    # powers of two: the atanh argument is t = 0
+    st.integers(min_value=-300, max_value=300).map(lambda e: Fraction(2) ** e),
+    st.integers(min_value=1, max_value=10**12).map(Fraction),
+)
+EXPONENT = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-8, max_value=8, max_denominator=10**4),
+    st.fractions(min_value=-8, max_value=8, max_denominator=2**200),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bits=ANY_BITS,
+    t=st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=2**64),
+)
+# The upper sum of this one ends a few ulps above a point of the output
+# grid, so rounding any step of it down instead of up shows in the result.
+@example(bits=64, t=Fraction(282686, 981118))
+def test_atanh_matches_fraction_reference(bits, t):
+    lo, hi = _atanh_fixed(t.numerator, t.denominator, bits)
+    assert _from_fixed(lo, hi, bits + 4) == _ref_atanh_series(t, bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bits=ANY_BITS, y=POSITIVE)
+def test_log_matches_fraction_reference(bits, y):
+    assert log_enclosure(y, bits) == _ref_log(y, bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bits=ANY_BITS,
+    u=st.one_of(
+        EXPONENT,
+        st.fractions(min_value=-64, max_value=64, max_denominator=2**200),
+    ),
+)
+def test_exp_matches_fraction_reference(bits, u):
+    assert exp_enclosure(u, bits) == _ref_exp(u, bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bits=ANY_BITS, base=POSITIVE, expo=EXPONENT)
+def test_pow_matches_fraction_reference(bits, base, expo):
+    assert pow_enclosure(base, expo, bits) == _ref_pow(base, expo, bits)
+
+
+def test_pow_rejects_nonpositive_base():
+    with pytest.raises(ValueError):
+        pow_enclosure(0, Fraction(1, 3), 64)
+    with pytest.raises(ValueError):
+        pow_enclosure(Fraction(-1, 2), Fraction(1, 3), 64)

@@ -4,7 +4,8 @@ Oracles: closed forms evaluated with 50-digit mpmath (2**-3/2 for the
 corner value, zeta(3/2) - 1 for the corner of the formal solution,
 pi**2/6 - zeta(3) for the full l_2 mass), direct summation with ten times
 more explicit terms, and exact harmonic-sum arithmetic for the divergence
-floor.
+floor. The long sums kept as ints on a dyadic grid must equal, endpoint for
+endpoint, the same sums done in Enclosure arithmetic.
 """
 
 import io
@@ -12,9 +13,18 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coblab.certify import Enclosure, log_enclosure
 from coblab.errors import ConfigError
 from coblab.shift_example import (
+    _logpower_divergence,
+    _logpower_partial,
+    _power_divergence,
+    _power_series_remainder,
+    _q_diagonal_upper,
+    _rational_pow,
     build_h,
     build_q,
     divergence_certificate,
@@ -297,3 +307,95 @@ class TestCsv:
             for line in buf.getvalue().strip().splitlines()[1:]
         ]
         assert keys == sorted(keys)
+
+
+# Reference sums in Enclosure arithmetic: each partial sum is an Enclosure,
+# rounded outward onto the 2**-160 grid with Enclosure.rounded. The module
+# adds the rounded terms as ints on that grid; the endpoints must be equal.
+
+GRID = 160
+
+
+def _ref_grid_sum(terms):
+    acc = Enclosure.point(0)
+    for term in terms:
+        acc = (acc + term).rounded(GRID)
+    return acc
+
+
+def _ref_logpower_term(s, m, num):
+    log_sq = log_enclosure(s, 110).square()
+    term = Enclosure.point(Fraction(num, s ** (2 * m)))
+    for _ in range(m):
+        term = term / log_sq
+    return term
+
+
+def _ref_logpower_q_upper(s):
+    ln = log_enclosure(s, 96).lo
+    return Enclosure.point((Fraction(1, s * s) + Fraction(1, s)) / ln**2)
+
+
+def _ref_roll_down(f, remainder, top, bottom):
+    values, acc = {}, remainder
+    for t in range(top, bottom - 1, -1):
+        acc = (f.diagonal_value(t) + acc).rounded(GRID)
+        values[t] = acc
+    return values
+
+
+@settings(max_examples=25, deadline=None)
+@given(S=st.integers(min_value=2, max_value=200), m=st.sampled_from([1, 2]))
+def test_logpower_partial_matches_enclosure_reference(S, m):
+    ref = _ref_grid_sum(_ref_logpower_term(s, m, s - 1) for s in range(2, S + 1))
+    assert _logpower_partial(S, m) == ref
+
+
+@pytest.mark.parametrize("p", [1, 2, Fraction(3, 2), Fraction(5, 2)])
+def test_build_q_matches_enclosure_reference(p):
+    f = build_h(p)
+    grid = build_q(f, 3, 4, tail_terms=40)
+    M = 3 + 4 + 40
+    ref = _ref_roll_down(f, _power_series_remainder(f, M), M - 1, 2)
+    assert grid.diagonals == {s: ref[s] for s in range(2, 3 + 4 + 1)}
+
+
+@pytest.mark.parametrize("p,K", [(2, 8), (Fraction(3, 2), 30), (Fraction(5, 2), 9)])
+def test_power_divergence_matches_enclosure_reference(p, K):
+    p = Fraction(p)
+    f = build_h(p)
+    report = _power_divergence(p, K)
+    # the sampled q values: a 48-term roll-down from the integral remainder
+    points = [
+        e.value
+        for e in report.certificate.entries
+        if e.description.startswith("q at row 1") and "lower" in e.description
+    ]
+    assert points == [
+        _ref_roll_down(f, _power_series_remainder(f, 1 + k + 48), k + 48, 1 + k)[1 + k]
+        for k in sorted({1, 7, K})
+    ]
+    # the l_r sum: partial sum on the grid, integral tail, constant factor
+    r = (2 * p).__floor__() + 1
+    e_r = 1 - Fraction(r, p)
+    cap = 1000 if e_r.denominator in (1, 2) else 200
+    acc = _ref_grid_sum(_rational_pow(Fraction(m), e_r, 110) for m in range(1, cap + 1))
+    tail_hi = p * _rational_pow(Fraction(cap), -1 / p, 96).hi
+    coef_r = (
+        Enclosure.point(p**r) if p.denominator == 1 else _rational_pow(p, Fraction(r), 140)
+    )
+    assert report.lr_partial == coef_r * (acc + Enclosure(Fraction(0), tail_hi))
+
+
+def test_logpower_divergence_matches_enclosure_reference():
+    f = build_h(1)
+    report = _logpower_divergence(8)
+    acc = _ref_grid_sum(
+        (s - 1) * _ref_logpower_q_upper(s) * _ref_logpower_q_upper(s)
+        * _ref_logpower_q_upper(s)
+        for s in range(2, 401)
+    )
+    tail_hi = 8 / (Fraction(400) * log_enclosure(400, 96).lo ** 6)
+    assert report.lr_partial == acc + Enclosure(Fraction(0), tail_hi)
+    for s in (2, 3, 57, 400):
+        assert _q_diagonal_upper(f, s) == _ref_logpower_q_upper(s)

@@ -184,3 +184,19 @@ def test_sqrt_int_validates():
     assert sqrt_int(2).d == 2
     with pytest.raises(ConfigError):
         sqrt_int(9)
+
+
+def test_rational_collapse_hashes_like_its_equals():
+    # sqrt(4) folds into a: (3 + 2*sqrt(4))/5 = 7/5
+    collapsed = QuadraticSurd(3, 2, 4, 5)
+    plain = QuadraticSurd(7, 0, 1, 5)
+    assert collapsed == plain == Fraction(7, 5)
+    assert hash(collapsed) == hash(plain) == hash(Fraction(7, 5))
+    assert hash(QuadraticSurd(6, 0, 7, 2)) == hash(3)
+    assert len({collapsed, plain, Fraction(7, 5)}) == 1
+
+
+def test_irrational_hash_ignores_label_and_normal_form():
+    a = QuadraticSurd(2, 2, 8, 2, label="x")  # (2 + 4*sqrt(2))/2 = 1 + 2*sqrt(2)
+    b = QuadraticSurd(1, 2, 2)
+    assert a == b and hash(a) == hash(b)
