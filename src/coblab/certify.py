@@ -137,10 +137,7 @@ class Enclosure:
         Keeps denominators bounded at the cost of at most 2**-bits of extra
         width per endpoint; used to stop exact Fractions from snowballing.
         """
-        lo, hi = self.lo, self.hi
-        lo_n = (lo.numerator << bits) // lo.denominator
-        hi_n = -((-hi.numerator << bits) // hi.denominator)
-        return _from_fixed(lo_n, hi_n, bits)
+        return _from_fixed(*_to_fixed(self, bits), bits)
 
 
 # Fixed point: an int n stands for n * 2**-p. Lower bounds are rounded down
@@ -169,6 +166,14 @@ def _alternate(lo: int, hi: int, k: int, a_lo: int, a_hi: int) -> tuple[int, int
 
 def _from_fixed(lo: int, hi: int, p: int) -> Enclosure:
     return Enclosure(Fraction(lo, 1 << p), Fraction(hi, 1 << p))
+
+
+def _to_fixed(x: Enclosure, p: int) -> tuple[int, int]:
+    """Floor of x.lo and ceiling of x.hi, times 2**p."""
+    lo, hi = x.lo, x.hi
+    return (lo.numerator << p) // lo.denominator, -(
+        (-hi.numerator << p) // hi.denominator
+    )
 
 
 def max_enclosure(a: Enclosure, b: Enclosure) -> Enclosure:

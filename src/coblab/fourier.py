@@ -39,11 +39,11 @@ from mpmath import mp
 
 from .certify import WORK_PREC, Enclosure, sin_pi_enclosure, sqrt_enclosure
 from .errors import PrecisionCapError
-from .surd import FixedPointReducer, QuadraticSurd
+from .surd import FixedPointReducer, QuadraticSurd, _max_k
 
 _GUARD = 12
 _REDUCER_BITS = 192
-_MAX_K = 1 << (_REDUCER_BITS - 80)  # FixedPointReducer.max_k at _REDUCER_BITS
+_MAX_K = _max_k(_REDUCER_BITS)
 _MOD = 1 << _REDUCER_BITS
 _MASK = _MOD - 1
 _HALF = _MOD >> 1

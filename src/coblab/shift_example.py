@@ -23,7 +23,10 @@ from fractions import Fraction
 from math import log
 from typing import Optional, Union
 
-from .certify import Enclosure, log_enclosure, pow_enclosure, separate, sqrt_enclosure
+from .certify import (
+    Enclosure, _from_fixed, _to_fixed, log_enclosure, pow_enclosure, separate,
+    sqrt_enclosure,
+)
 from .errors import ConfigError
 from .report import Certificate, CertificateEntry, endpoints, require, write_rows
 
@@ -62,31 +65,25 @@ def _rational_pow(base: Fraction, expo: Fraction, bits: int) -> Enclosure:
 # sums are kept as pairs of ints: floor and ceiling times 2**_GRID.
 
 
-def _on_grid(x: Enclosure) -> tuple[int, int]:
-    lo, hi = x.lo, x.hi
-    return (lo.numerator << _GRID) // lo.denominator, -(
-        (-hi.numerator << _GRID) // hi.denominator
-    )
-
-
-def _from_grid(lo: int, hi: int) -> Enclosure:
-    return Enclosure(Fraction(lo, 1 << _GRID), Fraction(hi, 1 << _GRID))
-
-
 def _grid_sum(pairs) -> Enclosure:
     lo = hi = 0
     for a, b in pairs:
         lo, hi = lo + a, hi + b
-    return _from_grid(lo, hi)
+    return _from_fixed(lo, hi, _GRID)
+
+
+def _logpower_ends(s: int, m: int, bits: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d) with s**-2m * (log s)**-2m in [a/b, c/d], log s at bits."""
+    ln, e = log_enclosure(s, bits), 2 * m
+    lo, hi = ln.lo, ln.hi
+    return (hi.denominator**e, (s * hi.numerator) ** e,
+            lo.denominator**e, (s * lo.numerator) ** e)
 
 
 def _logpower_grid(s: int, m: int, num: int) -> tuple[int, int]:
     """num * s**-2m * (log s)**-2m on the grid, log s at _TERM_BITS."""
-    ln, e = log_enclosure(s, _TERM_BITS), 2 * m
-    lo, hi = ln.lo, ln.hi
-    return (num * hi.denominator**e << _GRID) // (s * hi.numerator) ** e, -(
-        (-num * lo.denominator**e << _GRID) // (s * lo.numerator) ** e
-    )
+    a, b, c, d = _logpower_ends(s, m, _TERM_BITS)
+    return (num * a << _GRID) // b, -((-num * c << _GRID) // d)
 
 
 @dataclass(frozen=True)
@@ -130,12 +127,8 @@ def _diag_power(
         raise ConfigError(
             "the logarithmic kind supports integer powers only"
         )
-    m = int(power)
-    base = Enclosure.point(Fraction(1, s ** (2 * m)))
-    log_sq = log_enclosure(s, bits).square()
-    for _ in range(m):
-        base = base / log_sq
-    return base
+    a, b, c, d = _logpower_ends(s, int(power), bits)
+    return Enclosure(Fraction(a, b), Fraction(c, d))
 
 
 def build_h(p: Rational) -> LatticeFunction:
@@ -237,7 +230,7 @@ def _generic_power_partial(
     f: LatticeFunction, p: Fraction, S: int
 ) -> Enclosure:
     return _grid_sum(
-        _on_grid((s - 1) * _diag_power(f, s, p, _TERM_BITS))
+        _to_fixed((s - 1) * _diag_power(f, s, p, _TERM_BITS), _GRID)
         for s in range(2, S + 1)
     )
 
@@ -323,17 +316,15 @@ def _roll_down(
 ) -> dict:
     """q(t) = f(t) + q(t+1) on the grid for t = M-1, ..., bottom, from the
     remainder q(M); returns the values at t <= keep."""
-    lo, hi = _on_grid((f.diagonal_value(M - 1) + remainder).rounded(_GRID))
+    lo, hi = _to_fixed(f.diagonal_value(M - 1) + remainder, _GRID)
     values = {}
-    for t in range(M - 1, bottom - 1, -1):
-        if t < M - 1:
-            if f.kind == "logpower":
-                a, b = _logpower_grid(t, 1, 1)
-            else:
-                a, b = _on_grid(f.diagonal_value(t))
-            lo, hi = lo + a, hi + b
+    if M - 1 <= keep:
+        values[M - 1] = _from_fixed(lo, hi, _GRID)
+    for t in range(M - 2, bottom - 1, -1):
+        a, b = _to_fixed(f.diagonal_value(t), _GRID)
+        lo, hi = lo + a, hi + b
         if t <= keep:
-            values[t] = _from_grid(lo, hi)
+            values[t] = _from_fixed(lo, hi, _GRID)
     return values
 
 
@@ -547,7 +538,7 @@ def _power_divergence(p: Fraction, K: int) -> DivergenceReport:
     e_r = 1 - Fraction(r, p)
     cap = 1000 if e_r.denominator in (1, 2) else 200
     acc = _grid_sum(
-        _on_grid(_rational_pow(Fraction(m), e_r, _TERM_BITS))
+        _to_fixed(_rational_pow(Fraction(m), e_r, _TERM_BITS), _GRID)
         for m in range(1, cap + 1)
     )
     tail_hi = p * _rational_pow(Fraction(cap), Fraction(-1) / p, 96).hi
@@ -641,7 +632,7 @@ def _logpower_divergence(K: int) -> DivergenceReport:
     # (s-1) q**3 <= 8 s**-2 (log s)**-6 past the partial range.
     cap = 400
     acc = _grid_sum(
-        _on_grid(Enclosure.point((s - 1) * _q_diagonal_upper(f, s).hi ** 3))
+        _to_fixed(Enclosure.point((s - 1) * _q_diagonal_upper(f, s).hi ** 3), _GRID)
         for s in range(2, cap + 1)
     )
     log_cap = log_enclosure(cap, 96).lo

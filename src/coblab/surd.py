@@ -354,6 +354,11 @@ def parse_surd(text: str, label: str | None = None) -> QuadraticSurd:
     return value
 
 
+def _max_k(bits: int) -> int:
+    """Largest |k| a FixedPointReducer at bits keeps certified-accurate."""
+    return 1 << (bits - 80)
+
+
 class FixedPointReducer:
     """Fast evaluation of frac(k*x) and of the distance from k*x to Z.
 
@@ -368,7 +373,7 @@ class FixedPointReducer:
         fr = x.frac()
         enc = refine(fr.enclosure, Fraction(1, 1 << (bits + 8)))
         self.X = round(enc.mid * (1 << bits))
-        self.max_k = 1 << (bits - 80)
+        self.max_k = _max_k(bits)
 
     def frac_fixed(self, k: int) -> int:
         return (k * self.X) & self.mask

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from coblab.certify import Enclosure, log_enclosure
 from coblab.errors import ConfigError
 from coblab.shift_example import (
+    _diag_power,
     _logpower_divergence,
     _logpower_partial,
     _power_divergence,
@@ -323,8 +324,8 @@ def _ref_grid_sum(terms):
     return acc
 
 
-def _ref_logpower_term(s, m, num):
-    log_sq = log_enclosure(s, 110).square()
+def _ref_logpower_term(s, m, num, bits=110):
+    log_sq = log_enclosure(s, bits).square()
     term = Enclosure.point(Fraction(num, s ** (2 * m)))
     for _ in range(m):
         term = term / log_sq
@@ -349,6 +350,17 @@ def _ref_roll_down(f, remainder, top, bottom):
 def test_logpower_partial_matches_enclosure_reference(S, m):
     ref = _ref_grid_sum(_ref_logpower_term(s, m, s - 1) for s in range(2, S + 1))
     assert _logpower_partial(S, m) == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.integers(min_value=2, max_value=10**6),
+    m=st.sampled_from([1, 2, 3]),
+    bits=st.integers(min_value=64, max_value=256),
+)
+def test_logpower_diagonal_matches_enclosure_reference(s, m, bits):
+    f = build_h(1)
+    assert _diag_power(f, s, Fraction(m), bits) == _ref_logpower_term(s, m, 1, bits)
 
 
 @pytest.mark.parametrize("p", [1, 2, Fraction(3, 2), Fraction(5, 2)])
