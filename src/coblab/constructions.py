@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import mpmath
-
 from .certify import (
     Enclosure,
     PrecisionCapError,
@@ -54,13 +52,13 @@ from .diophantine import (
     select_summable_lacunary,
     small_multiples,
 )
+from .dyadic import ZERO, WorkComplex
 from .errors import CertificationError, ConfigError, ShortfallError
 from .fourier import (
     SparseFourierSeries,
     apply_difference,
     coefficient_magnitude_enclosure,
     coefficient_mass,
-    fraction_to_mpf,
     transfer_coefficients,
     unit_phase,
 )
@@ -185,7 +183,7 @@ def _assemble_joint_not_double(
     dists_b = [_tight_dist(beta, rec.q) for rec in chosen]
 
     f = SparseFourierSeries(
-        {rec.q: fraction_to_mpf(db.mid) for rec, db in zip(chosen, dists_b)}
+        {rec.q: WorkComplex.from_fraction(db.mid) for rec, db in zip(chosen, dists_b)}
     )
     g = transfer_coefficients(f, alpha, beta)
 
@@ -431,8 +429,9 @@ def build_bad_pair_family(
             f"only {len(chosen_q)} admissible frequencies up to {Q}, need {K}"
         )
 
-    coeffs = {q: fraction_to_mpf(Fraction(a_k)) for q, a_k in zip(chosen_q, a)}
-    f = SparseFourierSeries(coeffs)
+    f = SparseFourierSeries(
+        {q: WorkComplex.from_fraction(Fraction(a_k)) for q, a_k in zip(chosen_q, a)}
+    )
     g = (
         transfer_coefficients(f, alpha, beta)
         if len(f)
@@ -916,14 +915,13 @@ def power_lift_joint(
             "precondition failed: (I - T_gamma) u_x differs from"
             " (I - T_gamma**j) u_y beyond tolerance"
         )
-    with mpmath.mp.workprec(160):
-        data = {}
-        for nu, c in u.items():
-            phase_sum = mpmath.mpc(0)
-            for n_pow in range(k):
-                phase_sum += unit_phase(gamma, n_pow * nu)
-            data[nu] = c * phase_sum
-        v = SparseFourierSeries(data, u.real_valued)
+    data = {}
+    for nu, c in u.items():
+        phase_sum = ZERO
+        for n_pow in range(k):
+            phase_sum += unit_phase(gamma, n_pow * nu)
+        data[nu] = c * phase_sum
+    v = SparseFourierSeries(data, u.real_valued)
     telescoped = apply_difference(u_x, gamma * k)
     if _max_abs_diff(v, telescoped) > 1e-24 * max(1.0, u_x.l2_norm()) * k:
         raise CertificationError(

@@ -1,13 +1,15 @@
 """Sparse Fourier series on the circle under rotation operators.
 
 A rotation by alpha acts on the n-th coefficient as multiplication by
-e(n*alpha) = exp(2*pi*i*n*alpha). Coefficients live at a fixed working
-precision of 128 bits (mpmath), with phases built from exactly reduced
+e(n*alpha) = exp(2*pi*i*n*alpha). Coefficients are `dyadic.WorkComplex`
+values: pairs of integer mantissas at WORK_PREC + 12 = 140 bits, each
+operation rounded once to nearest. Phases are built from exactly reduced
 arguments: frac(n*alpha) comes out of a 192-bit fixed-point reducer, so the
 only error is the final rounding and the per-operation relative error stays
 below 1e-30 throughout the supported desk scale. Certified interval
 statements (small-divisor reports) are produced separately with the exact
 kernel; the midpoint arithmetic here never feeds a certificate directly.
+Exact masses and real parts are read from the mantissas.
 
 Ergodic-sum diagnostics evaluate the Dirichlet kernel
 D(n, x) = |sin(pi*n*x)/sin(pi*x)| in float64 on exactly reduced arguments, a
@@ -34,14 +36,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
-import mpmath
-from mpmath import mp
-
-from .certify import WORK_PREC, Enclosure, sin_pi_enclosure, sqrt_enclosure
+from .certify import Enclosure, sin_pi_enclosure, sqrt_enclosure
+from .dyadic import ONE, ZERO, WorkComplex, phase, to_fraction
 from .errors import PrecisionCapError
 from .surd import FixedPointReducer, QuadraticSurd, _max_k
 
-_GUARD = 12
 _REDUCER_BITS = 192
 _MAX_K = _max_k(_REDUCER_BITS)
 _MOD = 1 << _REDUCER_BITS
@@ -51,32 +50,6 @@ _HALF = _MOD >> 1
 _PI_ULP = math.pi * 2.0**-_REDUCER_BITS
 
 Rational = Union[int, float, Fraction]
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf (mpf values are dyadic).
-
-    Reads the mantissa directly: the mpf constructor would re-round its
-    argument to the ambient precision, which silently truncates values
-    stored at the working precision.
-    """
-    mpf_tuple = getattr(x, "_mpf_", None)
-    if mpf_tuple is None:
-        with mp.workprec(WORK_PREC + _GUARD):
-            mpf_tuple = mpmath.mpf(x)._mpf_
-    sign, man, exp, _ = mpf_tuple
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
-        raise ValueError("cannot convert a nonfinite value")
-    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -value if sign else value
-
-
-def fraction_to_mpf(value: Fraction):
-    """Nearest working-precision mpf to an exact rational."""
-    with mp.workprec(WORK_PREC + _GUARD):
-        return mpmath.mpf(value.numerator) / value.denominator
 
 
 @lru_cache(maxsize=64)
@@ -108,29 +81,24 @@ def _kernel_row(alpha: QuadraticSurd, mags: tuple[int, ...], n: int) -> tuple:
 
 
 @lru_cache(maxsize=1 << 16)
-def _phase(alpha: QuadraticSurd, n: int):
+def _phase(alpha: QuadraticSurd, n: int) -> WorkComplex:
     """e(n*alpha) at working precision for n > 0, from an exact residue."""
     red = _reducer(alpha)
-    t = red.frac_fixed(n)
-    with mp.workprec(WORK_PREC + _GUARD):
-        arg = 2 * mp.pi * mpmath.ldexp(mpmath.mpf(t), -red.bits)
-        return mpmath.mpc(mpmath.cos(arg), mpmath.sin(arg))
+    return phase(red.frac_fixed(n), red.bits)
 
 
-def unit_phase(alpha: QuadraticSurd, n: int):
+def unit_phase(alpha: QuadraticSurd, n: int) -> WorkComplex:
     """e(n*alpha) as a working-precision complex number, any integer n."""
     if n == 0:
-        return mpmath.mpc(1)
+        return ONE
     if n > 0:
         return _phase(alpha, n)
-    with mp.workprec(WORK_PREC + _GUARD):
-        # exact at working precision, so phases stay conjugate-symmetric
-        return mpmath.conj(_phase(alpha, -n))
+    # conj is exact, so phases stay conjugate-symmetric
+    return _phase(alpha, -n).conj()
 
 
-def _one_minus_phase(alpha: QuadraticSurd, n: int):
-    with mp.workprec(WORK_PREC + _GUARD):
-        return 1 - unit_phase(alpha, n)
+def _one_minus_phase(alpha: QuadraticSurd, n: int) -> WorkComplex:
+    return 1 - unit_phase(alpha, n)
 
 
 class SparseFourierSeries:
@@ -149,19 +117,16 @@ class SparseFourierSeries:
         real_valued: bool = False,
     ):
         data = {}
-        with mp.workprec(WORK_PREC + _GUARD):
-            for n, value in coefficients.items():
-                c = mpmath.mpc(value)
-                if c != 0:
-                    data[int(n)] = c
-            if real_valued:
-                # conj is exact here: stored mantissas fit the working precision
-                for n, c in data.items():
-                    mirror = data.get(-n, mpmath.mpc(0))
-                    if mirror != mpmath.conj(c):
-                        raise ValueError(
-                            f"real_valued series needs conjugate symmetry at n={n}"
-                        )
+        for n, value in coefficients.items():
+            c = WorkComplex(value)
+            if c:
+                data[int(n)] = c
+        if real_valued:
+            for n, c in data.items():
+                if data.get(-n, ZERO) != c.conj():
+                    raise ValueError(
+                        f"real_valued series needs conjugate symmetry at n={n}"
+                    )
         object.__setattr__(self, "_coeffs", data)
         object.__setattr__(self, "real_valued", real_valued)
         object.__setattr__(self, "_masses", None)
@@ -175,8 +140,8 @@ class SparseFourierSeries:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._coeffs))
 
-    def coeff(self, n: int):
-        return self._coeffs.get(n, mpmath.mpc(0))
+    def coeff(self, n: int) -> WorkComplex:
+        return self._coeffs.get(n, ZERO)
 
     def items(self):
         for n in sorted(self._coeffs):
@@ -196,20 +161,18 @@ class SparseFourierSeries:
     # -- algebra ----------------------------------------------------------------
 
     def __add__(self, other: "SparseFourierSeries") -> "SparseFourierSeries":
-        with mp.workprec(WORK_PREC + _GUARD):
-            data = dict(self._coeffs)
-            for n, c in other._coeffs.items():
-                data[n] = data.get(n, mpmath.mpc(0)) + c
+        data = dict(self._coeffs)
+        for n, c in other._coeffs.items():
+            data[n] = data.get(n, ZERO) + c
         return SparseFourierSeries(data, self.real_valued and other.real_valued)
 
     def __sub__(self, other: "SparseFourierSeries") -> "SparseFourierSeries":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "SparseFourierSeries":
-        with mp.workprec(WORK_PREC + _GUARD):
-            s = mpmath.mpc(factor)
-            data = {n: c * s for n, c in self._coeffs.items()}
-        keeps_real = self.real_valued and mpmath.im(s) == 0
+        s = WorkComplex(factor)
+        data = {n: c * s for n, c in self._coeffs.items()}
+        keeps_real = self.real_valued and s.im_man == 0
         return SparseFourierSeries(data, keeps_real)
 
     # -- norms ------------------------------------------------------------------
@@ -233,8 +196,7 @@ class SparseFourierSeries:
         return self._masses
 
     def l1_norm(self) -> float:
-        with mp.workprec(WORK_PREC + _GUARD):
-            return float(mpmath.fsum(abs(c) for c in self._coeffs.values()))
+        return math.fsum(abs(complex(c)) for c in self._coeffs.values())
 
     # -- serialization -------------------------------------------------------------
 
@@ -255,10 +217,7 @@ class SparseFourierSeries:
     def to_json_dict(self) -> dict:
         return {
             "real_valued": self.real_valued,
-            "coefficients": [
-                [n, mpmath.nstr(mpmath.re(c), 36), mpmath.nstr(mpmath.im(c), 36)]
-                for n, c in self.items()
-            ],
+            "coefficients": [[n, *c.to_strings()] for n, c in self.items()],
         }
 
     def to_json(self) -> str:
@@ -266,11 +225,9 @@ class SparseFourierSeries:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "SparseFourierSeries":
-        with mp.workprec(WORK_PREC + _GUARD):
-            data = {
-                int(n): mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
-                for n, re, im in payload["coefficients"]
-            }
+        data = {
+            int(n): WorkComplex(re, im) for n, re, im in payload["coefficients"]
+        }
         return cls(data, bool(payload.get("real_valued", False)))
 
     @classmethod
@@ -320,19 +277,19 @@ def divisor_enclosure(alpha: QuadraticSurd, n: int, tol: Rational = Fraction(1, 
     return 2 * sin_pi_enclosure(dist, 192)
 
 
-def coefficient_real(c) -> Fraction:
+def coefficient_real(c: WorkComplex) -> Fraction:
     """Exact real part of a working-precision coefficient."""
-    return mpf_to_fraction(mpmath.re(c))
+    return to_fraction(c.re_man, c.re_exp)
 
 
-def coefficient_mass(c) -> Fraction:
+def coefficient_mass(c: WorkComplex) -> Fraction:
     """Exact |c|**2 of a working-precision coefficient (its parts are dyadic)."""
-    re = mpf_to_fraction(mpmath.re(c))
-    im = mpf_to_fraction(mpmath.im(c))
+    re = to_fraction(c.re_man, c.re_exp)
+    im = to_fraction(c.im_man, c.im_exp)
     return re * re + im * im
 
 
-def coefficient_magnitude_enclosure(c, bits: int = 160) -> Enclosure:
+def coefficient_magnitude_enclosure(c: WorkComplex, bits: int = 160) -> Enclosure:
     """Certified |c| for a working-precision coefficient, taken as exact input."""
     return sqrt_enclosure(coefficient_mass(c), bits)
 
@@ -344,18 +301,14 @@ def coefficient_magnitude_enclosure(c, bits: int = 160) -> Enclosure:
 def apply_rotation(f: SparseFourierSeries, alpha: QuadraticSurd) -> SparseFourierSeries:
     """Compose with the rotation by alpha: coefficient n picks up e(n*alpha)."""
     alpha.require_irrational("alpha")
-    with mp.workprec(WORK_PREC + _GUARD):
-        data = {n: c * unit_phase(alpha, n) for n, c in f._coeffs.items()}
+    data = {n: c * unit_phase(alpha, n) for n, c in f._coeffs.items()}
     return SparseFourierSeries(data, f.real_valued)
 
 
 def apply_difference(f: SparseFourierSeries, alpha: QuadraticSurd) -> SparseFourierSeries:
     """(I - T_alpha) f, the coboundary of f under the rotation by alpha."""
     alpha.require_irrational("alpha")
-    with mp.workprec(WORK_PREC + _GUARD):
-        data = {
-            n: c * (1 - unit_phase(alpha, n)) for n, c in f._coeffs.items()
-        }
+    data = {n: c * _one_minus_phase(alpha, n) for n, c in f._coeffs.items()}
     return SparseFourierSeries(data, f.real_valued)
 
 
@@ -375,13 +328,11 @@ def solve_coboundary(
     tol_f = Fraction(tol)
     data = {}
     entries = []
-    with mp.workprec(WORK_PREC + _GUARD):
-        for n, c in f._coeffs.items():
-            g_n = c / _one_minus_phase(alpha, n)
-            data[n] = g_n
-            div = divisor_enclosure(alpha, n, tol_f)
-            mag = coefficient_magnitude_enclosure(c) / div
-            entries.append(SmallDivisorEntry(n=n, divisor=div, magnitude=mag))
+    for n, c in f._coeffs.items():
+        data[n] = c / _one_minus_phase(alpha, n)
+        div = divisor_enclosure(alpha, n, tol_f)
+        mag = coefficient_magnitude_enclosure(c) / div
+        entries.append(SmallDivisorEntry(n=n, divisor=div, magnitude=mag))
     entries.sort(key=lambda e: e.n)
     report = SmallDivisorReport(entries=tuple(entries), contains_zero=False)
     return SparseFourierSeries(data, f.real_valued), report
@@ -398,11 +349,10 @@ def transfer_coefficients(
     alpha.require_irrational("alpha")
     beta.require_irrational("beta")
     f.require_centered("transfer data")
-    with mp.workprec(WORK_PREC + _GUARD):
-        data = {
-            n: c * _one_minus_phase(alpha, n) / _one_minus_phase(beta, n)
-            for n, c in f._coeffs.items()
-        }
+    data = {
+        n: c * _one_minus_phase(alpha, n) / _one_minus_phase(beta, n)
+        for n, c in f._coeffs.items()
+    }
     return SparseFourierSeries(data, f.real_valued)
 
 
@@ -419,13 +369,11 @@ def double_solve(
     tol_f = Fraction(tol)
     data = {}
     entries = []
-    with mp.workprec(WORK_PREC + _GUARD):
-        for n, c in f._coeffs.items():
-            h_n = c / (_one_minus_phase(alpha, n) * _one_minus_phase(beta, n))
-            data[n] = h_n
-            div = divisor_enclosure(alpha, n, tol_f) * divisor_enclosure(beta, n, tol_f)
-            mag = coefficient_magnitude_enclosure(c) / div
-            entries.append(SmallDivisorEntry(n=n, divisor=div, magnitude=mag))
+    for n, c in f._coeffs.items():
+        data[n] = c / (_one_minus_phase(alpha, n) * _one_minus_phase(beta, n))
+        div = divisor_enclosure(alpha, n, tol_f) * divisor_enclosure(beta, n, tol_f)
+        mag = coefficient_magnitude_enclosure(c) / div
+        entries.append(SmallDivisorEntry(n=n, divisor=div, magnitude=mag))
     entries.sort(key=lambda e: e.n)
     report = SmallDivisorReport(entries=tuple(entries), contains_zero=False)
     return SparseFourierSeries(data, f.real_valued), report

@@ -534,21 +534,24 @@ def _power_divergence(p: Fraction, K: int) -> DivergenceReport:
 
     # l_r control: q(s) <= int_{s-1}^inf x**-kappa = p (s-1)**(-1/p), so
     # sum (s-1) q(s)**r <= p**r sum_m m**(1 - r/p) with m = s - 1, and
-    # 1 - r/p < -1.  Partial sum plus integral tail, then a closed bound.
+    # 1 - r/p < -1.  Partial sum plus integral tail, then a closed bound:
+    # with g = r - 2p > 0, sum_{m > cap} m**(1 - r/p) <= p/g * cap**(-g/p)
+    # and the whole sum is at most 1 + p/g.
     e_r = 1 - Fraction(r, p)
+    gap = r - 2 * p
     cap = 1000 if e_r.denominator in (1, 2) else 200
     acc = _grid_sum(
         _to_fixed(_rational_pow(Fraction(m), e_r, _TERM_BITS), _GRID)
         for m in range(1, cap + 1)
     )
-    tail_hi = p * _rational_pow(Fraction(cap), Fraction(-1) / p, 96).hi
+    tail_hi = p / gap * _rational_pow(Fraction(cap), -gap / p, 96).hi
     coef_r = (
         Enclosure.point(p**r)
         if p.denominator == 1
         else _rational_pow(p, Fraction(r), 140)
     )
     lr_partial = coef_r * (acc + Enclosure(Fraction(0), tail_hi))
-    closed = (coef_r * (1 + p)).hi
+    closed = (coef_r * (1 + p / gap)).hi
     entries.append(
         CertificateEntry(
             description=(

@@ -37,7 +37,6 @@ from coblab.fourier import (
     divisor_enclosure,
     double_ergodic_sum_norm,
     double_solve,
-    mpf_to_fraction,
     random_real_series,
     solve_coboundary,
 )
@@ -49,6 +48,7 @@ from coblab.spectral import (
     spectral_measure,
 )
 from coblab.surd import parse_surd
+from mpbridge import mp_fraction
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
 BETA = parse_surd("(-1+1*sqrt(3))/1", label="beta")
@@ -289,7 +289,7 @@ def test_criterion_07_diophantine_soundness():
         with mpmath.workdps(200):
             value = mpmath.mpf(q) * (a + b * mpmath.sqrt(d)) / c
             frac_part = value - mpmath.floor(value)
-            oracle = mpf_to_fraction(min(frac_part, 1 - frac_part))
+            oracle = mp_fraction(min(frac_part, 1 - frac_part))
         contained = contained and enc.lo <= oracle <= enc.hi
     checks = [("20 seeded enclosures contain the 200-digit oracle", contained)]
 
@@ -314,7 +314,7 @@ def test_criterion_08_lattice_shift():
     h2 = build_h(2)
     norm = lp_partial_norm(h2, 2, 10**6, 10**6)
     with mpmath.workdps(60):
-        oracle = mpf_to_fraction(mpmath.pi**2 / 6 - mpmath.zeta(3))
+        oracle = mp_fraction(mpmath.pi**2 / 6 - mpmath.zeta(3))
     checks = [
         ("l_2 total encloses pi^2/6 - zeta(3)",
          norm.total.lo <= oracle <= norm.total.hi),

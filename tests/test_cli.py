@@ -391,24 +391,55 @@ class TestMain:
         )
         assert done.returncode == 0, done.stderr
 
+    # Every subcommand, then a Fourier build outside the CLI; run with a
+    # redirected stdout, so the reports stay out of the pipe.
+    NO_MPMATH_SCRIPT = (
+        "import contextlib, io, sys\n"
+        "from coblab.cli import main\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "assert 'mpmath' not in sys.modules, '--help'\n"
+        "for argv in (['approx', 'dirichlet', '--Q', '1000'],\n"
+        "             ['approx', 'squares', '--N', '1000'],\n"
+        "             ['shift', '--p', '1', '--K', '100'],\n"
+        "             ['rates', '--doubling-tripling', '--N', '8'],\n"
+        "             ['construct', '--K', '4', '--Q', '10000'],\n"
+        "             ['check', 'double-bad', '--K', '3'],\n"
+        "             ['spectral', '--Q', '10000'],\n"
+        "             ['rates', '--N', '16', '--Q', '10000'],\n"
+        "             ['selftest']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    assert 'mpmath' not in sys.modules, argv\n"
+        "from coblab import fourier\n"
+        "from coblab.surd import parse_surd\n"
+        "base = fourier.random_real_series(0, 10)\n"
+        "alpha = parse_surd('(-1+1*sqrt(2))/1')\n"
+        "fourier.apply_difference(base, alpha).to_json()\n"
+        "assert 'mpmath' not in sys.modules, 'apply_difference'\n"
+    )
+
     def test_scans_and_shift_never_import_mpmath(self):
-        # only the Fourier-based subcommands need mpmath
-        done = run_fresh(
-            "import sys\n"
-            "from coblab.cli import main\n"
-            "try:\n"
-            "    main(['--help'])\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0\n"
-            "assert 'mpmath' not in sys.modules, '--help'\n"
-            "for argv in (['approx', 'dirichlet', '--Q', '1000'],\n"
-            "             ['approx', 'squares', '--N', '1000'],\n"
-            "             ['shift', '--p', '1', '--K', '100'],\n"
-            "             ['rates', '--doubling-tripling', '--N', '8']):\n"
-            "    assert main(argv) == 0\n"
-            "    assert 'mpmath' not in sys.modules, argv\n"
-        )
+        # no subcommand and no series build imports mpmath, a test extra
+        done = run_fresh(self.NO_MPMATH_SCRIPT)
         assert done.returncode == 0, done.stderr
+
+    def test_cli_runs_with_mpmath_import_blocked(self):
+        # a finder that refuses mpmath, so a lazy import cannot hide either
+        blocker = (
+            "import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'mpmath':\n"
+            "            raise ImportError('mpmath is blocked')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+        )
+        done = run_fresh(blocker + self.NO_MPMATH_SCRIPT)
+        assert done.returncode == 0, done.stderr
+        probe = run_fresh(blocker + "import mpmath\n")
+        assert "mpmath is blocked" in probe.stderr
 
     def test_importing_the_cli_registers_every_layer(self):
         # an external tracer patches these modules right after importing

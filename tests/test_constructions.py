@@ -52,6 +52,7 @@ from coblab.fourier import (
     unit_phase,
 )
 from coblab.surd import parse_surd
+from mpbridge import from_mp, to_mp
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
 BETA = parse_surd("(-1+1*sqrt(3))/1", label="beta")
@@ -179,7 +180,7 @@ def test_flagship_budget_escalation_recorded(flagship):
 
 def test_flagship_coefficients_are_dist_beta(flagship):
     for rec in flagship.q_sequence:
-        coeff = flagship.f.coeff(rec.q)
+        coeff = to_mp(flagship.f.coeff(rec.q))
         assert mpmath.im(coeff) == 0
         oracle = dist_oracle(BETA, rec.q)
         assert abs(mpmath.re(coeff) - oracle) < mpmath.mpf(10) ** -30 * oracle
@@ -189,9 +190,10 @@ def test_flagship_coefficients_are_dist_beta(flagship):
 def test_flagship_joint_identity(flagship):
     lhs = apply_difference(flagship.f, ALPHA)
     rhs = apply_difference(flagship.g, BETA)
-    scale = max(abs(lhs.coeff(n)) for n in lhs.support)
+    scale = max(abs(to_mp(lhs.coeff(n))) for n in lhs.support)
     for n in set(lhs.support) | set(rhs.support):
-        assert abs(lhs.coeff(n) - rhs.coeff(n)) < mpmath.mpf(10) ** -30 * scale
+        diff = to_mp(lhs.coeff(n)) - to_mp(rhs.coeff(n))
+        assert abs(diff) < mpmath.mpf(10) ** -30 * scale
 
 
 def test_flagship_double_coefficients_bracketed(flagship):
@@ -201,7 +203,7 @@ def test_flagship_double_coefficients_bracketed(flagship):
     h, _ = double_solve(phi, ALPHA, BETA)
     lo = 1 / (2 * math.pi)
     for q in FLAGSHIP_Q:
-        mag = abs(h.coeff(q))
+        mag = abs(to_mp(h.coeff(q)))
         assert lo - 1e-12 <= float(mag) <= 0.25 + 1e-12
 
 
@@ -392,7 +394,7 @@ def test_family_validates_inputs():
 
 
 def test_bad_joint_single_mode():
-    f = SparseFourierSeries({3: mpmath.mpc("0.1")})
+    f = SparseFourierSeries({3: 0.1})
     cert = check_bad_joint(f, mode="C")
     assert cert.verdict
     value = cert.entries[0].value
@@ -401,7 +403,7 @@ def test_bad_joint_single_mode():
 
 
 def test_bad_joint_inverse_cube_l2():
-    coeffs = {k: mpmath.mpf(1) / k**3 for k in range(1, 101)}
+    coeffs = {k: from_mp(mpmath.mpf(1) / k**3) for k in range(1, 101)}
     f = SparseFourierSeries(coeffs)
     cert = check_bad_joint(f, mode="L2")
     oracle = sum(Fraction(1, k**4) for k in range(1, 101))
@@ -419,16 +421,16 @@ def test_bad_joint_zero_function():
 
 
 def test_bad_joint_requires_centered():
-    f = SparseFourierSeries({0: mpmath.mpf(1)})
+    f = SparseFourierSeries({0: 1})
     with pytest.raises(ValueError):
         check_bad_joint(f, mode="C")
     with pytest.raises(ConfigError):
-        check_bad_joint(SparseFourierSeries({3: mpmath.mpf(1)}), mode="sup")
+        check_bad_joint(SparseFourierSeries({3: 1}), mode="sup")
 
 
 def test_bad_joint_badness_bound():
     f = SparseFourierSeries(
-        {3: mpmath.mpf("0.25"), -3: mpmath.mpf("0.25")}, real_valued=True
+        {3: 0.25, -3: 0.25}, real_valued=True
     )
     cert = check_bad_joint(f, mode="C", badness_constant=Fraction(1, 10))
     # exact dyadic data: sum = 2*3*(1/4) = 3/2, bound = (3/2)/(2/5) = 15/4
@@ -485,7 +487,7 @@ def test_mur_envelope_with_tail_bound():
 def test_double_bad_exact_envelope_match():
     coeffs = {}
     for k in range(2, 51):
-        coeffs[k] = 1 / (mpmath.mpf(k) ** 2 * mpmath.log(k) ** 2)
+        coeffs[k] = from_mp(1 / (mpmath.mpf(k) ** 2 * mpmath.log(k) ** 2))
     cert = check_double_bad(SparseFourierSeries(coeffs), gamma=2)
     m_entry = cert.entries[0]
     assert "constant M" in m_entry.description
@@ -495,7 +497,7 @@ def test_double_bad_exact_envelope_match():
 
 def test_double_bad_single_mode_constant():
     f = SparseFourierSeries(
-        {10: mpmath.mpf(1), -10: mpmath.mpf(1)}, real_valued=True
+        {10: 1, -10: 1}, real_valued=True
     )
     cert = check_double_bad(f, gamma=2)
     oracle = 100 * math.log(10) ** 2
@@ -509,13 +511,13 @@ def test_double_bad_zero_function():
 
 
 def test_double_bad_validation():
-    f = SparseFourierSeries({10: mpmath.mpf(1)})
+    f = SparseFourierSeries({10: 1})
     with pytest.raises(ConfigError):
         check_double_bad(f, gamma=1)
     with pytest.raises(ConfigError):
-        check_double_bad(SparseFourierSeries({1: mpmath.mpf(1)}), gamma=2)
+        check_double_bad(SparseFourierSeries({1: 1}), gamma=2)
     with pytest.raises(ValueError):
-        check_double_bad(SparseFourierSeries({0: mpmath.mpf(1)}), gamma=2)
+        check_double_bad(SparseFourierSeries({0: 1}), gamma=2)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +528,8 @@ def _convergent_profile(depth):
     qs = sorted({q for _, q in convergents(ALPHA, depth) if q > 0})
     coeffs = {}
     for q in qs:
-        coeffs[q] = mpmath.mpf(1) / q
-        coeffs[-q] = mpmath.mpf(1) / q
+        coeffs[q] = from_mp(mpmath.mpf(1) / q)
+        coeffs[-q] = from_mp(mpmath.mpf(1) / q)
     return SparseFourierSeries(coeffs, real_valued=True), qs
 
 
@@ -546,7 +548,7 @@ def test_large_coeff_witness_inverse_frequency():
 
 def test_large_coeff_witness_phase_invariance():
     f, _ = _convergent_profile(6)
-    rotated = f.scale(mpmath.mpc(0, 1))
+    rotated = f.scale(1j)
     base = large_coeff_witness(f, ALPHA, depth=6)
     spun = large_coeff_witness(rotated, ALPHA, depth=6)
     for a, b in zip(base.entries, spun.entries):
@@ -573,7 +575,7 @@ def test_large_coeff_witness_threshold_can_fail():
 
 
 def test_large_coeff_witness_needs_hits():
-    f = SparseFourierSeries({3: mpmath.mpf(1), 7: mpmath.mpf(1)})
+    f = SparseFourierSeries({3: 1, 7: 1})
     with pytest.raises(ShortfallError):
         large_coeff_witness(f, ALPHA, depth=6)
     with pytest.raises(ConfigError):
@@ -593,7 +595,7 @@ def test_petersen_equal_angles_is_l2_norm():
 
 
 def test_petersen_single_mode_ratio():
-    f = SparseFourierSeries({7: mpmath.mpf("0.5")})
+    f = SparseFourierSeries({7: 0.5})
     ps = petersen_series(f, ALPHA, BETA)
     with mpmath.workdps(40):
         da = dist_oracle(ALPHA, 7)
@@ -604,7 +606,7 @@ def test_petersen_single_mode_ratio():
 
 def test_petersen_blows_up_on_convergent_denominators():
     # ||169*alpha|| is tiny while ||169*beta|| is generic, so the ratio is huge
-    f = SparseFourierSeries({169: mpmath.mpf(1)})
+    f = SparseFourierSeries({169: 1})
     ps = petersen_series(f, ALPHA, BETA)
     assert float(ps.value.lo) > 1000
 
@@ -693,7 +695,7 @@ def test_power_lift_produces_joint_coboundary():
     v = power_lift_joint(u_x, u_y, gamma, k, j)
     lhs = apply_difference(u_x, ALPHA)
     for n in set(lhs.support) | set(v.support):
-        assert abs(lhs.coeff(n) - v.coeff(n)) < mpmath.mpf(10) ** -30
+        assert abs(to_mp(lhs.coeff(n)) - to_mp(v.coeff(n))) < mpmath.mpf(10) ** -30
     # second representation: sum over n < k of T_gamma^n (I - T_beta) u_y
     acc = None
     term = apply_difference(u_y, beta)
@@ -701,7 +703,7 @@ def test_power_lift_produces_joint_coboundary():
         acc = term if acc is None else acc + term
         term = apply_rotation(term, gamma)
     for n in set(acc.support) | set(v.support):
-        assert abs(acc.coeff(n) - v.coeff(n)) < mpmath.mpf(10) ** -30
+        assert abs(to_mp(acc.coeff(n)) - to_mp(v.coeff(n))) < mpmath.mpf(10) ** -30
 
 
 def test_power_lift_k_one_is_identity():
@@ -710,17 +712,17 @@ def test_power_lift_k_one_is_identity():
     u = apply_difference(u_x, gamma)
     v = power_lift_joint(u_x, u_x, gamma, 1, 1)
     for n in set(u.support) | set(v.support):
-        assert abs(u.coeff(n) - v.coeff(n)) == 0
+        assert u.coeff(n) == v.coeff(n)
 
 
 def test_power_lift_k_two_single_mode():
     gamma = ALPHA
-    u_x = SparseFourierSeries({5: mpmath.mpf(1)})
+    u_x = SparseFourierSeries({5: 1})
     u = apply_difference(u_x, gamma)
     v = power_lift_joint(u_x, u_x, gamma, 2, 1)
     with mpmath.workprec(150):
-        expected = (1 + unit_phase(gamma, 5)) * u.coeff(5)
-        assert abs(v.coeff(5) - expected) < mpmath.mpf(10) ** -35
+        expected = (1 + to_mp(unit_phase(gamma, 5))) * to_mp(u.coeff(5))
+        assert abs(to_mp(v.coeff(5)) - expected) < mpmath.mpf(10) ** -35
 
 
 def test_power_lift_precondition_enforced():

@@ -12,7 +12,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coblab.dyadic import PREC, WorkComplex, phase
 from coblab.errors import ConfigError
 from coblab.fourier import (
     SparseFourierSeries,
@@ -23,14 +26,16 @@ from coblab.fourier import (
     coefficient_magnitude_enclosure,
     divisor_enclosure,
     double_ergodic_sum_norm,
+    _MAX_K,
+    coefficient_real,
     double_solve,
-    mpf_to_fraction,
     random_real_series,
     solve_coboundary,
     transfer_coefficients,
     unit_phase,
 )
 from coblab.surd import FixedPointReducer, QuadraticSurd, parse_surd
+from mpbridge import mp_fraction, to_mp
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
 BETA = parse_surd("(-1+1*sqrt(3))/1", label="beta")
@@ -49,7 +54,7 @@ def phase_oracle(x, n):
 def max_abs_coeff_diff(f, g):
     worst = mpmath.mpf(0)
     for n in set(f.support) | set(g.support):
-        worst = max(worst, abs(f.coeff(n) - g.coeff(n)))
+        worst = max(worst, abs(to_mp(f.coeff(n)) - to_mp(g.coeff(n))))
     return worst
 
 
@@ -57,24 +62,26 @@ def max_abs_coeff_diff(f, g):
 # exact dyadic conversion
 
 
-def test_mpf_to_fraction_simple():
-    assert mpf_to_fraction(mpmath.mpf("0.375")) == Fraction(3, 8)
-    assert mpf_to_fraction(mpmath.mpf(-3) / 2) == Fraction(-3, 2)
-    assert mpf_to_fraction(mpmath.mpf(0)) == 0
-    assert mpf_to_fraction(mpmath.mpf(7)) == 7
+def test_coefficient_real_reads_the_mantissa():
+    assert coefficient_real(WorkComplex("0.375")) == Fraction(3, 8)
+    assert coefficient_real(WorkComplex(-1.5)) == Fraction(-3, 2)
+    assert coefficient_real(WorkComplex(0)) == 0
+    assert coefficient_real(WorkComplex(7)) == 7
 
 
-def test_mpf_to_fraction_roundtrip_floats():
+def test_float_coefficients_are_kept_exactly():
     values = [0.1, -2.7335, 1e-12, 123456.75, -0.0]
     for v in values:
-        assert float(mpf_to_fraction(mpmath.mpf(v))) == v
+        assert coefficient_real(WorkComplex(v)) == Fraction(v)
+        assert complex(WorkComplex(v, -v)) == complex(v, -v)
 
 
-def test_mpf_to_fraction_rejects_nonfinite():
+def test_nonfinite_coefficients_are_refused():
+    for bad in (math.inf, -math.inf, math.nan, "inf", "nan"):
+        with pytest.raises(ValueError):
+            WorkComplex(bad)
     with pytest.raises(ValueError):
-        mpf_to_fraction(mpmath.inf)
-    with pytest.raises(ValueError):
-        mpf_to_fraction(mpmath.nan)
+        WorkComplex(1.0, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +121,9 @@ def test_algebra_matches_dict_arithmetic():
     assert s.coeff(1) == f.coeff(1)
     assert s.coeff(2) == 0
     d = f - g
-    assert d.coeff(2) == mpmath.mpc(-1.0)
+    assert to_mp(d.coeff(2)) == mpmath.mpc(-1.0)
     h = f.scale(2)
-    assert h.coeff(1) == mpmath.mpc(2, 2)
+    assert to_mp(h.coeff(1)) == mpmath.mpc(2, 2)
 
 
 def test_scale_with_complex_factor_drops_real_flag():
@@ -148,7 +155,7 @@ def test_norms_exact_and_float():
 def test_unit_phase_matches_oracle(n):
     with mpmath.workdps(60):
         expected = phase_oracle(ALPHA, n)
-        got = unit_phase(ALPHA, n)
+        got = to_mp(unit_phase(ALPHA, n))
         assert abs(got - expected) < mpmath.mpf("1e-35")
         assert abs(abs(got) - 1) < mpmath.mpf("1e-37")
 
@@ -157,7 +164,7 @@ def test_unit_phase_conjugate_symmetry_exact():
     # compare at working precision so conj itself does not round
     with mpmath.mp.workprec(160):
         for n in (1, 5, 1183):
-            assert unit_phase(ALPHA, -n) == mpmath.conj(unit_phase(ALPHA, n))
+            assert to_mp(unit_phase(ALPHA, -n)) == mpmath.conj(to_mp(unit_phase(ALPHA, n)))
 
 
 def test_apply_rotation_matches_oracle_and_preserves_norm():
@@ -165,8 +172,8 @@ def test_apply_rotation_matches_oracle_and_preserves_norm():
     rotated = apply_rotation(f, ALPHA)
     with mpmath.workdps(60):
         for n, c in f.items():
-            expected = c * phase_oracle(ALPHA, n)
-            assert abs(rotated.coeff(n) - expected) < mpmath.mpf("1e-34")
+            expected = to_mp(c) * phase_oracle(ALPHA, n)
+            assert abs(to_mp(rotated.coeff(n)) - expected) < mpmath.mpf("1e-34")
     assert rotated.real_valued
     assert rotated.l2_norm() == pytest.approx(f.l2_norm(), rel=1e-13)
 
@@ -206,10 +213,10 @@ def test_solve_coboundary_identity_and_report():
             dist = abs(entry.n * a - mpmath.nint(entry.n * a))
             oracle_div = 2 * mpmath.sin(mpmath.pi * dist)
             assert entry.divisor.lo > 0
-            assert mpf_to_fraction(mpmath.mpf(oracle_div)) in entry.divisor or (
+            assert mp_fraction(oracle_div) in entry.divisor or (
                 abs(float(entry.divisor.mid) - float(oracle_div)) < 1e-16
             )
-            oracle_mag = abs(f.coeff(entry.n)) / oracle_div
+            oracle_mag = abs(to_mp(f.coeff(entry.n))) / oracle_div
             assert float(entry.magnitude.lo) <= float(oracle_mag) * (1 + 1e-12)
             assert float(entry.magnitude.hi) >= float(oracle_mag) * (1 - 1e-12)
     assert report.smallest_divisor() > 0
@@ -236,7 +243,7 @@ def test_divisor_enclosure_oracle_tightness():
 
 
 def test_coefficient_magnitude_enclosure():
-    c = mpmath.mpc(3, 4)
+    c = WorkComplex(3, 4)
     enc = coefficient_magnitude_enclosure(c)
     assert Fraction(5) in enc
     assert float(enc.width) < 1e-30
@@ -281,7 +288,7 @@ def brute_double_norm(f, x, y, n, m, dps=50):
         for nu, c in f.items():
             s_a = mpmath.fsum(mpmath.expjpi(2 * k * nu * a) for k in range(n))
             s_b = mpmath.fsum(mpmath.expjpi(2 * j * nu * b) for j in range(m))
-            total += abs(c * s_a * s_b) ** 2
+            total += abs(to_mp(c) * s_a * s_b) ** 2
         return float(mpmath.sqrt(total))
 
 
@@ -291,7 +298,7 @@ def brute_single_norm(f, x, n, dps=50):
         total = mpmath.mpf(0)
         for nu, c in f.items():
             s = mpmath.fsum(mpmath.expjpi(2 * k * nu * a) for k in range(n))
-            total += abs(c * s) ** 2
+            total += abs(to_mp(c) * s) ** 2
         return float(mpmath.sqrt(total))
 
 
@@ -535,10 +542,180 @@ def test_random_real_series_deterministic_and_normalized():
 def test_random_real_series_uncentered_variant():
     f = random_real_series(seed=1, max_freq=2, centered=False, unit_l2=False)
     assert 0 in f.support
-    assert mpmath.im(f.coeff(0)) == 0
+    assert mpmath.im(to_mp(f.coeff(0))) == 0
 
 
 def test_random_series_differ_across_seeds():
     f = random_real_series(seed=0, max_freq=5)
     g = random_real_series(seed=1, max_freq=5)
     assert max_abs_coeff_diff(f, g) > 0
+
+
+# ---------------------------------------------------------------------------
+# bit identity with mpmath at the working precision
+#
+# The coefficients once were mpmath numbers at 140 bits, and reports print
+# them; every operation must give the same mantissa and exponent. The oracle
+# runs at 140 bits, the precision under test, and `_mpc_` tuples compare
+# sign, mantissa, exponent and bit count exactly.
+
+MANTISSA = st.integers(-(1 << PREC) + 1, (1 << PREC) - 1)
+# close exponents make rounding ties common; far ones reach the sticky-bit sum
+EXPONENT = st.one_of(st.integers(-150, -130), st.integers(-600, 200))
+WORK = st.builds(WorkComplex.from_parts, MANTISSA, EXPONENT, MANTISSA, EXPONENT)
+SURD = st.builds(
+    QuadraticSurd,
+    st.integers(-60, 60),
+    st.integers(1, 30),
+    st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 19, 61, 97]),
+    st.integers(1, 40),
+)
+
+
+def mp_phase(t, bits):
+    """The phase as it was computed: cos and sin of 2*pi*t*2**-bits."""
+    arg = 2 * mpmath.mp.pi * mpmath.ldexp(mpmath.mpf(t), -bits)
+    return mpmath.mpc(mpmath.cos(arg), mpmath.sin(arg))
+
+
+def assert_bits(got, want):
+    assert to_mp(got)._mpc_ == mpmath.mpc(want)._mpc_
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.integers(1, (1 << 192) - 1))
+# residues whose correctly rounded cos or sin differs from the ported one
+@example(t=183269814127341280839353737989248260055829441598177103686)
+@example(t=721069625247378937753501259505062410797896599528666169908)
+@example(t=518040960123750238814066036451670649599188285189141283367)
+# the extremes of the range and exact quarter turns, the hardest reductions
+@example(t=1)
+@example(t=(1 << 192) - 1)
+@example(t=1 << 190)
+@example(t=2 << 190)
+@example(t=3 << 190)
+def test_phase_of_residue_matches_mpmath(t):
+    with mpmath.workprec(PREC):
+        assert_bits(phase(t, 192), mp_phase(t, 192))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    quadrant=st.integers(1, 3),
+    scale=st.integers(0, 170),
+    offset=st.integers(1, 1 << 170),
+    below=st.booleans(),
+)
+def test_phase_near_quadrant_ends_matches_mpmath(quadrant, scale, offset, below):
+    # arguments close to k*pi/2 take the reduction's wider cancellation guards
+    offset = 1 + offset % (1 << scale)
+    t = (quadrant << 190) + (-offset if below else offset)
+    with mpmath.workprec(PREC):
+        assert_bits(phase(t, 192), mp_phase(t, 192))
+
+
+@settings(max_examples=120, deadline=None)
+@given(alpha=SURD, n=st.integers(1, _MAX_K), negative=st.booleans())
+def test_unit_phase_matches_mpmath_bit_for_bit(alpha, n, negative):
+    t = FixedPointReducer(alpha, bits=192).frac_fixed(n)
+    with mpmath.workprec(PREC):
+        want = mp_phase(t, 192)
+        if negative:
+            want, n = mpmath.conj(want), -n
+        assert_bits(unit_phase(alpha, n), want)
+
+
+@pytest.mark.parametrize("prec", [150, 170, 190, 230, 310, 340])
+def test_cos_sin_kernel_matches_mpmath_on_every_table_row(prec):
+    # the table is computed here independently of the library's own table
+    from mpmath.libmp.libelefun import cos_sin_basecase
+
+    from coblab.dyadic import _cos_sin_fixed
+
+    step = prec - 8
+    for k in range(403):
+        x = (k << step) + (k * 0x9E3779B97F4A7C15 % (1 << step))
+        if x < (1 << prec) * 1.5707963:
+            assert _cos_sin_fixed(x, prec) == cos_sin_basecase(x, prec)
+
+
+def test_unit_phase_matches_mpmath_for_small_n():
+    red = FixedPointReducer(ALPHA, bits=192)
+    with mpmath.workprec(PREC):
+        for n in range(1, 1500):
+            assert_bits(unit_phase(ALPHA, n), mp_phase(red.frac_fixed(n), 192))
+
+
+# quotients whose numerators, rounded instead of truncated at PREC + 10 bits,
+# round differently at PREC bits
+DIVISION_EXAMPLES = [
+    (
+        (1085755120518394502976681313881009173749011, -144,
+         375552290766736976326725458701415638042807, -139),
+        (37446808791991391813352164464682519359705, -127,
+         -1128538754982438400176565571400690017078731, -148),
+    ),
+    (
+        (118336144147350354148337372310989040382897, -135,
+         -666493651915636509965502235299019068470203, -141),
+        (143102846045625445118626534239776561599077, -148,
+         807828889321388818248311215701249115175687, -132),
+    ),
+    (
+        (-2485507241239440969573870589908474579023, -146,
+         714500216808310259913439307986641940617391, -134),
+        (-99122216131600007093760041132307148571729, -149,
+         339789330764269665881684284522852282299639, -129),
+    ),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=WORK, y=WORK, real=st.floats(allow_nan=False, allow_infinity=False))
+# (2**140 - 1) + 2 lies halfway between two 140-bit numbers: ties go to even
+@example(
+    x=WorkComplex.from_parts((1 << PREC) - 1, 0, 1, 0),
+    y=WorkComplex.from_parts(1, 1, (1 << PREC) - 1, -1),
+    real=0.5,
+)
+def test_arithmetic_matches_mpmath_bit_for_bit(x, y, real):
+    mx, my = to_mp(x), to_mp(y)
+    with mpmath.workprec(PREC):
+        assert_bits(x + y, mx + my)
+        assert_bits(x - y, mx - my)
+        assert_bits(x * y, mx * my)
+        assert_bits(1 - x, 1 - mx)
+        assert_bits(x.conj(), mpmath.conj(mx))
+        scaled = SparseFourierSeries({1: x}).scale(real).coeff(1)
+        assert_bits(scaled, mx * mpmath.mpc(real))
+        if y:
+            assert_bits(x / y, mx / my)
+
+
+@pytest.mark.parametrize("x,y", DIVISION_EXAMPLES)
+def test_division_truncates_its_intermediates_as_mpmath_does(x, y):
+    x, y = WorkComplex.from_parts(*x), WorkComplex.from_parts(*y)
+    with mpmath.workprec(PREC):
+        assert_bits(x / y, to_mp(x) / to_mp(y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.integers(-(10**60), 10**60),
+    den=st.one_of(st.integers(1, 10**60), st.integers(0, 300).map(lambda k: 1 << k)),
+)
+def test_from_fraction_matches_mpmath_bit_for_bit(num, den):
+    value = Fraction(num, den)
+    with mpmath.workprec(PREC):
+        want = mpmath.mpf(value.numerator) / value.denominator
+        assert_bits(WorkComplex.from_fraction(value), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=WORK)
+def test_decimal_strings_match_mpmath_both_ways(x):
+    mx = to_mp(x)
+    re, im = x.to_strings()
+    assert (re, im) == (mpmath.nstr(mx.real, 36), mpmath.nstr(mx.imag, 36))
+    with mpmath.workprec(PREC):
+        assert_bits(WorkComplex(re, im), mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)))

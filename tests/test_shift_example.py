@@ -280,6 +280,26 @@ class TestDivergenceCertificate:
         harmonic = sum(1 / (1 + k) for k in range(1, 501))
         assert abs(float(report.row_sum_lower.mid) - coef * harmonic) < 1e-9
 
+    @pytest.mark.parametrize("p", [Fraction(5, 4), Fraction(4, 3), Fraction(7, 3)])
+    def test_lattice_sum_bound_when_2p_is_not_an_integer(self, p, capsys):
+        # r - 2p < 1: the integral tail and the closed bound carry p/(r - 2p)
+        from coblab.cli import main
+
+        assert main(["shift", "--p", str(p), "--K", "200"]) == 0
+        capsys.readouterr()
+        report = divergence_certificate(p, 200)
+        r = report.bounded_exponent
+        assert report.certificate.verdict and r - 2 * p < 1
+        closed = [e for e in report.certificate.entries if "full lattice" in e.description]
+        hi = report.lr_partial.hi
+        bound = p**r * (1 + p / (r - 2 * p))
+        assert hi <= closed[0].threshold.lo
+        assert bound <= closed[0].threshold.lo <= bound * (1 + Fraction(1, 10**20))
+        with mpmath.workdps(40):
+            mp_p = mpmath.mpf(p.numerator) / p.denominator
+            oracle = mp_p**r * mpmath.zeta(r / mp_p - 1)
+            assert mpmath.mpf(hi.numerator) / hi.denominator >= oracle
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             divergence_certificate(Fraction(1, 2), 100)

@@ -54,7 +54,7 @@ def dist_oracle(x, q):
 
 
 def test_measure_one_atom_per_frequency():
-    f = SparseFourierSeries({1: mpmath.mpf(1), 2: mpmath.mpf("0.5")})
+    f = SparseFourierSeries({1: 1, 2: 0.5})
     m = spectral_measure(f, ALPHA, BETA)
     assert len(m) == 2
     assert [atom.n for atom in m.atoms] == [1, 2]
@@ -67,7 +67,7 @@ def test_measure_total_mass_is_parseval():
 
 
 def test_measure_constant_function():
-    f = SparseFourierSeries({0: mpmath.mpc("0.5", "0.25")})
+    f = SparseFourierSeries({0: 0.5 + 0.25j})
     m = spectral_measure(f, ALPHA, BETA)
     assert len(m) == 1
     atom = m.atoms[0]
@@ -78,7 +78,7 @@ def test_measure_constant_function():
 
 
 def test_measure_divisors_exclude_zero_off_center():
-    f = SparseFourierSeries({5: mpmath.mpf(1), -3: mpmath.mpf(2)})
+    f = SparseFourierSeries({5: 1, -3: 2})
     m = spectral_measure(f, ALPHA, BETA)
     for atom in m.atoms:
         assert atom.div_alpha_sq.lo > 0
@@ -87,7 +87,7 @@ def test_measure_divisors_exclude_zero_off_center():
 
 def test_measure_atom_order_is_by_absolute_frequency():
     f = SparseFourierSeries(
-        {7: mpmath.mpf(1), -2: mpmath.mpf(1), 2: mpmath.mpf(1)}
+        {7: 1, -2: 1, 2: 1}
     )
     m = spectral_measure(f, ALPHA, BETA)
     assert [a.n for a in m.atoms] == [-2, 2, 7]
@@ -109,7 +109,7 @@ def test_coboundary_integral_change_of_variables():
 
 
 def test_coboundary_integral_single_mode_value():
-    f = SparseFourierSeries({1: mpmath.mpf(1)})
+    f = SparseFourierSeries({1: 1})
     m = spectral_measure(f, ALPHA, BETA)
     result = coboundary_integral(m, "alpha")
     with mpmath.workdps(40):
@@ -119,7 +119,7 @@ def test_coboundary_integral_single_mode_value():
 
 
 def test_coboundary_integral_divergent_at_zero_mass():
-    f = SparseFourierSeries({0: mpmath.mpf(2), 3: mpmath.mpf(1)})
+    f = SparseFourierSeries({0: 2, 3: 1})
     m = spectral_measure(f, ALPHA, BETA)
     result = coboundary_integral(m, "alpha")
     assert result.divergent
@@ -127,7 +127,7 @@ def test_coboundary_integral_divergent_at_zero_mass():
 
 
 def test_coboundary_integral_validates_side():
-    m = spectral_measure(SparseFourierSeries({1: mpmath.mpf(1)}), ALPHA, BETA)
+    m = spectral_measure(SparseFourierSeries({1: 1}), ALPHA, BETA)
     with pytest.raises(ConfigError):
         coboundary_integral(m, "gamma")
 
@@ -181,7 +181,7 @@ def test_double_criterion_change_of_variables():
 
 
 def test_double_criterion_flags_zero_atom():
-    m = spectral_measure(SparseFourierSeries({0: mpmath.mpf(1)}), ALPHA, BETA)
+    m = spectral_measure(SparseFourierSeries({0: 1}), ALPHA, BETA)
     assert double_criterion_sum(m).divergent
 
 
@@ -233,7 +233,7 @@ def test_pipeline_double_average_bound(pipeline_atoms):
 
 
 def test_profile_constant_mode():
-    c = SparseFourierSeries({0: mpmath.mpf("0.5")})
+    c = SparseFourierSeries({0: 0.5})
     profile = cesaro_rate_profile(c, ALPHA, BETA, [1, 4, 16])
     for n, per_n, per_n_sq in profile:
         assert abs(per_n - 0.5 * n) < 1e-12
@@ -242,7 +242,7 @@ def test_profile_constant_mode():
 
 def test_profile_single_mode_matches_kernel_product():
     nu = 3
-    f = SparseFourierSeries({nu: mpmath.mpf(1)})
+    f = SparseFourierSeries({nu: 1})
     (row,) = cesaro_rate_profile(f, ALPHA, BETA, [8])
     with mpmath.workdps(40):
         ka = abs(mpmath.fsum(
@@ -266,7 +266,7 @@ def test_profile_coboundary_sum_decays():
 
 
 def test_profile_sorts_and_dedupes():
-    f = SparseFourierSeries({1: mpmath.mpf(1)})
+    f = SparseFourierSeries({1: 1})
     profile = cesaro_rate_profile(f, ALPHA, BETA, [8, 2, 8])
     assert [n for n, _, _ in profile] == [2, 8]
     with pytest.raises(ConfigError):
@@ -302,7 +302,7 @@ def test_variance_guards():
 
 
 def test_criterion_csv_round_trip_columns():
-    f = SparseFourierSeries({1: mpmath.mpf(1), 4: mpmath.mpf("0.5")})
+    f = SparseFourierSeries({1: 1, 4: 0.5})
     m = spectral_measure(f, ALPHA, BETA)
     buf = io.StringIO()
     criterion_to_csv(double_criterion_sum(m), buf)
@@ -315,7 +315,7 @@ def test_criterion_csv_round_trip_columns():
 
 
 def test_profile_csv_shapes():
-    f = SparseFourierSeries({1: mpmath.mpf(1)})
+    f = SparseFourierSeries({1: 1})
     profile = cesaro_rate_profile(f, ALPHA, BETA, [2, 4])
     buf = io.StringIO()
     profile_to_csv(profile, buf, which="n_sq")
