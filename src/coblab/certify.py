@@ -23,7 +23,6 @@ until the requested width is met, up to HARD_CAP_BITS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -40,16 +39,48 @@ GUARD_BITS = 20
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Frozen:
+    """Base of the immutable records that are not NamedTuples.
+
+    Those are the records that validate in __init__ or define operators a
+    tuple already has (+, *, in, len). The fields are the subclass's
+    __slots__, each set once with object.__setattr__; == and hash compare
+    them in order, and the repr is Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        pairs = zip(self.__slots__, self._values())
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+
+class Enclosure(Frozen):
     """A closed rational interval [lo, hi] certified to contain a value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure: {self.lo} > {self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty enclosure: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def point(cls, value: Rational) -> "Enclosure":

@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
-from dataclasses import dataclass, fields
-from fractions import Fraction
-from typing import Callable, Optional
+from collections import namedtuple
 
 # The package registers its submodules lazily; calling them by qualified name
 # means each subcommand executes only the modules it uses.
@@ -68,36 +65,48 @@ _DEFAULT_BETA = "(-1+1*sqrt(3))/1"
 _RATIONAL_FIELDS = ("delta", "gamma", "p", "ratio", "budget", "tol")
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs, in JSON-friendly primitives.
 
     Rational-valued knobs are held as canonical fraction strings ("3/5"),
     so a config survives any number of serialization round trips unchanged
-    and two equal configs render byte-identical reports.
+    and two equal configs render byte-identical reports. The record methods
+    repeat certify.Frozen's, which --help must not load.
     """
 
-    subcommand: str
-    action: Optional[str] = None
-    alpha: str = _DEFAULT_ALPHA
-    beta: str = _DEFAULT_BETA
-    Q: int = 10000
-    K: int = 10
-    N: int = 64
-    depth: int = 30
-    delta: str = "3/5"
-    gamma: str = "2"
-    p: str = "2"
-    ratio: str = "2"
-    budget: str = "2"
-    tol: str = "1/1000000000000"
-    out: Optional[str] = None
-    format: str = "text"
-    seed: int = 0
-    threads: int = 1
-    doubling_tripling: bool = False
+    __slots__ = (
+        "subcommand", "action", "alpha", "beta", "Q", "K", "N", "depth",
+        "delta", "gamma", "p", "ratio", "budget", "tol", "out", "format",
+        "seed", "threads", "doubling_tripling",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        subcommand: str,
+        action: str | None = None,
+        alpha: str = _DEFAULT_ALPHA,
+        beta: str = _DEFAULT_BETA,
+        Q: int = 10000,
+        K: int = 10,
+        N: int = 64,
+        depth: int = 30,
+        delta: str = "3/5",
+        gamma: str = "2",
+        p: str = "2",
+        ratio: str = "2",
+        budget: str = "2",
+        tol: str = "1/1000000000000",
+        out: str | None = None,
+        format: str = "text",
+        seed: int = 0,
+        threads: int = 1,
+        doubling_tripling: bool = False,
+    ):
+        from fractions import Fraction
+
+        given = locals()
+        for name in self.__slots__:
+            object.__setattr__(self, name, given[name])
         if self.subcommand not in _ACTIONS:
             raise ConfigError(f"unknown subcommand {self.subcommand!r}")
         allowed = _ACTIONS[self.subcommand]
@@ -140,18 +149,36 @@ class ExperimentConfig:
         if self.rational("budget") <= 0:
             raise ConfigError("--budget must be positive")
 
-    def rational(self, name: str) -> Fraction:
+    def __setattr__(self, name, value=None):
+        raise AttributeError("ExperimentConfig is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not ExperimentConfig:
+            return NotImplemented
+        return self.to_json_dict() == other.to_json_dict()
+
+    def __hash__(self):
+        return hash(tuple(self.to_json_dict().values()))
+
+    def __repr__(self):
+        pairs = self.to_json_dict().items()
+        return f"ExperimentConfig({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def rational(self, name: str):
+        from fractions import Fraction
+
         if name not in _RATIONAL_FIELDS:
             raise ConfigError(f"{name} is not a rational-valued field")
         return Fraction(getattr(self, name))
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
+        unknown = set(payload) - set(cls.__slots__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "subcommand" not in payload:
@@ -163,13 +190,10 @@ class ExperimentConfig:
 # report assembly
 
 
-@dataclass
-class _Body:
-    """What a handler produces before formatting: data, prose, series."""
-
-    data: dict
-    text: list
-    csv_write: Optional[Callable] = None
+# What a handler produces before formatting: data, prose, and the series
+# writer, None when the subcommand has no CSV form. A collections namedtuple,
+# so that --help loads no typing.
+_Body = namedtuple("_Body", ("data", "text", "csv_write"), defaults=(None,))
 
 
 def _precision_policy() -> dict:
@@ -181,6 +205,8 @@ def _precision_policy() -> dict:
 
 
 def _config_json(config: ExperimentConfig) -> str:
+    import json
+
     return json.dumps(config.to_json_dict(), sort_keys=True)
 
 
@@ -197,6 +223,8 @@ def _header_lines(config: ExperimentConfig) -> list:
 
 
 def _render(config: ExperimentConfig, body: _Body) -> str:
+    import json
+
     if config.format == "json":
         envelope = {
             "schema": _SCHEMA,
@@ -654,6 +682,8 @@ def run(config: ExperimentConfig, stream=None) -> int:
 
 
 def _error_report(kind: str, exc: Exception) -> None:
+    import json
+
     payload = {
         "schema": _SCHEMA,
         "version": __version__,

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .certify import (
     Enclosure,
@@ -71,8 +70,7 @@ _BITS = 192
 _DIST_CAP = 1 << 14
 
 
-@dataclass(frozen=True)
-class PartialSum:
+class PartialSum(NamedTuple):
     """A certified partial sum with its per-term ledger."""
 
     value: Enclosure
@@ -115,8 +113,7 @@ def _double_coefficient_magnitude(dist_b: Enclosure) -> Enclosure:
 # construction results
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     """A truncated construction with its inputs, solution, and certificates.
 
     tail_bound is the certified value of the geometric tail model

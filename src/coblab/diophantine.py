@@ -13,9 +13,8 @@ and range are stated and enforced in _proven_at_least_power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .certify import (
     Enclosure,
@@ -36,8 +35,7 @@ _FP_ONE = 1 << _FP_BITS
 _FP_HALF = _FP_ONE >> 1
 
 
-@dataclass(frozen=True)
-class ApproximationRecord:
+class ApproximationRecord(NamedTuple):
     """One simultaneous approximation denominator with certified intervals.
 
     quality encloses sqrt(q) * max(||q*alpha||, ||q*beta||) and sits strictly
@@ -50,8 +48,7 @@ class ApproximationRecord:
     quality: Enclosure
 
 
-@dataclass(frozen=True)
-class Dependence:
+class Dependence(NamedTuple):
     """An exact integer relation m*alpha + n*beta + p = 0."""
 
     m: int
@@ -60,8 +57,7 @@ class Dependence:
     gcd_mn: int
 
 
-@dataclass(frozen=True)
-class BadnessProfile:
+class BadnessProfile(NamedTuple):
     """Partial-quotient and q*||q*x|| evidence for badly approximable x."""
 
     max_partial_quotient: int

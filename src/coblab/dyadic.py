@@ -15,8 +15,8 @@ mantissa and exponent, and so every report, stays the same:
   to PREC + 10 bits before the two rounded divisions (`__truediv__`);
 - `from_fraction` rounds the numerator to PREC bits, then the quotient.
 
-Decimal strings are read with one rounding and written with DIGITS = 36
-significant digits by the same rules as that library (`to_strings`).
+Decimal strings are written with DIGITS = 36 significant digits by the same
+rules as that library (`to_strings`).
 
 `phase(t, bits)` is e(t * 2**-bits) = exp(2*pi*i * t * 2**-bits) for a
 residue 0 < t < 2**bits: the argument is 2*pi rounded to PREC bits times t
@@ -114,7 +114,7 @@ def _div(m1: int, e1: int, m2: int, e2: int, prec: int = PREC) -> tuple[int, int
 
 
 def _real_parts(value, exact: bool = False) -> tuple[int, int]:
-    """A real int, float or decimal string as (mantissa, exponent), rounded.
+    """A real int or float as (mantissa, exponent), rounded.
 
     With exact set, an int keeps all its bits.
     """
@@ -125,26 +125,7 @@ def _real_parts(value, exact: bool = False) -> tuple[int, int]:
             raise ValueError(f"coefficient parts must be finite, got {value!r}")
         num, den = value.as_integer_ratio()
         return _round(num, 1 - den.bit_length())
-    if isinstance(value, str) and not exact:
-        return _parse_decimal(value)
     raise TypeError(f"cannot make a coefficient part from {type(value).__name__}")
-
-
-def _parse_decimal(text: str) -> tuple[int, int]:
-    """A decimal literal rounded once to PREC bits."""
-    text = text.lower().strip()
-    float(text)  # the literal syntax of Python floats
-    mantissa, _, exponent = text.partition("e")
-    exp = int(exponent) if exponent else 0
-    whole, _, fraction = mantissa.partition(".")
-    fraction = fraction.rstrip("0")
-    exp -= len(fraction)
-    man = int(whole + fraction)
-    if abs(exp) > 400:
-        raise ValueError(f"decimal exponent out of range in {text!r}")
-    if exp >= 0:
-        return _round(man * 10**exp, 0)
-    return _div(man, 0, 10**-exp, 0)
 
 
 def _to_str(man: int, exp: int, dps: int) -> str:
@@ -198,7 +179,7 @@ def _to_str(man: int, exp: int, dps: int) -> str:
 class WorkComplex:
     """An immutable complex number at PREC bits; see the module docstring.
 
-    WorkComplex(re, im) takes ints, floats or decimal strings for the parts;
+    WorkComplex(re, im) takes ints or floats for the parts;
     WorkComplex(z) also takes a Python complex or a WorkComplex. Every part
     is rounded to nearest at PREC bits, so floats are kept exactly.
     """

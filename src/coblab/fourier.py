@@ -22,7 +22,8 @@ serves both signs of nu and every series with those magnitudes: at most 8192
 rows of about 0.25 KB plus 32 bytes per magnitude (4 MB for ten). Each series
 memoises its float masses |f_hat(nu)|**2 and the row position of each |nu|,
 and sums in storage order, so every value equals the term-by-term evaluation
-exactly. A rational x or an n*|nu| past the reducer's range is refused first.
+exactly. A rational x or an n*|nu| past the reducer's range is refused before
+a row is built, and a refused call stores nothing.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .certify import Enclosure, sin_pi_enclosure, sqrt_enclosure
 from .dyadic import ONE, ZERO, WorkComplex, phase, to_fraction
@@ -68,8 +68,19 @@ def _residue_table(alpha: QuadraticSurd, mags: tuple[int, ...]) -> tuple:
 
 
 @lru_cache(maxsize=1 << 13)  # memory per row: see the module docstring
-def _kernel_row(alpha: QuadraticSurd, mags: tuple[int, ...], n: int) -> tuple:
-    """D(n, k*alpha)**2 per magnitude k of mags, with D(n, 0)**2 = n**2."""
+def _kernel_row(
+    alpha: QuadraticSurd, label: str, mags: tuple[int, ...], n: int
+) -> tuple:
+    """D(n, k*alpha)**2 per magnitude k of mags, with D(n, 0)**2 = n**2.
+
+    Refuses a rational alpha (named label in the error) or an n*max(mags)
+    past the exact-reduction range. A refused call stores no row and so
+    raises on every call; a stored row needs no check.
+    """
+    alpha.require_irrational(label)
+    reach = n * mags[-1] if mags else 0
+    if reach > _MAX_K:
+        raise ValueError(f"n*|nu| = {reach} exceeds the exact-reduction range {_MAX_K}")
     row, sin = [], math.sin
     for entry in _residue_table(alpha, mags):
         q = float(n)  # D(n, 0)
@@ -185,18 +196,14 @@ class SparseFourierSeries:
         return math.sqrt(float(self.l2_norm_sq_exact()))
 
     def _float_masses(self) -> tuple:
-        """(|f_hat|**2 floats, sorted distinct |nu|, row index per nu, max |nu|)."""
+        """(|f_hat|**2 floats, sorted distinct |nu|, row index per nu)."""
         if self._masses is None:
             weights = tuple(abs(complex(c)) ** 2 for c in self._coeffs.values())
             mags = tuple(sorted({abs(nu) for nu in self._coeffs}))
             slot = {k: i for i, k in enumerate(mags)}
             index = tuple(slot[abs(nu)] for nu in self._coeffs)
-            top = mags[-1] if mags else 0
-            object.__setattr__(self, "_masses", (weights, mags, index, top))
+            object.__setattr__(self, "_masses", (weights, mags, index))
         return self._masses
-
-    def l1_norm(self) -> float:
-        return math.fsum(abs(complex(c)) for c in self._coeffs.values())
 
     # -- serialization -------------------------------------------------------------
 
@@ -204,15 +211,6 @@ class SparseFourierSeries:
         writer = csv.writer(fileobj)
         writer.writerow(["n", "re", "im"])
         writer.writerows(self.to_json_dict()["coefficients"])
-
-    @classmethod
-    def from_csv(cls, fileobj, real_valued: bool = False) -> "SparseFourierSeries":
-        reader = csv.reader(fileobj)
-        header = next(reader)
-        if header[:3] != ["n", "re", "im"]:
-            raise ValueError(f"unexpected series header {header}")
-        rows = [row[:3] for row in reader if row]
-        return cls.from_json_dict({"coefficients": rows, "real_valued": real_valued})
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,20 +221,8 @@ class SparseFourierSeries:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "SparseFourierSeries":
-        data = {
-            int(n): WorkComplex(re, im) for n, re, im in payload["coefficients"]
-        }
-        return cls(data, bool(payload.get("real_valued", False)))
 
-    @classmethod
-    def from_json(cls, text: str) -> "SparseFourierSeries":
-        return cls.from_json_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class SmallDivisorEntry:
+class SmallDivisorEntry(NamedTuple):
     """Certified data for one frequency of a coboundary solve."""
 
     n: int
@@ -244,8 +230,7 @@ class SmallDivisorEntry:
     magnitude: Enclosure  # |solution coefficient|
 
 
-@dataclass(frozen=True)
-class SmallDivisorReport:
+class SmallDivisorReport(NamedTuple):
     entries: tuple[SmallDivisorEntry, ...]
     contains_zero: bool
 
@@ -383,13 +368,6 @@ def double_solve(
 # ergodic sums
 
 
-def _check_length(alpha: QuadraticSurd, label: str, top: int, n: int) -> None:
-    """Refuse a rational rotation, or n*max|nu| past the exact-reduction range."""
-    alpha.require_irrational(label)
-    if n * top > _MAX_K:
-        raise ValueError(f"n*|nu| = {n * top} exceeds the exact-reduction range {_MAX_K}")
-
-
 def double_ergodic_sum_norm(
     f: SparseFourierSeries,
     alpha: QuadraticSurd,
@@ -404,11 +382,9 @@ def double_ergodic_sum_norm(
     """
     if n < 1 or m < 1:
         raise ValueError("sum lengths must be positive")
-    weights, mags, index, top = f._float_masses()
-    _check_length(alpha, "alpha", top, n)
-    _check_length(beta, "beta", top, m)
-    d_a = _kernel_row(alpha, mags, n)
-    d_b = _kernel_row(beta, mags, m)
+    weights, mags, index = f._float_masses()
+    d_a = _kernel_row(alpha, "alpha", mags, n)
+    d_b = _kernel_row(beta, "beta", mags, m)
     total = 0.0
     for w, i in zip(weights, index):
         total += w * d_a[i] * d_b[i]
@@ -419,9 +395,8 @@ def browder_sum_norm(f: SparseFourierSeries, alpha: QuadraticSurd, n: int) -> fl
     """L2 norm of sum_{k<n} T_alpha^k f, the one-rotation ergodic sum."""
     if n < 1:
         raise ValueError("sum length must be positive")
-    weights, mags, index, top = f._float_masses()
-    _check_length(alpha, "alpha", top, n)
-    d_a = _kernel_row(alpha, mags, n)
+    weights, mags, index = f._float_masses()
+    d_a = _kernel_row(alpha, "alpha", mags, n)
     total = 0.0
     for w, i in zip(weights, index):
         total += w * d_a[i]

@@ -9,12 +9,11 @@ the value it stands for.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .certify import Enclosure
+from .certify import Enclosure, Frozen
 from .errors import CertificationError
 
 CERTIFICATE_KINDS = (
@@ -64,8 +63,7 @@ def write_rows(fileobj, header: list, rows: Iterable) -> None:
 # certificates
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
+class CertificateEntry(Frozen):
     """One certified comparison: value <op> threshold, or an annotation.
 
     Comparisons hold only when the whole value interval sits on the required
@@ -74,19 +72,26 @@ class CertificateEntry:
     evidence that is finite-depth rather than analytic.
     """
 
-    description: str
-    value: Enclosure
-    comparison: str = "info"
-    threshold: Optional[Enclosure] = None
+    __slots__ = ("description", "value", "comparison", "threshold")
 
-    def __post_init__(self):
-        if self.comparison not in ("<=", "<", ">=", ">", "info", "assumption"):
-            raise ValueError(f"unknown comparison {self.comparison!r}")
-        if self.comparison in ("info", "assumption"):
-            if self.threshold is not None:
+    def __init__(
+        self,
+        description: str,
+        value: Enclosure,
+        comparison: str = "info",
+        threshold: Optional[Enclosure] = None,
+    ):
+        if comparison not in ("<=", "<", ">=", ">", "info", "assumption"):
+            raise ValueError(f"unknown comparison {comparison!r}")
+        if comparison in ("info", "assumption"):
+            if threshold is not None:
                 raise ValueError("annotations take no threshold")
-        elif self.threshold is None:
-            raise ValueError(f"comparison {self.comparison!r} needs a threshold")
+        elif threshold is None:
+            raise ValueError(f"comparison {comparison!r} needs a threshold")
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "comparison", comparison)
+        object.__setattr__(self, "threshold", threshold)
 
     @property
     def satisfied(self) -> bool:
@@ -123,16 +128,16 @@ class CertificateEntry:
         return payload
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """A named chain of certified comparisons with an overall verdict."""
 
-    kind: str
-    entries: tuple[CertificateEntry, ...]
+    __slots__ = ("kind", "entries")
 
-    def __post_init__(self):
-        if self.kind not in CERTIFICATE_KINDS:
-            raise ValueError(f"unknown certificate kind {self.kind!r}")
+    def __init__(self, kind: str, entries: tuple[CertificateEntry, ...]):
+        if kind not in CERTIFICATE_KINDS:
+            raise ValueError(f"unknown certificate kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def verdict(self) -> bool:

@@ -18,14 +18,13 @@ from below by a quantity that grows without bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import log
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .certify import (
-    Enclosure, _from_fixed, _to_fixed, log_enclosure, pow_enclosure, separate,
-    sqrt_enclosure,
+    Enclosure, Frozen, _from_fixed, _to_fixed, log_enclosure, pow_enclosure,
+    separate, sqrt_enclosure,
 )
 from .errors import ConfigError
 from .report import Certificate, CertificateEntry, endpoints, require, write_rows
@@ -86,8 +85,7 @@ def _logpower_grid(s: int, m: int, num: int) -> tuple[int, int]:
     return (num * a << _GRID) // b, -((-num * c << _GRID) // d)
 
 
-@dataclass(frozen=True)
-class LatticeFunction:
+class LatticeFunction(Frozen):
     """A positive function on the lattice that depends only on s = j + k.
 
     kind "power" means value s**(-exponent); kind "logpower" means
@@ -95,15 +93,16 @@ class LatticeFunction:
     lands inside l_1.
     """
 
-    kind: str
-    p: Fraction
-    exponent: Fraction
+    __slots__ = ("kind", "p", "exponent")
 
-    def __post_init__(self):
-        if self.kind not in ("power", "logpower"):
-            raise ConfigError(f"unknown lattice function kind {self.kind!r}")
-        if self.kind == "power" and self.exponent <= 1:
+    def __init__(self, kind: str, p: Fraction, exponent: Fraction):
+        if kind not in ("power", "logpower"):
+            raise ConfigError(f"unknown lattice function kind {kind!r}")
+        if kind == "power" and exponent <= 1:
             raise ConfigError("power kind needs an exponent above 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "exponent", exponent)
 
     def diagonal_value(self, s: int, bits: int = _TERM_BITS) -> Enclosure:
         return _diag_power(self, s, Fraction(1), bits)
@@ -150,8 +149,7 @@ def build_h(p: Rational) -> LatticeFunction:
 # l_p norms: exact diagonal partial sums plus integral tails
 
 
-@dataclass(frozen=True)
-class LatticeSum:
+class LatticeSum(NamedTuple):
     """A certified bracket for an infinite lattice sum.
 
     partial covers every complete diagonal s <= diagonals; tail is an
@@ -243,8 +241,7 @@ def _logpower_partial(S: int, m: int) -> Enclosure:
 # the formal solution q and its certified brackets
 
 
-@dataclass(frozen=True)
-class ShiftGrid:
+class ShiftGrid(NamedTuple):
     """Certified values of q = sum_{n>=0} V^n h on a J x K box.
 
     q inherits the diagonal structure of h, so one enclosure per diagonal
@@ -402,8 +399,7 @@ def shift_grid_to_csv(grid: ShiftGrid, fileobj) -> None:
 # the divergence certificate
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Both halves of the dichotomy for the formal solution q.
 
     row_sum_lower bounds sum_{k<=K} q(1,k)**p from below; for p > 1 it

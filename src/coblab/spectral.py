@@ -16,12 +16,11 @@ each atom contributes at least an analytic floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import fourier
-from .certify import Enclosure
+from .certify import Enclosure, Frozen
 from .errors import CertificationError, ConfigError
 from .report import endpoints, write_rows
 from .surd import QuadraticSurd
@@ -30,8 +29,7 @@ from .surd import QuadraticSurd
 _VARIANCE_CAP = 256
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """One spectral atom: frequency, exact mass, certified divisor squares."""
 
     n: int
@@ -40,8 +38,7 @@ class Atom:
     div_beta_sq: Enclosure
 
 
-@dataclass(frozen=True)
-class AtomicSpectralMeasure:
+class AtomicSpectralMeasure(Frozen):
     """Spectral measure of a trigonometric polynomial under a rotation pair.
 
     Atoms are kept sorted by (|n|, n) so that every reduction over them is
@@ -49,9 +46,12 @@ class AtomicSpectralMeasure:
     on the finite support).
     """
 
-    alpha: QuadraticSurd
-    beta: QuadraticSurd
-    atoms: tuple[Atom, ...]
+    __slots__ = ("alpha", "beta", "atoms")
+
+    def __init__(self, alpha: QuadraticSurd, beta: QuadraticSurd, atoms: tuple[Atom, ...]):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "atoms", atoms)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -66,8 +66,7 @@ class AtomicSpectralMeasure:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class CriterionSum:
+class CriterionSum(NamedTuple):
     """A certified partial criterion sum with its per-atom ledger.
 
     divergent marks a nonzero mass at frequency 0, where the integrand has

@@ -392,15 +392,19 @@ class TestMain:
         assert done.returncode == 0, done.stderr
 
     # Every subcommand, then a Fourier build outside the CLI; run with a
-    # redirected stdout, so the reports stay out of the pipe.
+    # redirected stdout, so the reports stay out of the pipe. Neither mpmath
+    # (a test extra) nor dataclasses (its start-up cost) is ever loaded, and
+    # --help loads no json or fractions either.
     NO_MPMATH_SCRIPT = (
         "import contextlib, io, sys\n"
         "from coblab.cli import main\n"
+        "def absent(*names):\n"
+        "    return not any(name in sys.modules for name in names)\n"
         "try:\n"
         "    main(['--help'])\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0\n"
-        "assert 'mpmath' not in sys.modules, '--help'\n"
+        "assert absent('mpmath', 'dataclasses', 'json', 'fractions'), '--help'\n"
         "for argv in (['approx', 'dirichlet', '--Q', '1000'],\n"
         "             ['approx', 'squares', '--N', '1000'],\n"
         "             ['shift', '--p', '1', '--K', '100'],\n"
@@ -412,13 +416,13 @@ class TestMain:
         "             ['selftest']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "    assert 'mpmath' not in sys.modules, argv\n"
+        "    assert absent('mpmath', 'dataclasses'), argv\n"
         "from coblab import fourier\n"
         "from coblab.surd import parse_surd\n"
         "base = fourier.random_real_series(0, 10)\n"
         "alpha = parse_surd('(-1+1*sqrt(2))/1')\n"
         "fourier.apply_difference(base, alpha).to_json()\n"
-        "assert 'mpmath' not in sys.modules, 'apply_difference'\n"
+        "assert absent('mpmath', 'dataclasses'), 'apply_difference'\n"
     )
 
     def test_scans_and_shift_never_import_mpmath(self):

@@ -6,7 +6,6 @@ Parseval masses), 40-digit mpmath recomputations of single-atom integrands,
 and literal Dirichlet-kernel products for the one-mode rate profile.
 """
 
-import dataclasses
 import io
 import math
 from fractions import Fraction
@@ -155,7 +154,7 @@ def test_joint_criterion_rejects_sides_that_drift_apart(monkeypatch):
     def shifted(measure, which):
         side = honest(measure, which)
         if which == "beta":  # far below a float midpoint test, far above the widths
-            side = dataclasses.replace(side, value=side.value + Fraction(1, 10**20))
+            side = side._replace(value=side.value + Fraction(1, 10**20))
         return side
 
     monkeypatch.setattr(spectral, "coboundary_integral", shifted)
