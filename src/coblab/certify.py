@@ -168,7 +168,7 @@ class Enclosure(Frozen):
         Keeps denominators bounded at the cost of at most 2**-bits of extra
         width per endpoint; used to stop exact Fractions from snowballing.
         """
-        return _from_fixed(*_to_fixed(self, bits), bits)
+        return from_fixed(*to_fixed(self, bits), bits)
 
 
 # Fixed point: an int n stands for n * 2**-p. Lower bounds are rounded down
@@ -195,11 +195,15 @@ def _alternate(lo: int, hi: int, k: int, a_lo: int, a_hi: int) -> tuple[int, int
     return lo - a_hi, hi - a_lo
 
 
-def _from_fixed(lo: int, hi: int, p: int) -> Enclosure:
+def from_fixed(lo: int, hi: int, p: int) -> Enclosure:
+    """The enclosure [lo, hi] * 2**-p of a fixed-point bracket."""
     return Enclosure(Fraction(lo, 1 << p), Fraction(hi, 1 << p))
 
 
-def _to_fixed(x: Enclosure, p: int) -> tuple[int, int]:
+_from_fixed = from_fixed  # the name the series-kernel tests import
+
+
+def to_fixed(x: Enclosure, p: int) -> tuple[int, int]:
     """Floor of x.lo and ceiling of x.hi, times 2**p."""
     lo, hi = x.lo, x.hi
     return (lo.numerator << p) // lo.denominator, -(
@@ -292,7 +296,7 @@ def _arctan_inv(m: int, bits: int) -> Enclosure:
         a_lo, a_hi = pw_lo // (2 * k + 1), -(-pw_hi // (2 * k + 1))
         if a_hi < 1 << GUARD_BITS:
             # term < 2**-(bits+8): the tail lies between 0 and (-1)**k * term
-            return _from_fixed(*_alternate(lo, hi, k, 0, a_hi), p)
+            return from_fixed(*_alternate(lo, hi, k, 0, a_hi), p)
         lo, hi = _alternate(lo, hi, k, a_lo, a_hi)
         pw_lo, pw_hi = pw_lo // m2, -(-pw_hi // m2)
         k += 1
@@ -326,7 +330,7 @@ def _sin_taylor(t: Fraction, bits: int) -> Enclosure:
     while True:
         if a_hi < 1 << GUARD_BITS:
             # term < 2**-(bits+8): the tail lies between 0 and (-1)**k * term
-            return _from_fixed(*_alternate(lo, hi, k, 0, a_hi), p).rounded(bits + 4)
+            return from_fixed(*_alternate(lo, hi, k, 0, a_hi), p).rounded(bits + 4)
         lo, hi = _alternate(lo, hi, k, a_lo, a_hi)
         k += 1
         # terms strictly decrease for t <= 2 since (2k)(2k+1) >= 6 > t*t
@@ -436,13 +440,13 @@ def log_enclosure(y: Rational, bits: int) -> Enclosure:
     q = Fraction(y)
     if q <= 0:
         raise ValueError("log of a nonpositive rational")
-    return _from_fixed(*_log_fixed(q.numerator, q.denominator, bits), bits + 2)
+    return from_fixed(*_log_fixed(q.numerator, q.denominator, bits), bits + 2)
 
 
 def exp_enclosure(u: Rational, bits: int) -> Enclosure:
     """Enclosure of exp(u) for rational u via Taylor plus scaled squaring."""
     q = Fraction(u)
-    return _from_fixed(*_exp_fixed(q.numerator, q.denominator, bits), bits + 2)
+    return from_fixed(*_exp_fixed(q.numerator, q.denominator, bits), bits + 2)
 
 
 def pow_enclosure(base: Rational, exponent: Rational, bits: int) -> Enclosure:
@@ -460,4 +464,4 @@ def pow_enclosure(base: Rational, exponent: Rational, bits: int) -> Enclosure:
     den = expo.denominator << (bits + 10)
     lo = _exp_fixed(ln_lo * expo.numerator, den, bits + 4)[0]
     hi = _exp_fixed(ln_hi * expo.numerator, den, bits + 4)[1]
-    return _from_fixed(lo, hi, bits + 6)
+    return from_fixed(lo, hi, bits + 6)

@@ -44,11 +44,12 @@ from .certify import (
 )
 from .diophantine import (
     ApproximationRecord,
+    approximation_record,
     bad_pair_constant,
     convergents,
-    dirichlet_pair_search,
+    dirichlet_denominators,
     dyadic_blocks,
-    select_summable_lacunary,
+    lacunary_denominators,
     small_multiples,
 )
 from .dyadic import ZERO, WorkComplex
@@ -62,7 +63,7 @@ from .fourier import (
     unit_phase,
 )
 from .report import Certificate, CertificateEntry, decimal_str, enclosure_json, require
-from .surd import FixedPointReducer, QuadraticSurd
+from .surd import QuadraticSurd, fixed_point_reducer
 
 Rational = Union[int, float, Fraction]
 
@@ -284,24 +285,25 @@ def build_joint_not_double(
     """The flagship construction: K Dirichlet frequencies, f, g, certificates.
 
     Candidate denominators come from the certified simultaneous search up to
-    Q; the greedy lacunary selection keeps sum q**-1/2 within the budget. If
+    Q; the greedy lacunary selection keeps sum q**-1/2 within the budget, and
+    only the K chosen get their certified approximation records. If
     the default budget yields fewer than K terms it is doubled (the budget
     only gates selection; certificates always bound the realized sums), and
     each escalation is recorded in the result notes.
     """
     if K < 2:
         raise ConfigError("need at least two construction terms")
-    records = dirichlet_pair_search(alpha, beta, Q)
-    if len(records) < K:
+    qs = dirichlet_denominators(alpha, beta, Q)
+    if len(qs) < K:
         raise ShortfallError(
-            f"only {len(records)} simultaneous Dirichlet denominators up to"
+            f"only {len(qs)} simultaneous Dirichlet denominators up to"
             f" {Q}, need {K}"
         )
     budget_f = Fraction(budget)
     notes: list[str] = []
     while True:
         try:
-            selected = select_summable_lacunary(records, ratio, budget_f)
+            selected = lacunary_denominators(qs, ratio, budget_f)
         except ShortfallError:
             selected = []
         if len(selected) >= K:
@@ -313,9 +315,8 @@ def build_joint_not_double(
             )
         budget_f *= 2
         notes.append(f"summability budget escalated to {budget_f}")
-    return _assemble_joint_not_double(
-        alpha, beta, selected[:K], tuple(notes)
-    )
+    chosen = [approximation_record(alpha, beta, q) for q in selected[:K]]
+    return _assemble_joint_not_double(alpha, beta, chosen, tuple(notes))
 
 
 def refine_lacunary(result: ConstructionResult, ratio: Rational) -> ConstructionResult:
@@ -548,7 +549,7 @@ def _select_family_frequencies(
     and the band.
     """
     one = 1 << 192
-    alpha_red = FixedPointReducer(alpha, 192)
+    alpha_red = fixed_point_reducer(alpha, 192)
     # sqrt(q)*m*2**-192 < C/2 when q*m*m < lo_edge, > 2C when q*m*m > hi_edge
     lo_edge = math.floor(C * C * one * one / 4)
     hi_edge = math.ceil(4 * C * C * one * one)

@@ -4,8 +4,13 @@ The central search asks for denominators q that approximate two rotation
 numbers simultaneously: max(||q*alpha||, ||q*beta||) < q**(-1/2), the
 two-dimensional pigeonhole guarantee evaluated here by exact arithmetic.
 The rotation scans enumerate candidates exactly and in O(sqrt(Q)) steps with
-small_multiples, an integer walk, and settle each one exactly or by certified
-comparison. The square scan steps n^2*beta in the same 192-bit fixed point and
+small_multiples, an integer walk that carries the 192-bit residues s of q*x
+for both rotations at once; |s| is within 2q ulps of ||q*x||*2**192. The
+simultaneous search settles q*||q*x||**2 < 1 in that fixed point where the
+bound decides it: q*(|s| + 2q)**2 < 2**384 proves it, and |s| > 2q with
+q*(|s| - 2q)**2 >= 2**384 refutes it. Only inside the band between does the
+exact surd sign run; the badness scan settles by certified comparison. The
+square scan steps n^2*beta in the same 192-bit fixed point and
 screens each n with an integer window and one float compare whose error bound
 and range are stated and enforced in _proven_at_least_power.
 """
@@ -26,13 +31,14 @@ from .certify import (
 )
 from .errors import ConfigError, PrecisionCapError, ShortfallError
 from .report import endpoints, write_rows
-from .surd import FixedPointReducer, QuadraticSurd
+from .surd import QuadraticSurd, fixed_point_reducer
 
 Rational = Union[int, float, Fraction]
 
 _FP_BITS = 192
 _FP_ONE = 1 << _FP_BITS
 _FP_HALF = _FP_ONE >> 1
+_FP_ONE_SQ = _FP_ONE * _FP_ONE
 
 
 class ApproximationRecord(NamedTuple):
@@ -179,7 +185,8 @@ def badness_profile(x: QuadraticSurd, depth: int) -> BadnessProfile:
 # exact enumeration of small multiples
 
 
-# the walks cost O(sqrt(n_max)) steps: about 8 s at 10**12, so about 25 s here
+# the walks cost O(sqrt(n_max)) steps: `approx dirichlet` takes about 1.4 s
+# at 10**12 and 4 s at this cap (2 cores, CPython 3.11)
 _SCAN_CAP = 10**13
 
 
@@ -188,7 +195,7 @@ def _rotation_step(x: QuadraticSurd, n_max: int) -> int:
     within 2n ulps and is nonzero for 0 < n < 2**192. n_max past the
     reducer's proven range (2**112), or past the practical cap 10**13 on the
     walks' running time, raises ConfigError."""
-    red = FixedPointReducer(x, _FP_BITS)
+    red = fixed_point_reducer(x, _FP_BITS)
     if n_max > red.max_k:
         raise ConfigError(
             f"scan bound {n_max} exceeds the fixed-point range {red.max_k}"
@@ -225,39 +232,94 @@ def _first_returns(X: int, L: int, cap: int) -> tuple[int, int, int, int]:
 
 
 def small_multiples(
-    x: QuadraticSurd, lo: int, hi: int, eps: Rational
-) -> Iterator[tuple[int, int]]:
+    x: QuadraticSurd,
+    lo: int,
+    hi: int,
+    eps: Rational,
+    y: Optional[QuadraticSurd] = None,
+    y_eps: Optional[Rational] = None,
+) -> Iterator[tuple]:
     """(q, s) for every q in [lo, hi) with ||q*x|| < eps, in increasing q.
 
     s is the signed residue of q*X, the step of _rotation_step, so abs(s) is
     within 2q ulps of ||q*x||*2**192. The window is widened by 2*hi ulps: a
-    few extra q may appear (every q if eps >~ 1/4), none is missed. Each hit
-    follows the last after a, b or a+b steps (the three-gap theorem; Slater
-    1967), so the walk costs O(1) per hit, counting the hits below lo.
+    few extra q may appear (every q if eps >~ 1/4), none is missed. The walk
+    enters the block at its first hit, found by _first_entry in O(log) steps,
+    and each later hit follows the last after a, b or a+b steps (the
+    three-gap theorem; Slater 1967), so the walk costs O(1) per hit.
+
+    Given a second rotation y, the walk carries the residue of q*Y, Y the step
+    of y, by one add per step, and yields (q, s, u) only for the hits whose
+    signed residue u of q*Y lies in the window of y_eps (default eps), widened
+    the same way: every q with both distances below their eps is yielded.
     """
     x.require_irrational("x")
     eps_f = _as_fraction(eps, "eps")
-    if lo < 1 or eps_f <= 0:
+    y_eps_f = eps_f if y_eps is None else _as_fraction(y_eps, "y_eps")
+    if lo < 1 or eps_f <= 0 or y_eps_f <= 0:
         raise ConfigError(f"need lo >= 1 and eps > 0, got lo={lo}, eps={eps}")
-    X = _rotation_step(x, hi - 1)
     E = math.ceil(eps_f * _FP_ONE) + 2 * hi  # hits have |s| < E
+    X = _rotation_step(x, hi - 1)
+    if y is None:
+        return ((n, s) for n, s, _ in _walk(X, E, 0, 1, lo, hi))
+    y.require_irrational("y")
+    W = math.ceil(y_eps_f * _FP_ONE) + 2 * hi
+    return _walk(X, E, _rotation_step(y, hi - 1), W, lo, hi)
+
+
+def _walk(X: int, E: int, Y: int, W: int, lo: int, hi: int) -> Iterator[tuple]:
+    """(n, s, u) for n in [lo, hi) with |s| < E and |u| < W, where s and u are
+    the signed residues of n*X and n*Y; every n in [lo, hi) with |u| < W when
+    E is a quarter turn or wider."""
     if 4 * E >= _FP_ONE:
-        yield from ((n, _signed(n * X)) for n in range(lo, hi))
+        for n in range(lo, hi):
+            u = _signed(n * Y)
+            if abs(u) < W:
+                yield n, _signed(n * X), u
         return
+    W = min(W, _FP_HALF + 1)  # then v - d is the signed residue of n*Y
     L, c = 2 * E - 1, E - 1  # t = (n*X + c) mod 2**192 is a hit when t < L
+    M, d = 2 * W - 1, W - 1  # v = (n*Y + d) mod 2**192 is kept when v < M
     a, A, b, B = _first_returns(X, L, hi)
-    n, t = 0, c
-    while True:
-        if t < L - A:
-            n, t = n + a, t + A
+    N, LA, ab, AB = _FP_ONE, L - A, a + b, A - B
+    Ya, Yb, Yab = a * Y % N, b * Y % N, ab * Y % N
+    n = lo + _first_entry((lo * X + c) % N, X, N, L)
+    t, v = (n * X + c) % N, (n * Y + d) % N
+    while n < hi:  # v stays below N by one conditional subtraction a step
+        if v < M:
+            yield n, t - c, v - d
+        if t < LA:
+            n += a
+            t += A
+            v += Ya
         elif t >= B:
-            n, t = n + b, t - B
+            n += b
+            t -= B
+            v += Yb
         else:
-            n, t = n + a + b, t + A - B
-        if n >= hi:
-            return
-        if n >= lo:
-            yield n, t - c
+            n += ab
+            t += AB
+            v += Yab
+        if v >= N:
+            v -= N
+
+
+def _first_entry(t: int, X: int, m: int, L: int) -> int:
+    """The least k >= 0 with (t + k*X) mod m < L, for 0 <= t < m and
+    0 < X < m coprime to m. From t >= L the sequence grows until it wraps
+    past m, so it can enter [0, L) only at a wrap; the j-th wrap lands on
+    (t - j*m) mod X, which asks the same question modulo X, in j - 1 >= 0.
+    Reflecting u -> (L - 1 - u) mod m, which maps [0, L) onto itself, keeps
+    X <= m/2, so each level at least halves the modulus."""
+    if t < L:
+        return 0
+    if 2 * X > m:
+        X, t = m - X, L - 1 - t + m
+    if L >= X:  # the first wrap lands in [0, X)
+        return (m - t + X - 1) // X
+    Xm = -m % X
+    j = 1 + _first_entry((t + Xm) % X, Xm, X, L)
+    return (j * m - t + X - 1) // X
 
 
 def dyadic_blocks(Q: int) -> Iterator[tuple[int, int]]:
@@ -280,12 +342,79 @@ def _quality_enclosure(
     enc = refine(producer, tol)
     bits = 256
     while enc.hi >= 1:
-        # admissibility was proven exactly, so the interval must fall below 1
+        # admissibility was proven, so the interval must fall below 1
         enc = producer(bits)
         bits *= 2
         if bits > 1 << 15:
             raise PrecisionCapError("quality interval refused to drop below 1")
     return enc
+
+
+def _admissible(x: QuadraticSurd, q: int, s: int) -> bool:
+    """Whether q*||q*x||**2 < 1, for s the signed residue of q*X, X the step
+    of _rotation_step(x, ...).
+
+    abs(s) is within 2q ulps of m = ||q*x||*2**192, so q*(|s| + 2q)**2 <
+    2**384 proves q*m*m < 2**384, and |s| > 2q with q*(|s| - 2q)**2 >= 2**384
+    proves the opposite. Only between the two does the exact sign of the surd
+    q*||q*x||**2 - 1 run. The bound is used for 1 <= q <= 10**13, the scans'
+    cap, and a signed residue |s| <= 2**191; outside, ValueError.
+    """
+    m, e = abs(s), 2 * q
+    if not (1 <= q <= _SCAN_CAP and m <= _FP_HALF):
+        raise ValueError(f"fixed-point settle used outside its range: q={q}, s={s}")
+    if q * (m + e) ** 2 < _FP_ONE_SQ:
+        return True
+    if m > e and q * (m - e) ** 2 >= _FP_ONE_SQ:
+        return False
+    dist = (x * q).dist_to_int()
+    return (dist * dist * q - 1).sign() < 0
+
+
+def dirichlet_denominators(
+    alpha: QuadraticSurd, beta: QuadraticSurd, Q: int
+) -> list[int]:
+    """All q <= Q with max(||q*alpha||, ||q*beta||) < q**(-1/2), increasing.
+
+    Each dyadic block [lo, 2*lo) walks small_multiples over both rotations:
+    alpha with eps = 1/isqrt(lo) >= q**(-1/2), beta with the window
+    W = isqrt(2**384 // lo) + 1 + 2*hi ulps, outside which |u| - 2q >
+    isqrt(2**384 // lo), so q*||q*beta||**2 >= 1. Each yielded q is settled
+    for both rotations by _admissible. Q past 10**13 raises ConfigError.
+    """
+    alpha.require_irrational("alpha")
+    beta.require_irrational("beta")
+    if Q < 1:
+        raise ConfigError(f"Q must be a positive integer, got {Q}")
+    _rotation_step(beta, Q)  # refuses a Q past the range or the cap up front
+    found = []
+    for lo, hi in dyadic_blocks(Q):
+        eps_beta = Fraction(math.isqrt(_FP_ONE_SQ // lo) + 1, _FP_ONE)
+        for q, s, u in small_multiples(
+            alpha, lo, hi, Fraction(1, math.isqrt(lo)), beta, eps_beta
+        ):
+            if _admissible(beta, q, u) and _admissible(alpha, q, s):
+                found.append(q)
+    return found
+
+
+def approximation_record(
+    alpha: QuadraticSurd,
+    beta: QuadraticSurd,
+    q: int,
+    tol: Rational = Fraction(1, 10**12),
+) -> ApproximationRecord:
+    """The certified record of a q from dirichlet_denominators: both
+    distances to width tol, and the quality enclosure, which falls below 1."""
+    tol_f = _as_fraction(tol, "tol")
+    da = (alpha * q).dist_to_int()
+    db = (beta * q).dist_to_int()
+    return ApproximationRecord(
+        q=q,
+        dist_alpha=_half_clamp(refine(da.enclosure, tol_f)),
+        dist_beta=_half_clamp(refine(db.enclosure, tol_f)),
+        quality=_quality_enclosure(q, da, db, tol_f),
+    )
 
 
 def dirichlet_pair_search(
@@ -294,53 +423,21 @@ def dirichlet_pair_search(
     Q: int,
     tol: Rational = Fraction(1, 10**12),
 ) -> list[ApproximationRecord]:
-    """All q <= Q with max(||q*alpha||, ||q*beta||) < q**(-1/2), certified.
-
-    Each dyadic block [lo, 2*lo) walks small_multiples(alpha, ...) with
-    eps = 1/isqrt(lo) >= q**(-1/2). A q whose beta residue proves
-    q*||q*beta||**2 >= 1 is dropped; every other one is settled exactly by the
-    sign of the quadratic surd q*dist**2 - 1. Q past 10**13 raises ConfigError.
-    """
-    alpha.require_irrational("alpha")
-    beta.require_irrational("beta")
-    if Q < 1:
-        raise ConfigError(f"Q must be a positive integer, got {Q}")
+    """The approximation_record of every q from dirichlet_denominators."""
     tol_f = _as_fraction(tol, "tol")
-
-    beta_step = _rotation_step(beta, Q)
-    one_sq = _FP_ONE * _FP_ONE
-    records = []
-    for lo, hi in dyadic_blocks(Q):
-        for q, _ in small_multiples(alpha, lo, hi, Fraction(1, math.isqrt(lo))):
-            low_b = abs(_signed(q * beta_step)) - 2 * q
-            if low_b > 0 and q * low_b * low_b >= one_sq:
-                continue
-            da = (alpha * q).dist_to_int()
-            if ((da * da * q) - 1).sign() >= 0:
-                continue
-            db = (beta * q).dist_to_int()
-            if ((db * db * q) - 1).sign() >= 0:
-                continue
-            records.append(
-                ApproximationRecord(
-                    q=q,
-                    dist_alpha=_half_clamp(refine(da.enclosure, tol_f)),
-                    dist_beta=_half_clamp(refine(db.enclosure, tol_f)),
-                    quality=_quality_enclosure(q, da, db, tol_f),
-                )
-            )
-    return records
+    return [
+        approximation_record(alpha, beta, q, tol_f)
+        for q in dirichlet_denominators(alpha, beta, Q)
+    ]
 
 
-def select_summable_lacunary(
-    records: Sequence[ApproximationRecord],
-    ratio: Rational = 2.0,
-    budget: Rational = 2.0,
-) -> list[ApproximationRecord]:
+def lacunary_denominators(
+    qs: Sequence[int], ratio: Rational = 2.0, budget: Rational = 2.0
+) -> list[int]:
     """Greedy smallest-first subsequence with q_{k+1} >= ratio * q_k whose
     certified sum of q**-1/2 upper bounds stays at or below budget.
 
-    Raises ShortfallError when fewer than two records survive.
+    Raises ShortfallError when fewer than two denominators survive.
     """
     ratio_f = _as_fraction(ratio, "ratio")
     budget_f = _as_fraction(budget, "budget")
@@ -349,24 +446,36 @@ def select_summable_lacunary(
     if budget_f <= 0:
         raise ConfigError("budget must be positive")
 
-    chosen: list[ApproximationRecord] = []
+    chosen: list[int] = []
     partial_hi = Fraction(0)
-    last_q = None
-    for rec in sorted(records, key=lambda r: r.q):
-        if last_q is not None and Fraction(rec.q) < ratio_f * last_q:
+    for q in sorted(qs):
+        if chosen and Fraction(q) < ratio_f * chosen[-1]:
             continue
-        contribution = sqrt_enclosure(Fraction(1, rec.q), 128).hi
+        contribution = sqrt_enclosure(Fraction(1, q), 128).hi
         if partial_hi + contribution > budget_f:
             continue
-        chosen.append(rec)
+        chosen.append(q)
         partial_hi += contribution
-        last_q = rec.q
     if len(chosen) < 2:
         raise ShortfallError(
-            f"only {len(chosen)} of {len(records)} records are selectable at "
+            f"only {len(chosen)} of {len(qs)} records are selectable at "
             f"ratio {float(ratio_f)}, budget {float(budget_f)}"
         )
     return chosen
+
+
+def select_summable_lacunary(
+    records: Sequence[ApproximationRecord],
+    ratio: Rational = 2.0,
+    budget: Rational = 2.0,
+) -> list[ApproximationRecord]:
+    """The records that lacunary_denominators selects by q; of records with
+    equal q, the first."""
+    first: dict[int, ApproximationRecord] = {}
+    for rec in sorted(records, key=lambda r: r.q):
+        first.setdefault(rec.q, rec)
+    chosen = lacunary_denominators([rec.q for rec in records], ratio, budget)
+    return [first[q] for q in chosen]
 
 
 def summability_enclosure(records: Sequence[ApproximationRecord], bits: int = 160) -> Enclosure:
@@ -390,26 +499,27 @@ def bad_pair_constant(
     infimum over all q can only be smaller. Returns (enclosure, argmin q).
 
     The upper bound c on the minimum starts at 1/2 (the bound at q = 1) and
-    falls with each visited q. Block [lo, 2*lo) walks small_multiples(alpha,
-    ...) with eps >= c/sqrt(lo); q is kept while its fixed-point lower bound
-    can reach c, and the kept q are settled in increasing order by certified
-    comparison, ties staying at the smaller q. Memory does not grow with Q.
+    falls with each visited q. Block [lo, 2*lo) walks small_multiples over
+    both rotations with eps >= c/sqrt(lo) for the c at the block's start; q
+    is kept while its fixed-point lower bound can reach c, and the kept q are
+    settled in increasing order by certified comparison, ties staying at the
+    smaller q. Memory does not grow with Q.
     """
     alpha.require_irrational("alpha")
     beta.require_irrational("beta")
     if Q < 1:
         raise ConfigError(f"Q must be a positive integer, got {Q}")
 
-    beta_step = _rotation_step(beta, Q)
+    _rotation_step(beta, Q)  # refuses a Q past the range or the cap up front
     # c2 = (c * 2**192)**2, so with m = max(dist) * 2**192 in ulps,
     # sqrt(q) * max(dist) <= c exactly when q*m*m <= c2
-    c2 = _FP_ONE * _FP_ONE // 4
+    c2 = _FP_ONE_SQ // 4
     kept: list[tuple[int, int]] = []
     for lo, hi in dyadic_blocks(Q):
         eps = Fraction(math.isqrt(c2 // lo) + 1, _FP_ONE)
-        for q, s_alpha in small_multiples(alpha, lo, hi, eps):
+        for q, s_alpha, s_beta in small_multiples(alpha, lo, hi, eps, beta):
             # each residue is within 2q ulps of its distance * 2**192
-            d = max(abs(s_alpha), abs(_signed(q * beta_step)))
+            d = max(abs(s_alpha), abs(s_beta))
             low = q * max(d - 2 * q, 0) ** 2
             if low <= c2:
                 c2 = min(c2, q * (d + 2 * q) ** 2)
@@ -494,11 +604,11 @@ def square_approximation_search(
             f"square scan bound {N} exceeds 10**6: the scan visits every n"
         )
 
-    X = FixedPointReducer(beta, _FP_BITS).X
+    X = fixed_point_reducer(beta, _FP_BITS).X
     mask, step = _FP_ONE - 1, 2 * X
     accepted = []
     for lo, hi in dyadic_blocks(N):
-        E = math.isqrt(_FP_ONE * _FP_ONE // lo) + 1 + hi * hi
+        E = math.isqrt(_FP_ONE_SQ // lo) + 1 + hi * hi
         L, c = 2 * E - 1, E - 1  # n is in the window when t < L
         t, s = (lo * lo * X + c) & mask, (2 * lo + 1) * X
         for n in range(lo, hi):

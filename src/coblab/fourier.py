@@ -39,10 +39,10 @@ from typing import Mapping, NamedTuple, Union
 from .certify import Enclosure, sin_pi_enclosure, sqrt_enclosure
 from .dyadic import ONE, ZERO, WorkComplex, phase, to_fraction
 from .errors import PrecisionCapError
-from .surd import FixedPointReducer, QuadraticSurd, _max_k
+from .surd import QuadraticSurd, fixed_point_reducer, max_k
 
 _REDUCER_BITS = 192
-_MAX_K = _max_k(_REDUCER_BITS)
+_MAX_K = max_k(_REDUCER_BITS)
 _MOD = 1 << _REDUCER_BITS
 _MASK = _MOD - 1
 _HALF = _MOD >> 1
@@ -53,14 +53,9 @@ Rational = Union[int, float, Fraction]
 
 
 @lru_cache(maxsize=64)
-def _reducer(alpha: QuadraticSurd) -> FixedPointReducer:
-    return FixedPointReducer(alpha, bits=_REDUCER_BITS)
-
-
-@lru_cache(maxsize=64)
 def _residue_table(alpha: QuadraticSurd, mags: tuple[int, ...]) -> tuple:
     """Per magnitude k, (frac_fixed(k), sin(pi*||k*alpha||)); None at k = 0."""
-    red = _reducer(alpha)
+    red = fixed_point_reducer(alpha, _REDUCER_BITS)
     return tuple(
         None if k == 0 else (red.frac_fixed(k), math.sin(math.pi * red.dist_float(k)))
         for k in mags
@@ -94,7 +89,7 @@ def _kernel_row(
 @lru_cache(maxsize=1 << 16)
 def _phase(alpha: QuadraticSurd, n: int) -> WorkComplex:
     """e(n*alpha) at working precision for n > 0, from an exact residue."""
-    red = _reducer(alpha)
+    red = fixed_point_reducer(alpha, _REDUCER_BITS)
     return phase(red.frac_fixed(n), red.bits)
 
 

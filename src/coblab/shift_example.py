@@ -23,8 +23,8 @@ from math import log
 from typing import NamedTuple, Optional, Union
 
 from .certify import (
-    Enclosure, Frozen, _from_fixed, _to_fixed, log_enclosure, pow_enclosure,
-    separate, sqrt_enclosure,
+    Enclosure, Frozen, from_fixed, log_enclosure, pow_enclosure, separate,
+    sqrt_enclosure, to_fixed,
 )
 from .errors import ConfigError
 from .report import Certificate, CertificateEntry, endpoints, require, write_rows
@@ -68,7 +68,7 @@ def _grid_sum(pairs) -> Enclosure:
     lo = hi = 0
     for a, b in pairs:
         lo, hi = lo + a, hi + b
-    return _from_fixed(lo, hi, _GRID)
+    return from_fixed(lo, hi, _GRID)
 
 
 def _logpower_ends(s: int, m: int, bits: int) -> tuple[int, int, int, int]:
@@ -228,7 +228,7 @@ def _generic_power_partial(
     f: LatticeFunction, p: Fraction, S: int
 ) -> Enclosure:
     return _grid_sum(
-        _to_fixed((s - 1) * _diag_power(f, s, p, _TERM_BITS), _GRID)
+        to_fixed((s - 1) * _diag_power(f, s, p, _TERM_BITS), _GRID)
         for s in range(2, S + 1)
     )
 
@@ -313,15 +313,15 @@ def _roll_down(
 ) -> dict:
     """q(t) = f(t) + q(t+1) on the grid for t = M-1, ..., bottom, from the
     remainder q(M); returns the values at t <= keep."""
-    lo, hi = _to_fixed(f.diagonal_value(M - 1) + remainder, _GRID)
+    lo, hi = to_fixed(f.diagonal_value(M - 1) + remainder, _GRID)
     values = {}
     if M - 1 <= keep:
-        values[M - 1] = _from_fixed(lo, hi, _GRID)
+        values[M - 1] = from_fixed(lo, hi, _GRID)
     for t in range(M - 2, bottom - 1, -1):
-        a, b = _to_fixed(f.diagonal_value(t), _GRID)
+        a, b = to_fixed(f.diagonal_value(t), _GRID)
         lo, hi = lo + a, hi + b
         if t <= keep:
-            values[t] = _from_fixed(lo, hi, _GRID)
+            values[t] = from_fixed(lo, hi, _GRID)
     return values
 
 
@@ -537,7 +537,7 @@ def _power_divergence(p: Fraction, K: int) -> DivergenceReport:
     gap = r - 2 * p
     cap = 1000 if e_r.denominator in (1, 2) else 200
     acc = _grid_sum(
-        _to_fixed(_rational_pow(Fraction(m), e_r, _TERM_BITS), _GRID)
+        to_fixed(_rational_pow(Fraction(m), e_r, _TERM_BITS), _GRID)
         for m in range(1, cap + 1)
     )
     tail_hi = p / gap * _rational_pow(Fraction(cap), -gap / p, 96).hi
@@ -631,7 +631,7 @@ def _logpower_divergence(K: int) -> DivergenceReport:
     # (s-1) q**3 <= 8 s**-2 (log s)**-6 past the partial range.
     cap = 400
     acc = _grid_sum(
-        _to_fixed(Enclosure.point((s - 1) * _q_diagonal_upper(f, s).hi ** 3), _GRID)
+        to_fixed(Enclosure.point((s - 1) * _q_diagonal_upper(f, s).hi ** 3), _GRID)
         for s in range(2, cap + 1)
     )
     log_cap = log_enclosure(cap, 96).lo

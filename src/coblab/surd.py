@@ -354,7 +354,7 @@ def parse_surd(text: str, label: str | None = None) -> QuadraticSurd:
     return value
 
 
-def _max_k(bits: int) -> int:
+def max_k(bits: int) -> int:
     """Largest |k| a FixedPointReducer at bits keeps certified-accurate."""
     return 1 << (bits - 80)
 
@@ -373,7 +373,7 @@ class FixedPointReducer:
         fr = x.frac()
         enc = refine(fr.enclosure, Fraction(1, 1 << (bits + 8)))
         self.X = round(enc.mid * (1 << bits))
-        self.max_k = _max_k(bits)
+        self.max_k = max_k(bits)
 
     def frac_fixed(self, k: int) -> int:
         return (k * self.X) & self.mask
@@ -382,3 +382,9 @@ class FixedPointReducer:
         """Distance from k*x to the nearest integer, as a float64."""
         t = self.frac_fixed(k)
         return math.ldexp(float(min(t, (1 << self.bits) - t)), -self.bits)
+
+
+@lru_cache(maxsize=64)
+def fixed_point_reducer(x: QuadraticSurd, bits: int) -> FixedPointReducer:
+    """The FixedPointReducer of x at bits, built once per (x, bits)."""
+    return FixedPointReducer(x, bits)
