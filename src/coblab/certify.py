@@ -200,9 +200,6 @@ def from_fixed(lo: int, hi: int, p: int) -> Enclosure:
     return Enclosure(Fraction(lo, 1 << p), Fraction(hi, 1 << p))
 
 
-_from_fixed = from_fixed  # the name the series-kernel tests import
-
-
 def to_fixed(x: Enclosure, p: int) -> tuple[int, int]:
     """Floor of x.lo and ceiling of x.hi, times 2**p."""
     lo, hi = x.lo, x.hi
@@ -391,7 +388,7 @@ def _ln2_fixed(bits: int) -> tuple[int, int]:
     return 2 * lo, 2 * hi
 
 
-def _log_fixed(num: int, den: int, bits: int) -> tuple[int, int]:
+def log_fixed(num: int, den: int, bits: int) -> tuple[int, int]:
     """log(num/den) for positive ints, as ints on the 2**-(bits+2) grid."""
     # num/den = m * 2**e with m in [1, 2): log = 2 atanh((m-1)/(m+1)) + e ln 2
     e = num.bit_length() - den.bit_length()  # floor(log2(num/den)) is e or e - 1
@@ -440,7 +437,7 @@ def log_enclosure(y: Rational, bits: int) -> Enclosure:
     q = Fraction(y)
     if q <= 0:
         raise ValueError("log of a nonpositive rational")
-    return from_fixed(*_log_fixed(q.numerator, q.denominator, bits), bits + 2)
+    return from_fixed(*log_fixed(q.numerator, q.denominator, bits), bits + 2)
 
 
 def exp_enclosure(u: Rational, bits: int) -> Enclosure:
@@ -458,7 +455,7 @@ def pow_enclosure(base: Rational, exponent: Rational, bits: int) -> Enclosure:
     if q == 1 or expo == 0:
         return Enclosure.point(1)
     # exp(expo * log q), with log q on the 2**-(bits+10) grid
-    ln_lo, ln_hi = _log_fixed(q.numerator, q.denominator, bits + 8)
+    ln_lo, ln_hi = log_fixed(q.numerator, q.denominator, bits + 8)
     if expo < 0:
         ln_lo, ln_hi = ln_hi, ln_lo
     den = expo.denominator << (bits + 10)

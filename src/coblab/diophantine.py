@@ -10,9 +10,9 @@ simultaneous search settles q*||q*x||**2 < 1 in that fixed point where the
 bound decides it: q*(|s| + 2q)**2 < 2**384 proves it, and |s| > 2q with
 q*(|s| - 2q)**2 >= 2**384 refutes it. Only inside the band between does the
 exact surd sign run; the badness scan settles by certified comparison. The
-square scan steps n^2*beta in the same 192-bit fixed point and
-screens each n with an integer window and one float compare whose error bound
-and range are stated and enforced in _proven_at_least_power.
+square scan steps n^2*beta in the same 192-bit fixed point and settles
+||n^2*beta|| < n**(-a/b) as the integer inequality ||n^2*beta||**b * n**a < 1
+on the residue's bracket.
 """
 
 from __future__ import annotations
@@ -556,24 +556,13 @@ def bad_pair_constant(
 _SQUARE_N_MAX = 10**6
 
 
-def _proven_at_least_power(lower: int, n: int, delta: Fraction) -> bool:
-    """Whether lower * 2**-192 >= n**(-delta) is proven by a float compare.
-
-    The test is fl(lower * 2**-192) >= fl(fl(n**-fl(delta)) * fl(1 + 1e-12)).
-    On the range enforced here, 1 <= n <= 10**6 and 1/2 < delta < 1 with
-    0 < lower < 2**192, the errors are:
-    - lower converts with one rounding (relative 2**-53); the scaling by
-      2**-192 is exact, far above the subnormal range;
-    - fl(delta) is within 2**-54 of delta, which moves n**-delta by a factor
-      within exp(2**-54 * ln(10**6)), below 1 + 8e-16; n converts exactly;
-    - pow, the constant 1 + 1e-12 and the product each add at most one ulp.
-    Together the two sides are off by a factor below 1 + 2e-15, far inside
-    the 1e-12 slack, so True proves lower * 2**-192 > n**-delta. False
-    proves nothing.
-    """
-    if not (1 <= n <= _SQUARE_N_MAX and Fraction(1, 2) < delta < 1):
-        raise ValueError(f"float power screen used outside its range: n={n}")
-    return math.ldexp(lower, -_FP_BITS) >= n ** -float(delta) * (1 + 1e-12)
+def _power_bound(delta: Fraction, pick, rnd) -> tuple[int, int, int]:
+    """(a, b, 2**(192*b)) for a/b = delta or, if b > 64, for the nearest
+    fraction with denominator at most 64 above (pick=min, rnd=ceil) or below
+    (max, floor) delta, which keeps (d + n^2)**b below 2**12352."""
+    if delta.denominator > 64:
+        delta = pick(Fraction(rnd(delta * q), q) for q in range(1, 65))
+    return delta.numerator, delta.denominator, 1 << (_FP_BITS * delta.denominator)
 
 
 def square_approximation_search(
@@ -586,12 +575,19 @@ def square_approximation_search(
 
     The residue r of n^2 * X, X = FixedPointReducer(beta, 192).X, is stepped
     exactly (r += s, s += 2X, mod 2**192), and its distance d to 0 is within
-    n^2 ulps of ||n^2 * beta|| * 2**192. Two screens drop n:
-    - an integer window per dyadic block [lo, hi): d >= E, where
-      E = isqrt(2**384 // lo) + 1 + hi**2, implies n*(d - n^2)**2 >= 2**384,
-      so ||n^2 * beta|| > n**(-1/2) > n**(-delta);
-    - _proven_at_least_power on d - n^2, the one float argument.
-    Every other n is settled by certified comparison with n**(-delta).
+    n^2 ulps of m = ||n^2 * beta|| * 2**192, so d - n^2 <= m <= d + n^2.
+    - An integer window per dyadic block [lo, hi) drops n with d >= E, where
+      E = isqrt(2**384 // lo) + 1 + hi**2: then n*(d - n^2)**2 >= 2**384,
+      so ||n^2 * beta|| > n**(-1/2) > n**(-delta).
+    - For delta = a/b, ||n^2 * beta|| < n**(-delta) is exactly
+      m**b * n**a < 2**(192*b). So (d + n^2)**b * n**a < 2**(192*b) proves
+      a hit, and d > n^2 with (d - n^2)**b * n**a >= 2**(192*b) proves a miss.
+      A delta with b > 64 is first bracketed by the fractions
+      delta- <= delta <= delta+ with denominators at most 64 next to it:
+      a hit for delta+ is one for delta, since n**(-delta+) <= n**(-delta),
+      and a miss for delta- is one for delta.
+    The n that neither test decides are settled by certified comparison with
+    n**(-delta).
     """
     beta.require_irrational("beta")
     delta_f = _as_fraction(delta, "delta")
@@ -604,20 +600,22 @@ def square_approximation_search(
             f"square scan bound {N} exceeds 10**6: the scan visits every n"
         )
 
+    a, b, one = _power_bound(delta_f, min, math.ceil)  # the hit test
+    a_lo, b_lo, one_lo = _power_bound(delta_f, max, math.floor)  # the miss test
     X = fixed_point_reducer(beta, _FP_BITS).X
     mask, step = _FP_ONE - 1, 2 * X
-    accepted = []
+    accepted = [1]  # the threshold at n = 1 is 1; distances are <= 1/2
     for lo, hi in dyadic_blocks(N):
         E = math.isqrt(_FP_ONE_SQ // lo) + 1 + hi * hi
         L, c = 2 * E - 1, E - 1  # n is in the window when t < L
         t, s = (lo * lo * X + c) & mask, (2 * lo + 1) * X
         for n in range(lo, hi):
-            if t < L:
-                lower = abs(_signed(t - c)) - n * n
-                if n == 1:
-                    accepted.append(1)  # threshold is 1; distances are <= 1/2
-                elif lower <= 0 or not _proven_at_least_power(lower, n, delta_f):
-                    dist = (beta * (n * n)).dist_to_int()
+            if t < L and n > 1:
+                d, e = abs(_signed(t - c)), n * n
+                if (d + e) ** b * n**a < one:
+                    accepted.append(n)
+                elif d <= e or (d - e) ** b_lo * n**a_lo < one_lo:
+                    dist = (beta * e).dist_to_int()
                     threshold = lambda bits, nv=n: pow_enclosure(nv, -delta_f, bits)
                     if separate(dist.enclosure, threshold) < 0:
                         accepted.append(n)

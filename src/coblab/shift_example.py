@@ -19,12 +19,12 @@ from below by a quantity that grows without bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log
+from math import isqrt, log
 from typing import NamedTuple, Optional, Union
 
 from .certify import (
-    Enclosure, Frozen, from_fixed, log_enclosure, pow_enclosure, separate,
-    sqrt_enclosure, to_fixed,
+    Enclosure, Frozen, from_fixed, log_enclosure, log_fixed, pow_enclosure,
+    separate, sqrt_enclosure, to_fixed,
 )
 from .errors import ConfigError
 from .report import Certificate, CertificateEntry, endpoints, require, write_rows
@@ -72,17 +72,24 @@ def _grid_sum(pairs) -> Enclosure:
 
 
 def _logpower_ends(s: int, m: int, bits: int) -> tuple[int, int, int, int]:
-    """(a, b, c, d) with s**-2m * (log s)**-2m in [a/b, c/d], log s at bits."""
-    ln, e = log_enclosure(s, bits), 2 * m
-    lo, hi = ln.lo, ln.hi
-    return (hi.denominator**e, (s * hi.numerator) ** e,
-            lo.denominator**e, (s * lo.numerator) ** e)
+    """(a, b, c, d) with s**-2m * (log s)**-2m in [a/b, c/d], log s at bits:
+    with log s in [lo, hi] * 2**-(bits+2), (lo, hi) from log_fixed, a/b and
+    c/d are (2**(bits+2) / (s*hi))**2m and (2**(bits+2) / (s*lo))**2m, the
+    rationals log_enclosure gives, built without a Fraction."""
+    lo, hi = log_fixed(s, 1, bits)
+    e, one = 2 * m, 1 << ((bits + 2) * 2 * m)
+    return one, (s * hi) ** e, one, (s * lo) ** e
+
+
+def _ratio_grid(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Floor of a/b and ceiling of c/d, times 2**_GRID."""
+    return (a << _GRID) // b, -((-c << _GRID) // d)
 
 
 def _logpower_grid(s: int, m: int, num: int) -> tuple[int, int]:
     """num * s**-2m * (log s)**-2m on the grid, log s at _TERM_BITS."""
     a, b, c, d = _logpower_ends(s, m, _TERM_BITS)
-    return (num * a << _GRID) // b, -((-num * c << _GRID) // d)
+    return _ratio_grid(num * a, b, num * c, d)
 
 
 class LatticeFunction(Frozen):
@@ -213,15 +220,12 @@ def lp_partial_norm(
 
 def _integer_power_partial(S: int, kappa: int) -> Enclosure:
     """sum_{s=2..S} (s-1) s**-kappa by directed dyadic accumulation."""
-    scale = 1 << _ACC_BITS
-    lo = 0
-    hi = 0
+    lo = hi = 0
     for s in range(2, S + 1):
-        num = (s - 1) * scale
-        den = s**kappa
+        num, den = (s - 1) << _ACC_BITS, s**kappa
         lo += num // den
-        hi += -((-num) // den)
-    return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
+        hi -= -num // den
+    return from_fixed(lo, hi, _ACC_BITS)
 
 
 def _generic_power_partial(
@@ -301,11 +305,10 @@ def _q_diagonal_upper(f: LatticeFunction, s: int, bits: int = 96) -> Enclosure:
             _diag_power(f, 2, Fraction(1), bits)
             + _integral_power(2, f.exponent, bits)
         )
-    # q(s) <= f(s) + int_s^inf <= (log s)**-2 (s**-2 + s**-1).
-    ln = log_enclosure(s, bits).lo
-    return Enclosure.point(
-        Fraction((s + 1) * ln.denominator**2, s * s * ln.numerator**2)
-    )
+    # q(s) <= f(s) + int_s^inf <= (log s)**-2 (s**-2 + s**-1), where
+    # log s >= lo * 2**-(bits+2) for the lower int of log_fixed
+    lo = log_fixed(s, 1, bits)[0]
+    return Enclosure.point(Fraction((s + 1) << (2 * bits + 4), s * s * lo * lo))
 
 
 def _roll_down(
@@ -422,29 +425,21 @@ class DivergenceReport(NamedTuple):
 
 def _harmonic_shift_sum(K: int) -> Enclosure:
     """sum_{k=1..K} 1/(1+k) on the dyadic grid."""
-    scale = 1 << _ACC_BITS
-    lo = 0
-    hi = 0
+    lo = hi = 0
     for k in range(1, K + 1):
-        lo += scale // (k + 1)
-        hi += -((-scale) // (k + 1))
-    return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
+        lo += (1 << _ACC_BITS) // (k + 1)
+        hi -= (-1 << _ACC_BITS) // (k + 1)
+    return from_fixed(lo, hi, _ACC_BITS)
 
 
 def _isqrt_pow32_sum(terms) -> Enclosure:
     """sum of m**(-3/2) over the given integers, directed dyadic rounding."""
-    from math import isqrt
-
-    bits = 80
-    scale = 1 << bits
-    sq = scale * scale
-    lo = 0
-    hi = 0
-    for m in terms:
-        u = isqrt((m**3) << (2 * bits))
-        lo += sq // (u + 1)
-        hi += -((-sq) // u)
-    return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
+    lo = hi = 0
+    for m in terms:  # u <= m**(3/2) * 2**80 < u + 1
+        u = isqrt((m**3) << 160)
+        lo += (1 << 160) // (u + 1)
+        hi -= (-1 << 160) // u
+    return from_fixed(lo, hi, 80)
 
 
 def _log4_below(n: int) -> bool:
@@ -630,10 +625,13 @@ def _logpower_divergence(K: int) -> DivergenceReport:
     # l_3 control: q(s) <= (log s)**-2 (s**-2 + s**-1), so
     # (s-1) q**3 <= 8 s**-2 (log s)**-6 past the partial range.
     cap = 400
-    acc = _grid_sum(
-        to_fixed(Enclosure.point((s - 1) * _q_diagonal_upper(f, s).hi ** 3), _GRID)
-        for s in range(2, cap + 1)
-    )
+
+    def cube(s: int) -> tuple[int, int]:  # (s-1) q(s)**3 <= a/b, onto the grid
+        u = _q_diagonal_upper(f, s).hi
+        a, b = (s - 1) * u.numerator**3, u.denominator**3
+        return _ratio_grid(a, b, a, b)
+
+    acc = _grid_sum(map(cube, range(2, cap + 1)))
     log_cap = log_enclosure(cap, 96).lo
     tail_hi = 8 / (Fraction(cap) * log_cap**6)
     lr_partial = acc + Enclosure(Fraction(0), tail_hi)

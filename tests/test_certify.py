@@ -20,10 +20,10 @@ from coblab.certify import (
     Enclosure,
     _atanh_fixed,
     _fixed,
-    _from_fixed,
     _mul_down,
     _mul_up,
     exp_enclosure,
+    from_fixed,
     log_enclosure,
     pi_enclosure,
     pow_enclosure,
@@ -281,7 +281,7 @@ def _ref_atanh_series(t, bits):
         pw_lo, pw_hi = _mul_down(pw_lo, sq_lo, p), _mul_up(pw_hi, sq_hi, p)
         remainder = -(-(pw_hi << p) // ((2 * k + 3) * one_minus))
         if remainder <= 1 << GUARD_BITS:
-            return _from_fixed(lo, hi + remainder, p).rounded(bits + 4)
+            return from_fixed(lo, hi + remainder, p).rounded(bits + 4)
         k += 1
 
 
@@ -322,7 +322,7 @@ def _ref_exp(u, bits):
         hi += a_hi
     for _ in range(halvings):
         lo, hi = _mul_down(lo, lo, p), _mul_up(hi, hi, p)
-    return _from_fixed(lo, hi, p).rounded(bits + 2)
+    return from_fixed(lo, hi, p).rounded(bits + 2)
 
 
 def _ref_pow(base, expo, bits):
@@ -377,7 +377,7 @@ EXPONENT = st.one_of(
 @example(bits=64, t=Fraction(282686, 981118))
 def test_atanh_matches_fraction_reference(bits, t):
     lo, hi = _atanh_fixed(t.numerator, t.denominator, bits)
-    assert _from_fixed(lo, hi, bits + 4) == _ref_atanh_series(t, bits)
+    assert from_fixed(lo, hi, bits + 4) == _ref_atanh_series(t, bits)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,7 +1,11 @@
 """Diophantine search tests, cross-checked against mpmath brute force."""
 
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -11,15 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coblab import diophantine
 from coblab.certify import Enclosure, pow_enclosure, separate
 from coblab.diophantine import (
     ApproximationRecord,
-    _proven_at_least_power,
     badness_profile,
     bad_pair_constant,
     continued_fraction,
     convergents,
     dirichlet_pair_search,
+    dyadic_blocks,
     integer_dependence_search,
     nearest_integer_distance,
     records_to_csv,
@@ -29,7 +34,7 @@ from coblab.diophantine import (
     summability_enclosure,
 )
 from coblab.errors import ConfigError, ShortfallError
-from coblab.surd import QuadraticSurd, parse_surd, sqrt_int
+from coblab.surd import QuadraticSurd, fixed_point_reducer, parse_surd, sqrt_int
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1")
 BETA = parse_surd("(-1+1*sqrt(3))/1")
@@ -389,16 +394,118 @@ def test_square_search_validates_delta():
             square_approximation_search(BETA, bad, 10)
 
 
-def test_square_search_bounds_n_and_the_float_screen_range():
+def test_square_search_bounds_n():
     with pytest.raises(ConfigError, match="visits every n"):
         square_approximation_search(BETA, Fraction(3, 5), 10**6 + 1)
-    threshold = 2**192 * (10**6) ** -0.6  # n**-delta in ulps at n = 10**6
-    assert _proven_at_least_power(math.ceil(threshold * (1 + 1e-11)), 10**6, Fraction(3, 5))
-    assert not _proven_at_least_power(math.floor(threshold), 10**6, Fraction(3, 5))
-    for n, delta in ((0, Fraction(3, 5)), (10**6 + 1, Fraction(3, 5)),
-                     (2, Fraction(1, 2)), (2, Fraction(1))):
-        with pytest.raises(ValueError, match="outside its range"):
-            _proven_at_least_power(1, n, delta)
+
+
+def float_screen_square_search(beta, delta, N):
+    """The square scan as it was before the exact power test: the same
+    residue walk and integer window, then a float compare of
+    (d - n^2) * 2**-192 with n**-delta * (1 + 1e-12), whose error stays below
+    a factor 1 + 2e-15 for n <= 10**6 and 1/2 < delta < 1, and a certified
+    comparison with pow_enclosure for every n the float compare leaves."""
+    X = fixed_point_reducer(beta, 192).X
+    one, mask = 1 << 192, (1 << 192) - 1
+    hits = []
+    for lo, hi in dyadic_blocks(N):
+        E = math.isqrt(one * one // lo) + 1 + hi * hi
+        L, c = 2 * E - 1, E - 1
+        t, s = (lo * lo * X + c) & mask, (2 * lo + 1) * X
+        for n in range(lo, hi):
+            if t < L:
+                lower = abs((t - c + one // 2) % one - one // 2) - n * n
+                if n == 1:
+                    hits.append(1)
+                elif lower <= 0 or not (
+                    math.ldexp(lower, -192) >= n ** -float(delta) * (1 + 1e-12)
+                ):
+                    dist = (beta * (n * n)).dist_to_int()
+                    threshold = lambda bits, nv=n: pow_enclosure(nv, -delta, bits)
+                    if separate(dist.enclosure, threshold) < 0:
+                        hits.append(n)
+            t = (t + s) & mask
+            s += 2 * X
+    return hits
+
+
+SQUARE_DELTAS = st.one_of(
+    st.fractions(min_value=Fraction(1, 2), max_value=Fraction(2, 3), max_denominator=64)
+    .filter(lambda f: Fraction(1, 2) < f < Fraction(2, 3)),
+    # denominators past 64: the test brackets delta first
+    st.fractions(min_value=Fraction(501, 1000), max_value=Fraction(333, 500),
+                 max_denominator=10**9),
+    st.floats(min_value=0.501, max_value=0.666),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.integers(-20, 20),
+    b=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    c=st.integers(1, 30),
+    d=st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]),
+    N=st.integers(1, 3000),
+    delta=SQUARE_DELTAS,
+)
+def test_square_search_matches_the_float_screen(a, b, c, d, N, delta):
+    x = QuadraticSurd(a, b, d, c)
+    assert square_approximation_search(x, delta, N) == float_screen_square_search(
+        x, Fraction(delta), N
+    )
+
+
+@pytest.mark.parametrize("sign, hit", [(1, False), (-1, True)])
+def test_square_search_settles_a_residue_inside_the_band(monkeypatch, sign, hit):
+    # beta = (2**194 - sign + sign*sqrt(2)) / 2**220, so at n = 1024 = 2**10
+    # ||n^2 * beta|| = 2**-6 + sign*(sqrt(2) - 1)*2**-200, within 2**-200 of
+    # n**(-3/5) = 2**-6: the residue's n^2-ulp band holds the threshold,
+    # neither integer test decides, and the certified comparison runs.
+    beta = QuadraticSurd(2**194 - sign, sign, 2, 2**220)
+    comparisons = []
+    monkeypatch.setattr(
+        diophantine, "separate",
+        lambda *args: comparisons.append(args) or separate(*args),
+    )
+    got = square_approximation_search(beta, Fraction(3, 5), 1024)
+    assert len(comparisons) == 1
+    assert (1024 in got) is hit
+    assert got == float_screen_square_search(beta, Fraction(3, 5), 1024)
+
+
+@pytest.mark.parametrize("pair", [0, 1])
+def test_square_search_settles_the_benchmark_scan_in_integers(monkeypatch, pair):
+    # at delta = 3/5 no threshold n**(-3/5) * 2**192 falls within n^2 ulps of
+    # a residue, so the two integer tests decide every n of the window
+    def refuse(*args):
+        raise AssertionError("a certified comparison ran")
+
+    monkeypatch.setattr(diophantine, "separate", refuse)
+    assert len(square_approximation_search(PAIRS[pair][1], Fraction(3, 5), 30000)) > 100
+
+
+def test_power_bound_brackets_a_large_delta_denominator():
+    # b = 10**6: without bracketing delta by the nearest fractions with
+    # denominator at most 64, the exact test would build 10**6-th powers
+    delta = Fraction(600001, 10**6)
+    a, b, one = diophantine._power_bound(delta, min, math.ceil)
+    a_lo, b_lo, one_lo = diophantine._power_bound(delta, max, math.floor)
+    assert b <= 64 and b_lo <= 64
+    assert Fraction(a_lo, b_lo) <= delta <= Fraction(a, b)
+    assert (one, one_lo) == (1 << (192 * b), 1 << (192 * b_lo))
+    assert diophantine._power_bound(Fraction(3, 5), min, math.ceil) == (3, 5, 1 << 960)
+
+
+def test_cli_squares_with_a_large_delta_denominator():
+    src = os.path.dirname(os.path.dirname(diophantine.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "coblab.cli", "approx", "squares", "--delta",
+         "600001/1000000", "--N", str(10**5), "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    hits = json.loads(out.stdout)["result"]["hits"]
+    assert hits == float_screen_square_search(BETA, Fraction(600001, 10**6), 10**5)
 
 
 def float_square_prescan_reference(beta, delta, N):
