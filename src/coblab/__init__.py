@@ -24,7 +24,6 @@ _EXPORTS = {
     "constructions": (
         "ConstructionResult",
         "PartialSum",
-        "build_bad_pair_family",
         "build_joint_not_double",
         "check_bad_joint",
         "check_double_bad",

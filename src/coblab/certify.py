@@ -256,7 +256,9 @@ def separate(
         if b.hi < a.lo:
             return 1
         if bits >= cap:
-            raise PrecisionCapError("enclosures still overlap at the hard cap")
+            raise PrecisionCapError(
+                f"enclosures still overlap at the {cap}-bit hard cap"
+            )
         bits = min(2 * bits, cap)
 
 

@@ -34,23 +34,18 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .certify import (
     Enclosure,
-    PrecisionCapError,
     exp_enclosure,
     log_enclosure,
     pi_enclosure,
-    separate,
     sin_pi_enclosure,
     sqrt_enclosure,
 )
 from .diophantine import (
     ApproximationRecord,
     approximation_record,
-    bad_pair_constant,
     convergents,
     dirichlet_denominators,
-    dyadic_blocks,
     lacunary_denominators,
-    small_multiples,
 )
 from .dyadic import ZERO, WorkComplex
 from .errors import CertificationError, ConfigError, ShortfallError
@@ -63,12 +58,11 @@ from .fourier import (
     unit_phase,
 )
 from .report import Certificate, CertificateEntry, decimal_str, enclosure_json, require
-from .surd import QuadraticSurd, fixed_point_reducer
+from .surd import QuadraticSurd, dist_enclosure
 
 Rational = Union[int, float, Fraction]
 
 _BITS = 192
-_DIST_CAP = 1 << 14
 
 
 class PartialSum(NamedTuple):
@@ -84,17 +78,7 @@ class PartialSum(NamedTuple):
 
 def _tight_dist(x: QuadraticSurd, q: int) -> Enclosure:
     """Enclosure of ||q*x|| with relative width below 1e-32, inside (0, 1/2]."""
-    dist = (x * q).dist_to_int()
-    bits = 192
-    while True:
-        enc = dist.enclosure(bits)
-        lo = max(enc.lo, Fraction(0))
-        hi = min(enc.hi, Fraction(1, 2))
-        if lo > 0 and hi - lo <= lo * Fraction(1, 10**32):
-            return Enclosure(lo, hi)
-        if bits >= _DIST_CAP:
-            raise PrecisionCapError(f"||{q}*x|| unresolved at the hard cap")
-        bits *= 2
+    return dist_enclosure(x, q, rel_tol=Fraction(1, 10**32), start_bits=_BITS)
 
 
 def _half_sine(dist: Enclosure) -> Enclosure:
@@ -372,205 +356,6 @@ def refine_lacunary(result: ConstructionResult, ratio: Rational) -> Construction
         tail_bound=rebuilt.tail_bound,
         notes=rebuilt.notes,
     )
-
-
-# ---------------------------------------------------------------------------
-# bad-pair families
-
-
-def _certified_at_least(x: QuadraticSurd, y: QuadraticSurd, q: int) -> bool:
-    """Whether ||q*y|| >= ||q*x||, settled exactly or by certified refinement."""
-    dx = (x * q).dist_to_int()
-    dy = (y * q).dist_to_int()
-    if x.d == y.d:
-        return (dy - dx).sign() >= 0
-    try:
-        return separate(dx.enclosure, dy.enclosure) < 0
-    except PrecisionCapError:
-        return False
-
-
-def _sqrt_q_dist(beta: QuadraticSurd, q: int) -> Enclosure:
-    return sqrt_enclosure(Fraction(q), _BITS) * _tight_dist(beta, q)
-
-
-def build_bad_pair_family(
-    alpha: QuadraticSurd,
-    beta: QuadraticSurd,
-    a: Sequence[float],
-    Q: int,
-) -> ConstructionResult:
-    """Coefficient family on frequencies where the pair's badness is realized.
-
-    Selects the first len(a) denominators q with ||q*beta|| >= ||q*alpha||
-    and C/2 <= sqrt(q)*||q*beta|| <= 2C, where C is the finite-depth badness
-    constant of the pair up to Q (recorded as an assumption, since the true
-    liminf is not computable). Sets f_hat(q_k) = a_k, transfers to g, and
-    certifies |g_hat(q_k)| <= (pi/2)|a_k| per term; the divergence witness
-    records |h_hat(q_k)| >= |a_k|*sqrt(q_k)/(4*pi*C) per term.
-    """
-    alpha.require_irrational("alpha")
-    beta.require_irrational("beta")
-    if Q < 1:
-        raise ConfigError("Q must be positive")
-    K = len(a)
-    if K == 0:
-        raise ConfigError("need at least one coefficient")
-    c_enc, c_argmin = bad_pair_constant(alpha, beta, Q)
-    C = c_enc.mid
-    if C <= 0:
-        raise ShortfallError("badness constant evidence is not positive")
-
-    chosen_q = _select_family_frequencies(alpha, beta, Q, C, K)
-    if len(chosen_q) < K:
-        raise ShortfallError(
-            f"only {len(chosen_q)} admissible frequencies up to {Q}, need {K}"
-        )
-
-    f = SparseFourierSeries(
-        {q: WorkComplex.from_fraction(Fraction(a_k)) for q, a_k in zip(chosen_q, a)}
-    )
-    g = (
-        transfer_coefficients(f, alpha, beta)
-        if len(f)
-        else SparseFourierSeries({})
-    )
-
-    pi = pi_enclosure(_BITS)
-    a_fracs = [abs(Fraction(x)) for x in a]
-
-    joint_entries = [
-        CertificateEntry(
-            f"finite-depth badness constant C over q <= {Q}"
-            f" (argmin q = {c_argmin})",
-            c_enc,
-            "assumption",
-        )
-    ]
-    witness_entries = [joint_entries[0]]
-    g_total = Enclosure.point(0)
-    a_total = Fraction(0)
-    for q, a_k in zip(chosen_q, a_fracs):
-        band = _sqrt_q_dist(beta, q)
-        witness_entries.append(
-            CertificateEntry(
-                f"sqrt({q})*||{q}*beta|| vs C/2",
-                band,
-                ">=",
-                Enclosure.point(C / 2),
-            )
-        )
-        witness_entries.append(
-            CertificateEntry(
-                f"sqrt({q})*||{q}*beta|| vs 2C",
-                band,
-                "<=",
-                Enclosure.point(2 * C),
-            )
-        )
-        if a_k == 0:
-            g_term = Enclosure.point(0)
-            h_term = Enclosure.point(0)
-        else:
-            da = _tight_dist(alpha, q)
-            db = _tight_dist(beta, q)
-            g_term = a_k * _half_sine(da) / _half_sine(db)
-            h_term = Enclosure.point(a_k) / (4 * _half_sine(da) * _half_sine(db))
-        g_total = g_total + g_term
-        a_total += a_k
-        joint_entries.append(
-            CertificateEntry(
-                f"|g_hat({q})| vs (pi/2)*|a_k|",
-                g_term,
-                "<=",
-                pi * a_k / 2,
-            )
-        )
-        witness_entries.append(
-            CertificateEntry(
-                f"|h_hat({q})| vs |a_k|*sqrt({q})/(4*pi*C)",
-                h_term,
-                ">=",
-                sqrt_enclosure(Fraction(q), _BITS) * a_k / (4 * pi * C),
-            )
-        )
-    joint_entries.append(
-        CertificateEntry(
-            "sum of |g_hat| vs (pi/2) * sum of |a_k|",
-            g_total,
-            "<=",
-            pi * a_total / 2,
-        )
-    )
-    joint_cert = require(
-        Certificate(kind="joint-upper-bound", entries=tuple(joint_entries)),
-        "bad-pair family joint bound",
-    )
-    witness_cert = Certificate(
-        kind="divergence-witness", entries=tuple(witness_entries)
-    )
-
-    records = tuple(
-        ApproximationRecord(
-            q=q,
-            dist_alpha=_tight_dist(alpha, q),
-            dist_beta=_tight_dist(beta, q),
-            quality=_sqrt_q_dist(beta, q),
-        )
-        for q in chosen_q
-    )
-    return ConstructionResult(
-        alpha=alpha,
-        beta=beta,
-        f=f,
-        g=g,
-        q_sequence=records,
-        certificates=(joint_cert, witness_cert),
-        tail_bound=Enclosure.point(0),
-        notes=("tail bound not applicable: caller supplies the coefficients",),
-    )
-
-
-def _select_family_frequencies(
-    alpha: QuadraticSurd,
-    beta: QuadraticSurd,
-    Q: int,
-    C: Fraction,
-    K: int,
-) -> list[int]:
-    """First K certified frequencies for the family, in increasing q.
-
-    A q with sqrt(q)*||q*beta|| <= 2C in block [lo, 2*lo) has ||q*beta|| <=
-    2C/isqrt(lo), so small_multiples visits it. Its beta residue (within 2q
-    ulps of ||q*beta||*2**192) and alpha's FixedPointReducer residue (within
-    q + 1 ulps) drop every q proven outside the band or with ||q*alpha||
-    proven above ||q*beta||; those fail the exact checks anyway. Each other q
-    is settled by exact or certified comparison of ||q*beta|| >= ||q*alpha||
-    and the band.
-    """
-    one = 1 << 192
-    alpha_red = fixed_point_reducer(alpha, 192)
-    # sqrt(q)*m*2**-192 < C/2 when q*m*m < lo_edge, > 2C when q*m*m > hi_edge
-    lo_edge = math.floor(C * C * one * one / 4)
-    hi_edge = math.ceil(4 * C * C * one * one)
-    chosen: list[int] = []
-    for lo, hi in dyadic_blocks(Q):
-        for q, s in small_multiples(beta, lo, hi, 2 * C / math.isqrt(lo)):
-            b_hi = abs(s) + 2 * q
-            b_lo = max(abs(s) - 2 * q, 0)
-            if q * b_hi * b_hi < lo_edge or q * b_lo * b_lo > hi_edge:
-                continue
-            t = alpha_red.frac_fixed(q)
-            if min(t, one - t) - q - 1 > b_hi:
-                continue
-            if not _certified_at_least(alpha, beta, q):
-                continue
-            band = _sqrt_q_dist(beta, q)
-            if band.lo >= C / 2 and band.hi <= 2 * C:
-                chosen.append(q)
-                if len(chosen) == K:
-                    return chosen
-    return chosen
 
 
 # ---------------------------------------------------------------------------

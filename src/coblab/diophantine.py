@@ -22,6 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .certify import (
+    HARD_CAP_BITS,
+    START_BITS,
     Enclosure,
     max_enclosure,
     pow_enclosure,
@@ -31,7 +33,7 @@ from .certify import (
 )
 from .errors import ConfigError, PrecisionCapError, ShortfallError
 from .report import endpoints, write_rows
-from .surd import QuadraticSurd, fixed_point_reducer
+from .surd import QuadraticSurd, dist_enclosure, fixed_point_reducer
 
 Rational = Union[int, float, Fraction]
 
@@ -78,27 +80,6 @@ def _as_fraction(value: Rational, name: str) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot interpret {name}={value!r} as a rational") from exc
-
-
-def _half_clamp(enc: Enclosure) -> Enclosure:
-    """Clamp an integer-distance enclosure into its a priori range [0, 1/2]."""
-    return Enclosure(max(enc.lo, Fraction(0)), min(enc.hi, Fraction(1, 2)))
-
-
-def nearest_integer_distance(
-    x: QuadraticSurd, q: int, tol: Rational = Fraction(1, 10**30)
-) -> Enclosure:
-    """Certified enclosure of ||q*x||, the distance from q*x to the integers.
-
-    Width is at most tol; endpoints are clamped into [0, 1/2]. Precision
-    escalates from 128 bits, doubling to the 8192-bit cap.
-    """
-    x.require_irrational("x")
-    if q < 1:
-        raise ConfigError(f"q must be a positive integer, got {q}")
-    dist = (x * q).dist_to_int()
-    enc = refine(dist.enclosure, _as_fraction(tol, "tol"))
-    return _half_clamp(enc)
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +315,21 @@ def dyadic_blocks(Q: int) -> Iterator[tuple[int, int]]:
 def _quality_enclosure(
     q: int, da: QuadraticSurd, db: QuadraticSurd, tol: Fraction
 ) -> Enclosure:
-    def producer(bits: int) -> Enclosure:
-        return sqrt_enclosure(q, bits) * max_enclosure(
+    """sqrt(q) * max(da, db) to width tol and, since the record's
+    admissibility is proven, strictly below 1; the precision doubles from
+    START_BITS to HARD_CAP_BITS."""
+    bits = START_BITS
+    while True:
+        enc = sqrt_enclosure(q, bits) * max_enclosure(
             da.enclosure(bits), db.enclosure(bits)
         )
-
-    enc = refine(producer, tol)
-    bits = 256
-    while enc.hi >= 1:
-        # admissibility was proven, so the interval must fall below 1
-        enc = producer(bits)
-        bits *= 2
-        if bits > 1 << 15:
-            raise PrecisionCapError("quality interval refused to drop below 1")
-    return enc
+        if enc.width <= tol and enc.hi < 1:
+            return enc
+        if bits >= HARD_CAP_BITS:
+            raise PrecisionCapError(
+                f"quality of q = {q} unresolved at the {HARD_CAP_BITS}-bit hard cap"
+            )
+        bits = min(2 * bits, HARD_CAP_BITS)
 
 
 def _admissible(x: QuadraticSurd, q: int, s: int) -> bool:
@@ -407,13 +389,13 @@ def approximation_record(
     """The certified record of a q from dirichlet_denominators: both
     distances to width tol, and the quality enclosure, which falls below 1."""
     tol_f = _as_fraction(tol, "tol")
-    da = (alpha * q).dist_to_int()
-    db = (beta * q).dist_to_int()
     return ApproximationRecord(
         q=q,
-        dist_alpha=_half_clamp(refine(da.enclosure, tol_f)),
-        dist_beta=_half_clamp(refine(db.enclosure, tol_f)),
-        quality=_quality_enclosure(q, da, db, tol_f),
+        dist_alpha=dist_enclosure(alpha, q, abs_tol=tol_f),
+        dist_beta=dist_enclosure(beta, q, abs_tol=tol_f),
+        quality=_quality_enclosure(
+            q, (alpha * q).dist_to_int(), (beta * q).dist_to_int(), tol_f
+        ),
     )
 
 

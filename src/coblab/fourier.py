@@ -38,8 +38,7 @@ from typing import Mapping, NamedTuple, Union
 
 from .certify import Enclosure, sin_pi_enclosure, sqrt_enclosure
 from .dyadic import ONE, ZERO, WorkComplex, phase, to_fraction
-from .errors import PrecisionCapError
-from .surd import QuadraticSurd, fixed_point_reducer, max_k
+from .surd import QuadraticSurd, dist_enclosure, fixed_point_reducer, max_k
 
 _REDUCER_BITS = 192
 _MAX_K = max_k(_REDUCER_BITS)
@@ -233,27 +232,12 @@ class SmallDivisorReport(NamedTuple):
         return min(e.divisor.lo for e in self.entries) if self.entries else Fraction(0)
 
 
-def _positive_dist_enclosure(alpha: QuadraticSurd, n: int, tol: Fraction) -> Enclosure:
-    """Enclosure of ||n*alpha|| refined until strictly positive and tight."""
-    dist = (alpha * abs(n)).dist_to_int()
-    bits = 128
-    while True:
-        enc = dist.enclosure(bits)
-        lo = max(enc.lo, Fraction(0))
-        hi = min(enc.hi, Fraction(1, 2))
-        if lo > 0 and hi - lo <= tol:
-            return Enclosure(lo, hi)
-        if bits >= 1 << 14:
-            raise PrecisionCapError(f"||{n}*alpha|| unresolved at the hard cap")
-        bits *= 2
-
-
 def divisor_enclosure(alpha: QuadraticSurd, n: int, tol: Rational = Fraction(1, 10**15)) -> Enclosure:
     """Certified |1 - e(n*alpha)| = 2*sin(pi*||n*alpha||) for n != 0."""
     if n == 0:
         raise ValueError("the zero frequency has no divisor")
     tol_f = Fraction(tol)
-    dist = _positive_dist_enclosure(alpha, n, tol_f / 8)
+    dist = dist_enclosure(alpha, abs(n), abs_tol=tol_f / 8)
     return 2 * sin_pi_enclosure(dist, 192)
 
 

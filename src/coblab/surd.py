@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Union
 
-from .certify import HARD_CAP_BITS, Enclosure, refine
+from .certify import HARD_CAP_BITS, START_BITS, Enclosure, refine
 from .errors import ConfigError, PrecisionCapError
 
 Rational = Union[int, Fraction]
@@ -275,7 +275,9 @@ class QuadraticSurd:
             if lo == hi:
                 return lo
             if bits >= HARD_CAP_BITS:
-                raise PrecisionCapError(f"floor of {self} unresolved at hard cap")
+                raise PrecisionCapError(
+                    f"floor of {self} unresolved at the {HARD_CAP_BITS}-bit hard cap"
+                )
             bits *= 2
 
     def frac(self) -> "QuadraticSurd":
@@ -295,6 +297,49 @@ class QuadraticSurd:
     def dist_to_int(self) -> "QuadraticSurd":
         """Distance to the nearest integer, an exact value in [0, 1/2]."""
         return abs(self - self.nearest_int())
+
+
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
+
+
+def dist_enclosure(
+    x: QuadraticSurd,
+    q: int,
+    *,
+    abs_tol: Rational | None = None,
+    rel_tol: Rational | None = None,
+    start_bits: int = START_BITS,
+) -> Enclosure:
+    """Certified enclosure of ||q*x||, the distance from q*x to the integers.
+
+    The enclosure is clamped into [0, 1/2], has lo > 0, and has width at most
+    abs_tol or at most rel_tol * lo; exactly one of the two is given. The
+    precision doubles from start_bits and stops at HARD_CAP_BITS. The start is
+    part of the result: at a given width goal, the enclosure returned is the
+    first one at start_bits * 2**j that meets it.
+    """
+    x.require_irrational("x")
+    if q < 1:
+        raise ConfigError(f"q must be a positive integer, got {q}")
+    if (abs_tol is None) == (rel_tol is None):
+        raise ConfigError("give exactly one of abs_tol and rel_tol")
+    tol = Fraction(abs_tol if rel_tol is None else rel_tol)
+    if tol <= 0:
+        raise ConfigError(f"the tolerance must be positive, got {tol}")
+    dist = (x * q).dist_to_int()
+    bits = start_bits
+    while True:
+        enc = dist.enclosure(bits)
+        lo, hi = max(enc.lo, _ZERO), min(enc.hi, _HALF)
+        if lo > 0 and hi - lo <= (tol if rel_tol is None else tol * lo):
+            return Enclosure(lo, hi)
+        if bits >= HARD_CAP_BITS:
+            raise PrecisionCapError(
+                f"||q*x|| for q = {q}, x = {x} unresolved at the "
+                f"{HARD_CAP_BITS}-bit hard cap"
+            )
+        bits = min(2 * bits, HARD_CAP_BITS)
 
 
 def sqrt_int(d: int, label: str | None = None) -> QuadraticSurd:

@@ -26,7 +26,6 @@ from coblab.constructions import (
 from coblab.diophantine import (
     dirichlet_pair_search,
     integer_dependence_search,
-    nearest_integer_distance,
     square_approximation_search,
 )
 from coblab.fourier import (
@@ -47,7 +46,7 @@ from coblab.spectral import (
     joint_criterion_sum,
     spectral_measure,
 )
-from coblab.surd import parse_surd
+from coblab.surd import dist_enclosure, parse_surd
 from mpbridge import mp_fraction
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
@@ -160,7 +159,7 @@ def test_criterion_02_spectral_dichotomy(flagship):
     ]
     increments = True
     for q, term in joint.terms:
-        dist_a = nearest_integer_distance(ALPHA, q)
+        dist_a = dist_enclosure(ALPHA, q, abs_tol=Fraction(1, 10**30))
         cap = Enclosure.point(Fraction(1, q)) + pi_sq * dist_a.square() * Fraction(1, 4)
         increments = increments and term.hi <= cap.lo
     checks.append(
@@ -285,7 +284,7 @@ def test_criterion_07_diophantine_soundness():
         c = rng.randrange(1, 6)
         d = rng.choice(nonsquares)
         x = parse_surd(f"({a}+{b}*sqrt({d}))/{c}")
-        enc = nearest_integer_distance(x, q)
+        enc = dist_enclosure(x, q, abs_tol=Fraction(1, 10**30))
         with mpmath.workdps(200):
             value = mpmath.mpf(q) * (a + b * mpmath.sqrt(d)) / c
             frac_part = value - mpmath.floor(value)

@@ -6,6 +6,7 @@ Determinism checks compare raw report bytes; error-path checks parse the
 machine-readable JSON written to stderr.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -13,9 +14,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coblab
 from coblab.cli import (
+    _ACTIONS,
     ExperimentConfig,
     build_parser,
     config_from_namespace,
@@ -481,3 +485,42 @@ def test_every_public_name_imports_from_the_package():
         exec(f"from coblab import {name}", namespace)
         assert namespace[name] is getattr(coblab, name), name
         assert name in listed, name
+
+
+# every (subcommand, action) pair, rotation numbers with two invalid ones, and
+# rational knobs on both sides of their ranges; Q, K and N stay small so each
+# run is quick (shift needs K >= 8, so K reaches 10)
+COMMANDS = [(sub, act) for sub, acts in _ACTIONS.items() for act in acts or (None,)]
+ROTATIONS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/1", "(-2+1*sqrt(5))/1",
+             "(1+sqrt(5))/2", "(3-2*sqrt(2))/5", "sqrt(4)", "x"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    alpha=st.sampled_from(ROTATIONS),
+    beta=st.sampled_from(ROTATIONS),
+    Q=st.integers(1, 10**4),
+    K=st.integers(1, 10),
+    N=st.integers(1, 64),
+    depth=st.integers(1, 40),
+    delta=st.sampled_from(["1/10", "1/2", "3/5", "7/10"]),
+    gamma=st.sampled_from(["1", "3/2", "2"]),
+    p=st.sampled_from(["1", "4/3", "3/2", "2"]),
+    ratio=st.sampled_from(["3/2", "2", "4"]),
+    budget=st.sampled_from(["1/2", "2", "8"]),
+    tol=st.sampled_from(["1/1000", "1/1000000000000", f"1/{10**40}"]),
+    fmt=st.sampled_from(["csv", "json", "text"]),
+    seed=st.integers(0, 3),
+    doubling_tripling=st.booleans(),
+)
+def test_every_config_runs_or_exits_with_a_json_error(command, fmt, **fields):
+    config = ExperimentConfig(*command, format=fmt, **fields)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(config, stream=io.StringIO())
+    assert code in (0, 2, 3)
+    if code:
+        (line,) = err.getvalue().splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] and error["message"]

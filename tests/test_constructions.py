@@ -14,14 +14,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from coblab.certify import Enclosure
+from coblab.certify import Enclosure, pi_enclosure
 from coblab.constructions import (
     Certificate,
     CertificateEntry,
-    _certified_at_least,
-    _select_family_frequencies,
-    _sqrt_q_dist,
-    build_bad_pair_family,
     build_joint_not_double,
     check_bad_joint,
     check_double_bad,
@@ -35,12 +31,10 @@ from coblab.constructions import (
 )
 from coblab.diophantine import (
     Dependence,
-    bad_pair_constant,
     convergents,
-    dyadic_blocks,
     integer_dependence_search,
-    small_multiples,
 )
+from coblab.dyadic import WorkComplex
 from coblab.errors import ConfigError, ShortfallError
 from coblab.fourier import (
     SparseFourierSeries,
@@ -51,14 +45,11 @@ from coblab.fourier import (
     solve_coboundary,
     unit_phase,
 )
-from coblab.surd import parse_surd
+from coblab.surd import dist_enclosure, parse_surd
 from mpbridge import from_mp, to_mp
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
 BETA = parse_surd("(-1+1*sqrt(3))/1", label="beta")
-# the badness window of (sqrt5-2, sqrt2-1) holds three denominators by 10^4,
-# which makes it the natural home for multi-coefficient family tests
-GOLD = parse_surd("(-2+1*sqrt(5))/1", label="gold")
 
 FLAGSHIP_Q = [1, 2, 4, 8, 19, 41, 82, 164, 1183, 2646]
 
@@ -187,6 +178,25 @@ def test_flagship_coefficients_are_dist_beta(flagship):
     assert set(flagship.f.support) == set(FLAGSHIP_Q)
 
 
+def test_flagship_distances_start_at_192_bits(flagship):
+    # f_hat(q_k) and the sum of ||q_k*alpha|| come from the first enclosure
+    # at 192 * 2**j bits of relative width 1e-32; a start at 128 bits gives
+    # other bytes
+    rel = Fraction(1, 10**32)
+    half_pi = pi_enclosure(192) / 2
+    total = Enclosure.point(0)
+    moved = False
+    for rec in flagship.q_sequence:
+        db = dist_enclosure(BETA, rec.q, rel_tol=rel, start_bits=192)
+        assert flagship.f.coeff(rec.q) == WorkComplex.from_fraction(db.mid)
+        da = dist_enclosure(ALPHA, rec.q, rel_tol=rel, start_bits=192)
+        total = total + da
+        moved = moved or da != dist_enclosure(ALPHA, rec.q, rel_tol=rel)
+    assert moved
+    mid_link = flagship.certificates[0].entries[1]
+    assert mid_link.value == half_pi * total
+
+
 def test_flagship_joint_identity(flagship):
     lhs = apply_difference(flagship.f, ALPHA)
     rhs = apply_difference(flagship.g, BETA)
@@ -272,121 +282,6 @@ def test_refine_rejects_near_total_thinning(flagship):
         refine_lacunary(flagship, 10**6)
     with pytest.raises(ConfigError):
         refine_lacunary(flagship, 1)
-
-
-# ---------------------------------------------------------------------------
-# bad-pair families
-
-
-def test_family_selects_three_member_band():
-    fam = build_bad_pair_family(GOLD, ALPHA, [0.5, 0.25, 0.125], Q=10**4)
-    assert [r.q for r in fam.q_sequence] == [17, 915, 3194]
-    assert fam.verdict
-    kinds = [c.kind for c in fam.certificates]
-    assert kinds == ["joint-upper-bound", "divergence-witness"]
-
-
-def unscreened_family_reference(alpha, beta, Q, C, K):
-    """The family selection without its fixed-point screens: every q that
-    the walk visits is settled by the exact checks."""
-    chosen = []
-    for lo, hi in dyadic_blocks(Q):
-        for q, _ in small_multiples(beta, lo, hi, 2 * C / math.isqrt(lo)):
-            if _certified_at_least(alpha, beta, q):
-                band = _sqrt_q_dist(beta, q)
-                if band.lo >= C / 2 and band.hi <= 2 * C:
-                    chosen.append(q)
-    return chosen[:K]
-
-
-@pytest.mark.parametrize("widen", [1, 2])
-@pytest.mark.parametrize(
-    "pair",
-    [
-        ("(-2+1*sqrt(5))/1", "(-1+1*sqrt(2))/1"),
-        ("(1+sqrt(5))/2", "(-1+1*sqrt(2))/1"),
-        ("(-1+1*sqrt(3))/1", "(-1+1*sqrt(2))/1"),
-        ("(1+2*sqrt(5))/3", "(0+1*sqrt(7))/2"),
-        ("(1+sqrt(5))/2", "(3+sqrt(5))/7"),  # one field: exact comparison
-    ],
-)
-def test_family_screen_keeps_the_unscreened_selection(pair, widen):
-    alpha, beta = parse_surd(pair[0]), parse_surd(pair[1])
-    Q = 10**5
-    C = bad_pair_constant(alpha, beta, Q)[0].mid * widen
-    got = _select_family_frequencies(alpha, beta, Q, C, 60)
-    assert got == unscreened_family_reference(alpha, beta, Q, C, 60)
-
-
-def test_family_band_membership_certified():
-    fam = build_bad_pair_family(GOLD, ALPHA, [1.0], Q=10**4)
-    witness = fam.certificates[1]
-    c_enc, _ = bad_pair_constant(GOLD, ALPHA, 10**4)
-    c_mid = c_enc.mid
-    lower = [e for e in witness.entries if "vs C/2" in e.description]
-    upper = [e for e in witness.entries if "vs 2C" in e.description]
-    assert lower and upper
-    assert lower[0].threshold.lo == c_mid / 2
-    assert upper[0].threshold.hi == 2 * c_mid
-    assert lower[0].satisfied and upper[0].satisfied
-
-
-def test_family_witness_threshold_formula():
-    fam = build_bad_pair_family(GOLD, ALPHA, [1.0, 1.0, 1.0], Q=10**4)
-    c_enc, _ = bad_pair_constant(GOLD, ALPHA, 10**4)
-    c_mid = float(c_enc.mid)
-    witness = fam.certificates[1]
-    hits = [e for e in witness.entries if "h_hat" in e.description]
-    assert len(hits) == 3
-    for entry, q in zip(hits, [17, 915, 3194]):
-        expected = math.sqrt(q) / (4 * math.pi * c_mid)
-        assert abs(float(entry.threshold.mid) - expected) < 1e-9
-        assert entry.satisfied
-    assert fam.verdict
-
-
-def test_family_zero_coefficients_trivially_true():
-    fam = build_bad_pair_family(GOLD, ALPHA, [0, 0, 0], Q=10**4)
-    assert len(fam.f) == 0 and len(fam.g) == 0
-    assert fam.verdict
-    assert fam.tail_bound.hi == 0
-
-
-def test_family_empty_band_is_a_shortfall():
-    # for this orientation every near-minimal denominator is alpha-dominated
-    with pytest.raises(ShortfallError):
-        build_bad_pair_family(ALPHA, BETA, [0.5], Q=10**4)
-
-
-def test_family_requesting_more_than_band_holds():
-    with pytest.raises(ShortfallError):
-        build_bad_pair_family(GOLD, ALPHA, [1.0] * 4, Q=10**4)
-
-
-def test_family_single_member_swapped_orientation():
-    fam = build_bad_pair_family(BETA, ALPHA, [1.0], Q=10**4)
-    assert [r.q for r in fam.q_sequence] == [41]
-    assert fam.certificates[0].verdict
-
-
-def test_family_geometric_coefficients():
-    a = [0.5, 0.25, 0.125]
-    fam = build_bad_pair_family(GOLD, ALPHA, a, Q=10**4)
-    joint = fam.certificates[0]
-    per_term = [e for e in joint.entries if e.description.startswith("|g_hat")]
-    assert len(per_term) == 3
-    for entry, a_k in zip(per_term, a):
-        assert entry.satisfied
-        assert abs(float(entry.threshold.mid) - math.pi / 2 * a_k) < 1e-12
-    total = [e for e in joint.entries if e.description.startswith("sum")]
-    assert total and total[0].satisfied
-
-
-def test_family_validates_inputs():
-    with pytest.raises(ConfigError):
-        build_bad_pair_family(GOLD, ALPHA, [], Q=10**4)
-    with pytest.raises(ConfigError):
-        build_bad_pair_family(GOLD, ALPHA, [1.0], Q=0)
 
 
 # ---------------------------------------------------------------------------

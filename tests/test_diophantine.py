@@ -26,7 +26,6 @@ from coblab.diophantine import (
     dirichlet_pair_search,
     dyadic_blocks,
     integer_dependence_search,
-    nearest_integer_distance,
     records_to_csv,
     select_summable_lacunary,
     small_multiples,
@@ -34,7 +33,13 @@ from coblab.diophantine import (
     summability_enclosure,
 )
 from coblab.errors import ConfigError, ShortfallError
-from coblab.surd import QuadraticSurd, fixed_point_reducer, parse_surd, sqrt_int
+from coblab.surd import (
+    QuadraticSurd,
+    dist_enclosure,
+    fixed_point_reducer,
+    parse_surd,
+    sqrt_int,
+)
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1")
 BETA = parse_surd("(-1+1*sqrt(3))/1")
@@ -122,7 +127,7 @@ def test_convergents_satisfy_recurrence_and_quality():
 
 
 def test_nearest_integer_distance_oracle_and_clamp():
-    enc = nearest_integer_distance(sqrt_int(2), 8, tol=Fraction(1, 10**40))
+    enc = dist_enclosure(sqrt_int(2), 8, abs_tol=Fraction(1, 10**40))
     with mpmath.workdps(200):
         val = 8 * mpmath.sqrt(2) - 11
         scaled = int(mpmath.floor(val * mpmath.mpf(2) ** 160))
@@ -135,9 +140,15 @@ def test_nearest_integer_distance_oracle_and_clamp():
 
 def test_nearest_integer_distance_validates():
     with pytest.raises(ConfigError):
-        nearest_integer_distance(QuadraticSurd(1, 0, 1, 2), 3)
+        dist_enclosure(QuadraticSurd(1, 0, 1, 2), 3, abs_tol=Fraction(1, 10**30))
     with pytest.raises(ConfigError):
-        nearest_integer_distance(ALPHA, 0)
+        dist_enclosure(ALPHA, 0, abs_tol=Fraction(1, 10**30))
+    with pytest.raises(ConfigError):
+        dist_enclosure(ALPHA, 3)
+    with pytest.raises(ConfigError):
+        dist_enclosure(ALPHA, 3, abs_tol=Fraction(1, 10), rel_tol=Fraction(1, 10))
+    with pytest.raises(ConfigError):
+        dist_enclosure(ALPHA, 3, abs_tol=0)
 
 
 # -- the simultaneous search --------------------------------------------------

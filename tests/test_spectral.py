@@ -292,8 +292,14 @@ def test_variance_exact_value_is_rational_one():
 def test_variance_guards():
     with pytest.raises(ConfigError):
         doubling_tripling_variance(0)
-    with pytest.raises(ConfigError):
-        doubling_tripling_variance(10**6)
+    assert doubling_tripling_variance(10**6) == 1
+
+
+def test_doubling_tripling_exponents_are_distinct():
+    # the orthogonality behind the unit variance: 2**k * 3**j are pairwise
+    # distinct, checked exactly over the block the CLI reports (n <= 64)
+    exponents = {2**k * 3**j for k in range(64) for j in range(64)}
+    assert len(exponents) == 64 * 64
 
 
 # ---------------------------------------------------------------------------

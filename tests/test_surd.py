@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coblab.errors import ConfigError
+from coblab import diophantine
+from coblab.certify import HARD_CAP_BITS, Enclosure, refine
+from coblab.errors import ConfigError, PrecisionCapError
 from coblab.surd import (
     FixedPointReducer,
     QuadraticSurd,
+    dist_enclosure,
     parse_surd,
     sqrt_int,
     squarefree_decompose,
 )
+from mpbridge import mp_fraction
 
 
 def oracle_value(x, dps=200):
@@ -200,3 +204,119 @@ def test_irrational_hash_ignores_label_and_normal_form():
     a = QuadraticSurd(2, 2, 8, 2, label="x")  # (2 + 4*sqrt(2))/2 = 1 + 2*sqrt(2)
     b = QuadraticSurd(1, 2, 2)
     assert a == b and hash(a) == hash(b)
+
+
+# -- the one distance enclosure ----------------------------------------------
+#
+# The three loops below are the distance enclosures that dist_enclosure
+# replaced, kept as references: it must return the very same Enclosure.
+
+
+def _clamp(enc):
+    return Enclosure(max(enc.lo, Fraction(0)), min(enc.hi, Fraction(1, 2)))
+
+
+def tight_dist_reference(x, q, rel_tol, start):
+    """The flagship's loop: clamp, then relative width, from 192 bits."""
+    dist = (x * q).dist_to_int()
+    bits = start
+    while True:
+        enc = _clamp(dist.enclosure(bits))
+        if enc.lo > 0 and enc.width <= enc.lo * rel_tol:
+            return enc
+        if bits >= 1 << 14:
+            raise PrecisionCapError("unresolved")
+        bits *= 2
+
+
+def positive_dist_reference(x, q, abs_tol, start):
+    """The divisor enclosure's loop: clamp, then absolute width, from 128."""
+    dist = (x * q).dist_to_int()
+    bits = start
+    while True:
+        enc = _clamp(dist.enclosure(bits))
+        if enc.lo > 0 and enc.width <= abs_tol:
+            return enc
+        if bits >= 1 << 14:
+            raise PrecisionCapError("unresolved")
+        bits *= 2
+
+
+def refined_dist_reference(x, q, abs_tol, start):
+    """The records' loop: absolute width before the clamp, from 128."""
+    return _clamp(refine((x * q).dist_to_int().enclosure, abs_tol, start=start))
+
+
+def dist_oracle(x, q):
+    """||q*x|| at 300 bits, with a bound on its error."""
+    with mpmath.workprec(300):
+        t = mpmath.frac(q * (x.a + x.b * mpmath.sqrt(x.d)) / x.c)
+        return mp_fraction(min(t, 1 - t)), Fraction(1, 2**250)
+
+
+surds = st.builds(
+    QuadraticSurd,
+    a=st.integers(-20, 20),
+    b=st.integers(1, 12) | st.integers(-12, -1),
+    d=st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 15]),
+    c=st.integers(1, 20),
+)
+tolerances = st.integers(5, 60).map(lambda k: Fraction(1, 10**k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=surds,
+    q=st.integers(1, 10**13),
+    tol=tolerances,
+    start=st.sampled_from([128, 192]),
+    relative=st.booleans(),
+)
+def test_dist_enclosure_matches_the_loops_it_replaced(x, q, tol, start, relative):
+    if relative:
+        got = dist_enclosure(x, q, rel_tol=tol, start_bits=start)
+        assert got == tight_dist_reference(x, q, tol, start)
+        assert got.width <= got.lo * tol
+    else:
+        got = dist_enclosure(x, q, abs_tol=tol, start_bits=start)
+        assert got == positive_dist_reference(x, q, tol, start)
+        assert got == refined_dist_reference(x, q, tol, start)
+        assert got.width <= tol
+    value, err = dist_oracle(x, q)
+    assert got.lo - err <= value <= got.hi + err
+    assert 0 < got.lo and got.hi <= Fraction(1, 2)
+
+
+def spy_on_precision(monkeypatch):
+    seen = []
+    enclosure = QuadraticSurd.enclosure
+
+    def spy(self, bits):
+        seen.append(bits)
+        return enclosure(self, bits)
+
+    monkeypatch.setattr(QuadraticSurd, "enclosure", spy)
+    return seen
+
+
+def test_dist_enclosure_stops_at_the_hard_cap(monkeypatch):
+    seen = spy_on_precision(monkeypatch)
+    with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit"):
+        dist_enclosure(ALPHA, 12345, abs_tol=Fraction(1, 2**9000))
+    assert max(seen) == HARD_CAP_BITS
+
+
+def test_approximation_record_stops_at_the_hard_cap(monkeypatch):
+    seen = spy_on_precision(monkeypatch)
+    with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit"):
+        diophantine.approximation_record(ALPHA, BETA, 2, tol=Fraction(1, 2**9000))
+    assert max(seen) == HARD_CAP_BITS
+
+
+def test_quality_loop_stops_at_the_hard_cap(monkeypatch):
+    # q = 100 is no Dirichlet denominator of the pair: sqrt(100)*||100*alpha||
+    # is about 4.2, so the quality never drops below 1 and the loop must stop
+    seen = spy_on_precision(monkeypatch)
+    with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit"):
+        diophantine.approximation_record(ALPHA, BETA, 100)
+    assert max(seen) == HARD_CAP_BITS
