@@ -17,8 +17,12 @@ below the guard bits. log, exp and pow stay in ints to the end, since every
 later step (a coarser grid, e*ln 2, 1/exp(u), exponent*log(base)) is a floor
 or a ceiling onto a dyadic grid. A Fraction is built once per public result.
 
-Precision escalates adaptively: computations start at START_BITS and double
-until the requested width is met, up to HARD_CAP_BITS.
+Precision escalates on one schedule, precisions(start): start, 2*start,
+4*start, ... and then HARD_CAP_BITS, the one cap every report prints.
+refine, separate, the floor of a surd, the distance enclosure and the
+quality loop of the Dirichlet records all walk it, each from its own start
+(64, 128, 160 or 192 bits, part of the report bytes), and each raises
+PrecisionCapError naming the cap when the last step still falls short.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from .errors import PrecisionCapError
 
@@ -212,28 +216,37 @@ def max_enclosure(a: Enclosure, b: Enclosure) -> Enclosure:
     return Enclosure(max(a.lo, b.lo), max(a.hi, b.hi))
 
 
+def precisions(start: int) -> Iterator[int]:
+    """The one precision schedule: start, 2*start, 4*start, ... while below
+    HARD_CAP_BITS, then HARD_CAP_BITS itself. A start past the cap is
+    refused, since no enclosure may be taken above it."""
+    if not 0 < start <= HARD_CAP_BITS:
+        raise ValueError(f"start precision {start} outside (0, {HARD_CAP_BITS}]")
+    bits = start
+    while bits < HARD_CAP_BITS:
+        yield bits
+        bits *= 2
+    yield HARD_CAP_BITS
+
+
 def refine(
     producer: Callable[[int], Enclosure],
     width_goal: Rational,
     *,
     start: int = START_BITS,
-    cap: int = HARD_CAP_BITS,
 ) -> Enclosure:
-    """Call producer(bits) with doubling precision until the width goal holds."""
+    """Call producer on precisions(start) until the width goal holds."""
     goal = Fraction(width_goal)
     if goal <= 0:
         raise ValueError("width goal must be positive")
-    bits = start
-    while True:
+    for bits in precisions(start):
         enc = producer(bits)
         if enc.width <= goal:
             return enc
-        if bits >= cap:
-            raise PrecisionCapError(
-                f"width {float(enc.width):.3e} above goal {float(goal):.3e} "
-                f"at the {cap}-bit hard cap"
-            )
-        bits = min(2 * bits, cap)
+    raise PrecisionCapError(
+        f"width {float(enc.width):.3e} above goal {float(goal):.3e} "
+        f"at the {HARD_CAP_BITS}-bit hard cap"
+    )
 
 
 def separate(
@@ -241,25 +254,22 @@ def separate(
     prod_b: Callable[[int], Enclosure],
     *,
     start: int = START_BITS,
-    cap: int = HARD_CAP_BITS,
 ) -> int:
-    """Return -1 if a < b certified, +1 if a > b, escalating until disjoint.
+    """Return -1 if a < b certified, +1 if a > b, escalating on
+    precisions(start) until the enclosures are disjoint.
 
     Callers must only compare values that cannot be equal (e.g. quantities
     lying in distinct quadratic fields); equality burns through the cap.
     """
-    bits = start
-    while True:
+    for bits in precisions(start):
         a, b = prod_a(bits), prod_b(bits)
         if a.hi < b.lo:
             return -1
         if b.hi < a.lo:
             return 1
-        if bits >= cap:
-            raise PrecisionCapError(
-                f"enclosures still overlap at the {cap}-bit hard cap"
-            )
-        bits = min(2 * bits, cap)
+    raise PrecisionCapError(
+        f"enclosures still overlap at the {HARD_CAP_BITS}-bit hard cap"
+    )
 
 
 # ---------------------------------------------------------------------------

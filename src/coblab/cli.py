@@ -64,6 +64,16 @@ _DEFAULT_BETA = "(-1+1*sqrt(3))/1"
 # Fields carried as canonical fraction strings so configs serialize exactly.
 _RATIONAL_FIELDS = ("delta", "gamma", "p", "ratio", "budget", "tol")
 
+# --tol is refused below 2**-(HARD_CAP_BITS - _TOL_MARGIN_BITS) = 2**-8000.
+# At the cap a rotation (a+b*sqrt(d))/c encloses ||q*x|| to width
+# |b|*q/(c*2**8192), and every scan refuses q past 10**13 < 2**44. So for
+# |b|/c <= 2**120 every consumer meets any tol above the floor: a record's
+# distance needs |b|*q/c <= 2**192, a Fourier divisor's tol/8 needs
+# |b|*q/c <= 2**189, and a record's quality sqrt(q)*max(dist), with
+# sqrt(q) < 2**22 enclosed to width 2**-8192, has width below
+# (2**22*|b|*q/c + 1) * 2**-8192 <= 2**-8000.
+_TOL_MARGIN_BITS = 192
+
 
 class ExperimentConfig:
     """Everything a run needs, in JSON-friendly primitives.
@@ -138,6 +148,12 @@ class ExperimentConfig:
             object.__setattr__(self, name, str(value))
         if not (0 < self.rational("tol") < 1):
             raise ConfigError("--tol must lie strictly between 0 and 1")
+        floor_bits = certify.HARD_CAP_BITS - _TOL_MARGIN_BITS
+        if self.rational("tol") < Fraction(1, 1 << floor_bits):
+            raise ConfigError(
+                f"--tol must be at least 2**-{floor_bits}, the finest width "
+                f"met under the {certify.HARD_CAP_BITS}-bit precision cap"
+            )
         if not (0 < self.rational("delta") < 1):
             raise ConfigError("--delta must lie strictly between 0 and 1")
         if self.rational("gamma") <= 0:
@@ -694,36 +710,34 @@ def _error_report(kind: str, exc: Exception) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--alpha", default=_DEFAULT_ALPHA,
+    # No option states a default here: an option left out is left out of the
+    # namespace, so ExperimentConfig's own defaults are the only ones.
+    shared = argparse.ArgumentParser(
+        add_help=False, argument_default=argparse.SUPPRESS
+    )
+    shared.add_argument("--alpha",
                         help="first rotation number, (a+b*sqrt(d))/c")
-    shared.add_argument("--beta", default=_DEFAULT_BETA,
+    shared.add_argument("--beta",
                         help="second rotation number, (a+b*sqrt(d))/c")
-    shared.add_argument("--Q", type=int, default=10000,
-                        help="denominator search bound")
-    shared.add_argument("--K", type=int, default=10,
+    shared.add_argument("--Q", type=int, help="denominator search bound")
+    shared.add_argument("--K", type=int,
                         help="number of construction terms / lattice columns")
-    shared.add_argument("--N", type=int, default=64,
+    shared.add_argument("--N", type=int,
                         help="range bound for searches, rates, and grids")
-    shared.add_argument("--depth", type=int, default=30,
+    shared.add_argument("--depth", type=int,
                         help="continued-fraction / witness search depth")
-    shared.add_argument("--delta", default="3/5",
-                        help="exponent or threshold in (0, 1)")
-    shared.add_argument("--gamma", default="2",
-                        help="logarithmic decay exponent")
-    shared.add_argument("--p", default="2",
-                        help="lattice space exponent, at least 1")
-    shared.add_argument("--ratio", default="2",
-                        help="lacunarity ratio, above 1")
-    shared.add_argument("--budget", default="2",
+    shared.add_argument("--delta", help="exponent or threshold in (0, 1)")
+    shared.add_argument("--gamma", help="logarithmic decay exponent")
+    shared.add_argument("--p", help="lattice space exponent, at least 1")
+    shared.add_argument("--ratio", help="lacunarity ratio, above 1")
+    shared.add_argument("--budget",
                         help="summability budget for term selection")
-    shared.add_argument("--tol", default="1/1000000000000",
-                        help="numeric tolerance in (0, 1)")
-    shared.add_argument("--out", default=None, help="report file path")
-    shared.add_argument("--format", choices=_FORMATS, default="text")
-    shared.add_argument("--seed", type=int, default=0,
+    shared.add_argument("--tol", help="numeric tolerance in (0, 1)")
+    shared.add_argument("--out", help="report file path")
+    shared.add_argument("--format", choices=_FORMATS)
+    shared.add_argument("--seed", type=int,
                         help="seed for randomized property checks")
-    shared.add_argument("--threads", type=int, default=1,
+    shared.add_argument("--threads", type=int,
                         help="workers for pure rational sweeps")
 
     parser = argparse.ArgumentParser(
@@ -766,27 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_namespace(ns: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        subcommand=ns.subcommand,
-        action=getattr(ns, "action", None),
-        alpha=ns.alpha,
-        beta=ns.beta,
-        Q=ns.Q,
-        K=ns.K,
-        N=ns.N,
-        depth=ns.depth,
-        delta=ns.delta,
-        gamma=ns.gamma,
-        p=ns.p,
-        ratio=ns.ratio,
-        budget=ns.budget,
-        tol=ns.tol,
-        out=ns.out,
-        format=ns.format,
-        seed=ns.seed,
-        threads=ns.threads,
-        doubling_tripling=getattr(ns, "doubling_tripling", False),
-    )
+    return ExperimentConfig(**vars(ns))
 
 
 def main(argv=None) -> int:

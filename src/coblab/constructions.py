@@ -89,11 +89,6 @@ def _half_sine(dist: Enclosure) -> Enclosure:
     return enc
 
 
-def _double_coefficient_magnitude(dist_b: Enclosure) -> Enclosure:
-    """|h_hat| = ||q*beta|| / (2*sin(pi*||q*beta||)) from a tight distance."""
-    return dist_b / (2 * _half_sine(dist_b))
-
-
 # ---------------------------------------------------------------------------
 # construction results
 
@@ -163,6 +158,7 @@ def _assemble_joint_not_double(
 
     dists_a = [_tight_dist(alpha, rec.q) for rec in chosen]
     dists_b = [_tight_dist(beta, rec.q) for rec in chosen]
+    sines_b = [_half_sine(db) for db in dists_b]
 
     f = SparseFourierSeries(
         {rec.q: WorkComplex.from_fraction(db.mid) for rec, db in zip(chosen, dists_b)}
@@ -173,8 +169,8 @@ def _assemble_joint_not_double(
     g_total = Enclosure.point(0)
     dist_a_total = Enclosure.point(0)
     inv_sqrt_total = Enclosure.point(0)
-    for rec, da, db in zip(chosen, dists_a, dists_b):
-        g_total = g_total + db * _half_sine(da) / _half_sine(db)
+    for rec, da, db, sb in zip(chosen, dists_a, dists_b, sines_b):
+        g_total = g_total + db * _half_sine(da) / sb
         dist_a_total = dist_a_total + da
         inv_sqrt_total = inv_sqrt_total + sqrt_enclosure(Fraction(1, rec.q), _BITS)
 
@@ -217,8 +213,9 @@ def _assemble_joint_not_double(
     lower = Enclosure.point(1) / (2 * pi)
     upper = Enclosure.point(Fraction(1, 4))
     double_entries = []
-    for rec, db in zip(chosen, dists_b):
-        h_mag = _double_coefficient_magnitude(db)
+    for rec, db, sb in zip(chosen, dists_b, sines_b):
+        # |h_hat| = ||q*beta|| / (2*sin(pi*||q*beta||))
+        h_mag = db / (2 * sb)
         double_entries.append(
             CertificateEntry(
                 f"|h_hat({rec.q})| vs 1/(2*pi)", h_mag, ">=", lower

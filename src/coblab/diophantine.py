@@ -27,6 +27,7 @@ from .certify import (
     Enclosure,
     max_enclosure,
     pow_enclosure,
+    precisions,
     refine,
     separate,
     sqrt_enclosure,
@@ -316,20 +317,17 @@ def _quality_enclosure(
     q: int, da: QuadraticSurd, db: QuadraticSurd, tol: Fraction
 ) -> Enclosure:
     """sqrt(q) * max(da, db) to width tol and, since the record's
-    admissibility is proven, strictly below 1; the precision doubles from
-    START_BITS to HARD_CAP_BITS."""
-    bits = START_BITS
-    while True:
+    admissibility is proven, strictly below 1; the precision walks
+    precisions(START_BITS)."""
+    for bits in precisions(START_BITS):
         enc = sqrt_enclosure(q, bits) * max_enclosure(
             da.enclosure(bits), db.enclosure(bits)
         )
         if enc.width <= tol and enc.hi < 1:
             return enc
-        if bits >= HARD_CAP_BITS:
-            raise PrecisionCapError(
-                f"quality of q = {q} unresolved at the {HARD_CAP_BITS}-bit hard cap"
-            )
-        bits = min(2 * bits, HARD_CAP_BITS)
+    raise PrecisionCapError(
+        f"quality of q = {q} unresolved at the {HARD_CAP_BITS}-bit hard cap"
+    )
 
 
 def _admissible(x: QuadraticSurd, q: int, s: int) -> bool:
@@ -389,13 +387,12 @@ def approximation_record(
     """The certified record of a q from dirichlet_denominators: both
     distances to width tol, and the quality enclosure, which falls below 1."""
     tol_f = _as_fraction(tol, "tol")
+    da, db = (alpha * q).dist_to_int(), (beta * q).dist_to_int()
     return ApproximationRecord(
         q=q,
-        dist_alpha=dist_enclosure(alpha, q, abs_tol=tol_f),
-        dist_beta=dist_enclosure(beta, q, abs_tol=tol_f),
-        quality=_quality_enclosure(
-            q, (alpha * q).dist_to_int(), (beta * q).dist_to_int(), tol_f
-        ),
+        dist_alpha=dist_enclosure(alpha, q, abs_tol=tol_f, exact=da),
+        dist_beta=dist_enclosure(beta, q, abs_tol=tol_f, exact=db),
+        quality=_quality_enclosure(q, da, db, tol_f),
     )
 
 

@@ -18,6 +18,7 @@ from below by a quantity that grows without bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, log
 from typing import NamedTuple, Optional, Union
@@ -433,12 +434,13 @@ def _harmonic_shift_sum(K: int) -> Enclosure:
 
 
 def _isqrt_pow32_sum(terms) -> Enclosure:
-    """sum of m**(-3/2) over the given integers, directed dyadic rounding."""
+    """sum of m**(-3/2) over the given integers, directed dyadic rounding;
+    each distinct m is bracketed once and counted with its multiplicity."""
     lo = hi = 0
-    for m in terms:  # u <= m**(3/2) * 2**80 < u + 1
+    for m, count in Counter(terms).items():  # u <= m**(3/2) * 2**80 < u + 1
         u = isqrt((m**3) << 160)
-        lo += (1 << 160) // (u + 1)
-        hi -= (-1 << 160) // u
+        lo += count * ((1 << 160) // (u + 1))
+        hi -= count * ((-1 << 160) // u)
     return from_fixed(lo, hi, 80)
 
 

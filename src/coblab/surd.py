@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Union
 
-from .certify import HARD_CAP_BITS, START_BITS, Enclosure, refine
+from .certify import HARD_CAP_BITS, START_BITS, Enclosure, precisions, refine
 from .errors import ConfigError, PrecisionCapError
 
 Rational = Union[int, Fraction]
@@ -258,27 +258,20 @@ class QuadraticSurd:
         den = self.c * scale
         return Enclosure(Fraction(lo_num, den), Fraction(hi_num, den))
 
-    def refined(self, tol: Rational) -> Enclosure:
-        """Enclosure of width at most tol, escalating precision adaptively."""
-        return refine(self.enclosure, tol)
-
     def __float__(self) -> float:
         return float(self.enclosure(96).mid)
 
     def __floor__(self) -> int:
         if self.b == 0:
             return Fraction(self.a, self.c).__floor__()
-        bits = 64
-        while True:
+        for bits in precisions(64):
             enc = self.enclosure(bits)
             lo, hi = enc.lo.__floor__(), enc.hi.__floor__()
             if lo == hi:
                 return lo
-            if bits >= HARD_CAP_BITS:
-                raise PrecisionCapError(
-                    f"floor of {self} unresolved at the {HARD_CAP_BITS}-bit hard cap"
-                )
-            bits *= 2
+        raise PrecisionCapError(
+            f"floor of {self} unresolved at the {HARD_CAP_BITS}-bit hard cap"
+        )
 
     def frac(self) -> "QuadraticSurd":
         return self - self.__floor__()
@@ -310,14 +303,16 @@ def dist_enclosure(
     abs_tol: Rational | None = None,
     rel_tol: Rational | None = None,
     start_bits: int = START_BITS,
+    exact: QuadraticSurd | None = None,
 ) -> Enclosure:
     """Certified enclosure of ||q*x||, the distance from q*x to the integers.
 
     The enclosure is clamped into [0, 1/2], has lo > 0, and has width at most
     abs_tol or at most rel_tol * lo; exactly one of the two is given. The
-    precision doubles from start_bits and stops at HARD_CAP_BITS. The start is
-    part of the result: at a given width goal, the enclosure returned is the
-    first one at start_bits * 2**j that meets it.
+    precision walks precisions(start_bits). The start is part of the result:
+    at a given width goal, the enclosure returned is the first one on that
+    schedule that meets it. A caller that holds the exact distance
+    (x*q).dist_to_int() already passes it as exact, so it is built once.
     """
     x.require_irrational("x")
     if q < 1:
@@ -327,19 +322,16 @@ def dist_enclosure(
     tol = Fraction(abs_tol if rel_tol is None else rel_tol)
     if tol <= 0:
         raise ConfigError(f"the tolerance must be positive, got {tol}")
-    dist = (x * q).dist_to_int()
-    bits = start_bits
-    while True:
+    dist = (x * q).dist_to_int() if exact is None else exact
+    for bits in precisions(start_bits):
         enc = dist.enclosure(bits)
         lo, hi = max(enc.lo, _ZERO), min(enc.hi, _HALF)
         if lo > 0 and hi - lo <= (tol if rel_tol is None else tol * lo):
             return Enclosure(lo, hi)
-        if bits >= HARD_CAP_BITS:
-            raise PrecisionCapError(
-                f"||q*x|| for q = {q}, x = {x} unresolved at the "
-                f"{HARD_CAP_BITS}-bit hard cap"
-            )
-        bits = min(2 * bits, HARD_CAP_BITS)
+    raise PrecisionCapError(
+        f"||q*x|| for q = {q}, x = {x} unresolved at the "
+        f"{HARD_CAP_BITS}-bit hard cap"
+    )
 
 
 def sqrt_int(d: int, label: str | None = None) -> QuadraticSurd:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from coblab.certify import (
     GUARD_BITS,
+    HARD_CAP_BITS,
     Enclosure,
     _atanh_fixed,
     _fixed,
@@ -27,6 +28,7 @@ from coblab.certify import (
     log_enclosure,
     pi_enclosure,
     pow_enclosure,
+    precisions,
     refine,
     separate,
     sin_pi_enclosure,
@@ -146,10 +148,63 @@ def test_refine_hits_width_goal():
     assert enc.width <= Fraction(1, 10**30)
 
 
+def doubling_loop_reference(start):
+    """The precisions the hand-written doubling loops visited before they
+    shared one schedule: start, then min(2*bits, cap) up to the cap."""
+    bits, seen = start, []
+    while True:
+        seen.append(bits)
+        if bits >= HARD_CAP_BITS:
+            return seen
+        bits = min(2 * bits, HARD_CAP_BITS)
+
+
+@pytest.mark.parametrize("start", [64, 128, 160, 192])
+def test_precisions_visit_what_the_doubling_loops_visited(start):
+    assert list(precisions(start)) == doubling_loop_reference(start)
+
+
+def test_precisions_end_on_the_cap():
+    assert list(precisions(160)) == [160, 320, 640, 1280, 2560, 5120, 8192]
+    assert list(precisions(HARD_CAP_BITS)) == [HARD_CAP_BITS]
+
+
+@pytest.mark.parametrize("start", [0, -64, HARD_CAP_BITS + 1, 2 * HARD_CAP_BITS])
+def test_precisions_refuse_a_start_outside_the_cap(start):
+    with pytest.raises(ValueError, match="start precision"):
+        next(precisions(start))
+
+
 def test_refine_raises_at_cap():
-    stuck = lambda bits: Enclosure(Fraction(0), Fraction(1))
-    with pytest.raises(PrecisionCapError):
-        refine(stuck, Fraction(1, 10), start=64, cap=128)
+    seen = []
+
+    def stuck(bits):
+        seen.append(bits)
+        return Enclosure(Fraction(0), Fraction(1))
+
+    with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit"):
+        refine(stuck, Fraction(1, 10), start=64)
+    assert seen == list(precisions(64))
+
+
+def test_separate_raises_at_cap_on_equal_values():
+    seen = []
+
+    def one(bits):
+        seen.append(bits)
+        return sqrt_enclosure(2, bits)
+
+    with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit"):
+        separate(one, one, start=192)
+    assert seen[::2] == list(precisions(192))
+
+
+def test_refine_and_separate_take_no_cap():
+    producer = lambda bits: sqrt_enclosure(2, bits)
+    with pytest.raises(TypeError):
+        refine(producer, Fraction(1, 10), cap=128)
+    with pytest.raises(TypeError):
+        separate(producer, producer, cap=128)
 
 
 def test_separate_orders_close_values():

@@ -336,6 +336,31 @@ class TestMain:
         assert config.action == "cf"
         assert config.depth == 8
 
+    @pytest.mark.parametrize("command", [
+        (sub, act) for sub, acts in _ACTIONS.items() for act in acts or (None,)
+    ])
+    def test_parser_defaults_are_the_config_defaults(self, command):
+        sub, act = command
+        ns = build_parser().parse_args([sub] + ([act] if act else []))
+        assert config_from_namespace(ns) == ExperimentConfig(sub, act)
+
+    def test_main_refuses_a_tol_below_the_cap_floor(self, capsys):
+        argv = ["approx", "dirichlet", "--Q", "100", "--tol", f"1/{10**3000}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] == "config"
+        assert "8192-bit" in error["message"]
+
+    def test_main_runs_a_fine_tol_above_the_cap_floor(self, capsys):
+        argv = ["approx", "dirichlet", "--Q", "100", "--tol", f"1/{10**40}",
+                "--format", "json"]
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)["result"]["records"]
+        assert records
+
     def test_main_runs_and_prints_a_report(self, capsys):
         assert main(
             ["rates", "--doubling-tripling", "--N", "8", "--format", "csv"]

@@ -624,3 +624,20 @@ def test_power_lift_precondition_enforced():
     beta, gamma, k, j, u_x, _ = _lift_setup()
     with pytest.raises(ValueError):
         power_lift_joint(u_x, random_real_series(99, 5), gamma, k, j)
+
+
+def test_flagship_encloses_each_sine_once(monkeypatch):
+    import coblab.constructions as constructions_module
+
+    args = []
+    sin_pi = constructions_module.sin_pi_enclosure
+
+    def counted(x, bits):
+        args.append(x)
+        return sin_pi(x, bits)
+
+    monkeypatch.setattr(constructions_module, "sin_pi_enclosure", counted)
+    result = build_joint_not_double(ALPHA, BETA, K=10, Q=10**6)
+    # one sine of ||q*alpha|| and one of ||q*beta|| per chosen q
+    assert len(args) == len(set(args)) == 2 * len(FLAGSHIP_Q)
+    assert result.verdict

@@ -10,16 +10,18 @@ endpoint, the same sums done in Enclosure arithmetic.
 
 import io
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coblab.certify import Enclosure, log_enclosure
+from coblab.certify import Enclosure, from_fixed, log_enclosure
 from coblab.errors import ConfigError
 from coblab.shift_example import (
     _diag_power,
+    _isqrt_pow32_sum,
     _logpower_divergence,
     _logpower_partial,
     _power_divergence,
@@ -431,3 +433,18 @@ def test_logpower_divergence_matches_enclosure_reference():
     assert report.lr_partial == acc + Enclosure(Fraction(0), tail_hi)
     for s in (2, 3, 57, 400):
         assert _q_diagonal_upper(f, s) == _ref_logpower_q_upper(s)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[5504] * 3000, [5504] * 10 + list(range(5505, 5600)), [2, 3, 3, 7, 2]],
+)
+def test_isqrt_pow32_sum_equals_the_term_by_term_sum(terms):
+    # each distinct term is bracketed once and weighted by its count; the
+    # grid ints must be those of bracketing every term on its own
+    lo = hi = 0
+    for m in terms:
+        u = isqrt((m**3) << 160)
+        lo += (1 << 160) // (u + 1)
+        hi -= (-1 << 160) // u
+    assert _isqrt_pow32_sum(iter(terms)) == from_fixed(lo, hi, 80)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coblab import diophantine
-from coblab.certify import HARD_CAP_BITS, Enclosure, refine
+from coblab.certify import HARD_CAP_BITS, Enclosure, precisions, refine
 from coblab.errors import ConfigError, PrecisionCapError
 from coblab.surd import (
     FixedPointReducer,
@@ -106,7 +106,7 @@ def test_nearest_int_and_distance():
     with mpmath.workdps(200):
         expected = 8 * mpmath.sqrt(2) - 11
         scaled = int(mpmath.floor(expected * mpmath.mpf(2) ** 150))
-    enc = dist.refined(Fraction(1, 10**40))
+    enc = refine(dist.enclosure, Fraction(1, 10**40))
     val = Fraction(scaled, 2**150)
     assert enc.lo <= val + Fraction(1, 2**140) and val - Fraction(1, 2**140) <= enc.hi
 
@@ -320,3 +320,32 @@ def test_quality_loop_stops_at_the_hard_cap(monkeypatch):
     with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit"):
         diophantine.approximation_record(ALPHA, BETA, 100)
     assert max(seen) == HARD_CAP_BITS
+
+
+def test_floor_walks_the_schedule_and_stops_at_the_hard_cap(monkeypatch):
+    seen = []
+
+    def straddling(self, bits):
+        seen.append(bits)
+        return Enclosure(Fraction(1, 2), Fraction(3, 2))
+
+    monkeypatch.setattr(QuadraticSurd, "enclosure", straddling)
+    with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit"):
+        math.floor(ALPHA)
+    assert seen == list(precisions(64))
+
+
+def test_approximation_record_builds_each_distance_once(monkeypatch):
+    calls = []
+    dist_to_int = QuadraticSurd.dist_to_int
+
+    def counted(self):
+        calls.append(self)
+        return dist_to_int(self)
+
+    monkeypatch.setattr(QuadraticSurd, "dist_to_int", counted)
+    rec = diophantine.approximation_record(ALPHA, BETA, 41)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert rec.dist_alpha == dist_enclosure(ALPHA, 41, abs_tol=Fraction(1, 10**12))
+    assert rec.dist_beta == dist_enclosure(BETA, 41, abs_tol=Fraction(1, 10**12))
