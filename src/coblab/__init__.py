@@ -33,21 +33,16 @@ _EXPORTS = {
         "large_coeff_witness",
         "petersen_series",
         "power_lift_joint",
-        "refine_lacunary",
     ),
     "diophantine": (
         "ApproximationRecord",
-        "BadnessProfile",
         "Dependence",
         "bad_pair_constant",
-        "badness_profile",
         "continued_fraction",
         "convergents",
         "dirichlet_pair_search",
         "integer_dependence_search",
-        "select_summable_lacunary",
         "square_approximation_search",
-        "summability_enclosure",
     ),
     "errors": (
         "CertificationError",

@@ -66,7 +66,9 @@ _RATIONAL_FIELDS = ("delta", "gamma", "p", "ratio", "budget", "tol")
 
 # --tol is refused below 2**-(HARD_CAP_BITS - _TOL_MARGIN_BITS) = 2**-8000.
 # At the cap a rotation (a+b*sqrt(d))/c encloses ||q*x|| to width
-# |b|*q/(c*2**8192), and every scan refuses q past 10**13 < 2**44. So for
+# |b|*q/(c*2**8192), and every scan refuses q past 10**13 < 2**44.
+# surd.parse_surd refuses |b| >= 2**63 and d > 10**9, so the stored |b|/c,
+# which takes in the square part of d, stays below 2**78 <= 2**120. For
 # |b|/c <= 2**120 every consumer meets any tol above the floor: a record's
 # distance needs |b|*q/c <= 2**192, a Fourier divisor's tol/8 needs
 # |b|*q/c <= 2**189, and a record's quality sqrt(q)*max(dist), with
@@ -363,8 +365,9 @@ def _handle_approx(config: ExperimentConfig) -> _Body:
         return _Body(
             data, text, lambda fh: report.write_rows(fh, ["n"], ([n] for n in hits))
         )
-    terms = diophantine.continued_fraction(alpha, config.depth)
+    # convergents first: it refuses a depth past its digit bound early
     convs = diophantine.convergents(alpha, config.depth)
+    terms = diophantine.continued_fraction(alpha, config.depth)
     data = {
         "terms": terms,
         "convergents": [[p, q] for p, q in convs],

@@ -27,7 +27,6 @@ so degenerate all-zero families stay trivially true.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -57,7 +56,7 @@ from .fourier import (
     transfer_coefficients,
     unit_phase,
 )
-from .report import Certificate, CertificateEntry, decimal_str, enclosure_json, require
+from .report import Certificate, CertificateEntry, enclosure_json, require
 from .surd import QuadraticSurd, dist_enclosure
 
 Rational = Union[int, float, Fraction]
@@ -127,23 +126,6 @@ class ConstructionResult(NamedTuple):
             "notes": list(self.notes),
             "verdict": self.verdict,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    def render(self) -> str:
-        lines = [
-            f"alpha = {self.alpha}",
-            f"beta  = {self.beta}",
-            "q sequence: " + ", ".join(str(r.q) for r in self.q_sequence),
-            "tail bound (geometric model): "
-            + decimal_str(self.tail_bound.hi, "up"),
-        ]
-        for note in self.notes:
-            lines.append("note: " + note)
-        for cert in self.certificates:
-            lines.append(cert.render())
-        return "\n".join(lines)
 
 
 def _assemble_joint_not_double(
@@ -300,76 +282,16 @@ def build_joint_not_double(
     return _assemble_joint_not_double(alpha, beta, chosen, tuple(notes))
 
 
-def refine_lacunary(result: ConstructionResult, ratio: Rational) -> ConstructionResult:
-    """Thin the q sequence to gap ratio >= ratio and rebuild certificates.
-
-    The surviving subsequence carries an exact-rational lacunarity
-    certificate; with the per-term obstruction witnesses it supports the
-    no-measurable-double-solution conclusion (the limit argument itself is
-    documentation, the computed content is the ratio check).
-    """
-    ratio_f = Fraction(ratio)
-    if ratio_f <= 1:
-        raise ConfigError("lacunarity ratio must exceed 1")
-    kept = [result.q_sequence[0]]
-    for rec in result.q_sequence[1:]:
-        if Fraction(rec.q, kept[-1].q) >= ratio_f:
-            kept.append(rec)
-    if len(kept) < 2:
-        raise ShortfallError(
-            f"thinning to ratio {ratio_f} leaves {len(kept)} term(s)"
-        )
-    entries = [
-        CertificateEntry(
-            f"gap q={b.q} over q={a.q}",
-            Enclosure.point(Fraction(b.q, a.q)),
-            ">=",
-            Enclosure.point(ratio_f),
-        )
-        for a, b in zip(kept, kept[1:])
-    ]
-    entries.append(
-        CertificateEntry(
-            "lacunary obstruction support: certified gaps plus nonvanishing"
-            " |h_hat| rule out a measurable double solution in the limit",
-            Enclosure.point(Fraction(len(kept))),
-            "assumption",
-        )
-    )
-    lac_cert = require(
-        Certificate(kind="divergence-witness", entries=tuple(entries)),
-        "lacunarity",
-    )
-    rebuilt = _assemble_joint_not_double(
-        result.alpha, result.beta, kept, result.notes
-    )
-    return ConstructionResult(
-        alpha=rebuilt.alpha,
-        beta=rebuilt.beta,
-        f=rebuilt.f,
-        g=rebuilt.g,
-        q_sequence=rebuilt.q_sequence,
-        certificates=rebuilt.certificates + (lac_cert,),
-        tail_bound=rebuilt.tail_bound,
-        notes=rebuilt.notes,
-    )
-
-
 # ---------------------------------------------------------------------------
 # sufficient-condition checkers
 
 
-def check_bad_joint(
-    f: SparseFourierSeries,
-    mode: str,
-    badness_constant: Optional[Rational] = None,
-) -> Certificate:
+def check_bad_joint(f: SparseFourierSeries, mode: str) -> Certificate:
     """Summability evidence that f is a joint coboundary for any bad rotation.
 
     mode "C" evaluates sum |k|*|f_hat(k)| (continuous-solution route), mode
     "L2" evaluates sum k**2*|f_hat(k)|**2 (square-summable route), both
-    exactly over the finite support. With a badness constant c for alpha,
-    the C-mode sum also yields the solution bound sum |g_hat| <= value/(4c).
+    exactly over the finite support.
     """
     f.require_centered("joint summability data")
     if mode not in ("C", "L2"):
@@ -382,16 +304,6 @@ def check_bad_joint(
         entries.append(
             CertificateEntry("sum over support of |k| * |f_hat(k)|", total)
         )
-        if badness_constant is not None:
-            c_frac = Fraction(badness_constant)
-            if c_frac <= 0:
-                raise ConfigError("badness constant must be positive")
-            entries.append(
-                CertificateEntry(
-                    "implied bound on sum of |g_hat|: value/(4c)",
-                    total / (4 * c_frac),
-                )
-            )
     else:
         exact = Fraction(0)
         for n, c in f.items():
@@ -622,8 +534,7 @@ def kac_salem_series(
     total = Enclosure.point(0)
     entropy = Enclosure.point(0)
     terms = []
-    pairs = magnitudes.items() if hasattr(magnitudes, "items") else magnitudes
-    for k, mag in pairs:
+    for k, mag in magnitudes:
         if k == 0:
             raise ConfigError("magnitudes must avoid k = 0")
         mag_f = Fraction(mag)

@@ -66,16 +66,6 @@ class Dependence(NamedTuple):
     gcd_mn: int
 
 
-class BadnessProfile(NamedTuple):
-    """Partial-quotient and q*||q*x|| evidence for badly approximable x."""
-
-    max_partial_quotient: int
-    period_length: Optional[int]
-    certified_all_quotients: bool
-    min_normalized: Enclosure
-    argmin_q: int
-
-
 def _as_fraction(value: Rational, name: str) -> Fraction:
     try:
         return Fraction(value)
@@ -87,80 +77,51 @@ def _as_fraction(value: Rational, name: str) -> Fraction:
 # continued fractions
 
 
-def continued_fraction(x: QuadraticSurd, depth: int) -> list[int]:
-    """Partial quotients [a_0, ..., a_depth] of x, computed exactly."""
+def _quotients(x: QuadraticSurd, depth: int) -> Iterator[int]:
+    """Partial quotients a_0, ..., a_depth of x, computed exactly, one at a
+    time."""
     x.require_irrational("x")
     if depth < 0:
         raise ConfigError("depth must be nonnegative")
-    quotients = []
     current = x
     for _ in range(depth + 1):
         a = current.__floor__()
-        quotients.append(a)
+        yield a
         current = (current - a).inverse()
-    return quotients
+
+
+def continued_fraction(x: QuadraticSurd, depth: int) -> list[int]:
+    """Partial quotients [a_0, ..., a_depth] of x, computed exactly."""
+    return list(_quotients(x, depth))
+
+
+# The `approx cf` report prints the convergents in decimal, and Python
+# refuses to convert an int of more than 4300 digits to a string. So
+# convergents stops at a q_k of CONVERGENT_DIGITS = 4000 digits: a parsed
+# surd has |x| < 2**79 (see surd.parse_surd), so |p_k| <= |x|*q_k + 1 has at
+# most 4024 digits.
+CONVERGENT_DIGITS = 4000
+_Q_LIMIT = 10**CONVERGENT_DIGITS
 
 
 def convergents(x: QuadraticSurd, depth: int) -> list[tuple[int, int]]:
-    """Convergents (p_k, q_k) for k = 0..depth from the exact quotient list."""
-    quotients = continued_fraction(x, depth)
+    """Convergents (p_k, q_k) for k = 0..depth from the exact quotients.
+
+    A depth that reaches a q_k of more than CONVERGENT_DIGITS digits raises
+    ConfigError, before the quotients past that k are computed.
+    """
     out = []
-    p_prev, p_curr = 1, quotients[0]
-    q_prev, q_curr = 0, 1
-    out.append((p_curr, q_curr))
-    for a in quotients[1:]:
+    p_prev, p_curr, q_prev, q_curr = 0, 1, 1, 0
+    for k, a in enumerate(_quotients(x, depth)):
         p_prev, p_curr = p_curr, a * p_curr + p_prev
         q_prev, q_curr = q_curr, a * q_curr + q_prev
+        if q_curr >= _Q_LIMIT:
+            raise ConfigError(
+                f"depth {depth}: q_{k} has more than {CONVERGENT_DIGITS} "
+                "digits, past the largest convergent a report prints"
+            )
         out.append((p_curr, q_curr))
     return out
-
-
-def badness_profile(x: QuadraticSurd, depth: int) -> BadnessProfile:
-    """Partial-quotient ceiling and the smallest q*||q*x|| over convergents.
-
-    Quadratic surds have eventually periodic quotient sequences; the Gauss
-    map states are exact surds here, so a repeated state certifies that the
-    maximum over the examined window bounds every later quotient. The
-    normalized distances q_k * ||q_k x|| are compared exactly inside the
-    field of x.
-    """
-    x.require_irrational("x")
-    if depth < 1:
-        raise ConfigError("depth must be at least 1")
-
-    quotients = [x.__floor__()]
-    seen: dict[QuadraticSurd, int] = {}
-    period = None
-    current = (x - quotients[0]).inverse()
-    k = 1
-    while k <= depth:
-        if current in seen:
-            period = k - seen[current]
-            break
-        seen[current] = k
-        a = current.__floor__()
-        quotients.append(a)
-        current = (current - a).inverse()
-        k += 1
-    max_quotient = max(quotients[1:]) if len(quotients) > 1 else quotients[0]
-
-    best_q, best_value, best_enc = None, None, None
-    p_prev, p_curr = 1, quotients[0]
-    q_prev, q_curr = 0, 1
-    for a in quotients[1:]:
-        p_prev, p_curr = p_curr, a * p_curr + p_prev
-        q_prev, q_curr = q_curr, a * q_curr + q_prev
-        value = (x * q_curr).dist_to_int() * q_curr
-        if best_value is None or value < best_value:  # exact same-field order
-            best_q, best_value = q_curr, value
-    best_enc = refine(best_value.enclosure, Fraction(1, 10**30))
-    return BadnessProfile(
-        max_partial_quotient=max_quotient,
-        period_length=period,
-        certified_all_quotients=period is not None,
-        min_normalized=best_enc,
-        argmin_q=best_q,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +274,16 @@ def dyadic_blocks(Q: int) -> Iterator[tuple[int, int]]:
 # simultaneous Dirichlet search
 
 
-def _quality_enclosure(
-    q: int, da: QuadraticSurd, db: QuadraticSurd, tol: Fraction
-) -> Enclosure:
-    """sqrt(q) * max(da, db) to width tol and, since the record's
-    admissibility is proven, strictly below 1; the precision walks
-    precisions(START_BITS)."""
-    for bits in precisions(START_BITS):
-        enc = sqrt_enclosure(q, bits) * max_enclosure(
+def _quality(q: int, da: QuadraticSurd, db: QuadraticSurd):
+    """The producer bits -> enclosure of sqrt(q) * max(da, db), for da and db
+    the exact distances ||q*alpha|| and ||q*beta||."""
+
+    def producer(bits: int) -> Enclosure:
+        return sqrt_enclosure(q, bits) * max_enclosure(
             da.enclosure(bits), db.enclosure(bits)
         )
-        if enc.width <= tol and enc.hi < 1:
-            return enc
-    raise PrecisionCapError(
-        f"quality of q = {q} unresolved at the {HARD_CAP_BITS}-bit hard cap"
-    )
+
+    return producer
 
 
 def _admissible(x: QuadraticSurd, q: int, s: int) -> bool:
@@ -385,14 +341,20 @@ def approximation_record(
     tol: Rational = Fraction(1, 10**12),
 ) -> ApproximationRecord:
     """The certified record of a q from dirichlet_denominators: both
-    distances to width tol, and the quality enclosure, which falls below 1."""
+    distances to width tol, and the quality to width tol and, since the
+    record's admissibility is proven, strictly below 1; the quality's
+    precision walks precisions(START_BITS)."""
     tol_f = _as_fraction(tol, "tol")
     da, db = (alpha * q).dist_to_int(), (beta * q).dist_to_int()
-    return ApproximationRecord(
-        q=q,
-        dist_alpha=dist_enclosure(alpha, q, abs_tol=tol_f, exact=da),
-        dist_beta=dist_enclosure(beta, q, abs_tol=tol_f, exact=db),
-        quality=_quality_enclosure(q, da, db, tol_f),
+    dist_alpha = dist_enclosure(alpha, q, abs_tol=tol_f, exact=da)
+    dist_beta = dist_enclosure(beta, q, abs_tol=tol_f, exact=db)
+    quality = _quality(q, da, db)
+    for bits in precisions(START_BITS):
+        enc = quality(bits)
+        if enc.width <= tol_f and enc.hi < 1:
+            return ApproximationRecord(q, dist_alpha, dist_beta, enc)
+    raise PrecisionCapError(
+        f"quality of q = {q} unresolved at the {HARD_CAP_BITS}-bit hard cap"
     )
 
 
@@ -443,28 +405,6 @@ def lacunary_denominators(
     return chosen
 
 
-def select_summable_lacunary(
-    records: Sequence[ApproximationRecord],
-    ratio: Rational = 2.0,
-    budget: Rational = 2.0,
-) -> list[ApproximationRecord]:
-    """The records that lacunary_denominators selects by q; of records with
-    equal q, the first."""
-    first: dict[int, ApproximationRecord] = {}
-    for rec in sorted(records, key=lambda r: r.q):
-        first.setdefault(rec.q, rec)
-    chosen = lacunary_denominators([rec.q for rec in records], ratio, budget)
-    return [first[q] for q in chosen]
-
-
-def summability_enclosure(records: Sequence[ApproximationRecord], bits: int = 160) -> Enclosure:
-    """Certified enclosure of sum over records of q**-1/2."""
-    total = Enclosure.point(0)
-    for rec in records:
-        total = total + sqrt_enclosure(Fraction(1, rec.q), bits)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # badly approximable pairs
 
@@ -505,15 +445,7 @@ def bad_pair_constant(
                 kept = [(k, v) for k, v in kept if v <= c2] + [(q, low)]
 
     def producer_for(q: int):
-        da = (alpha * q).dist_to_int()
-        db = (beta * q).dist_to_int()
-
-        def producer(bits: int) -> Enclosure:
-            return sqrt_enclosure(q, bits) * max_enclosure(
-                da.enclosure(bits), db.enclosure(bits)
-            )
-
-        return producer
+        return _quality(q, (alpha * q).dist_to_int(), (beta * q).dist_to_int())
 
     best_q = kept[0][0]
     best_producer = producer_for(best_q)

@@ -226,10 +226,6 @@ class SmallDivisorEntry(NamedTuple):
 
 class SmallDivisorReport(NamedTuple):
     entries: tuple[SmallDivisorEntry, ...]
-    contains_zero: bool
-
-    def smallest_divisor(self) -> Fraction:
-        return min(e.divisor.lo for e in self.entries) if self.entries else Fraction(0)
 
 
 def divisor_enclosure(alpha: QuadraticSurd, n: int, tol: Rational = Fraction(1, 10**15)) -> Enclosure:
@@ -276,6 +272,28 @@ def apply_difference(f: SparseFourierSeries, alpha: QuadraticSurd) -> SparseFour
     return SparseFourierSeries(data, f.real_valued)
 
 
+def _solve(
+    f: SparseFourierSeries, rotations: tuple[QuadraticSurd, ...], tol: Rational
+) -> tuple[SparseFourierSeries, SmallDivisorReport]:
+    """Divide each coefficient by the product of 1 - e(n*x) over the
+    rotations x, with the certified product of their divisors."""
+    tol_f = Fraction(tol)
+    data = {}
+    entries = []
+    first, *rest = rotations
+    for n, c in f._coeffs.items():
+        factor = _one_minus_phase(first, n)
+        div = divisor_enclosure(first, n, tol_f)
+        for x in rest:
+            factor = factor * _one_minus_phase(x, n)
+            div = div * divisor_enclosure(x, n, tol_f)
+        data[n] = c / factor
+        mag = coefficient_magnitude_enclosure(c) / div
+        entries.append(SmallDivisorEntry(n=n, divisor=div, magnitude=mag))
+    entries.sort(key=lambda e: e.n)
+    return SparseFourierSeries(data, f.real_valued), SmallDivisorReport(tuple(entries))
+
+
 def solve_coboundary(
     f: SparseFourierSeries,
     alpha: QuadraticSurd,
@@ -284,22 +302,11 @@ def solve_coboundary(
     """Solve f = (I - T_alpha) g for g, with a certified small-divisor report.
 
     The input must be centered. Divisor enclosures are refined until they
-    exclude zero (always possible for irrational alpha), so contains_zero is
-    False on every report this function returns.
+    exclude zero, which is always possible for irrational alpha.
     """
     alpha.require_irrational("alpha")
     f.require_centered("coboundary data")
-    tol_f = Fraction(tol)
-    data = {}
-    entries = []
-    for n, c in f._coeffs.items():
-        data[n] = c / _one_minus_phase(alpha, n)
-        div = divisor_enclosure(alpha, n, tol_f)
-        mag = coefficient_magnitude_enclosure(c) / div
-        entries.append(SmallDivisorEntry(n=n, divisor=div, magnitude=mag))
-    entries.sort(key=lambda e: e.n)
-    report = SmallDivisorReport(entries=tuple(entries), contains_zero=False)
-    return SparseFourierSeries(data, f.real_valued), report
+    return _solve(f, (alpha,), tol)
 
 
 def transfer_coefficients(
@@ -330,17 +337,7 @@ def double_solve(
     alpha.require_irrational("alpha")
     beta.require_irrational("beta")
     f.require_centered("double-coboundary data")
-    tol_f = Fraction(tol)
-    data = {}
-    entries = []
-    for n, c in f._coeffs.items():
-        data[n] = c / (_one_minus_phase(alpha, n) * _one_minus_phase(beta, n))
-        div = divisor_enclosure(alpha, n, tol_f) * divisor_enclosure(beta, n, tol_f)
-        mag = coefficient_magnitude_enclosure(c) / div
-        entries.append(SmallDivisorEntry(n=n, divisor=div, magnitude=mag))
-    entries.sort(key=lambda e: e.n)
-    report = SmallDivisorReport(entries=tuple(entries), contains_zero=False)
-    return SparseFourierSeries(data, f.real_valued), report
+    return _solve(f, (alpha, beta), tol)
 
 
 # ---------------------------------------------------------------------------

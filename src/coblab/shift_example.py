@@ -60,6 +60,17 @@ def _rational_pow(base: Fraction, expo: Fraction, bits: int) -> Enclosure:
     return pow_enclosure(base, expo, bits)
 
 
+def _acc_sum(fractions) -> Enclosure:
+    """sum of num/den over (num, den) pairs, den > 0, each term rounded
+    outward onto the 2**-_ACC_BITS grid."""
+    lo = hi = 0
+    for num, den in fractions:
+        num <<= _ACC_BITS
+        lo += num // den
+        hi -= -num // den
+    return from_fixed(lo, hi, _ACC_BITS)
+
+
 # The long sums round each partial sum outward onto the 2**-_GRID grid. A
 # sum on the grid plus x rounds to that sum plus x rounded, so the partial
 # sums are kept as pairs of ints: floor and ceiling times 2**_GRID.
@@ -196,7 +207,7 @@ def lp_partial_norm(
                 f"kappa = {kappa}; no finite tail bound exists"
             )
         if kappa.denominator == 1:
-            partial = _integer_power_partial(S, int(kappa))
+            partial = _acc_sum((s - 1, s ** int(kappa)) for s in range(2, S + 1))
         else:
             partial = _generic_power_partial(f, p, S)
         # (s-1) s**-kappa <= s**(1-kappa), then integral comparison.
@@ -217,16 +228,6 @@ def lp_partial_norm(
             )
     tail = Enclosure(Fraction(0), tail_hi)
     return LatticeSum(partial, tail, partial + tail, S)
-
-
-def _integer_power_partial(S: int, kappa: int) -> Enclosure:
-    """sum_{s=2..S} (s-1) s**-kappa by directed dyadic accumulation."""
-    lo = hi = 0
-    for s in range(2, S + 1):
-        num, den = (s - 1) << _ACC_BITS, s**kappa
-        lo += num // den
-        hi -= -num // den
-    return from_fixed(lo, hi, _ACC_BITS)
 
 
 def _generic_power_partial(
@@ -424,15 +425,6 @@ class DivergenceReport(NamedTuple):
     certificate: Certificate
 
 
-def _harmonic_shift_sum(K: int) -> Enclosure:
-    """sum_{k=1..K} 1/(1+k) on the dyadic grid."""
-    lo = hi = 0
-    for k in range(1, K + 1):
-        lo += (1 << _ACC_BITS) // (k + 1)
-        hi -= (-1 << _ACC_BITS) // (k + 1)
-    return from_fixed(lo, hi, _ACC_BITS)
-
-
 def _isqrt_pow32_sum(terms) -> Enclosure:
     """sum of m**(-3/2) over the given integers, directed dyadic rounding;
     each distinct m is bracketed once and counted with its multiplicity."""
@@ -481,7 +473,7 @@ def _power_divergence(p: Fraction, K: int) -> DivergenceReport:
     # Row 1: q(1,k) >= int_{1+k}^inf x**-kappa dx = p (1+k)**((1-kappa)),
     # and (1-kappa) p = -1 exactly, so p-th powers are harmonic.
     coef = _rational_pow((1 - _EPS) * p, p, 140)
-    harmonic = _harmonic_shift_sum(K)
+    harmonic = _acc_sum((1, k + 1) for k in range(1, K + 1))  # sum 1/(1+k)
     row_sum_lower = coef * harmonic
     log_thr = (log_enclosure(K + 2, 96) - 1) * coef
     entries.append(

@@ -56,12 +56,6 @@ class AtomicSpectralMeasure(Frozen):
     def total_mass(self) -> Fraction:
         return sum((atom.mass for atom in self.atoms), Fraction(0))
 
-    def mass_at_zero(self) -> Fraction:
-        for atom in self.atoms:
-            if atom.n == 0:
-                return atom.mass
-        return Fraction(0)
-
 
 class CriterionSum(NamedTuple):
     """A certified partial criterion sum with its per-atom ledger.
@@ -97,6 +91,21 @@ def spectral_measure(
     return AtomicSpectralMeasure(alpha=alpha, beta=beta, atoms=tuple(atoms))
 
 
+def _criterion_sum(m: AtomicSpectralMeasure, term_of) -> CriterionSum:
+    """Sum term_of(atom) over the atoms off frequency 0, with the ledger."""
+    total = Enclosure.point(0)
+    divergent = False
+    terms = []
+    for atom in m.atoms:
+        if atom.n == 0:
+            divergent = True
+            continue
+        term = term_of(atom)
+        terms.append((atom.n, term))
+        total = total + term
+    return CriterionSum(value=total, divergent=divergent, terms=tuple(terms))
+
+
 def coboundary_integral(
     m: AtomicSpectralMeasure, which: str
 ) -> CriterionSum:
@@ -108,18 +117,10 @@ def coboundary_integral(
     """
     if which not in ("alpha", "beta"):
         raise ConfigError(f"which must be 'alpha' or 'beta', got {which!r}")
-    total = Enclosure.point(0)
-    divergent = False
-    terms = []
-    for atom in m.atoms:
-        if atom.n == 0:
-            divergent = True
-            continue
-        div_sq = atom.div_alpha_sq if which == "alpha" else atom.div_beta_sq
-        term = Enclosure.point(atom.mass) / div_sq
-        terms.append((atom.n, term))
-        total = total + term
-    return CriterionSum(value=total, divergent=divergent, terms=tuple(terms))
+    field = "div_alpha_sq" if which == "alpha" else "div_beta_sq"
+    return _criterion_sum(
+        m, lambda atom: Enclosure.point(atom.mass) / getattr(atom, field)
+    )
 
 
 def joint_criterion_sum(m: AtomicSpectralMeasure) -> CriterionSum:
@@ -129,26 +130,20 @@ def joint_criterion_sum(m: AtomicSpectralMeasure) -> CriterionSum:
     routes are computed and must agree, so a drift between them signals a
     precision bug rather than a mathematical possibility.
     """
-    total = Enclosure.point(0)
-    divergent = False
-    terms = []
-    for atom in m.atoms:
-        if atom.n == 0:
-            divergent = True
-            continue
-        da, db = atom.div_alpha_sq, atom.div_beta_sq
-        term = (atom.mass * (da + db)) / (da * db)
-        terms.append((atom.n, term))
-        total = total + term
+    joint = _criterion_sum(
+        m,
+        lambda atom: (atom.mass * (atom.div_alpha_sq + atom.div_beta_sq))
+        / (atom.div_alpha_sq * atom.div_beta_sq),
+    )
     recombined = (
         coboundary_integral(m, "alpha").value + coboundary_integral(m, "beta").value
     )
     # both enclosures hold the same exact sum, so disjoint ones mean a bug
-    if total.strictly_below(recombined) or total.strictly_above(recombined):
+    if joint.value.strictly_below(recombined) or joint.value.strictly_above(recombined):
         raise CertificationError(
             "joint criterion sum drifted from the sum of its one-sided parts"
         )
-    return CriterionSum(value=total, divergent=divergent, terms=tuple(terms))
+    return joint
 
 
 def double_criterion_sum(m: AtomicSpectralMeasure) -> CriterionSum:
@@ -158,17 +153,11 @@ def double_criterion_sum(m: AtomicSpectralMeasure) -> CriterionSum:
     construction each term sits above 1/(4*pi**2), so the partial sums grow
     at least linearly in the atom count.
     """
-    total = Enclosure.point(0)
-    divergent = False
-    terms = []
-    for atom in m.atoms:
-        if atom.n == 0:
-            divergent = True
-            continue
-        term = Enclosure.point(atom.mass) / (atom.div_alpha_sq * atom.div_beta_sq)
-        terms.append((atom.n, term))
-        total = total + term
-    return CriterionSum(value=total, divergent=divergent, terms=tuple(terms))
+    return _criterion_sum(
+        m,
+        lambda atom: Enclosure.point(atom.mass)
+        / (atom.div_alpha_sq * atom.div_beta_sq),
+    )
 
 
 def cesaro_rate_profile(
@@ -214,17 +203,8 @@ def criterion_to_csv(cs: CriterionSum, fileobj) -> None:
                ([n, *endpoints(term)] for n, term in cs.terms))
 
 
-def profile_to_csv(
-    profile: Iterable[tuple[int, float, float]],
-    fileobj,
-    which: str = "n",
-) -> None:
-    """Rate-profile rows; float64 diagnostics, so lo and hi coincide."""
-    if which not in ("n", "n_sq"):
-        raise ConfigError(f"which must be 'n' or 'n_sq', got {which!r}")
-    values = (
-        (n, repr(per_n if which == "n" else per_n_sq))
-        for n, per_n, per_n_sq in profile
-    )
+def profile_to_csv(profile: Iterable[tuple[int, float, float]], fileobj) -> None:
+    """Rate-profile rows of |S_n|/n; float64 diagnostics, so lo and hi
+    coincide."""
     write_rows(fileobj, ["n", "value_lo", "value_hi"],
-               ([n, v, v] for n, v in values))
+               ([n, repr(per_n), repr(per_n)] for n, per_n, _ in profile))

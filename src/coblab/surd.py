@@ -22,6 +22,7 @@ from .errors import ConfigError, PrecisionCapError
 Rational = Union[int, Fraction]
 
 
+@lru_cache(maxsize=256)  # every surd built in a field decomposes its d again
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = s*s*r with r squarefree; returns (s, r). Requires n >= 0."""
     if n < 0:
@@ -349,12 +350,34 @@ _SURD_BODY = re.compile(
 )
 
 
+# parse_surd's input bounds. They keep |x| < 2**79 and the stored |b|, which
+# takes in the square part of d (below 2**15), below 2**78; the enclosure
+# widths behind the --tol floor (cli._TOL_MARGIN_BITS) and the convergents'
+# digit bound (diophantine.CONVERGENT_DIGITS) assume as much. The radicand
+# bound also keeps squarefree_decompose's trial division under 16000 steps.
+COEFFICIENT_LIMIT = 1 << 63
+RADICAND_LIMIT = 10**9
+
+
+def _bounded_int(digits: str, what: str, limit: int) -> int:
+    """int(digits) if its absolute value is below limit, else ConfigError
+    saying what. The length is checked first: int() refuses a string of over
+    4300 digits."""
+    if len(digits.lstrip("+-0")) <= len(str(limit)):
+        value = int(digits)
+        if abs(value) < limit:
+            return value
+    raise ConfigError(f"{what} in a rotation number")
+
+
 def parse_surd(text: str, label: str | None = None) -> QuadraticSurd:
     """Parse "(a+b*sqrt(d))/c" (parens and /c optional) into an exact surd.
 
     The integer part, the explicit coefficient and the denominator may be
     omitted; d must not be a perfect square and the sqrt coefficient must be
-    nonzero, so the parsed value is guaranteed irrational.
+    nonzero, so the parsed value is guaranteed irrational. |a|, |b| and |c|
+    must be below COEFFICIENT_LIMIT = 2**63 and d at most RADICAND_LIMIT =
+    10**9; other input raises ConfigError.
     """
     s = text.strip().replace(" ", "")
     c = 1
@@ -367,7 +390,8 @@ def parse_surd(text: str, label: str | None = None) -> QuadraticSurd:
             if not rest.startswith("/"):
                 raise ConfigError(f"unexpected trailing {rest!r} in {text!r}")
             try:
-                c = int(rest[1:])
+                c = _bounded_int(rest[1:], "|c| must be below 2**63",
+                                 COEFFICIENT_LIMIT)
             except ValueError:
                 raise ConfigError(f"bad denominator in {text!r}") from None
             if c == 0:
@@ -379,10 +403,12 @@ def parse_surd(text: str, label: str | None = None) -> QuadraticSurd:
         raise ConfigError(
             f"cannot parse {text!r}; expected the form (a+b*sqrt(d))/c"
         )
-    a = int(m.group("a")) if m.group("a") else 0
+    a = _bounded_int(m.group("a") or "0", "|a| must be below 2**63",
+                     COEFFICIENT_LIMIT)
     sign = -1 if (m.group("bsign") or m.group("lonesign")) == "-" else 1
-    b = sign * (int(m.group("b")) if m.group("b") else 1)
-    d = int(m.group("d"))
+    b = sign * _bounded_int(m.group("b") or "1", "|b| must be below 2**63",
+                            COEFFICIENT_LIMIT)
+    d = _bounded_int(m.group("d"), "d must be at most 10**9", RADICAND_LIMIT + 1)
     if b == 0:
         raise ConfigError(f"zero sqrt coefficient in {text!r} gives a rational")
     value = QuadraticSurd(a, b, d, c, label=label)

@@ -7,6 +7,7 @@ machine-readable JSON written to stderr.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -283,6 +284,22 @@ class TestExitCodes:
         assert err["error"]["kind"] == "config"
         assert err["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "cf", "--depth", "50000"],
+            ["approx", "cf", "--alpha", f"(0+{10**2500}*sqrt(2))/1"],
+            ["approx", "dirichlet", "--alpha", f"(1+sqrt(2))/{10**3000}"],
+            ["approx", "dirichlet", "--beta", "(-1+sqrt(999999999989))/1"],
+        ],
+    )
+    def test_inputs_past_the_bounds_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["kind"] == "config"
+
     def test_search_shortfall_exits_three(self, capsys):
         code, report = run_report(subcommand="construct", K=10, Q=5)
         assert code == 3
@@ -549,3 +566,136 @@ def test_every_config_runs_or_exits_with_a_json_error(command, fmt, **fields):
         (line,) = err.getvalue().splitlines()
         error = json.loads(line)["error"]
         assert error["kind"] and error["message"]
+
+
+# Golden reports: the sha256 of stdout for every (subcommand, action) pair in
+# each format at its defaults, plus the two flagged variants. A refactor that
+# claims byte-identical reports must leave this table as it is. check
+# double-bad runs at --K 3, since at defaults it takes seconds.
+NO_SERIES = (
+    '{"error": {"kind": "config", "message": "no series output defined for '
+    'this subcommand; use --format json or text", "type": "ConfigError"}, '
+    '"schema": "coblab-report-v1", "version": "0.1.0"}\n'
+)
+GOLDEN = {
+    "approx dirichlet --format csv":
+        "b7e4d4adbaf507e065ba150cf3b368db0aabbb068064d6761d9ddcd3744062f4",
+    "approx dirichlet --format json":
+        "6d192f60236dd808116a7f3ff96b8517a2090411e0138a80694e6bbc02f73072",
+    "approx dirichlet --format text":
+        "7a5247e94d15d6a3c4ef9228745d358cd9ae53c0a4f93496e0eb46d4bded7edf",
+    "approx bad-pair --format csv": NO_SERIES,
+    "approx bad-pair --format json":
+        "68ffce0b81ab9f04ed68f4299a0848a3875edb4af83e1e50c3bf8743a796cbc5",
+    "approx bad-pair --format text":
+        "cfc77bde300c03f7a8a6cbcbeec899560ea3b0ac36882799907f5bd8e24b340f",
+    "approx squares --format csv":
+        "aafe79fedd1d39c6c8970e71c2fb64cc5500f21a0dbf23f79813b887215502e2",
+    "approx squares --format json":
+        "a2eb9eba7d64de9b19c9d9c161e0ceab6c5f0ea499dae64f892f64975567eaf9",
+    "approx squares --format text":
+        "dd2baf393baf96e6116ac90f8fbec7f799134880457d0f610e64ba4c21380b61",
+    "approx cf --format csv":
+        "041f7b5d3e7323aa993881aec225ceabff3536e7b8fbce667cb9b86a60f40bcb",
+    "approx cf --format json":
+        "c17fe0e73bcca05bc81a6682e122cae9913b712aaf523e42bdf7c0f48558119b",
+    "approx cf --format text":
+        "4c73e628431cf28878c73f15b6277ffe5902ddfed334346ceece770a644925a5",
+    "construct --format csv":
+        "3ce453f68633ae7142cac9d50ddd22857157a9c9e94eae2a074bca04bb0ced7c",
+    "construct --format json":
+        "d1fd1f6b71497747966b4facc807d4fb8bbae3aec0723e03c573ae33526bc0c1",
+    "construct --format text":
+        "0ed6ee8f6f610b040c27df1b20653ec7f83ce1c9633005da690b951b6ff82938",
+    "check bad-joint --format csv":
+        "6d40c68f635b1555390c74b6baf5a9908c71e47a74e5f0d7cb780a7ef7c6a0b3",
+    "check bad-joint --format json":
+        "211e34115da3bdf2f1a6464b3f9621656744ac1d1c1c750b8cad8f4aae01312c",
+    "check bad-joint --format text":
+        "97efb8745be4dbcb62da905757353412dd583a2098119f7f3ee75ffc80136824",
+    "check mur --format csv":
+        "28415f40e72eb02d742d9e70ac1b829b7166b13b560887e70044c6bb606d8d2a",
+    "check mur --format json":
+        "718151c72be953a3cf0fe8628b14c4f39e19610399f267d26db8fa32421243ae",
+    "check mur --format text":
+        "9fdc82c1c6d9e2e27319ee3286cf673d8054f9a18b218fefa8a6ea8e35cf1abf",
+    "check double-bad --K 3 --format csv":
+        "f085b2deba87df63828a9a189102a90fb0576a37b5866376119b212034280a55",
+    "check double-bad --K 3 --format json":
+        "d5bc8f71cd22fe99095a38b13900b5e946cd684153426d9b443ec0149e050bd5",
+    "check double-bad --K 3 --format text":
+        "6d85a61c579bf0647ffee86bc1c1028d5c0e765bed59368801d1248033015d5f",
+    "check kac-salem --format csv": NO_SERIES,
+    "check kac-salem --format json":
+        "e217e6786b20163b9e0ccbab5197f13710b84afc22e69064c71388590058edf7",
+    "check kac-salem --format text":
+        "1a7f13b5b3921412e4e2549b5fd538a89c0fb4ae9c1a16fd74a62a9acba4a107",
+    "check large-coeff --format csv":
+        "be09cd28dce896539221f46de8eae9a41e5555dfd72be3a8a2c8f01d945f2a3f",
+    "check large-coeff --format json":
+        "79b44820bf09dec2350c9d379e705082901084fa44fdba79976c801350506fc2",
+    "check large-coeff --format text":
+        "e72cca8332e0aa7b2501c3dc3727a2bddaf03d804127f78f04104871ee955be0",
+    "check petersen --format csv": NO_SERIES,
+    "check petersen --format json":
+        "c9752f1f0b370f28f5f0fc3a0d1ded2c7fbe7c7f24d6b8638c871484bcb413f2",
+    "check petersen --format text":
+        "6ffe6acb32deae771169a3b5352d58dd4fcdc40c469b21a2b7492555a4797d32",
+    "spectral --format csv":
+        "3de3572e30eb75bcab6a5c5231f8bf4809c6cd7bc3582a79a649252b7dc4197c",
+    "spectral --format json":
+        "08a09d88573e8c21e2d086e60158b8f15e3ade0b4ec94b85ecb647fa1b89667d",
+    "spectral --format text":
+        "039b33ab78868f76e4e375b56db4636726675246b7e5b8ec903b500bedff42af",
+    "rates --format csv":
+        "5344cc30d3c8fe109b779ffca234f87c878b9a9f2639e183a626cbf72224ebfc",
+    "rates --format json":
+        "038c941212533111aeacc21dea44c88754db78297eb4829f64c721c67fe6b47d",
+    "rates --format text":
+        "da00e4beb08c0e21921de3fe5ada0f0b38e5af8e66da982eead043594aaebf85",
+    "shift --format csv":
+        "7b804a15b648d93ea580da621104f838b7a2e6f60575430df1607478fdd86b87",
+    "shift --format json":
+        "32e859e0bd07a7d8739c47b255211e7c7c5694e8d9866e5922673d6c9adf98d5",
+    "shift --format text":
+        "40014e4fac3eef39849347ba8a01f52c78f6f6e285d455cb66ebad2fb06e8f90",
+    "selftest --format csv": NO_SERIES,
+    "selftest --format json":
+        "3da308dafcc96e4f00ee67c9af72f420d75889df50931c5044662f4e6e59895e",
+    "selftest --format text":
+        "7aa3a0f3e1dd22a711f1a60201d74bd9fa32d289cbafeeded56b67ac15d46d90",
+    "rates --doubling-tripling --format csv":
+        "12c91977b742576f864861828318e4bd17b251a64c86d468ea6062169857e6a4",
+    "rates --doubling-tripling --format json":
+        "72317308225e291ad51372aada8d7fef070bb1bd5a28d004c41a1840fa564fcd",
+    "rates --doubling-tripling --format text":
+        "0d6fd679ec260f872ce0de6c10004bc950f08c0bfcaa56226a566fb96c575feb",
+    "shift --p 1 --format csv":
+        "cb80206ec7ab65bc102d416cd884a68e2b82bd7f3638e847a60177b96f3b7131",
+    "shift --p 1 --format json":
+        "702164ab2320b051d8ca2a70563f63aac83a2cd8d714e798d48fc50d71fc308c",
+    "shift --p 1 --format text":
+        "aa4fac31ce8e1ab81c751f4d3e4eddd59636fd0dc0872032be010c4dca80325e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_report_bytes_match_the_golden_digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.split())
+    if GOLDEN[argv] is NO_SERIES:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", NO_SERIES)
+    else:
+        assert (code, err.getvalue()) == (0, "")
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[argv]
+
+
+def test_golden_table_covers_every_action_and_format():
+    for sub, action in COMMANDS:
+        for fmt in ("csv", "json", "text"):
+            base = [sub] + ([action] if action else [])
+            if (sub, action) == ("check", "double-bad"):
+                base += ["--K", "3"]
+            assert " ".join(base + ["--format", fmt]) in GOLDEN
+    assert len(GOLDEN) == 3 * len(COMMANDS) + 6

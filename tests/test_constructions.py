@@ -27,7 +27,6 @@ from coblab.constructions import (
     large_coeff_witness,
     petersen_series,
     power_lift_joint,
-    refine_lacunary,
 )
 from coblab.diophantine import (
     Dependence,
@@ -234,11 +233,11 @@ def test_flagship_tail_bound_matches_model(flagship):
 
 
 def test_flagship_json_and_render(flagship):
-    payload = json.loads(flagship.to_json())
+    payload = json.loads(json.dumps(flagship.to_json_dict()))
     assert payload["q_sequence"] == FLAGSHIP_Q
     assert payload["verdict"] is True
     assert len(payload["certificates"]) == 2
-    text = flagship.render()
+    text = "\n".join(cert.render() for cert in flagship.certificates)
     assert "PASS" in text and "FAIL" not in text.replace("PASS", "")
 
 
@@ -250,38 +249,6 @@ def test_build_requires_two_terms():
 def test_build_shortfall_when_window_too_small():
     with pytest.raises(ShortfallError):
         build_joint_not_double(ALPHA, BETA, K=10, Q=5)
-
-
-# ---------------------------------------------------------------------------
-# lacunary refinement
-
-
-def test_refine_already_lacunary_unchanged(flagship):
-    refined = refine_lacunary(flagship, 2)
-    assert [r.q for r in refined.q_sequence] == FLAGSHIP_Q
-    assert refined.certificates[-1].kind == "divergence-witness"
-    assert refined.verdict
-
-
-def test_refine_ratio_three_thins_greedily(flagship):
-    refined = refine_lacunary(flagship, 3)
-    qs = [r.q for r in refined.q_sequence]
-    assert qs == [1, 4, 19, 82, 1183]
-    for prev, curr in zip(qs, qs[1:]):
-        assert Fraction(curr, prev) >= 3
-    gap_cert = refined.certificates[-1]
-    assert gap_cert.verdict
-    # exact rational gaps appear as point enclosures
-    gap_entries = [e for e in gap_cert.entries if e.comparison == ">="]
-    assert len(gap_entries) == len(qs) - 1
-    assert gap_entries[0].value.lo == Fraction(4, 1)
-
-
-def test_refine_rejects_near_total_thinning(flagship):
-    with pytest.raises(ShortfallError):
-        refine_lacunary(flagship, 10**6)
-    with pytest.raises(ConfigError):
-        refine_lacunary(flagship, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +288,6 @@ def test_bad_joint_requires_centered():
         check_bad_joint(f, mode="C")
     with pytest.raises(ConfigError):
         check_bad_joint(SparseFourierSeries({3: 1}), mode="sup")
-
-
-def test_bad_joint_badness_bound():
-    f = SparseFourierSeries(
-        {3: 0.25, -3: 0.25}, real_valued=True
-    )
-    cert = check_bad_joint(f, mode="C", badness_constant=Fraction(1, 10))
-    # exact dyadic data: sum = 2*3*(1/4) = 3/2, bound = (3/2)/(2/5) = 15/4
-    bound = cert.entries[1].value
-    assert bound.lo <= Fraction(15, 4) <= bound.hi
-    assert float(bound.width) < 1e-28
-    with pytest.raises(ConfigError):
-        check_bad_joint(f, mode="C", badness_constant=0)
 
 
 def test_mur_envelope_exact_partial_sum():
@@ -524,7 +478,7 @@ def test_kac_salem_zero_magnitudes():
 
 
 def test_kac_salem_entropy_oracle():
-    mags = {k: Fraction(1, k) for k in range(1, 6)}
+    mags = [(k, Fraction(1, k)) for k in range(1, 6)]
     _, entropy = kac_salem_series(mags, ALPHA)
     oracle = sum(math.log(k) / k for k in range(1, 6))
     assert abs(float(entropy.mid) - oracle) < 1e-12

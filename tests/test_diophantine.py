@@ -16,21 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coblab import diophantine
-from coblab.certify import Enclosure, pow_enclosure, separate
+from coblab.certify import Enclosure, pow_enclosure, separate, sqrt_enclosure
 from coblab.diophantine import (
-    ApproximationRecord,
-    badness_profile,
+    CONVERGENT_DIGITS,
     bad_pair_constant,
     continued_fraction,
     convergents,
     dirichlet_pair_search,
     dyadic_blocks,
     integer_dependence_search,
+    lacunary_denominators,
     records_to_csv,
-    select_summable_lacunary,
     small_multiples,
     square_approximation_search,
-    summability_enclosure,
 )
 from coblab.errors import ConfigError, ShortfallError
 from coblab.surd import (
@@ -121,6 +119,15 @@ def test_convergents_satisfy_recurrence_and_quality():
         for k in range(len(cs) - 1):
             p, q = cs[k]
             assert abs(q * r2 - p) < 1 / cs[k + 1][1]
+
+
+def test_convergents_stop_at_the_digit_bound():
+    x = parse_surd("sqrt(999950885)")  # [31622; 63244, 63244, ...]
+    *_, (p, q) = convergents(x, 833)
+    assert 10 ** (CONVERGENT_DIGITS - 5) < q < 10**CONVERGENT_DIGITS
+    assert len(str(p)) < 4300
+    with pytest.raises(ConfigError, match="q_834 has more than 4000 digits"):
+        convergents(x, 834)
 
 
 # -- distances ---------------------------------------------------------------
@@ -257,63 +264,35 @@ def test_small_multiples_validates():
 # -- greedy selection ----------------------------------------------------------
 
 
-def _dummy_records(qs):
-    e = Enclosure.point(Fraction(1, 100))
-    return [ApproximationRecord(q=q, dist_alpha=e, dist_beta=e, quality=e) for q in qs]
-
-
 def test_select_example_all_survive():
-    recs = _dummy_records([2, 5, 12, 29, 70])
-    chosen = select_summable_lacunary(recs, ratio=2.0, budget=3.0)
-    assert [r.q for r in chosen] == [2, 5, 12, 29, 70]
-    total = summability_enclosure(chosen)
+    chosen = lacunary_denominators([2, 5, 12, 29, 70], ratio=2.0, budget=3.0)
+    assert chosen == [2, 5, 12, 29, 70]
     # direct evaluation: 2**-0.5 + 5**-0.5 + 12**-0.5 + 29**-0.5 + 70**-0.5
-    assert float(total.mid) == pytest.approx(1.74822, abs=1e-4)
-    assert total.hi < 3
+    total = sum(q**-0.5 for q in chosen)
+    assert total == pytest.approx(1.74822, abs=1e-4)
 
 
 def test_select_ratio_10_keeps_two():
-    recs = _dummy_records([2, 5, 12, 29, 70])
-    chosen = select_summable_lacunary(recs, ratio=10.0, budget=3.0)
-    assert [r.q for r in chosen] == [2, 29]
+    chosen = lacunary_denominators([2, 5, 12, 29, 70], ratio=10.0, budget=3.0)
+    assert chosen == [2, 29]
 
 
 def test_select_shortfalls():
     with pytest.raises(ShortfallError):
-        select_summable_lacunary([], ratio=2.0, budget=2.0)
+        lacunary_denominators([], ratio=2.0, budget=2.0)
     with pytest.raises(ShortfallError):
-        select_summable_lacunary(_dummy_records([3, 4, 5]), ratio=2.0, budget=0.1)
+        lacunary_denominators([3, 4, 5], ratio=2.0, budget=0.1)
 
 
 def test_select_budget_is_certified_upper_bound():
-    recs = _dummy_records(list(range(1, 40)))
-    chosen = select_summable_lacunary(recs, ratio=2.0, budget=2.0)
-    assert [r.q for r in chosen] == [1, 2, 12]  # greedy: 1 + 0.7071 + 0.2887
-    assert summability_enclosure(chosen).hi <= 2
+    chosen = lacunary_denominators(list(range(1, 40)), ratio=2.0, budget=2.0)
+    assert chosen == [1, 2, 12]  # greedy: 1 + 0.7071 + 0.2887
+    total = sum((sqrt_enclosure(Fraction(1, q), 160) for q in chosen),
+                Enclosure.point(0))
+    assert total.hi <= 2
 
 
 # -- badness ------------------------------------------------------------------
-
-
-def test_badness_profile_golden():
-    prof = badness_profile(GOLDEN, 12)
-    assert prof.max_partial_quotient == 1
-    assert prof.period_length == 1
-    assert prof.certified_all_quotients
-    # the smallest q*||q*x|| over examined convergents is at q = 1:
-    # ||golden|| = 2 - golden = 0.381966
-    with mpmath.workdps(60):
-        expected = 2 - (1 + mpmath.sqrt(5)) / 2
-    assert prof.argmin_q == 1
-    assert float(prof.min_normalized.mid) == pytest.approx(float(expected), abs=1e-12)
-
-
-def test_badness_profile_sqrt2():
-    prof = badness_profile(sqrt_int(2), 10)
-    assert prof.max_partial_quotient == 2
-    assert prof.period_length == 1
-    # limit of q*||q*sqrt(2)|| along convergents is 1/(2*sqrt(2)) = 0.35355
-    assert 0.29 < float(prof.min_normalized.mid) < 0.3536
 
 
 def test_bad_pair_constant_matches_brute_force():

@@ -73,7 +73,6 @@ def test_measure_constant_function():
     assert atom.n == 0
     assert atom.mass == Fraction(1, 4) + Fraction(1, 16)
     assert atom.div_alpha_sq.hi == 0
-    assert m.mass_at_zero() == atom.mass
 
 
 def test_measure_divisors_exclude_zero_off_center():
@@ -323,9 +322,7 @@ def test_profile_csv_shapes():
     f = SparseFourierSeries({1: 1})
     profile = cesaro_rate_profile(f, ALPHA, BETA, [2, 4])
     buf = io.StringIO()
-    profile_to_csv(profile, buf, which="n_sq")
+    profile_to_csv(profile, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "n,value_lo,value_hi"
-    assert len(lines) == 3
-    with pytest.raises(ConfigError):
-        profile_to_csv(profile, io.StringIO(), which="bogus")
+    assert lines[1:] == [f"{n},{per_n!r},{per_n!r}" for n, per_n, _ in profile]

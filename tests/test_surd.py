@@ -1,6 +1,7 @@
 """Exactness tests for quadratic-surd arithmetic against an mpmath oracle."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -59,6 +60,36 @@ def test_parse_rejects_garbage():
     for bad in ["sqrt(4)", "(1+0*sqrt(2))/3", "1+2", "(1+sqrt(2)", "(1+sqrt(2))/0", "x"]:
         with pytest.raises((ConfigError, ZeroDivisionError)):
             parse_surd(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"({2**63 - 1}+sqrt(2))/1", None),
+        (f"({2**63}+sqrt(2))/1", "|a| must be below 2**63"),
+        (f"({1 - 2**63}+sqrt(2))/1", None),
+        (f"({-2**63}+sqrt(2))/1", "|a| must be below 2**63"),
+        (f"(1+{2**63 - 1}*sqrt(2))/1", None),
+        (f"(1+{2**63}*sqrt(2))/1", "|b| must be below 2**63"),
+        (f"(1-{2**63}*sqrt(2))/1", "|b| must be below 2**63"),
+        (f"(1+sqrt(2))/{2**63 - 1}", None),
+        (f"(1+sqrt(2))/{2**63}", "|c| must be below 2**63"),
+        (f"(1+sqrt(2))/{-2**63}", "|c| must be below 2**63"),
+        (f"sqrt({10**9})", None),
+        (f"sqrt({10**9 + 1})", "d must be at most 10**9"),
+        (f"(000000000000000000000000001+sqrt(2))/0000000000000000000000003", None),
+        # past int()'s 4300-digit string limit: refused, not a ValueError
+        ("(1+" + "9" * 5000 + "*sqrt(2))/1", "|b| must be below 2**63"),
+        ("(1+sqrt(2))/" + "9" * 5000, "|c| must be below 2**63"),
+        ("sqrt(" + "9" * 5000 + ")", "d must be at most 10**9"),
+    ],
+)
+def test_parse_bounds_the_coefficients_and_the_radicand(text, message):
+    if message is None:
+        assert parse_surd(text).is_rational is False
+    else:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_surd(text)
 
 
 def test_field_arithmetic_matches_oracle():
