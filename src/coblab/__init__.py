@@ -38,7 +38,6 @@ _EXPORTS = {
         "ApproximationRecord",
         "Dependence",
         "bad_pair_constant",
-        "continued_fraction",
         "convergents",
         "dirichlet_pair_search",
         "integer_dependence_search",

@@ -365,22 +365,21 @@ def _handle_approx(config: ExperimentConfig) -> _Body:
         return _Body(
             data, text, lambda fh: report.write_rows(fh, ["n"], ([n] for n in hits))
         )
-    # convergents first: it refuses a depth past its digit bound early
-    convs = diophantine.convergents(alpha, config.depth)
-    terms = diophantine.continued_fraction(alpha, config.depth)
+    rows = list(diophantine.convergents(alpha, config.depth))
+    terms = [a for a, _, _ in rows]
     data = {
         "terms": terms,
-        "convergents": [[p, q] for p, q in convs],
+        "convergents": [[p, q] for _, p, q in rows],
     }
     text = [f"continued fraction to depth {config.depth}: {terms}"] + [
-        f"p/q = {p}/{q}" for p, q in convs
+        f"p/q = {p}/{q}" for _, p, q in rows
     ]
 
     def write_csv(fh):
         report.write_rows(
             fh,
             ["k", "a_k", "p_k", "q_k"],
-            ([k, a, p, q] for k, (a, (p, q)) in enumerate(zip(terms, convs))),
+            ([k, *row] for k, row in enumerate(rows)),
         )
 
     return _Body(data, text, write_csv)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import takewhile
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .certify import (
@@ -459,9 +460,10 @@ def large_coeff_witness(
     if depth < 1:
         raise ConfigError("depth must be positive")
     threshold_f = Fraction(threshold)
-    denominators = sorted({q for _, q in convergents(beta, depth)})
     support = set(f.support)
-    hits = [n for n in denominators if n in support]
+    top = max(support, default=0)  # q_k grows with k: none past top is a hit
+    walk = takewhile(lambda row: row[2] <= top, convergents(beta, depth))
+    hits = sorted({q for _, _, q in walk if q in support})
     if not hits:
         raise ShortfallError(
             "no convergent denominators of beta in the support"

@@ -79,20 +79,21 @@ def _as_fraction(value: Rational, name: str) -> Fraction:
 
 def _quotients(x: QuadraticSurd, depth: int) -> Iterator[int]:
     """Partial quotients a_0, ..., a_depth of x, computed exactly, one at a
-    time."""
+    time, by the integer recurrence on x = (P + sqrt(D))/Q with Q | D - P**2
+    (Cohen, GTM 138, sec. 5.7): a = floor(x) as in QuadraticSurd.__floor__,
+    one more inside the floor for Q < 0; P' = a*Q - P, Q' = (D - P'**2)/Q."""
     x.require_irrational("x")
     if depth < 0:
         raise ConfigError("depth must be nonnegative")
-    current = x
+    # (a + b*sqrt(d))/c = (s*a*c + sqrt(D))/(s*c*c), with s the sign of b
+    s = 1 if x.b > 0 else -1
+    p, q, big_d = s * x.a * x.c, s * x.c * x.c, (x.b * x.c) ** 2 * x.d
+    r = math.isqrt(big_d)
     for _ in range(depth + 1):
-        a = current.__floor__()
+        a = (p + r + (q < 0)) // q
         yield a
-        current = (current - a).inverse()
-
-
-def continued_fraction(x: QuadraticSurd, depth: int) -> list[int]:
-    """Partial quotients [a_0, ..., a_depth] of x, computed exactly."""
-    return list(_quotients(x, depth))
+        p = a * q - p
+        q = (big_d - p * p) // q
 
 
 # The `approx cf` report prints the convergents in decimal, and Python
@@ -104,13 +105,12 @@ CONVERGENT_DIGITS = 4000
 _Q_LIMIT = 10**CONVERGENT_DIGITS
 
 
-def convergents(x: QuadraticSurd, depth: int) -> list[tuple[int, int]]:
-    """Convergents (p_k, q_k) for k = 0..depth from the exact quotients.
+def convergents(x: QuadraticSurd, depth: int) -> Iterator[tuple[int, int, int]]:
+    """Quotients and convergents (a_k, p_k, q_k) of x, k = 0..depth, lazily.
 
     A depth that reaches a q_k of more than CONVERGENT_DIGITS digits raises
     ConfigError, before the quotients past that k are computed.
     """
-    out = []
     p_prev, p_curr, q_prev, q_curr = 0, 1, 1, 0
     for k, a in enumerate(_quotients(x, depth)):
         p_prev, p_curr = p_curr, a * p_curr + p_prev
@@ -120,8 +120,7 @@ def convergents(x: QuadraticSurd, depth: int) -> list[tuple[int, int]]:
                 f"depth {depth}: q_{k} has more than {CONVERGENT_DIGITS} "
                 "digits, past the largest convergent a report prints"
             )
-        out.append((p_curr, q_curr))
-    return out
+        yield a, p_curr, q_curr
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 A value is stored as (a + b*sqrt(d))/c with integers a, b, c > 0 and d
 squarefree, reduced so gcd(a, b, c) = 1. Signs, comparisons, floors and
-integer-distance computations are exact integer work; floating point only
-appears in derived conveniences (``float()``, fixed-point reducers) whose
-error is bounded and documented at the call sites.
+integer-distance computations are exact integer work: the floor is
+(a + isqrt(b*b*d))//c for b > 0 and (a - isqrt(b*b*d) - 1)//c for b < 0,
+exact because sqrt(b*b*d) is irrational. Floating point only appears in
+derived conveniences (``float()``, fixed-point reducers) whose error is
+bounded and documented at the call sites.
 """
 
 from __future__ import annotations
@@ -263,16 +265,14 @@ class QuadraticSurd:
         return float(self.enclosure(96).mid)
 
     def __floor__(self) -> int:
-        if self.b == 0:
-            return Fraction(self.a, self.c).__floor__()
-        for bits in precisions(64):
-            enc = self.enclosure(bits)
-            lo, hi = enc.lo.__floor__(), enc.hi.__floor__()
-            if lo == hi:
-                return lo
-        raise PrecisionCapError(
-            f"floor of {self} unresolved at the {HARD_CAP_BITS}-bit hard cap"
-        )
+        """floor(x) with r = isqrt(b*b*d): (a + r)//c for b > 0 and
+        (a - r - 1)//c for b < 0. Exact: d is squarefree and not 1, so
+        sqrt(b*b*d) is irrational and r < sqrt(b*b*d) < r + 1; and c > 0."""
+        a, b, c = self.a, self.b, self.c
+        if b == 0:
+            return a // c
+        r = isqrt(b * b * self.d)
+        return (a + r) // c if b > 0 else (a - r - 1) // c
 
     def frac(self) -> "QuadraticSurd":
         return self - self.__floor__()

@@ -181,6 +181,25 @@ class TestSubcommands:
         assert code == 0
         assert report
 
+    def test_large_coeff_walk_stops_at_the_largest_support_frequency(
+        self, capsys
+    ):
+        # past the convergent digit bound of `approx cf`, the witness is the
+        # one every depth from 46 on gives: only the config line differs
+        reports = []
+        for depth in ("46", "20000"):
+            assert main(["check", "large-coeff", "--depth", depth]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            reports.append(out.splitlines())
+        shallow, deep = reports
+        assert len(shallow) == len(deep)
+        differing = [(a, b) for a, b in zip(shallow, deep) if a != b]
+        ((old, new),) = differing
+        assert old.startswith("# config: ") and '"depth": 46' in old
+        assert new == old.replace('"depth": 46', '"depth": 20000')
+        assert any("n*||n*beta||" in line for line in shallow)
+
     def test_construct_text_reports_pass_verdict(self):
         code, report = run_report(subcommand="construct", K=4, Q=300)
         assert code == 0

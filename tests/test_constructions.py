@@ -374,7 +374,7 @@ def test_double_bad_validation():
 
 
 def _convergent_profile(depth):
-    qs = sorted({q for _, q in convergents(ALPHA, depth) if q > 0})
+    qs = sorted({q for _, _, q in convergents(ALPHA, depth) if q > 0})
     coeffs = {}
     for q in qs:
         coeffs[q] = from_mp(mpmath.mpf(1) / q)

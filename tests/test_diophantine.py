@@ -20,7 +20,6 @@ from coblab.certify import Enclosure, pow_enclosure, separate, sqrt_enclosure
 from coblab.diophantine import (
     CONVERGENT_DIGITS,
     bad_pair_constant,
-    continued_fraction,
     convergents,
     dirichlet_pair_search,
     dyadic_blocks,
@@ -78,13 +77,17 @@ def oracle_dirichlet(alpha, beta, Q, dps=60):
 # -- continued fractions -----------------------------------------------------
 
 
+def terms(x, depth):
+    return [a for a, _, _ in convergents(x, depth)]
+
+
 def test_continued_fraction_golden_depth_8():
-    assert continued_fraction(GOLDEN, 8) == [1] * 9
+    assert terms(GOLDEN, 8) == [1] * 9
 
 
 def test_continued_fraction_classics():
-    assert continued_fraction(sqrt_int(2), 5) == [1, 2, 2, 2, 2, 2]
-    assert continued_fraction(BETA, 6) == [0, 1, 2, 1, 2, 1, 2]
+    assert terms(sqrt_int(2), 5) == [1, 2, 2, 2, 2, 2]
+    assert terms(BETA, 6) == [0, 1, 2, 1, 2, 1, 2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -96,7 +99,7 @@ def test_continued_fraction_classics():
 )
 def test_continued_fraction_matches_float_oracle(a, b, c, d):
     x = QuadraticSurd(a, b, d, c)
-    got = continued_fraction(x, 12)
+    got = terms(x, 12)
     with mpmath.workdps(120):
         v = (a + b * mpmath.sqrt(d)) / c
         expected = []
@@ -108,7 +111,9 @@ def test_continued_fraction_matches_float_oracle(a, b, c, d):
 
 
 def test_convergents_satisfy_recurrence_and_quality():
-    cs = convergents(sqrt_int(2), 10)
+    rows = list(convergents(sqrt_int(2), 10))
+    assert [a for a, _, _ in rows] == [1] + [2] * 10
+    cs = [(p, q) for _, p, q in rows]
     for k in range(1, len(cs)):
         p1, q1 = cs[k]
         p0, q0 = cs[k - 1]
@@ -123,11 +128,13 @@ def test_convergents_satisfy_recurrence_and_quality():
 
 def test_convergents_stop_at_the_digit_bound():
     x = parse_surd("sqrt(999950885)")  # [31622; 63244, 63244, ...]
-    *_, (p, q) = convergents(x, 833)
+    *_, (_, p, q) = convergents(x, 833)
     assert 10 ** (CONVERGENT_DIGITS - 5) < q < 10**CONVERGENT_DIGITS
     assert len(str(p)) < 4300
+    walk = convergents(x, 834)
+    assert len([next(walk) for _ in range(834)]) == 834  # k = 0..833
     with pytest.raises(ConfigError, match="q_834 has more than 4000 digits"):
-        convergents(x, 834)
+        next(walk)
 
 
 # -- distances ---------------------------------------------------------------

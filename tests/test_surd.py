@@ -13,6 +13,8 @@ from coblab import diophantine
 from coblab.certify import HARD_CAP_BITS, Enclosure, precisions, refine
 from coblab.errors import ConfigError, PrecisionCapError
 from coblab.surd import (
+    COEFFICIENT_LIMIT,
+    RADICAND_LIMIT,
     FixedPointReducer,
     QuadraticSurd,
     dist_enclosure,
@@ -353,17 +355,60 @@ def test_quality_loop_stops_at_the_hard_cap(monkeypatch):
     assert max(seen) == HARD_CAP_BITS
 
 
-def test_floor_walks_the_schedule_and_stops_at_the_hard_cap(monkeypatch):
-    seen = []
+def test_floor_and_quotients_take_no_enclosure(monkeypatch):
+    def refuse(self, bits):
+        raise AssertionError("an enclosure was taken")
 
-    def straddling(self, bits):
-        seen.append(bits)
-        return Enclosure(Fraction(1, 2), Fraction(3, 2))
+    monkeypatch.setattr(QuadraticSurd, "enclosure", refuse)
+    assert math.floor(ALPHA) == 0 and math.floor(-GOLDEN) == -2
+    rows = list(diophantine.convergents(BETA, 6))
+    assert [a for a, _, _ in rows] == [0, 1, 2, 1, 2, 1, 2]
+    assert rows[-1][1:] == (30, 41)
 
-    monkeypatch.setattr(QuadraticSurd, "enclosure", straddling)
-    with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit"):
-        math.floor(ALPHA)
-    assert seen == list(precisions(64))
+
+# -- the exact floor and quotient recurrence ---------------------------------
+#
+# The enclosure walk that QuadraticSurd.__floor__ replaced and the Gauss map
+# that diophantine._quotients replaced, kept as references.
+
+
+def enclosure_floor_reference(x):
+    if x.b == 0:
+        return Fraction(x.a, x.c).__floor__()
+    for bits in precisions(64):
+        enc = x.enclosure(bits)
+        lo, hi = enc.lo.__floor__(), enc.hi.__floor__()
+        if lo == hi:
+            return lo
+    raise PrecisionCapError(f"floor of {x} unresolved")
+
+
+def gauss_map_reference(x, depth):
+    out = []
+    for _ in range(depth + 1):
+        a = enclosure_floor_reference(x)
+        out.append(a)
+        x = (x - a).inverse()
+    return out
+
+
+# parse_surd's whole input range
+coefficients = st.integers(-COEFFICIENT_LIMIT + 1, COEFFICIENT_LIMIT - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=coefficients,
+    b=coefficients.filter(bool),
+    c=coefficients.filter(bool),
+    d=st.integers(2, RADICAND_LIMIT).filter(lambda d: math.isqrt(d) ** 2 != d),
+)
+def test_floor_and_quotients_match_the_enclosure_walk(a, b, c, d):
+    x = QuadraticSurd(a, b, d, c)
+    f = math.floor(x)
+    assert (x - f).sign() >= 0 and (x - f - 1).sign() < 0
+    assert f == enclosure_floor_reference(x)
+    assert list(diophantine._quotients(x, 300)) == gauss_map_reference(x, 300)
 
 
 def test_approximation_record_builds_each_distance_once(monkeypatch):
