@@ -76,6 +76,11 @@ _RATIONAL_FIELDS = ("delta", "gamma", "p", "ratio", "budget", "tol")
 # (2**22*|b|*q/c + 1) * 2**-8192 <= 2**-8000.
 _TOL_MARGIN_BITS = 192
 
+# --p and --gamma are refused above this (2 cores, CPython 3.11): shift --p
+# takes 1.9 s at 10**4 and ends in a decimal overflow after 34 s at 10**5;
+# check double-bad takes 2.1 s at --gamma 1000 and 6.6 s at 10**4.
+_EXPONENT_LIMIT = 1000
+
 
 class ExperimentConfig:
     """Everything a run needs, in JSON-friendly primitives.
@@ -162,6 +167,9 @@ class ExperimentConfig:
             raise ConfigError("--gamma must be positive")
         if self.rational("p") < 1:
             raise ConfigError("--p must be at least 1")
+        for name in ("gamma", "p"):
+            if self.rational(name) > _EXPONENT_LIMIT:
+                raise ConfigError(f"--{name} must be at most {_EXPONENT_LIMIT}")
         if self.rational("ratio") <= 1:
             raise ConfigError("--ratio must exceed 1")
         if self.rational("budget") <= 0:

@@ -34,14 +34,12 @@ from .certify import (
 )
 from .errors import ConfigError, PrecisionCapError, ShortfallError
 from .report import endpoints, write_rows
-from .surd import QuadraticSurd, dist_enclosure, fixed_point_reducer
+from .surd import FP_BITS, FP_HALF, FP_MAX_K, FP_ONE, QuadraticSurd
+from .surd import dist_enclosure, fixed_point
 
 Rational = Union[int, float, Fraction]
 
-_FP_BITS = 192
-_FP_ONE = 1 << _FP_BITS
-_FP_HALF = _FP_ONE >> 1
-_FP_ONE_SQ = _FP_ONE * _FP_ONE
+_FP_ONE_SQ = FP_ONE * FP_ONE
 
 
 class ApproximationRecord(NamedTuple):
@@ -135,23 +133,22 @@ _SCAN_CAP = 10**13
 def _rotation_step(x: QuadraticSurd, n_max: int) -> int:
     """Odd X with |X - frac(x)*2**192| < 2: n*X mod 2**192 tracks frac(n*x)
     within 2n ulps and is nonzero for 0 < n < 2**192. n_max past the
-    reducer's proven range (2**112), or past the practical cap 10**13 on the
+    residue's proven range FP_MAX_K, or past the practical cap 10**13 on the
     walks' running time, raises ConfigError."""
-    red = fixed_point_reducer(x, _FP_BITS)
-    if n_max > red.max_k:
+    if n_max > FP_MAX_K:
         raise ConfigError(
-            f"scan bound {n_max} exceeds the fixed-point range {red.max_k}"
+            f"scan bound {n_max} exceeds the fixed-point range {FP_MAX_K}"
         )
     if n_max > _SCAN_CAP:
         raise ConfigError(
             f"scan bound {n_max} exceeds the running-time cap 10**13"
         )
-    return red.X | 1
+    return fixed_point(x) | 1
 
 
 def _signed(residue: int) -> int:
     """residue mod 2**192 as an offset in [-2**191, 2**191)."""
-    return (residue + _FP_HALF) % _FP_ONE - _FP_HALF
+    return (residue + FP_HALF) % FP_ONE - FP_HALF
 
 
 def _first_returns(X: int, L: int, cap: int) -> tuple[int, int, int, int]:
@@ -160,7 +157,7 @@ def _first_returns(X: int, L: int, cap: int) -> tuple[int, int, int, int]:
     back as (cap, L). The one-sided minima of the residue are the intermediate
     fractions of X/2**192, which the subtractive Euclid recursion visits in
     order."""
-    p, P, q, Q = 1, X, 0, _FP_ONE  # p*X = P and q*X = -Q mod 2**192
+    p, P, q, Q = 1, X, 0, FP_ONE  # p*X = P and q*X = -Q mod 2**192
     while (P >= L or Q >= L) and p < cap and q < cap:
         if P < Q:  # a run of subtractions, cut where it drops below L
             k = min(Q // P, (Q - L) // P + 1)
@@ -200,12 +197,12 @@ def small_multiples(
     y_eps_f = eps_f if y_eps is None else _as_fraction(y_eps, "y_eps")
     if lo < 1 or eps_f <= 0 or y_eps_f <= 0:
         raise ConfigError(f"need lo >= 1 and eps > 0, got lo={lo}, eps={eps}")
-    E = math.ceil(eps_f * _FP_ONE) + 2 * hi  # hits have |s| < E
+    E = math.ceil(eps_f * FP_ONE) + 2 * hi  # hits have |s| < E
     X = _rotation_step(x, hi - 1)
     if y is None:
         return ((n, s) for n, s, _ in _walk(X, E, 0, 1, lo, hi))
     y.require_irrational("y")
-    W = math.ceil(y_eps_f * _FP_ONE) + 2 * hi
+    W = math.ceil(y_eps_f * FP_ONE) + 2 * hi
     return _walk(X, E, _rotation_step(y, hi - 1), W, lo, hi)
 
 
@@ -213,17 +210,17 @@ def _walk(X: int, E: int, Y: int, W: int, lo: int, hi: int) -> Iterator[tuple]:
     """(n, s, u) for n in [lo, hi) with |s| < E and |u| < W, where s and u are
     the signed residues of n*X and n*Y; every n in [lo, hi) with |u| < W when
     E is a quarter turn or wider."""
-    if 4 * E >= _FP_ONE:
+    if 4 * E >= FP_ONE:
         for n in range(lo, hi):
             u = _signed(n * Y)
             if abs(u) < W:
                 yield n, _signed(n * X), u
         return
-    W = min(W, _FP_HALF + 1)  # then v - d is the signed residue of n*Y
+    W = min(W, FP_HALF + 1)  # then v - d is the signed residue of n*Y
     L, c = 2 * E - 1, E - 1  # t = (n*X + c) mod 2**192 is a hit when t < L
     M, d = 2 * W - 1, W - 1  # v = (n*Y + d) mod 2**192 is kept when v < M
     a, A, b, B = _first_returns(X, L, hi)
-    N, LA, ab, AB = _FP_ONE, L - A, a + b, A - B
+    N, LA, ab, AB = FP_ONE, L - A, a + b, A - B
     Ya, Yb, Yab = a * Y % N, b * Y % N, ab * Y % N
     n = lo + _first_entry((lo * X + c) % N, X, N, L)
     t, v = (n * X + c) % N, (n * Y + d) % N
@@ -296,7 +293,7 @@ def _admissible(x: QuadraticSurd, q: int, s: int) -> bool:
     cap, and a signed residue |s| <= 2**191; outside, ValueError.
     """
     m, e = abs(s), 2 * q
-    if not (1 <= q <= _SCAN_CAP and m <= _FP_HALF):
+    if not (1 <= q <= _SCAN_CAP and m <= FP_HALF):
         raise ValueError(f"fixed-point settle used outside its range: q={q}, s={s}")
     if q * (m + e) ** 2 < _FP_ONE_SQ:
         return True
@@ -324,7 +321,7 @@ def dirichlet_denominators(
     _rotation_step(beta, Q)  # refuses a Q past the range or the cap up front
     found = []
     for lo, hi in dyadic_blocks(Q):
-        eps_beta = Fraction(math.isqrt(_FP_ONE_SQ // lo) + 1, _FP_ONE)
+        eps_beta = Fraction(math.isqrt(_FP_ONE_SQ // lo) + 1, FP_ONE)
         for q, s, u in small_multiples(
             alpha, lo, hi, Fraction(1, math.isqrt(lo)), beta, eps_beta
         ):
@@ -434,7 +431,7 @@ def bad_pair_constant(
     c2 = _FP_ONE_SQ // 4
     kept: list[tuple[int, int]] = []
     for lo, hi in dyadic_blocks(Q):
-        eps = Fraction(math.isqrt(c2 // lo) + 1, _FP_ONE)
+        eps = Fraction(math.isqrt(c2 // lo) + 1, FP_ONE)
         for q, s_alpha, s_beta in small_multiples(alpha, lo, hi, eps, beta):
             # each residue is within 2q ulps of its distance * 2**192
             d = max(abs(s_alpha), abs(s_beta))
@@ -472,7 +469,7 @@ def _power_bound(delta: Fraction, pick, rnd) -> tuple[int, int, int]:
     (max, floor) delta, which keeps (d + n^2)**b below 2**12352."""
     if delta.denominator > 64:
         delta = pick(Fraction(rnd(delta * q), q) for q in range(1, 65))
-    return delta.numerator, delta.denominator, 1 << (_FP_BITS * delta.denominator)
+    return delta.numerator, delta.denominator, 1 << (FP_BITS * delta.denominator)
 
 
 def square_approximation_search(
@@ -483,7 +480,7 @@ def square_approximation_search(
     delta must sit in (1/2, 2/3); float inputs are taken at their exact
     binary value. N is capped at 10**6 because the scan visits every n.
 
-    The residue r of n^2 * X, X = FixedPointReducer(beta, 192).X, is stepped
+    The residue r of n^2 * X, X = surd.fixed_point(beta), is stepped
     exactly (r += s, s += 2X, mod 2**192), and its distance d to 0 is within
     n^2 ulps of m = ||n^2 * beta|| * 2**192, so d - n^2 <= m <= d + n^2.
     - An integer window per dyadic block [lo, hi) drops n with d >= E, where
@@ -512,8 +509,8 @@ def square_approximation_search(
 
     a, b, one = _power_bound(delta_f, min, math.ceil)  # the hit test
     a_lo, b_lo, one_lo = _power_bound(delta_f, max, math.floor)  # the miss test
-    X = fixed_point_reducer(beta, _FP_BITS).X
-    mask, step = _FP_ONE - 1, 2 * X
+    X = fixed_point(beta)
+    mask, step = FP_ONE - 1, 2 * X
     accepted = [1]  # the threshold at n = 1 is 1; distances are <= 1/2
     for lo, hi in dyadic_blocks(N):
         E = math.isqrt(_FP_ONE_SQ // lo) + 1 + hi * hi

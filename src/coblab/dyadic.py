@@ -18,16 +18,17 @@ mantissa and exponent, and so every report, stays the same:
 Decimal strings are written with DIGITS = 36 significant digits by the same
 rules as that library (`to_strings`).
 
-`phase(t, bits)` is e(t * 2**-bits) = exp(2*pi*i * t * 2**-bits) for a
-residue 0 < t < 2**bits: the argument is 2*pi rounded to PREC bits times t
-rounded to PREC bits, rounded; it is reduced modulo pi/2 with 20, 40, 80 ...
-bits of cancellation guard, and cos and sin come from a table of cos(k/256)
-and sin(k/256) and a Taylor series on the remainder, with only 10 guard bits
-in all. Those values are not correctly rounded, so a correctly rounded sine
-would differ from them in the last bit now and then. `_mod_pi2`, the body of
-`phase` and `_cos_sin_fixed` are ports of `mod_pi2`, `mpf_cos_sin` and
-`cos_sin_basecase` in libmp/libelefun.py, Copyright (c) 2005-2021 Fredrik
-Johansson and contributors, used under the BSD licence reproduced in NOTICE.
+`phase(t)` is e(t * 2**-FP_BITS) = exp(2*pi*i * t * 2**-FP_BITS) for a
+rotation residue 0 < t < 2**FP_BITS (`surd.FP_BITS`): the argument is 2*pi
+rounded to PREC bits times t rounded to PREC bits, rounded; it is reduced
+modulo pi/2 with 20, 40, 80 ... bits of cancellation guard, and cos and sin
+come from a table of cos(k/256) and sin(k/256) and a Taylor series on the
+remainder, with only 10 guard bits in all. Those values are not correctly
+rounded, so a correctly rounded sine would differ from them in the last bit
+now and then. `_mod_pi2`, the body of `phase` and `_cos_sin_fixed` are ports
+of `mod_pi2`, `mpf_cos_sin` and `cos_sin_basecase` in libmp/libelefun.py,
+Copyright (c) 2005-2021 Fredrik Johansson and contributors, used under the
+BSD licence reproduced in NOTICE.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certify import WORK_PREC
+from .surd import FP_BITS
 
 PREC = WORK_PREC + 12
 DIGITS = 36  # significant digits of a decimal coefficient
@@ -95,7 +97,7 @@ def _add(m1: int, e1: int, m2: int, e2: int, prec: int = PREC, down: bool = Fals
     return _round((m1 << offset) + m2, e2, prec, down)
 
 
-def _div(m1: int, e1: int, m2: int, e2: int, prec: int = PREC) -> tuple[int, int]:
+def _div(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
     """m1 * 2**e1 / (m2 * 2**e2) rounded to nearest, ties to even."""
     if not m2:
         raise ZeroDivisionError("division by a zero coefficient")
@@ -104,13 +106,13 @@ def _div(m1: int, e1: int, m2: int, e2: int, prec: int = PREC) -> tuple[int, int
     a, b = abs(m1), abs(m2)
     sign = -1 if (m1 < 0) != (m2 < 0) else 1
     if b == 1:
-        return _round(sign * a, e1 - e2, prec)
-    extra = max(prec - a.bit_length() + b.bit_length() + 5, 5)
+        return _round(sign * a, e1 - e2)
+    extra = max(PREC - a.bit_length() + b.bit_length() + 5, 5)
     quot, rem = divmod(a << extra, b)
     if rem:
         quot = (quot << 1) | 1
         extra += 1
-    return _round(sign * quot, e1 - e2 - extra, prec)
+    return _round(sign * quot, e1 - e2 - extra)
 
 
 def _real_parts(value, exact: bool = False) -> tuple[int, int]:
@@ -421,14 +423,14 @@ _TWO_PI_MAN, _PI_EXP = _round(_pi_fixed(PREC + 20), -PREC - 20)
 _TWO_PI_EXP = _PI_EXP + 1
 
 
-def phase(t: int, bits: int) -> WorkComplex:
-    """e(t * 2**-bits) for an integer residue 0 < t < 2**bits.
+def phase(t: int) -> WorkComplex:
+    """e(t * 2**-FP_BITS) for an integer residue 0 < t < 2**FP_BITS.
 
     A 140-bit argument lies at least 2**-142 from every multiple of pi/2, so
-    the reduction stops by 160 cancellation bits and, for bits <= 192, the
-    kernel never needs more than 340 bits; past either limit it raises.
+    the reduction stops by 160 cancellation bits and the kernel never needs
+    more than 340 bits; past either limit it raises.
     """
-    tm, te = _round(t, -bits)
+    tm, te = _round(t, -FP_BITS)
     man, exp = _round(_TWO_PI_MAN * tm, _TWO_PI_EXP + te)
     mag = man.bit_length() + exp
     wp = PREC + 10

@@ -4,7 +4,7 @@ A rotation by alpha acts on the n-th coefficient as multiplication by
 e(n*alpha) = exp(2*pi*i*n*alpha). Coefficients are `dyadic.WorkComplex`
 values: pairs of integer mantissas at WORK_PREC + 12 = 140 bits, each
 operation rounded once to nearest. Phases are built from exactly reduced
-arguments: frac(n*alpha) comes out of a 192-bit fixed-point reducer, so the
+arguments: frac(n*alpha) is the 192-bit residue of `surd.fixed_point`, so the
 only error is the final rounding and the per-operation relative error stays
 below 1e-30 throughout the supported desk scale. Certified interval
 statements (small-divisor reports) are produced separately with the exact
@@ -22,7 +22,7 @@ serves both signs of nu and every series with those magnitudes: at most 8192
 rows of about 0.25 KB plus 32 bytes per magnitude (4 MB for ten). Each series
 memoises its float masses |f_hat(nu)|**2 and the row position of each |nu|,
 and sums in storage order, so every value equals the term-by-term evaluation
-exactly. A rational x or an n*|nu| past the reducer's range is refused before
+exactly. A rational x or an n*|nu| past surd.FP_MAX_K is refused before
 a row is built, and a refused call stores nothing.
 """
 
@@ -38,27 +38,27 @@ from typing import Mapping, NamedTuple, Union
 
 from .certify import Enclosure, sin_pi_enclosure, sqrt_enclosure
 from .dyadic import ONE, ZERO, WorkComplex, phase, to_fraction
-from .surd import QuadraticSurd, dist_enclosure, fixed_point_reducer, max_k
+from .surd import FP_BITS, FP_HALF, FP_MAX_K, FP_ONE, QuadraticSurd
+from .surd import dist_enclosure, fixed_point
 
-_REDUCER_BITS = 192
-_MAX_K = max_k(_REDUCER_BITS)
-_MOD = 1 << _REDUCER_BITS
-_MASK = _MOD - 1
-_HALF = _MOD >> 1
+_MASK = FP_ONE - 1
 # pi * 2**-192 is exact, so pi_ulp * t rounds exactly as pi * ldexp(t, -192)
-_PI_ULP = math.pi * 2.0**-_REDUCER_BITS
+_PI_ULP = math.pi * 2.0**-FP_BITS
 
 Rational = Union[int, float, Fraction]
 
 
 @lru_cache(maxsize=64)
 def _residue_table(alpha: QuadraticSurd, mags: tuple[int, ...]) -> tuple:
-    """Per magnitude k, (frac_fixed(k), sin(pi*||k*alpha||)); None at k = 0."""
-    red = fixed_point_reducer(alpha, _REDUCER_BITS)
-    return tuple(
-        None if k == 0 else (red.frac_fixed(k), math.sin(math.pi * red.dist_float(k)))
-        for k in mags
-    )
+    """Per magnitude k, (t, sin(pi*||k*alpha||)) for t the residue of k*alpha;
+    None at k = 0."""
+    X = fixed_point(alpha)
+
+    def entry(k: int) -> tuple:
+        t = (k * X) & _MASK
+        return t, math.sin(math.pi * math.ldexp(float(min(t, FP_ONE - t)), -FP_BITS))
+
+    return tuple(None if k == 0 else entry(k) for k in mags)
 
 
 @lru_cache(maxsize=1 << 13)  # memory per row: see the module docstring
@@ -73,14 +73,14 @@ def _kernel_row(
     """
     alpha.require_irrational(label)
     reach = n * mags[-1] if mags else 0
-    if reach > _MAX_K:
-        raise ValueError(f"n*|nu| = {reach} exceeds the exact-reduction range {_MAX_K}")
+    if reach > FP_MAX_K:
+        raise ValueError(f"n*|nu| = {reach} exceeds the exact-reduction range {FP_MAX_K}")
     row, sin = [], math.sin
     for entry in _residue_table(alpha, mags):
         q = float(n)  # D(n, 0)
         if entry is not None:
             t = (n * entry[0]) & _MASK  # the residue of n*k*alpha, exactly
-            q = sin(_PI_ULP * (t if t <= _HALF else _MOD - t)) / entry[1]
+            q = sin(_PI_ULP * (t if t <= FP_HALF else FP_ONE - t)) / entry[1]
         row.append(q * q)
     return tuple(row)
 
@@ -88,8 +88,7 @@ def _kernel_row(
 @lru_cache(maxsize=1 << 16)
 def _phase(alpha: QuadraticSurd, n: int) -> WorkComplex:
     """e(n*alpha) at working precision for n > 0, from an exact residue."""
-    red = fixed_point_reducer(alpha, _REDUCER_BITS)
-    return phase(red.frac_fixed(n), red.bits)
+    return phase((n * fixed_point(alpha)) & _MASK)
 
 
 def unit_phase(alpha: QuadraticSurd, n: int) -> WorkComplex:
@@ -249,9 +248,9 @@ def coefficient_mass(c: WorkComplex) -> Fraction:
     return re * re + im * im
 
 
-def coefficient_magnitude_enclosure(c: WorkComplex, bits: int = 160) -> Enclosure:
+def coefficient_magnitude_enclosure(c: WorkComplex) -> Enclosure:
     """Certified |c| for a working-precision coefficient, taken as exact input."""
-    return sqrt_enclosure(coefficient_mass(c), bits)
+    return sqrt_enclosure(coefficient_mass(c), 160)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from below by a quantity that grows without bound.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+from itertools import chain, repeat
 from math import isqrt, log
 from typing import NamedTuple, Optional, Union
 
@@ -42,6 +42,7 @@ _ACC_BITS = 120
 _GRID = _ACC_BITS + 40
 
 _TERM_BITS = 110
+_BRACKET_BITS = 96  # the integral brackets of q and of its remainders
 
 
 def _rational_pow(base: Fraction, expo: Fraction, bits: int) -> Enclosure:
@@ -123,13 +124,13 @@ class LatticeFunction(Frozen):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "exponent", exponent)
 
-    def diagonal_value(self, s: int, bits: int = _TERM_BITS) -> Enclosure:
-        return _diag_power(self, s, Fraction(1), bits)
+    def diagonal_value(self, s: int) -> Enclosure:
+        return _diag_power(self, s, Fraction(1), _TERM_BITS)
 
-    def value(self, j: int, k: int, bits: int = _TERM_BITS) -> Enclosure:
+    def value(self, j: int, k: int) -> Enclosure:
         if j < 1 or k < 1:
             raise ConfigError("lattice indices start at 1")
-        return self.diagonal_value(j + k, bits)
+        return self.diagonal_value(j + k)
 
 
 def _diag_power(
@@ -209,7 +210,10 @@ def lp_partial_norm(
         if kappa.denominator == 1:
             partial = _acc_sum((s - 1, s ** int(kappa)) for s in range(2, S + 1))
         else:
-            partial = _generic_power_partial(f, p, S)
+            partial = _grid_sum(
+                to_fixed((s - 1) * _diag_power(f, s, p, _TERM_BITS), _GRID)
+                for s in range(2, S + 1)
+            )
         # (s-1) s**-kappa <= s**(1-kappa), then integral comparison.
         tail_hi = _rational_pow(Fraction(S), 2 - kappa, 96).hi / (kappa - 2)
     else:
@@ -228,15 +232,6 @@ def lp_partial_norm(
             )
     tail = Enclosure(Fraction(0), tail_hi)
     return LatticeSum(partial, tail, partial + tail, S)
-
-
-def _generic_power_partial(
-    f: LatticeFunction, p: Fraction, S: int
-) -> Enclosure:
-    return _grid_sum(
-        to_fixed((s - 1) * _diag_power(f, s, p, _TERM_BITS), _GRID)
-        for s in range(2, S + 1)
-    )
 
 
 def _logpower_partial(S: int, m: int) -> Enclosure:
@@ -273,14 +268,12 @@ class ShiftGrid(NamedTuple):
                 yield j, k, self.diagonals[j + k]
 
 
-def _power_series_remainder(
-    f: LatticeFunction, M: int, bits: int = 96
-) -> Enclosure:
+def _power_series_remainder(f: LatticeFunction, M: int) -> Enclosure:
     """Bracket for sum_{t>=M} f(t) by integral comparison from both sides."""
     if f.kind == "power":
         kappa = f.exponent
-        lo = _integral_power(M, kappa, bits).lo
-        hi = _integral_power(M - 1, kappa, bits).hi
+        lo = _integral_power(M, kappa).lo
+        hi = _integral_power(M - 1, kappa).hi
         return Enclosure(lo, hi)
     # Logarithmic kind: freeze the log factor at each end of the range.
     # Lower: terms M..2M alone, with (log t)**-2 >= (log 2M)**-2 there and
@@ -289,28 +282,28 @@ def _power_series_remainder(
     if M < 3:
         raise ConfigError("logarithmic remainders need M >= 3")
     lo = (Fraction(1, M) - Fraction(1, 2 * M + 1)) / log_enclosure(
-        2 * M, bits
+        2 * M, _BRACKET_BITS
     ).hi ** 2
-    hi = Fraction(1, M - 1) / log_enclosure(M, bits).lo ** 2
+    hi = Fraction(1, M - 1) / log_enclosure(M, _BRACKET_BITS).lo ** 2
     return Enclosure(lo, hi)
 
 
-def _integral_power(M: int, kappa: Fraction, bits: int = 96) -> Enclosure:
+def _integral_power(M: int, kappa: Fraction) -> Enclosure:
     """int_M^inf x**-kappa dx = M**(1-kappa) / (kappa - 1)."""
-    return _rational_pow(Fraction(M), 1 - kappa, bits) / (kappa - 1)
+    return _rational_pow(Fraction(M), 1 - kappa, _BRACKET_BITS) / (kappa - 1)
 
 
-def _q_diagonal_upper(f: LatticeFunction, s: int, bits: int = 96) -> Enclosure:
+def _q_diagonal_upper(f: LatticeFunction, s: int) -> Enclosure:
     """Analytic upper bound on q(s) = sum_{t>=s} f(t), valid for s >= 2."""
     if f.kind == "power":
-        return _integral_power(s - 1, f.exponent, bits) if s >= 3 else (
-            _diag_power(f, 2, Fraction(1), bits)
-            + _integral_power(2, f.exponent, bits)
+        return _integral_power(s - 1, f.exponent) if s >= 3 else (
+            _diag_power(f, 2, Fraction(1), _BRACKET_BITS)
+            + _integral_power(2, f.exponent)
         )
     # q(s) <= f(s) + int_s^inf <= (log s)**-2 (s**-2 + s**-1), where
-    # log s >= lo * 2**-(bits+2) for the lower int of log_fixed
-    lo = log_fixed(s, 1, bits)[0]
-    return Enclosure.point(Fraction((s + 1) << (2 * bits + 4), s * s * lo * lo))
+    # log s >= lo * 2**-(_BRACKET_BITS + 2) for the lower int of log_fixed
+    lo = log_fixed(s, 1, _BRACKET_BITS)[0]
+    return Enclosure.point(Fraction((s + 1) << (2 * _BRACKET_BITS + 4), s * s * lo * lo))
 
 
 def _roll_down(
@@ -425,14 +418,15 @@ class DivergenceReport(NamedTuple):
     certificate: Certificate
 
 
-def _isqrt_pow32_sum(terms) -> Enclosure:
-    """sum of m**(-3/2) over the given integers, directed dyadic rounding;
-    each distinct m is bracketed once and counted with its multiplicity."""
+def _isqrt_pow32_sum(m0: int, count: int, start: int, stop: int) -> Enclosure:
+    """sum of m**(-3/2) over count copies of m0 and every m in
+    range(start, stop), directed dyadic rounding; m0 is bracketed once."""
     lo = hi = 0
-    for m, count in Counter(terms).items():  # u <= m**(3/2) * 2**80 < u + 1
+    runs = chain([(m0, count)], zip(range(start, stop), repeat(1)))
+    for m, n in runs:  # u <= m**(3/2) * 2**80 < u + 1
         u = isqrt((m**3) << 160)
-        lo += count * ((1 << 160) // (u + 1))
-        hi -= count * ((-1 << 160) // u)
+        lo += n * ((1 << 160) // (u + 1))
+        hi -= n * ((-1 << 160) // u)
     return from_fixed(lo, hi, 80)
 
 
@@ -458,10 +452,9 @@ def _power_envelope_threshold() -> int:
     return n
 
 
-def _q_point(f: LatticeFunction, s: int, terms: int = 48) -> Enclosure:
-    """Direct enclosure of q(s) = sum_{t>=s} f(t) without a full grid."""
-    remainder = _power_series_remainder(f, s + terms)
-    return _roll_down(f, remainder, s + terms, s, s)[s]
+def _q_point(f: LatticeFunction, s: int) -> Enclosure:
+    """q(s) = sum_{t>=s} f(t) from 48 explicit terms, without a full grid."""
+    return _roll_down(f, _power_series_remainder(f, s + 48), s + 48, s, s)[s]
 
 
 def _power_divergence(p: Fraction, K: int) -> DivergenceReport:
@@ -599,8 +592,9 @@ def _logpower_divergence(K: int) -> DivergenceReport:
     # is what expels q from l_1.
     row_lowers = {}
     for j in (1, 2, 4):
-        terms = (max(j + k, J0) for k in range(1, K + 1))
-        row_lowers[j] = Fraction(2, 3) * (1 - _EPS) * _isqrt_pow32_sum(terms)
+        # max(j + k, J0), k <= K: min(K, J0 - j) times J0, then J0 + 1, ..., j + K
+        row_sum = _isqrt_pow32_sum(J0, min(K, J0 - j), J0 + 1, j + K + 1)
+        row_lowers[j] = Fraction(2, 3) * (1 - _EPS) * row_sum
         threshold = Fraction(2, 3) * (1 - _EPS) ** 2 * _row_integral_lower(
             j, K, J0
         )

@@ -4,9 +4,11 @@ A value is stored as (a + b*sqrt(d))/c with integers a, b, c > 0 and d
 squarefree, reduced so gcd(a, b, c) = 1. Signs, comparisons, floors and
 integer-distance computations are exact integer work: the floor is
 (a + isqrt(b*b*d))//c for b > 0 and (a - isqrt(b*b*d) - 1)//c for b < 0,
-exact because sqrt(b*b*d) is irrational. Floating point only appears in
-derived conveniences (``float()``, fixed-point reducers) whose error is
-bounded and documented at the call sites.
+exact because sqrt(b*b*d) is irrational. Only ``float()`` rounds.
+
+The rotation scans, the Fourier phases and the ergodic-sum kernels all step
+one fixed-point residue of a rotation number x, frac(k*x) * 2**FP_BITS, from
+the integer fixed_point(x); its width and range are defined here only.
 """
 
 from __future__ import annotations
@@ -100,9 +102,6 @@ class QuadraticSurd:
         if self.is_rational:
             raise ConfigError(f"{what} must be irrational, got {self}")
         return self
-
-    def with_label(self, label: str) -> "QuadraticSurd":
-        return QuadraticSurd(self.a, self.b, self.d, self.c, label=label)
 
     def __repr__(self) -> str:
         return f"QuadraticSurd({self})"
@@ -335,11 +334,6 @@ def dist_enclosure(
     )
 
 
-def sqrt_int(d: int, label: str | None = None) -> QuadraticSurd:
-    """The surd sqrt(d) for a nonsquare positive integer d."""
-    return QuadraticSurd(0, 1, d, 1, label=label).require_irrational("sqrt argument")
-
-
 _SURD_BODY = re.compile(
     r"""^
     (?:(?P<a>[+-]?\d+)\s*(?P<bsign>[+-])|(?P<lonesign>[+-])?)\s*
@@ -417,37 +411,18 @@ def parse_surd(text: str, label: str | None = None) -> QuadraticSurd:
     return value
 
 
-def max_k(bits: int) -> int:
-    """Largest |k| a FixedPointReducer at bits keeps certified-accurate."""
-    return 1 << (bits - 80)
-
-
-class FixedPointReducer:
-    """Fast evaluation of frac(k*x) and of the distance from k*x to Z.
-
-    Precomputes X with |X - frac(x)*2**bits| < 1; then (k*X) mod 2**bits
-    tracks frac(k*x)*2**bits within k + 1. Results feed float64 kernels, so
-    they stay certified-accurate for |k| up to about 2**(bits-80).
-    """
-
-    def __init__(self, x: QuadraticSurd, bits: int = 192):
-        self.bits = bits
-        self.mask = (1 << bits) - 1
-        fr = x.frac()
-        enc = refine(fr.enclosure, Fraction(1, 1 << (bits + 8)))
-        self.X = round(enc.mid * (1 << bits))
-        self.max_k = max_k(bits)
-
-    def frac_fixed(self, k: int) -> int:
-        return (k * self.X) & self.mask
-
-    def dist_float(self, k: int) -> float:
-        """Distance from k*x to the nearest integer, as a float64."""
-        t = self.frac_fixed(k)
-        return math.ldexp(float(min(t, (1 << self.bits) - t)), -self.bits)
+# The fixed-point residue of a rotation: FP_ONE = 2**FP_BITS is one turn.
+# (k*fixed_point(x)) mod FP_ONE is within k + 1 ulps of frac(k*x)*FP_ONE
+# around the circle, so for |k| <= FP_MAX_K = 2**(FP_BITS - 80) it is off
+# from frac(k*x) by at most about 2**-80 of a turn.
+FP_BITS = 192
+FP_ONE = 1 << FP_BITS
+FP_HALF = FP_ONE >> 1
+FP_MAX_K = 1 << (FP_BITS - 80)
 
 
 @lru_cache(maxsize=64)
-def fixed_point_reducer(x: QuadraticSurd, bits: int) -> FixedPointReducer:
-    """The FixedPointReducer of x at bits, built once per (x, bits)."""
-    return FixedPointReducer(x, bits)
+def fixed_point(x: QuadraticSurd) -> int:
+    """X with |X - frac(x)*FP_ONE| < 1, built once per x."""
+    enc = refine(x.frac().enclosure, Fraction(1, 1 << (FP_BITS + 8)))
+    return round(enc.mid * FP_ONE)

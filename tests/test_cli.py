@@ -123,7 +123,9 @@ class TestExperimentConfig:
             ("tol", "0"),
             ("delta", "1"),
             ("gamma", "-1"),
+            ("gamma", "1001"),
             ("p", "1/2"),
+            ("p", "1001"),
             ("ratio", "1"),
             ("budget", "0"),
         ],
@@ -131,6 +133,10 @@ class TestExperimentConfig:
     def test_range_checks_on_rational_knobs(self, field, bad):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig("selftest", **{field: bad})
+
+    def test_exponent_knobs_accept_their_bound(self):
+        config = ExperimentConfig("selftest", gamma="1000", p="1000")
+        assert (config.gamma, config.p) == ("1000", "1000")
 
     def test_non_rational_knob_rejected(self):
         with pytest.raises(ConfigError, match="not a rational"):
@@ -310,6 +316,8 @@ class TestExitCodes:
             ["approx", "cf", "--alpha", f"(0+{10**2500}*sqrt(2))/1"],
             ["approx", "dirichlet", "--alpha", f"(1+sqrt(2))/{10**3000}"],
             ["approx", "dirichlet", "--beta", "(-1+sqrt(999999999989))/1"],
+            ["shift", "--p", "100000", "--K", "8"],
+            ["check", "double-bad", "--gamma", "100000"],
         ],
     )
     def test_inputs_past_the_bounds_exit_two(self, argv, capsys):
@@ -548,9 +556,11 @@ def test_every_public_name_imports_from_the_package():
         assert name in listed, name
 
 
-# every (subcommand, action) pair, rotation numbers with two invalid ones, and
-# rational knobs on both sides of their ranges; Q, K and N stay small so each
-# run is quick (shift needs K >= 8, so K reaches 10)
+# every (subcommand, action) pair as a command line through main, rotation
+# numbers with two invalid ones, and rational knobs on both sides of their
+# ranges (--gamma and --p also past the upper bound that the config refuses);
+# Q, K and N stay small so each run is quick (shift needs K >= 8, so K
+# reaches 10)
 COMMANDS = [(sub, act) for sub, acts in _ACTIONS.items() for act in acts or (None,)]
 ROTATIONS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/1", "(-2+1*sqrt(5))/1",
              "(1+sqrt(5))/2", "(3-2*sqrt(2))/5", "sqrt(4)", "x"]
@@ -566,8 +576,8 @@ ROTATIONS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/1", "(-2+1*sqrt(5))/1",
     N=st.integers(1, 64),
     depth=st.integers(1, 40),
     delta=st.sampled_from(["1/10", "1/2", "3/5", "7/10"]),
-    gamma=st.sampled_from(["1", "3/2", "2"]),
-    p=st.sampled_from(["1", "4/3", "3/2", "2"]),
+    gamma=st.sampled_from(["1", "3/2", "2", "100000"]),
+    p=st.sampled_from(["1", "4/3", "3/2", "2", "100000"]),
     ratio=st.sampled_from(["3/2", "2", "4"]),
     budget=st.sampled_from(["1/2", "2", "8"]),
     tol=st.sampled_from(["1/1000", "1/1000000000000", f"1/{10**40}"]),
@@ -575,11 +585,17 @@ ROTATIONS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/1", "(-2+1*sqrt(5))/1",
     seed=st.integers(0, 3),
     doubling_tripling=st.booleans(),
 )
-def test_every_config_runs_or_exits_with_a_json_error(command, fmt, **fields):
-    config = ExperimentConfig(*command, format=fmt, **fields)
+def test_every_config_runs_or_exits_with_a_json_error(
+    command, fmt, doubling_tripling, **fields
+):
+    subcommand, action = command
+    argv = [subcommand, *([action] if action else []), f"--format={fmt}"]
+    argv += [f"--{name}={value}" for name, value in fields.items()]
+    if doubling_tripling and subcommand == "rates":
+        argv.append("--doubling-tripling")
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = run(config, stream=io.StringIO())
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 2, 3)
     if code:
         (line,) = err.getvalue().splitlines()

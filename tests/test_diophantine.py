@@ -33,14 +33,14 @@ from coblab.errors import ConfigError, ShortfallError
 from coblab.surd import (
     QuadraticSurd,
     dist_enclosure,
-    fixed_point_reducer,
+    fixed_point,
     parse_surd,
-    sqrt_int,
 )
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1")
 BETA = parse_surd("(-1+1*sqrt(3))/1")
 GOLDEN = parse_surd("(1+sqrt(5))/2")
+SQRT2 = QuadraticSurd(0, 1, 2)
 
 # the two surd pairs of the benchmark's scan workload
 PAIRS = [
@@ -86,7 +86,7 @@ def test_continued_fraction_golden_depth_8():
 
 
 def test_continued_fraction_classics():
-    assert terms(sqrt_int(2), 5) == [1, 2, 2, 2, 2, 2]
+    assert terms(SQRT2, 5) == [1, 2, 2, 2, 2, 2]
     assert terms(BETA, 6) == [0, 1, 2, 1, 2, 1, 2]
 
 
@@ -111,7 +111,7 @@ def test_continued_fraction_matches_float_oracle(a, b, c, d):
 
 
 def test_convergents_satisfy_recurrence_and_quality():
-    rows = list(convergents(sqrt_int(2), 10))
+    rows = list(convergents(SQRT2, 10))
     assert [a for a, _, _ in rows] == [1] + [2] * 10
     cs = [(p, q) for _, p, q in rows]
     for k in range(1, len(cs)):
@@ -141,7 +141,7 @@ def test_convergents_stop_at_the_digit_bound():
 
 
 def test_nearest_integer_distance_oracle_and_clamp():
-    enc = dist_enclosure(sqrt_int(2), 8, abs_tol=Fraction(1, 10**40))
+    enc = dist_enclosure(SQRT2, 8, abs_tol=Fraction(1, 10**40))
     with mpmath.workdps(200):
         val = 8 * mpmath.sqrt(2) - 11
         scaled = int(mpmath.floor(val * mpmath.mpf(2) ** 160))
@@ -402,7 +402,7 @@ def float_screen_square_search(beta, delta, N):
     (d - n^2) * 2**-192 with n**-delta * (1 + 1e-12), whose error stays below
     a factor 1 + 2e-15 for n <= 10**6 and 1/2 < delta < 1, and a certified
     comparison with pow_enclosure for every n the float compare leaves."""
-    X = fixed_point_reducer(beta, 192).X
+    X = fixed_point(beta)
     one, mask = 1 << 192, (1 << 192) - 1
     hits = []
     for lo, hi in dyadic_blocks(N):
@@ -580,8 +580,8 @@ def test_dependence_distinct_fields_none():
 
 
 def test_dependence_shifted_same_surd():
-    a = sqrt_int(2)
-    b = sqrt_int(2) + 1
+    a = SQRT2
+    b = SQRT2 + 1
     dep = integer_dependence_search(a, b, 3)
     assert (dep.m, dep.n, dep.p) == (1, -1, 1)
 

@@ -25,7 +25,6 @@ from coblab.fourier import (
     coefficient_magnitude_enclosure,
     divisor_enclosure,
     double_ergodic_sum_norm,
-    _MAX_K,
     coefficient_real,
     double_solve,
     random_real_series,
@@ -33,7 +32,7 @@ from coblab.fourier import (
     transfer_coefficients,
     unit_phase,
 )
-from coblab.surd import FixedPointReducer, QuadraticSurd, parse_surd
+from coblab.surd import FP_BITS, FP_MAX_K, FP_ONE, QuadraticSurd, fixed_point, parse_surd
 from mpbridge import mp_fraction, to_mp
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
@@ -334,12 +333,23 @@ def test_browder_sum_norm_large_frequency():
     assert got == pytest.approx(expected, rel=1e-9)
 
 
-def reference_kernel_sq(red, nu, n):
+def residue(x, k):
+    """The residue of k*x, (k * fixed_point(x)) mod 2**192."""
+    return (k * fixed_point(x)) % FP_ONE
+
+
+def dist_float(x, k):
+    """||k*x|| as a float64, from the residue of k*x."""
+    t = residue(x, k)
+    return math.ldexp(float(min(t, FP_ONE - t)), -FP_BITS)
+
+
+def reference_kernel_sq(x, nu, n):
     """D(n, nu*x)**2 with n*nu*x reduced afresh, the per-term evaluation."""
     if nu == 0:
         return float(n) * float(n)
-    ratio = math.sin(math.pi * red.dist_float(n * nu)) / math.sin(
-        math.pi * red.dist_float(nu)
+    ratio = math.sin(math.pi * dist_float(x, n * nu)) / math.sin(
+        math.pi * dist_float(x, nu)
     )
     return ratio * ratio
 
@@ -347,20 +357,17 @@ def reference_kernel_sq(red, nu, n):
 # Both references sum in storage order, the order the module sums in, so
 # equal arithmetic gives equal bits.
 def reference_double_norm(f, x, y, n, m):
-    red_x = FixedPointReducer(x, bits=192)
-    red_y = FixedPointReducer(y, bits=192)
     total = 0.0
     for nu, c in f._coeffs.items():
         weight = abs(complex(c)) ** 2
-        total += weight * reference_kernel_sq(red_x, nu, n) * reference_kernel_sq(red_y, nu, m)
+        total += weight * reference_kernel_sq(x, nu, n) * reference_kernel_sq(y, nu, m)
     return math.sqrt(total)
 
 
 def reference_single_norm(f, x, n):
-    red = FixedPointReducer(x, bits=192)
     total = 0.0
     for nu, c in f._coeffs.items():
-        total += abs(complex(c)) ** 2 * reference_kernel_sq(red, nu, n)
+        total += abs(complex(c)) ** 2 * reference_kernel_sq(x, nu, n)
     return math.sqrt(total)
 
 
@@ -404,9 +411,8 @@ def test_memoised_tables_keep_series_and_rotations_apart():
 
 
 def test_ergodic_norms_refuse_lengths_past_the_reduction_range():
-    max_k = FixedPointReducer(ALPHA, bits=192).max_k
     f = SparseFourierSeries({-4: 1.0, 2: 0.5})
-    limit = max_k // 4
+    limit = FP_MAX_K // 4
     assert math.isfinite(browder_sum_norm(f, ALPHA, limit))
     assert math.isfinite(double_ergodic_sum_norm(f, ALPHA, BETA, limit, limit))
     with pytest.raises(ValueError):
@@ -462,12 +468,11 @@ def test_kernel_rows_shared_across_series_and_rotations():
 
 def test_kernel_row_cache_stays_bounded_and_exact():
     f = SparseFourierSeries({1: 1.0, -2: 0.5j, 9: 0.25})
-    red = FixedPointReducer(ALPHA, bits=192)
 
     def expected(n):
         total = 0.0
         for nu, c in f._coeffs.items():
-            total += abs(complex(c)) ** 2 * reference_kernel_sq(red, nu, n)
+            total += abs(complex(c)) ** 2 * reference_kernel_sq(ALPHA, nu, n)
         return math.sqrt(total)
 
     size = _kernel_row.cache_info().maxsize
@@ -479,9 +484,8 @@ def test_kernel_row_cache_stays_bounded_and_exact():
 
 
 def test_checks_run_before_the_kernel_row_cache():
-    max_k = FixedPointReducer(ALPHA, bits=192).max_k
     f = SparseFourierSeries({-4: 1.0, 2: 0.5})
-    limit = max_k // 4
+    limit = FP_MAX_K // 4
     _kernel_row.cache_clear()
     assert math.isfinite(browder_sum_norm(f, ALPHA, limit))
     assert math.isfinite(double_ergodic_sum_norm(f, ALPHA, ALPHA, limit, 3))
@@ -500,7 +504,7 @@ def test_checks_refuse_every_call_after_a_row_is_cached():
     # the checks run inside the cached _kernel_row, so a stored row must never
     # let a bad call through
     f = SparseFourierSeries({-4: 1.0, 2: 0.5})
-    too_long = _MAX_K // 4 + 1
+    too_long = FP_MAX_K // 4 + 1
     rational = QuadraticSurd(1, 0, 2)
     for _ in range(3):
         assert math.isfinite(browder_sum_norm(f, ALPHA, 5))
@@ -586,7 +590,7 @@ def assert_bits(got, want):
 @example(t=3 << 190)
 def test_phase_of_residue_matches_mpmath(t):
     with mpmath.workprec(PREC):
-        assert_bits(phase(t, 192), mp_phase(t, 192))
+        assert_bits(phase(t), mp_phase(t, 192))
 
 
 @settings(max_examples=150, deadline=None)
@@ -601,13 +605,13 @@ def test_phase_near_quadrant_ends_matches_mpmath(quadrant, scale, offset, below)
     offset = 1 + offset % (1 << scale)
     t = (quadrant << 190) + (-offset if below else offset)
     with mpmath.workprec(PREC):
-        assert_bits(phase(t, 192), mp_phase(t, 192))
+        assert_bits(phase(t), mp_phase(t, 192))
 
 
 @settings(max_examples=120, deadline=None)
-@given(alpha=SURD, n=st.integers(1, _MAX_K), negative=st.booleans())
+@given(alpha=SURD, n=st.integers(1, FP_MAX_K), negative=st.booleans())
 def test_unit_phase_matches_mpmath_bit_for_bit(alpha, n, negative):
-    t = FixedPointReducer(alpha, bits=192).frac_fixed(n)
+    t = residue(alpha, n)
     with mpmath.workprec(PREC):
         want = mp_phase(t, 192)
         if negative:
@@ -630,10 +634,9 @@ def test_cos_sin_kernel_matches_mpmath_on_every_table_row(prec):
 
 
 def test_unit_phase_matches_mpmath_for_small_n():
-    red = FixedPointReducer(ALPHA, bits=192)
     with mpmath.workprec(PREC):
         for n in range(1, 1500):
-            assert_bits(unit_phase(ALPHA, n), mp_phase(red.frac_fixed(n), 192))
+            assert_bits(unit_phase(ALPHA, n), mp_phase(residue(ALPHA, n), 192))
 
 
 # quotients whose numerators, rounded instead of truncated at PREC + 10 bits,

@@ -437,14 +437,18 @@ def test_logpower_divergence_matches_enclosure_reference():
 
 @pytest.mark.parametrize(
     "terms",
-    [[5504] * 3000, [5504] * 10 + list(range(5505, 5600)), [2, 3, 3, 7, 2]],
+    [[5504] * 3000, [5504] * 10 + list(range(5505, 5600)), [2, 2] + list(range(3, 8))],
 )
 def test_isqrt_pow32_sum_equals_the_term_by_term_sum(terms):
-    # each distinct term is bracketed once and weighted by its count; the
-    # grid ints must be those of bracketing every term on its own
+    # a run of one value, bracketed once and weighted by its count, then
+    # consecutive integers; the grid ints must be those of bracketing every
+    # term on its own
+    m0, count = terms[0], terms.count(terms[0])
+    stop = m0 + 1 + len(terms) - count
+    assert terms == [m0] * count + list(range(m0 + 1, stop))
     lo = hi = 0
     for m in terms:
         u = isqrt((m**3) << 160)
         lo += (1 << 160) // (u + 1)
         hi -= (-1 << 160) // u
-    assert _isqrt_pow32_sum(iter(terms)) == from_fixed(lo, hi, 80)
+    assert _isqrt_pow32_sum(m0, count, m0 + 1, stop) == from_fixed(lo, hi, 80)

@@ -14,12 +14,14 @@ from coblab.certify import HARD_CAP_BITS, Enclosure, precisions, refine
 from coblab.errors import ConfigError, PrecisionCapError
 from coblab.surd import (
     COEFFICIENT_LIMIT,
+    FP_BITS,
+    FP_MAX_K,
+    FP_ONE,
     RADICAND_LIMIT,
-    FixedPointReducer,
     QuadraticSurd,
     dist_enclosure,
+    fixed_point,
     parse_surd,
-    sqrt_int,
     squarefree_decompose,
 )
 from mpbridge import mp_fraction
@@ -172,7 +174,7 @@ def test_equality_hash_and_rational_interop():
 
 
 def test_labels_do_not_affect_identity():
-    tagged = ALPHA.with_label("alpha")
+    tagged = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
     assert tagged == ALPHA
     assert tagged.label == "alpha"
 
@@ -199,8 +201,8 @@ def test_arithmetic_identities_random(a, b, c, d):
 @settings(max_examples=50, deadline=None)
 @given(k=st.integers(1, 10**6))
 def test_fixed_point_reducer_matches_oracle(k):
-    red = FixedPointReducer(ALPHA, bits=160)
-    got = red.dist_float(k)
+    t = (k * fixed_point(ALPHA)) % FP_ONE
+    got = math.ldexp(float(min(t, FP_ONE - t)), -FP_BITS)
     with mpmath.workdps(60):
         t = mpmath.frac(k * (mpmath.sqrt(2) - 1))
         expected = float(min(t, 1 - t))
@@ -208,19 +210,40 @@ def test_fixed_point_reducer_matches_oracle(k):
 
 
 def test_fixed_point_reducer_frac_is_periodic_safe():
-    red = FixedPointReducer(GOLDEN, bits=192)
     for k in (1, 2, 34, 6765):
-        fr = red.frac_fixed(k)
+        fr = (k * fixed_point(GOLDEN)) % FP_ONE
         assert 0 <= fr < 1 << 192
         # within k ulps of frac(k*x) * 2**192, measured around the circle
         gap = abs(fr - (GOLDEN * k).frac().enclosure(256).mid * 2**192)
         assert min(gap, 2**192 - gap) <= k + 1
 
 
-def test_sqrt_int_validates():
-    assert sqrt_int(2).d == 2
+COEFFICIENTS = st.integers(-(COEFFICIENT_LIMIT - 1), COEFFICIENT_LIMIT - 1)
+# "(a+b*sqrt(d))/c" with every part inside parse_surd's bounds
+ROTATION_TEXTS = st.builds(
+    "({}{:+d}*sqrt({}))/{}".format,
+    COEFFICIENTS,
+    COEFFICIENTS.filter(bool),
+    st.integers(2, RADICAND_LIMIT).filter(lambda d: math.isqrt(d) ** 2 != d),
+    COEFFICIENTS.filter(bool),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=ROTATION_TEXTS, k=st.integers(1, FP_MAX_K) | st.sampled_from([1, FP_MAX_K]))
+def test_fixed_point_residue_stays_within_k_plus_one_ulps(text, k):
+    # (k*X) mod 2**192 against frac(k*x)*2**192, compared exactly around the
+    # circle: the gap, reduced to its nearest representative, is at most k + 1
+    x = parse_surd(text)
+    gap = (k * fixed_point(x)) % FP_ONE - (x * k).frac() * FP_ONE
+    gap = gap - FP_ONE * (gap / FP_ONE).nearest_int()
+    assert (abs(gap) - (k + 1)).sign() <= 0
+
+
+def test_sqrt_of_a_nonsquare_is_irrational():
+    assert QuadraticSurd(0, 1, 2).require_irrational("sqrt argument").d == 2
     with pytest.raises(ConfigError):
-        sqrt_int(9)
+        QuadraticSurd(0, 1, 9).require_irrational("sqrt argument")
 
 
 def test_rational_collapse_hashes_like_its_equals():
