@@ -3,8 +3,9 @@
 Each subcommand wraps a module pipeline with a serializable configuration,
 so identical configs on identical versions produce byte-identical reports.
 Structured results go out as JSON, series as CSV, and the human-readable
-view as text; every report embeds the config, the tool version, and the
-precision policy, and never a timestamp.
+view as text; the handler of each subcommand lays out all three, and no
+other module writes a report. Every report embeds the config, the tool
+version, and the precision policy, and never a timestamp.
 
 Exit codes: 0 success, 2 configuration problem, 3 a search came up short,
 4 a mathematically guaranteed inequality failed to certify (a bug).
@@ -286,6 +287,12 @@ def _emit(config: ExperimentConfig, body: _Body, stream) -> None:
             raise ConfigError(f"cannot write {config.out!r}: {exc}") from exc
 
 
+def _value_table(rows):
+    """The writer of the n,value_lo,value_hi table that spectral and rates
+    print; each row is [n, lo, hi], the endpoints as its caller prints them."""
+    return lambda fh: report.write_rows(fh, ["n", "value_lo", "value_hi"], rows)
+
+
 def _parallel_map(fn, items, threads: int):
     """Order-preserving map; threaded only for pure rational pipelines."""
     if threads <= 1:
@@ -341,9 +348,14 @@ def _handle_approx(config: ExperimentConfig) -> _Body:
             f"q = {r.q}: quality in {report.interval_str(r.quality, 8)}"
             for r in records[:25]
         ]
-        return _Body(
-            data, text, lambda fh: diophantine.records_to_csv(records, fh)
+        header = ["q", "dist_alpha_lo", "dist_alpha_hi", "dist_beta_lo",
+                  "dist_beta_hi", "quality_lo", "quality_hi"]
+        rows = (
+            [r.q, *report.endpoints(r.dist_alpha),
+             *report.endpoints(r.dist_beta), *report.endpoints(r.quality)]
+            for r in records
         )
+        return _Body(data, text, lambda fh: report.write_rows(fh, header, rows))
     if config.action == "bad-pair":
         constant, argmin = diophantine.bad_pair_constant(alpha, beta, config.Q)
         data = {
@@ -405,7 +417,8 @@ def _handle_construct(config: ExperimentConfig) -> _Body:
         text.append(cert.render())
         text.append("")
     text.extend(result.notes)
-    return _Body(data, text, result.f.to_csv)
+    rows = data["f"]["coefficients"]
+    return _Body(data, text, lambda fh: report.write_rows(fh, ["n", "re", "im"], rows))
 
 
 def _check_inputs(config: ExperimentConfig):
@@ -528,7 +541,8 @@ def _handle_spectral(config: ExperimentConfig) -> _Body:
         f"joint criterion sum: {report.interval_str(joint.value, 12)}",
         f"double criterion sum: {report.interval_str(double.value, 12)}",
     ]
-    return _Body(data, text, lambda fh: spectral.criterion_to_csv(double, fh))
+    rows = ([n, *report.endpoints(term)] for n, term in double.terms)
+    return _Body(data, text, _value_table(rows))
 
 
 def _handle_rates(config: ExperimentConfig) -> _Body:
@@ -545,15 +559,8 @@ def _handle_rates(config: ExperimentConfig) -> _Body:
             "normalized ergodic variance of the doubling/tripling square "
             "average: exactly 1 at every n"
         ] + [f"n = {n}: {v}" for n, v in zip(ns, values)]
-
-        def write_csv(fh):
-            report.write_rows(
-                fh,
-                ["n", "value_lo", "value_hi"],
-                ([n, str(v), str(v)] for n, v in zip(ns, values)),
-            )
-
-        return _Body(data, text, write_csv)
+        rows = ([n, str(v), str(v)] for n, v in zip(ns, values))
+        return _Body(data, text, _value_table(rows))
     alpha, beta = _surds(config)
     result = _flagship(config)
     n_values = sorted({1 << i for i in range(config.N.bit_length())} | {config.N})
@@ -566,7 +573,9 @@ def _handle_rates(config: ExperimentConfig) -> _Body:
         f"n = {n}: |S_n|/n = {per_n:.6e}, |S_n|/n^2 = {per_n_sq:.6e}"
         for n, per_n, per_n_sq in profile
     ]
-    return _Body(data, text, lambda fh: spectral.profile_to_csv(profile, fh))
+    # float64 diagnostics, so lo and hi coincide
+    rows = ([n, repr(per_n), repr(per_n)] for n, per_n, _ in profile)
+    return _Body(data, text, _value_table(rows))
 
 
 def _handle_shift(config: ExperimentConfig) -> _Body:
@@ -604,7 +613,11 @@ def _handle_shift(config: ExperimentConfig) -> _Body:
 
     def write_csv(fh):
         grid = shift_example.build_q(h, edge, edge, tail_terms=256)
-        shift_example.shift_grid_to_csv(grid, fh)
+        report.write_rows(
+            fh,
+            ["j", "k", "q_lo", "q_hi"],
+            ([j, k, *report.endpoints(enc)] for j, k, enc in grid.rows()),
+        )
 
     return _Body(data, text, write_csv)
 

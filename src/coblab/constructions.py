@@ -387,12 +387,20 @@ def _log_power(k: int, gamma: Fraction, bits: int) -> Enclosure:
     )
 
 
+# check_double_bad builds the envelope and an exact sum for every k up to the
+# largest support frequency, so a larger one is refused. `check double-bad
+# --K 12 --Q 100000` (frequency 12368) takes 7.9 s; the same series with that
+# frequency moved to 20000 takes 14.7 s in process (2 cores, CPython 3.11).
+_ENVELOPE_K_MAX = 20000
+
+
 def check_double_bad(f: SparseFourierSeries, gamma: Rational) -> Certificate:
     """Decay evidence |f_hat(k)| <= M/(k**2 (log|k|)**gamma) with gamma > 1.
 
     Finds the smallest certified M over the support, then delegates the
     induced envelope a_k = M/(k (log k)**gamma) to the monotone-envelope
     check with the integral-test tail M**2 (log K)**(1-2*gamma)/(2*gamma-1).
+    The largest support frequency is capped at 20000.
     """
     f.require_centered("decay data")
     gamma_f = Fraction(gamma)
@@ -400,6 +408,12 @@ def check_double_bad(f: SparseFourierSeries, gamma: Rational) -> Certificate:
         raise ConfigError("gamma must exceed 1")
     if any(abs(n) < 2 for n in f.support):
         raise ConfigError("support must avoid |k| < 2 for the log-power envelope")
+    k_max = max((abs(n) for n in f.support), default=0)
+    if k_max > _ENVELOPE_K_MAX:
+        raise ConfigError(
+            f"largest support frequency {k_max} exceeds {_ENVELOPE_K_MAX}: "
+            "the envelope visits every k up to it"
+        )
     if not len(f):
         return Certificate(
             kind="membership",
@@ -422,7 +436,6 @@ def check_double_bad(f: SparseFourierSeries, gamma: Rational) -> Certificate:
     m_entry = CertificateEntry(
         "envelope constant M = max |f_hat(k)| * k**2 * (log k)**gamma", m_enc
     )
-    k_max = max(abs(n) for n in f.support)
     m_hi = m_enc.hi
     envelope = [
         (m_hi * Fraction(1, k)) * _log_power(k, -gamma_f, _BITS).hi

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .certify import (
     HARD_CAP_BITS,
@@ -33,7 +33,6 @@ from .certify import (
     sqrt_enclosure,
 )
 from .errors import ConfigError, PrecisionCapError, ShortfallError
-from .report import endpoints, write_rows
 from .surd import FP_BITS, FP_HALF, FP_MAX_K, FP_ONE, QuadraticSurd
 from .surd import dist_enclosure, fixed_point
 
@@ -568,28 +567,3 @@ def integer_dependence_search(
         if alpha * m + beta * n + p == 0:
             return Dependence(m=m, n=n, p=p, gcd_mn=math.gcd(abs(m), abs(n)))
     return None
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def records_to_csv(records: Iterable[ApproximationRecord], fileobj) -> None:
-    """Write search records with outward-rounded interval endpoints."""
-    write_rows(
-        fileobj,
-        [
-            "q",
-            "dist_alpha_lo",
-            "dist_alpha_hi",
-            "dist_beta_lo",
-            "dist_beta_hi",
-            "quality_lo",
-            "quality_hi",
-        ],
-        (
-            [rec.q, *endpoints(rec.dist_alpha), *endpoints(rec.dist_beta),
-             *endpoints(rec.quality)]
-            for rec in records
-        ),
-    )

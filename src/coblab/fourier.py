@@ -28,8 +28,6 @@ a row is built, and a refused call stores nothing.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import random
 from fractions import Fraction
@@ -200,19 +198,11 @@ class SparseFourierSeries:
 
     # -- serialization -------------------------------------------------------------
 
-    def to_csv(self, fileobj) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(["n", "re", "im"])
-        writer.writerows(self.to_json_dict()["coefficients"])
-
     def to_json_dict(self) -> dict:
         return {
             "real_valued": self.real_valued,
             "coefficients": [[n, *c.to_strings()] for n, c in self.items()],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 class SmallDivisorEntry(NamedTuple):

@@ -17,12 +17,11 @@ each atom contributes at least an analytic floor.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import fourier
 from .certify import Enclosure, Frozen
 from .errors import CertificationError, ConfigError
-from .report import endpoints, write_rows
 from .surd import QuadraticSurd
 
 
@@ -195,16 +194,3 @@ def doubling_tripling_variance(n: int) -> Fraction:
     if n < 1:
         raise ConfigError("n must be positive")
     return Fraction(1)
-
-
-def criterion_to_csv(cs: CriterionSum, fileobj) -> None:
-    """Per-atom certified terms with outward-rounded decimal endpoints."""
-    write_rows(fileobj, ["n", "value_lo", "value_hi"],
-               ([n, *endpoints(term)] for n, term in cs.terms))
-
-
-def profile_to_csv(profile: Iterable[tuple[int, float, float]], fileobj) -> None:
-    """Rate-profile rows of |S_n|/n; float64 diagnostics, so lo and hi
-    coincide."""
-    write_rows(fileobj, ["n", "value_lo", "value_hi"],
-               ([n, repr(per_n), repr(per_n)] for n, per_n, _ in profile))

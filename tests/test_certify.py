@@ -435,6 +435,46 @@ def test_atanh_matches_fraction_reference(bits, t):
     assert from_fixed(lo, hi, bits + 4) == _ref_atanh_series(t, bits)
 
 
+SMALL_BITS = st.integers(min_value=8, max_value=32)
+
+
+@st.composite
+def log_just_above_a_grid_point(draw):
+    """(bits, y) with log y a hair above m * 2**-(bits+2), a point of the
+    output grid of log_enclosure(y, bits), for |m| up to twice ln 2's.
+
+    There an upper endpoint that lost any positive term of its sum rounds up
+    to m * 2**-(bits+2) at most, below log y.
+    """
+    bits = draw(SMALL_BITS)
+    m = draw(st.integers(min_value=-(2 << bits), max_value=2 << bits))
+    with mpmath.workprec(600):
+        y = mpmath.exp(mpmath.ldexp(m, -bits - 2) + mpmath.ldexp(1, -bits - 80))
+        sign, man, exp, _ = y._mpf_
+    return bits, man * Fraction(2) ** exp
+
+
+# Containment at small bits against mpmath's log at 3000 bits, taken exactly
+# as a Fraction; for these arguments its error is below 2**-2990. The grid
+# is coarse here, so a dropped tail of atanh's upper sum moves the upper
+# endpoint across a grid point, which the Fraction-reference tests alone
+# would not tell from a matching change to the reference.
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(SMALL_BITS, POSITIVE), log_just_above_a_grid_point()
+    )
+)
+def test_log_enclosure_contains_the_3000_bit_log_at_small_bits(case):
+    bits, y = case
+    with mpmath.workprec(3000):
+        sign, man, exp, _ = mpmath.log(mpf_frac(y))._mpf_
+    value = (-1) ** sign * man * Fraction(2) ** exp
+    enc = log_enclosure(y, bits)
+    slack = Fraction(1, 2**2900)
+    assert enc.lo - slack <= value <= enc.hi + slack
+
+
 @settings(max_examples=80, deadline=None)
 @given(bits=ANY_BITS, y=POSITIVE)
 def test_log_matches_fraction_reference(bits, y):

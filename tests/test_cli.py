@@ -318,6 +318,11 @@ class TestExitCodes:
             ["approx", "dirichlet", "--beta", "(-1+sqrt(999999999989))/1"],
             ["shift", "--p", "100000", "--K", "8"],
             ["check", "double-bad", "--gamma", "100000"],
+            # the running-time caps: shift's K and double-bad's frequencies
+            # (the flagship series at K = 14 reaches frequency 134421)
+            ["shift", "--p", "2", "--K", "100000000"],
+            ["shift", "--p", "1", "--K", "1000001"],
+            ["check", "double-bad", "--K", "14", "--Q", "1000000"],
         ],
     )
     def test_inputs_past_the_bounds_exit_two(self, argv, capsys):
@@ -494,7 +499,8 @@ class TestMain:
         "from coblab.surd import parse_surd\n"
         "base = fourier.random_real_series(0, 10)\n"
         "alpha = parse_surd('(-1+1*sqrt(2))/1')\n"
-        "fourier.apply_difference(base, alpha).to_json()\n"
+        "import json\n"
+        "json.dumps(fourier.apply_difference(base, alpha).to_json_dict())\n"
         "assert absent('mpmath', 'dataclasses'), 'apply_difference'\n"
     )
 
@@ -560,7 +566,8 @@ def test_every_public_name_imports_from_the_package():
 # numbers with two invalid ones, and rational knobs on both sides of their
 # ranges (--gamma and --p also past the upper bound that the config refuses);
 # Q, K and N stay small so each run is quick (shift needs K >= 8, so K
-# reaches 10)
+# reaches 10), and K also crosses shift's cap of 10**6, past which shift
+# refuses it and the flagship searches fall short, both at once
 COMMANDS = [(sub, act) for sub, acts in _ACTIONS.items() for act in acts or (None,)]
 ROTATIONS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/1", "(-2+1*sqrt(5))/1",
              "(1+sqrt(5))/2", "(3-2*sqrt(2))/5", "sqrt(4)", "x"]
@@ -572,7 +579,7 @@ ROTATIONS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/1", "(-2+1*sqrt(5))/1",
     alpha=st.sampled_from(ROTATIONS),
     beta=st.sampled_from(ROTATIONS),
     Q=st.integers(1, 10**4),
-    K=st.integers(1, 10),
+    K=st.one_of(st.integers(1, 10), st.integers(10**6 + 1, 10**9)),
     N=st.integers(1, 64),
     depth=st.integers(1, 40),
     delta=st.sampled_from(["1/10", "1/2", "3/5", "7/10"]),

@@ -369,6 +369,21 @@ def test_double_bad_validation():
         check_double_bad(SparseFourierSeries({0: 1}), gamma=2)
 
 
+def test_double_bad_refuses_frequencies_past_the_bound(monkeypatch):
+    import coblab.constructions as constructions_module
+
+    def no_envelope(*args):
+        raise AssertionError("the envelope was built before the refusal")
+
+    # the refusal comes before any log power of M or of the envelope
+    monkeypatch.setattr(constructions_module, "_log_power", no_envelope)
+    with pytest.raises(ConfigError, match="20000"):
+        check_double_bad(SparseFourierSeries({2: 1, 20001: 1}), gamma=2)
+    # the bound itself is accepted: only the first log power is reached
+    with pytest.raises(AssertionError, match="refusal"):
+        check_double_bad(SparseFourierSeries({2: 1, 20000: 1}), gamma=2)
+
+
 # ---------------------------------------------------------------------------
 # obstruction witnesses
 

@@ -25,10 +25,10 @@ from coblab.diophantine import (
     dyadic_blocks,
     integer_dependence_search,
     lacunary_denominators,
-    records_to_csv,
     small_multiples,
     square_approximation_search,
 )
+from coblab.cli import ExperimentConfig, run
 from coblab.errors import ConfigError, ShortfallError
 from coblab.surd import (
     QuadraticSurd,
@@ -595,10 +595,12 @@ def test_dependence_bound_too_small():
 
 
 def test_records_csv_roundtrip_shape():
+    # the CSV layout of `approx dirichlet` lives in the CLI handler
     records = dirichlet_pair_search(ALPHA, BETA, 50)
     buf = io.StringIO()
-    records_to_csv(records, buf)
-    lines = buf.getvalue().strip().splitlines()
+    config = ExperimentConfig("approx", "dirichlet", Q=50, format="csv")
+    assert run(config, buf) == 0
+    lines = [line for line in buf.getvalue().splitlines() if line[:1] != "#"]
     assert lines[0].split(",")[0] == "q"
     assert len(lines) == len(records) + 1
     for line in lines[1:]:

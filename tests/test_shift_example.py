@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coblab.certify import Enclosure, from_fixed, log_enclosure
+from coblab.cli import ExperimentConfig, run
 from coblab.errors import ConfigError
 from coblab.shift_example import (
     _diag_power,
@@ -32,7 +33,6 @@ from coblab.shift_example import (
     build_q,
     divergence_certificate,
     lp_partial_norm,
-    shift_grid_to_csv,
 )
 
 
@@ -307,29 +307,35 @@ class TestDivergenceCertificate:
             divergence_certificate(Fraction(1, 2), 100)
         with pytest.raises(ConfigError):
             divergence_certificate(2, 4)
+        # the row sums visit every k, so K is capped
+        for p in (1, 2):
+            with pytest.raises(ConfigError, match="10\\*\\*6"):
+                divergence_certificate(p, 10**6 + 1)
 
 
 class TestCsv:
-    def test_grid_csv_shape_and_header(self):
-        grid = build_q(build_h(2), 3, 2, tail_terms=60)
+    """The `shift` CSV, laid out by the CLI handler: the N-by-N grid of q."""
+
+    @staticmethod
+    def csv_lines(N):
         buf = io.StringIO()
-        shift_grid_to_csv(grid, buf)
-        lines = buf.getvalue().strip().splitlines()
+        assert run(ExperimentConfig("shift", K=8, N=N, format="csv"), buf) == 0
+        return [line for line in buf.getvalue().splitlines() if line[:1] != "#"]
+
+    def test_grid_csv_shape_and_header(self):
+        lines = self.csv_lines(3)
         assert lines[0] == "j,k,q_lo,q_hi"
-        assert len(lines) == 1 + 3 * 2
+        assert len(lines) == 1 + 3 * 3
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "1"
-        assert Fraction(first[2]) <= Fraction(first[3])
+        for line in lines[1:]:
+            lo, hi = map(Fraction, line.split(",")[2:])
+            assert lo <= hi
 
     def test_csv_rows_ordered_row_major(self):
-        grid = build_q(build_h(2), 2, 3, tail_terms=60)
-        buf = io.StringIO()
-        shift_grid_to_csv(grid, buf)
-        keys = [
-            tuple(map(int, line.split(",")[:2]))
-            for line in buf.getvalue().strip().splitlines()[1:]
-        ]
+        keys = [tuple(map(int, line.split(",")[:2])) for line in self.csv_lines(3)[1:]]
         assert keys == sorted(keys)
+        assert keys == [(j, k) for j in (1, 2, 3) for k in (1, 2, 3)]
 
 
 # Reference sums in Enclosure arithmetic: each partial sum is an Enclosure,

@@ -13,6 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from coblab.cli import ExperimentConfig, run
 from coblab.constructions import build_joint_not_double
 from coblab.errors import ConfigError
 from coblab.fourier import (
@@ -25,11 +26,9 @@ from coblab.spectral import (
     AtomicSpectralMeasure,
     cesaro_rate_profile,
     coboundary_integral,
-    criterion_to_csv,
     double_criterion_sum,
     doubling_tripling_variance,
     joint_criterion_sum,
-    profile_to_csv,
     spectral_measure,
 )
 from coblab.surd import parse_surd
@@ -305,24 +304,33 @@ def test_doubling_tripling_exponents_are_distinct():
 # CSV emission
 
 
-def test_criterion_csv_round_trip_columns():
-    f = SparseFourierSeries({1: 1, 4: 0.5})
-    m = spectral_measure(f, ALPHA, BETA)
+# The CSV layouts live in the CLI handlers; these run the subcommands on the
+# flagship series at K = 4, Q = 300 and read the rows back.
+
+
+def csv_lines(**fields):
     buf = io.StringIO()
-    criterion_to_csv(double_criterion_sum(m), buf)
-    lines = buf.getvalue().strip().splitlines()
+    assert run(ExperimentConfig(K=4, Q=300, format="csv", **fields), buf) == 0
+    return [line for line in buf.getvalue().splitlines() if line[:1] != "#"]
+
+
+def test_criterion_csv_round_trip_columns():
+    f = build_joint_not_double(ALPHA, BETA, 4, 300).f
+    terms = double_criterion_sum(spectral_measure(f, ALPHA, BETA)).terms
+    lines = csv_lines(subcommand="spectral")
     assert lines[0] == "n,value_lo,value_hi"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        n, lo, hi = line.split(",")
-        assert Fraction(lo) <= Fraction(hi)
+    assert len(lines) == 1 + len(terms)
+    for line, (n, term) in zip(lines[1:], terms):
+        cells = line.split(",")
+        assert int(cells[0]) == n
+        # outward-rounded decimals: the printed interval holds the term
+        lo, hi = map(Fraction, cells[1:])
+        assert lo <= term.lo <= term.hi <= hi
 
 
 def test_profile_csv_shapes():
-    f = SparseFourierSeries({1: 1})
-    profile = cesaro_rate_profile(f, ALPHA, BETA, [2, 4])
-    buf = io.StringIO()
-    profile_to_csv(profile, buf)
-    lines = buf.getvalue().strip().splitlines()
+    f = build_joint_not_double(ALPHA, BETA, 4, 300).f
+    profile = cesaro_rate_profile(f, ALPHA, BETA, [1, 2, 4, 8, 16])
+    lines = csv_lines(subcommand="rates", N=16)
     assert lines[0] == "n,value_lo,value_hi"
     assert lines[1:] == [f"{n},{per_n!r},{per_n!r}" for n, per_n, _ in profile]
