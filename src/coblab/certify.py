@@ -19,10 +19,11 @@ or a ceiling onto a dyadic grid. A Fraction is built once per public result.
 
 Precision escalates on one schedule, precisions(start): start, 2*start,
 4*start, ... and then HARD_CAP_BITS, the one cap every report prints.
-refine, separate, the distance enclosure and the quality loop of the
-Dirichlet records all walk it, each from its own start (128, 160 or 192
-bits, part of the report bytes), and each raises PrecisionCapError naming
-the cap when the last step still falls short.
+refine, separate, the distance enclosure, the quality loop of the
+Dirichlet records and the correctly rounded phases of coblab.dyadic all walk
+it, each from its own start (128, 160, 180 or 192 bits; all but the phases'
+are part of the report bytes), and each raises PrecisionCapError naming the
+cap when the last step still falls short.
 """
 
 from __future__ import annotations

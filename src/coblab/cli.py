@@ -293,16 +293,6 @@ def _value_table(rows):
     return lambda fh: report.write_rows(fh, ["n", "value_lo", "value_hi"], rows)
 
 
-def _parallel_map(fn, items, threads: int):
-    """Order-preserving map; threaded only for pure rational pipelines."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -548,9 +538,7 @@ def _handle_spectral(config: ExperimentConfig) -> _Body:
 def _handle_rates(config: ExperimentConfig) -> _Body:
     if config.doubling_tripling:
         ns = list(range(1, min(config.N, 64) + 1))
-        values = _parallel_map(
-            spectral.doubling_tripling_variance, ns, config.threads
-        )
+        values = [spectral.doubling_tripling_variance(n) for n in ns]
         data = {
             "n": ns,
             "normalized_variance": [str(v) for v in values],
@@ -626,9 +614,7 @@ def _handle_selftest(config: ExperimentConfig) -> _Body:
     alpha, beta = _surds(config)
     checks = []
 
-    values = _parallel_map(
-        spectral.doubling_tripling_variance, range(1, 65), config.threads
-    )
+    values = [spectral.doubling_tripling_variance(n) for n in range(1, 65)]
     checks.append(
         ("doubling/tripling variance exactly 1 for n <= 64",
          all(v == 1 for v in values))
@@ -761,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int,
                         help="seed for randomized property checks")
     shared.add_argument("--threads", type=int,
-                        help="workers for pure rational sweeps")
+                        help="recorded in every report; has no effect")
 
     parser = argparse.ArgumentParser(
         prog="coblab",

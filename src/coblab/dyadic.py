@@ -11,51 +11,31 @@ mantissa and exponent, and so every report, stays the same:
 - a sum whose terms lie more than 100 exponents and PREC + 4 bits of
   magnitude apart replaces the smaller term by a sticky bit PREC + 4 bits
   below the larger one (`_add`);
-- a quotient of complex numbers forms |w|**2 and both numerators truncated
-  to PREC + 10 bits before the two rounded divisions (`__truediv__`);
-- `from_fraction` rounds the numerator to PREC bits, then the quotient.
-
-Decimal strings are written with DIGITS = 36 significant digits by the same
-rules as that library (`to_strings`).
+- `from_fraction` rounds the numerator to PREC bits, then the quotient;
+- decimal strings have DIGITS = 36 significant digits, written by that
+  library's rules (`to_strings`).
 
 `phase(t)` is e(t * 2**-FP_BITS) = exp(2*pi*i * t * 2**-FP_BITS) for a
-rotation residue 0 < t < 2**FP_BITS (`surd.FP_BITS`): the argument is 2*pi
-rounded to PREC bits times t rounded to PREC bits, rounded; it is reduced
-modulo pi/2 with 20, 40, 80 ... bits of cancellation guard, and cos and sin
-come from a table of cos(k/256) and sin(k/256) and a Taylor series on the
-remainder, with only 10 guard bits in all. Those values are not correctly
-rounded, so a correctly rounded sine would differ from them in the last bit
-now and then. `_mod_pi2`, the body of `phase` and `_cos_sin_fixed` are ports
-of `mod_pi2`, `mpf_cos_sin` and `cos_sin_basecase` in libmp/libelefun.py,
-Copyright (c) 2005-2021 Fredrik Johansson and contributors, used under the
-BSD licence reproduced in NOTICE.
+rotation residue 0 < t < 2**FP_BITS (`surd.FP_BITS`), each part correctly
+rounded from `certify.sin_pi_enclosure`: the reduction is exact, in turns, so
+no pi and no sine are computed here.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-from .certify import WORK_PREC
+from .certify import HARD_CAP_BITS, WORK_PREC, Enclosure, precisions, sin_pi_enclosure
+from .errors import PrecisionCapError
 from .surd import FP_BITS
 
 PREC = WORK_PREC + 12
 DIGITS = 36  # significant digits of a decimal coefficient
-_DIV_PREC = PREC + 10
-# floor(pi * 2**512)
-_PI_BITS = 512
-_PI = int(
-    "3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c8"
-    "9452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b5470917",
-    16,
-)
-_TABLE_PREC = 400
-_TABLE_STEP = 8
 
 
-def _round(man: int, exp: int, prec: int = PREC, down: bool = False) -> tuple:
-    """man * 2**exp rounded to prec bits: to nearest, ties to even, or toward 0.
+def _round(man: int, exp: int, prec: int = PREC) -> tuple:
+    """man * 2**exp rounded to prec bits, to nearest with ties to even.
 
     The result mantissa is odd or zero, with exponent 0 for zero.
     """
@@ -64,14 +44,11 @@ def _round(man: int, exp: int, prec: int = PREC, down: bool = False) -> tuple:
     mag = -man if man < 0 else man
     n = mag.bit_length() - prec
     if n > 0:
-        if down:
-            mag >>= n
+        t = mag >> (n - 1)
+        if t & 1 and (t & 2 or mag & ((1 << (n - 1)) - 1)):
+            mag = (t >> 1) + 1
         else:
-            t = mag >> (n - 1)
-            if t & 1 and (t & 2 or mag & ((1 << (n - 1)) - 1)):
-                mag = (t >> 1) + 1
-            else:
-                mag = t >> 1
+            mag = t >> 1
         exp += n
     zeros = (mag & -mag).bit_length() - 1
     if zeros:
@@ -80,21 +57,27 @@ def _round(man: int, exp: int, prec: int = PREC, down: bool = False) -> tuple:
     return (-mag if man < 0 else mag), exp
 
 
-def _add(m1: int, e1: int, m2: int, e2: int, prec: int = PREC, down: bool = False):
-    """m1 * 2**e1 + m2 * 2**e2, rounded; far-apart terms add a sticky bit."""
-    if not m2:
-        return _round(m1, e1, prec, down)
-    if not m1:
-        return _round(m2, e2, prec, down)
+def _exact_sum(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
+    """m1 * 2**e1 + m2 * 2**e2 exactly, on the finer of the two grids."""
     if e1 < e2:
         m1, e1, m2, e2 = m2, e2, m1, e1
-    offset = e1 - e2
-    if offset > 100:
+    return (m1 << (e1 - e2)) + m2, e2
+
+
+def _add(m1: int, e1: int, m2: int, e2: int):
+    """m1 * 2**e1 + m2 * 2**e2, rounded; far-apart terms add a sticky bit."""
+    if not m2:
+        return _round(m1, e1)
+    if not m1:
+        return _round(m2, e2)
+    if e1 < e2:
+        m1, e1, m2, e2 = m2, e2, m1, e1
+    if e1 - e2 > 100:
         gap = abs(m1).bit_length() + e1 - abs(m2).bit_length() - e2
-        if gap > prec + 4:
+        if gap > PREC + 4:
             sticky = 1 if m2 > 0 else -1
-            return _round((m1 << (prec + 4)) + sticky, e1 - prec - 4, prec, down)
-    return _round((m1 << offset) + m2, e2, prec, down)
+            return _round((m1 << (PREC + 4)) + sticky, e1 - PREC - 4)
+    return _round(*_exact_sum(m1, e1, m2, e2))
 
 
 def _div(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
@@ -259,9 +242,9 @@ class WorkComplex:
             return other
         a, ea, b, eb = self.re_man, self.re_exp, self.im_man, self.im_exp
         c, ec, d, ed = other.re_man, other.re_exp, other.im_man, other.im_exp
-        mag = _add(c * c, 2 * ec, d * d, 2 * ed, _DIV_PREC, down=True)
-        t = _add(a * c, ea + ec, b * d, eb + ed, _DIV_PREC, down=True)
-        u = _add(b * c, eb + ec, -(a * d), ea + ed, _DIV_PREC, down=True)
+        mag = _exact_sum(c * c, 2 * ec, d * d, 2 * ed)
+        t = _exact_sum(a * c, ea + ec, b * d, eb + ed)
+        u = _exact_sum(b * c, eb + ec, -(a * d), ea + ed)
         return _make(*_div(*t, *mag), *_div(*u, *mag))
 
     def conj(self) -> "WorkComplex":
@@ -350,99 +333,50 @@ ONE = WorkComplex(1)
 # ---------------------------------------------------------------------------
 # e(x) on exact residues
 
-
-def _pi_fixed(prec: int) -> int:
-    """floor(pi * 2**prec)."""
-    if prec > _PI_BITS:
-        raise ValueError(f"pi is held to {_PI_BITS} bits, {prec} requested")
-    return _PI >> (_PI_BITS - prec)
+_QUARTER = FP_BITS - 2  # a quarter turn, in residue units 2**-FP_BITS
 
 
-@lru_cache(maxsize=None)
-def _table(k: int) -> tuple[int, int]:
-    """cos(k/256) and sin(k/256) on the 2**-400 grid, truncated from 440 bits."""
-    wp = _TABLE_PREC + 40
-    term, cos, sin, j = 1 << wp, 0, 0, 0
-    while term:
-        if j & 1:
-            sin += -term if j & 2 else term
-        else:
-            cos += -term if j & 2 else term
-        j += 1
-        term = term * k // (j << _TABLE_STEP)
-    return cos >> 40, sin >> 40
-
-
-def _mod_pi2(man: int, exp: int, mag: int, wp: int) -> tuple[int, int, int]:
-    """x = man * 2**exp reduced modulo pi/2: (remainder on 2**-wp', quadrant, wp')."""
-    if mag > 0:
-        i = 0
-        while True:
-            wpmod = wp + mag + (20 << i)
-            pi2 = _pi_fixed(wpmod - 1)
-            offset = wpmod + exp
-            t = man << offset if offset >= 0 else man >> -offset
-            n, y = divmod(t, pi2)
-            small = pi2 - y if y > pi2 >> 1 else y
-            if small >> (wp + mag - 10):
-                return y >> mag, n, wpmod - mag
-            i += 1
-    wp -= mag
-    offset = exp + wp
-    return (man << offset if offset >= 0 else man >> -offset), 0, wp
-
-
-def _cos_sin_fixed(x: int, prec: int) -> tuple[int, int]:
-    """cos and sin of x * 2**-prec in [0, pi/2), on the 2**-prec grid."""
-    if prec > _TABLE_PREC:
-        raise ValueError(f"a phase needs {prec} bits, past the table's {_TABLE_PREC}")
-    precs = prec - _TABLE_STEP
-    t = x >> precs
-    cos_t, sin_t = _table(t)
-    cos_t >>= _TABLE_PREC - prec
-    sin_t >>= _TABLE_PREC - prec
-    x -= t << precs
-    cos = 1 << prec
-    sin = x
-    k = 2
-    a = -((x * x) >> prec)
-    while a:
-        a //= k
-        cos += a
-        k += 1
-        a = (a * x) >> prec
-        a //= k
-        sin += a
-        k += 1
-        a = -((a * x) >> prec)
-    return (cos * cos_t - sin * sin_t) >> prec, (sin * cos_t + cos * sin_t) >> prec
-
-
-# 2*pi as pi rounded to PREC bits from its 2**-(PREC + 20) floor, doubled
-_TWO_PI_MAN, _PI_EXP = _round(_pi_fixed(PREC + 20), -PREC - 20)
-_TWO_PI_EXP = _PI_EXP + 1
+def _sin_pi_rounded(x: Fraction, bits: int):
+    """sin(pi*x) for x in [0, 1/2] rounded to PREC bits from its enclosure at
+    bits, or None while the two ends of the enclosure round apart."""
+    enc = sin_pi_enclosure(Enclosure.point(x), bits)
+    lo = _div(enc.lo.numerator, 0, enc.lo.denominator, 0)
+    return lo if lo == _div(enc.hi.numerator, 0, enc.hi.denominator, 0) else None
 
 
 def phase(t: int) -> WorkComplex:
-    """e(t * 2**-FP_BITS) for an integer residue 0 < t < 2**FP_BITS.
+    """e(t * 2**-FP_BITS) for an integer residue 0 < t < 2**FP_BITS, each
+    part correctly rounded.
 
-    A 140-bit argument lies at least 2**-142 from every multiple of pi/2, so
-    the reduction stops by 160 cancellation bits and the kernel never needs
-    more than 340 bits; past either limit it raises.
+    The turn is reduced exactly: with t = quadrant * 2**190 + r and
+    0 <= r < 2**190, e(t * 2**-192) is i**quadrant * (cos + i sin) of
+    pi * r/2**191, and that cosine is the sine of pi * (2**190 - r)/2**191.
+    Both points lie in [0, 1/2], so certify.sin_pi_enclosure encloses both
+    values; the precision walks certify.precisions from PREC + 40 bits until
+    the two ends of each enclosure round to one PREC-bit number, which is
+    then the correctly rounded value. The walk ends: by Niven's theorem
+    sin(pi * x) at a rational x in [0, 1/2] is rational only when it is 0,
+    1/2 or 1, all PREC-bit numbers, so it is never a rounding midpoint, and
+    a narrow enough enclosure lies between two adjacent midpoints. One that
+    needs more than HARD_CAP_BITS raises PrecisionCapError.
     """
-    tm, te = _round(t, -FP_BITS)
-    man, exp = _round(_TWO_PI_MAN * tm, _TWO_PI_EXP + te)
-    mag = man.bit_length() + exp
-    wp = PREC + 10
-    if mag < -wp:  # cos rounds to 1 and sin to the argument itself
-        return _make(1, 0, man, exp)
-    x, n, wp = _mod_pi2(man, exp, mag, wp)
-    c, s = _cos_sin_fixed(x, wp)
-    quadrant = n & 3
+    quadrant, r = t >> _QUARTER, t & ((1 << _QUARTER) - 1)
+    den = 1 << (_QUARTER + 1)
+    cos_x, sin_x = Fraction((1 << _QUARTER) - r, den), Fraction(r, den)
+    for bits in precisions(PREC + 40):
+        c = _sin_pi_rounded(cos_x, bits)
+        s = None if c is None else _sin_pi_rounded(sin_x, bits)
+        if s is not None:
+            break
+    else:
+        raise PrecisionCapError(
+            f"the phase of residue {t} unresolved at the {HARD_CAP_BITS}-bit hard cap"
+        )
+    (cm, ce), (sm, se) = c, s
     if quadrant == 1:
-        c, s = -s, c
+        cm, ce, sm, se = -sm, se, cm, ce
     elif quadrant == 2:
-        c, s = -c, -s
+        cm, sm = -cm, -sm
     elif quadrant == 3:
-        c, s = s, -c
-    return _make(*_round(c, -wp), *_round(s, -wp))
+        cm, ce, sm, se = sm, se, -cm, ce
+    return _make(cm, ce, sm, se)

@@ -3,10 +3,12 @@
 A rotation by alpha acts on the n-th coefficient as multiplication by
 e(n*alpha) = exp(2*pi*i*n*alpha). Coefficients are `dyadic.WorkComplex`
 values: pairs of integer mantissas at WORK_PREC + 12 = 140 bits, each
-operation rounded once to nearest. Phases are built from exactly reduced
-arguments: frac(n*alpha) is the 192-bit residue of `surd.fixed_point`, so the
-only error is the final rounding and the per-operation relative error stays
-below 1e-30 throughout the supported desk scale. Certified interval
+operation rounded once to nearest. A phase is reduced exactly, in turns: the
+residue t = (n * surd.fixed_point(alpha)) mod 2**192 lies within n + 1 units
+of frac(n*alpha) * 2**192, and `dyadic.phase(t)` is e(t * 2**-192) correctly
+rounded from certify's sine. So a phase is off from e(n*alpha) by its final
+rounding plus at most 2*pi*(n + 1) * 2**-192, and the per-operation relative
+error stays below 1e-30 throughout the supported desk scale. Certified interval
 statements (small-divisor reports) are produced separately with the exact
 kernel; the midpoint arithmetic here never feeds a certificate directly.
 Exact masses and real parts are read from the mantissas.

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import isqrt, log
+from math import isqrt
 from typing import NamedTuple, Optional, Union
 
 from .certify import (
     Enclosure, Frozen, from_fixed, log_enclosure, log_fixed, pow_enclosure,
-    separate, sqrt_enclosure, to_fixed,
+    sqrt_enclosure, to_fixed,
 )
 from .errors import ConfigError
 from .report import Certificate, CertificateEntry, require
@@ -43,6 +43,10 @@ _GRID = _ACC_BITS + 40
 
 _TERM_BITS = 110
 _BRACKET_BITS = 96  # the integral brackets of q and of its remainders
+
+# The first n with (log n)**4 <= n past e**4, where x/(log x)**4 increases:
+# the p = 1 divergence certificate requires the comparisons at _J0 and _J0 - 1.
+_J0 = 5504
 
 
 def _rational_pow(base: Fraction, expo: Fraction, bits: int) -> Enclosure:
@@ -422,28 +426,6 @@ def _isqrt_pow32_sum(m0: int, count: int, start: int, stop: int) -> Enclosure:
     return from_fixed(lo, hi, 80)
 
 
-def _log4_below(n: int) -> bool:
-    """Certified test of (log n)**4 < n; the two are never equal."""
-    quartic = lambda bits: log_enclosure(n, bits).square().square()
-    return separate(quartic, lambda bits: Enclosure.point(n), start=160) < 0
-
-
-def _power_envelope_threshold() -> int:
-    """First n past which (log n)**4 <= n holds for every later integer.
-
-    x / (log x)**4 is increasing for x > e**4, so a float scan from 55
-    locates the crossing and two certified comparisons pin it exactly.
-    """
-    n = 55
-    while log(n) ** 4 > n:
-        n += 1
-    while not _log4_below(n):
-        n += 1
-    while n > 55 and _log4_below(n - 1):
-        n -= 1
-    return n
-
-
 def _q_point(f: LatticeFunction, s: int) -> Enclosure:
     """q(s) = sum_{t>=s} f(t) from 48 explicit terms, without a full grid."""
     return _roll_down(f, _power_series_remainder(f, s + 48), s + 48, s, s)[s]
@@ -543,29 +525,28 @@ def _logpower_divergence(K: int) -> DivergenceReport:
     p = Fraction(1)
     f = build_h(1)
     r = 3
-    J0 = _power_envelope_threshold()
     entries = [
         CertificateEntry(
-            description=f"(log n)**4 at n = {J0}",
-            value=log_enclosure(J0, 200).square().square(),
+            description=f"(log n)**4 at n = {_J0}",
+            value=log_enclosure(_J0, 200).square().square(),
             comparison="<=",
-            threshold=Enclosure.point(J0),
+            threshold=Enclosure.point(_J0),
         ),
         CertificateEntry(
-            description=f"(log n)**4 at n = {J0 - 1}",
-            value=log_enclosure(J0 - 1, 200).square().square(),
+            description=f"(log n)**4 at n = {_J0 - 1}",
+            value=log_enclosure(_J0 - 1, 200).square().square(),
             comparison=">",
-            threshold=Enclosure.point(J0 - 1),
+            threshold=Enclosure.point(_J0 - 1),
         ),
         CertificateEntry(
             description=(
                 "x/(log x)**4 increases past e**4, so the power envelope "
-                f"t**(-5/2) <= t**(-2)(log t)**(-2) holds for all t >= {J0}"
+                f"t**(-5/2) <= t**(-2)(log t)**(-2) holds for all t >= {_J0}"
             ),
-            value=Enclosure.point(J0),
+            value=Enclosure.point(_J0),
         ),
     ]
-    for t in (J0, 2 * J0):
+    for t in (_J0, 2 * _J0):
         entries.append(
             CertificateEntry(
                 description=f"series term vs power envelope at t = {t}",
@@ -577,18 +558,18 @@ def _logpower_divergence(K: int) -> DivergenceReport:
             )
         )
 
-    # Row sums: q(j,k) >= sum_{t >= max(j+k, J0)} t**(-5/2)
-    #                  >= (2/3) max(j+k, J0)**(-3/2).
+    # Row sums: q(j,k) >= sum_{t >= max(j+k, _J0)} t**(-5/2)
+    #                  >= (2/3) max(j+k, _J0)**(-3/2).
     # Summed over k <= K this stays bounded for each fixed j, but the row
     # totals only decay like j**(-1/2): their sum over j diverges, which
     # is what expels q from l_1.
     row_lowers = {}
     for j in (1, 2, 4):
-        # max(j + k, J0), k <= K: min(K, J0 - j) times J0, then J0 + 1, ..., j + K
-        row_sum = _isqrt_pow32_sum(J0, min(K, J0 - j), J0 + 1, j + K + 1)
+        # max(j + k, _J0), k <= K: min(K, _J0 - j) times _J0, then _J0 + 1, ..., j + K
+        row_sum = _isqrt_pow32_sum(_J0, min(K, _J0 - j), _J0 + 1, j + K + 1)
         row_lowers[j] = Fraction(2, 3) * (1 - _EPS) * row_sum
         threshold = Fraction(2, 3) * (1 - _EPS) ** 2 * _row_integral_lower(
-            j, K, J0
+            j, K, _J0
         )
         entries.append(
             CertificateEntry(
@@ -632,7 +613,7 @@ def _logpower_divergence(K: int) -> DivergenceReport:
         Certificate(kind="divergence-witness", entries=tuple(entries)),
         "divergence certificate",
     )
-    return DivergenceReport(p, K, row_sum_lower, r, lr_partial, J0, cert)
+    return DivergenceReport(p, K, row_sum_lower, r, lr_partial, _J0, cert)
 
 
 def _row_integral_lower(j: int, K: int, J0: int) -> Enclosure:

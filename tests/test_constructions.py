@@ -369,6 +369,23 @@ def test_double_bad_validation():
         check_double_bad(SparseFourierSeries({0: 1}), gamma=2)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="check_double_bad's envelope starts at k = 2 but check_mur_envelope "
+    "weights its terms from k = 1, so the partial sum is sum (k - 1) * a_k**2",
+)
+def test_double_bad_partial_sum_weights_each_term_by_its_frequency():
+    f = SparseFourierSeries({n: 1 for n in (-7, -3, 3, 7)}, real_valued=True)
+    cert = check_double_bad(f, gamma=2)
+    (partial,) = [e for e in cert.entries if e.description.startswith("partial sum")]
+    with mpmath.workdps(30):
+        m, got = (mpmath.mpf(q.numerator) / q.denominator
+                  for q in (cert.entries[0].value.hi, partial.value.mid))
+        # the envelope a_k = M / (k (log k)**2) on 2 <= k <= 7
+        want = mpmath.fsum(k * (m / (k * mpmath.log(k) ** 2)) ** 2 for k in range(2, 8))
+        assert abs(got / want - 1) < mpmath.mpf("1e-20")
+
+
 def test_double_bad_refuses_frequencies_past_the_bound(monkeypatch):
     import coblab.constructions as constructions_module
 

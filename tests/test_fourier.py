@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_rational
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -549,9 +550,11 @@ def test_random_series_differ_across_seeds():
 # bit identity with mpmath at the working precision
 #
 # The coefficients once were mpmath numbers at 140 bits, and reports print
-# them; every operation must give the same mantissa and exponent. The oracle
-# runs at 140 bits, the precision under test, and `_mpc_` tuples compare
-# sign, mantissa, exponent and bit count exactly.
+# them; every sum, product, scaling and conversion must give the same
+# mantissa and exponent. That oracle runs at 140 bits, the precision under
+# test, and `_mpc_` tuples compare sign, mantissa, exponent and bit count
+# exactly. Phases and quotients are correctly rounded instead: their oracles
+# are computed at 400 bits or exactly, and rounded once to 140 bits.
 
 MANTISSA = st.integers(-(1 << PREC) + 1, (1 << PREC) - 1)
 # close exponents make rounding ties common; far ones reach the sticky-bit sum
@@ -566,10 +569,27 @@ SURD = st.builds(
 )
 
 
-def mp_phase(t, bits):
-    """The phase as it was computed: cos and sin of 2*pi*t*2**-bits."""
-    arg = 2 * mpmath.mp.pi * mpmath.ldexp(mpmath.mpf(t), -bits)
-    return mpmath.mpc(mpmath.cos(arg), mpmath.sin(arg))
+def mp_phase(t):
+    """e(t * 2**-192) correctly rounded: cos and sin of 2*pi*t*2**-192,
+    taken as cospi and sinpi of the exact t*2**-191 at 400 bits, each
+    rounded once to PREC bits."""
+    with mpmath.workprec(400):
+        x = mpmath.ldexp(t, -191)
+        c, s = mpmath.cospi(x), mpmath.sinpi(x)
+    with mpmath.workprec(PREC):
+        return +mpmath.mpc(c, s)
+
+
+def rounded_quotient(x, y):
+    """x / y from the exact rational quotient, each part rounded once to
+    PREC bits, to nearest with ties to even."""
+    mx, my = to_mp(x), to_mp(y)
+    a, b, c, d = map(mp_fraction, (mx.real, mx.imag, my.real, my.imag))
+    mag = c * c + d * d
+    parts = ((a * c + b * d) / mag, (b * c - a * d) / mag)
+    return mpmath.mp.make_mpc(
+        tuple(from_rational(q.numerator, q.denominator, PREC, "n") for q in parts)
+    )
 
 
 def assert_bits(got, want):
@@ -578,7 +598,7 @@ def assert_bits(got, want):
 
 @settings(max_examples=150, deadline=None)
 @given(t=st.integers(1, (1 << 192) - 1))
-# residues whose correctly rounded cos or sin differs from the ported one
+# residues where an earlier, not correctly rounded phase was off by an ulp
 @example(t=183269814127341280839353737989248260055829441598177103686)
 @example(t=721069625247378937753501259505062410797896599528666169908)
 @example(t=518040960123750238814066036451670649599188285189141283367)
@@ -590,7 +610,7 @@ def assert_bits(got, want):
 @example(t=3 << 190)
 def test_phase_of_residue_matches_mpmath(t):
     with mpmath.workprec(PREC):
-        assert_bits(phase(t), mp_phase(t, 192))
+        assert_bits(phase(t), mp_phase(t))
 
 
 @settings(max_examples=150, deadline=None)
@@ -601,11 +621,11 @@ def test_phase_of_residue_matches_mpmath(t):
     below=st.booleans(),
 )
 def test_phase_near_quadrant_ends_matches_mpmath(quadrant, scale, offset, below):
-    # arguments close to k*pi/2 take the reduction's wider cancellation guards
+    # next to a quarter turn one part is tiny and needs the widest precision
     offset = 1 + offset % (1 << scale)
     t = (quadrant << 190) + (-offset if below else offset)
     with mpmath.workprec(PREC):
-        assert_bits(phase(t), mp_phase(t, 192))
+        assert_bits(phase(t), mp_phase(t))
 
 
 @settings(max_examples=120, deadline=None)
@@ -613,34 +633,21 @@ def test_phase_near_quadrant_ends_matches_mpmath(quadrant, scale, offset, below)
 def test_unit_phase_matches_mpmath_bit_for_bit(alpha, n, negative):
     t = residue(alpha, n)
     with mpmath.workprec(PREC):
-        want = mp_phase(t, 192)
+        want = mp_phase(t)
         if negative:
             want, n = mpmath.conj(want), -n
         assert_bits(unit_phase(alpha, n), want)
 
 
-@pytest.mark.parametrize("prec", [150, 170, 190, 230, 310, 340])
-def test_cos_sin_kernel_matches_mpmath_on_every_table_row(prec):
-    # the table is computed here independently of the library's own table
-    from mpmath.libmp.libelefun import cos_sin_basecase
-
-    from coblab.dyadic import _cos_sin_fixed
-
-    step = prec - 8
-    for k in range(403):
-        x = (k << step) + (k * 0x9E3779B97F4A7C15 % (1 << step))
-        if x < (1 << prec) * 1.5707963:
-            assert _cos_sin_fixed(x, prec) == cos_sin_basecase(x, prec)
-
-
 def test_unit_phase_matches_mpmath_for_small_n():
     with mpmath.workprec(PREC):
         for n in range(1, 1500):
-            assert_bits(unit_phase(ALPHA, n), mp_phase(residue(ALPHA, n), 192))
+            assert_bits(unit_phase(ALPHA, n), mp_phase(residue(ALPHA, n)))
 
 
-# quotients whose numerators, rounded instead of truncated at PREC + 10 bits,
-# round differently at PREC bits
+# quotients whose PREC-bit result changes when |y|**2 and the numerators are
+# first cut to PREC + 10 bits: truncated (the first) or rounded to nearest
+# (the other two)
 DIVISION_EXAMPLES = [
     (
         (1085755120518394502976681313881009173749011, -144,
@@ -682,14 +689,14 @@ def test_arithmetic_matches_mpmath_bit_for_bit(x, y, real):
         scaled = SparseFourierSeries({1: x}).scale(real).coeff(1)
         assert_bits(scaled, mx * mpmath.mpc(real))
         if y:
-            assert_bits(x / y, mx / my)
+            assert_bits(x / y, rounded_quotient(x, y))
 
 
 @pytest.mark.parametrize("x,y", DIVISION_EXAMPLES)
-def test_division_truncates_its_intermediates_as_mpmath_does(x, y):
+def test_division_is_correctly_rounded(x, y):
     x, y = WorkComplex.from_parts(*x), WorkComplex.from_parts(*y)
     with mpmath.workprec(PREC):
-        assert_bits(x / y, to_mp(x) / to_mp(y))
+        assert_bits(x / y, rounded_quotient(x, y))
 
 
 @settings(max_examples=200, deadline=None)
