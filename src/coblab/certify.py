@@ -18,12 +18,12 @@ later step (a coarser grid, e*ln 2, 1/exp(u), exponent*log(base)) is a floor
 or a ceiling onto a dyadic grid. A Fraction is built once per public result.
 
 Precision escalates on one schedule, precisions(start): start, 2*start,
-4*start, ... and then HARD_CAP_BITS, the one cap every report prints.
-refine, separate, the distance enclosure, the quality loop of the
-Dirichlet records and the correctly rounded phases of coblab.dyadic all walk
-it, each from its own start (128, 160, 180 or 192 bits; all but the phases'
-are part of the report bytes), and each raises PrecisionCapError naming the
-cap when the last step still falls short.
+4*start, ... and then HARD_CAP_BITS, the one cap every report prints. refine
+is its only walk: separate, the distance enclosure, the quality loop of the
+Dirichlet records and the correctly rounded phases of coblab.dyadic are each
+one refine call, from 128 or 192 bits (a start that is part of the report
+bytes) or, for the phases, 180 bits. refine raises PrecisionCapError naming
+the cap when the last step still falls short.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 from .errors import PrecisionCapError
 
@@ -42,6 +42,7 @@ WORK_PREC = 128
 GUARD_BITS = 20
 
 Rational = Union[int, Fraction]
+T = TypeVar("T")
 
 
 class Frozen:
@@ -231,46 +232,36 @@ def precisions(start: int) -> Iterator[int]:
 
 
 def refine(
-    producer: Callable[[int], Enclosure],
-    width_goal: Rational,
+    producer: Callable[[int], T],
+    done: Callable[[T], bool],
     *,
     start: int = START_BITS,
-) -> Enclosure:
-    """Call producer on precisions(start) until the width goal holds."""
-    goal = Fraction(width_goal)
-    if goal <= 0:
-        raise ValueError("width goal must be positive")
+    what: str = "an enclosure",
+) -> T:
+    """The first producer(bits), for bits on precisions(start), that done
+    accepts; PrecisionCapError naming what when none is."""
     for bits in precisions(start):
-        enc = producer(bits)
-        if enc.width <= goal:
-            return enc
-    raise PrecisionCapError(
-        f"width {float(enc.width):.3e} above goal {float(goal):.3e} "
-        f"at the {HARD_CAP_BITS}-bit hard cap"
-    )
+        result = producer(bits)
+        if done(result):
+            return result
+    raise PrecisionCapError(f"{what} unresolved at the {HARD_CAP_BITS}-bit hard cap")
 
 
 def separate(
-    prod_a: Callable[[int], Enclosure],
-    prod_b: Callable[[int], Enclosure],
-    *,
-    start: int = START_BITS,
+    prod_a: Callable[[int], Enclosure], prod_b: Callable[[int], Enclosure]
 ) -> int:
-    """Return -1 if a < b certified, +1 if a > b, escalating on
-    precisions(start) until the enclosures are disjoint.
+    """Return -1 if a < b certified, +1 if a > b, refining both from
+    START_BITS until the enclosures are disjoint.
 
     Callers must only compare values that cannot be equal (e.g. quantities
     lying in distinct quadratic fields); equality burns through the cap.
     """
-    for bits in precisions(start):
-        a, b = prod_a(bits), prod_b(bits)
-        if a.hi < b.lo:
-            return -1
-        if b.hi < a.lo:
-            return 1
-    raise PrecisionCapError(
-        f"enclosures still overlap at the {HARD_CAP_BITS}-bit hard cap"
+    a, b = refine(
+        lambda bits: (prod_a(bits), prod_b(bits)),
+        lambda pair: pair[0].hi < pair[1].lo or pair[1].hi < pair[0].lo,
+        what="the order of two enclosures",
     )
+    return -1 if a.hi < b.lo else 1
 
 
 # ---------------------------------------------------------------------------

@@ -411,18 +411,13 @@ def _handle_construct(config: ExperimentConfig) -> _Body:
     return _Body(data, text, lambda fh: report.write_rows(fh, ["n", "re", "im"], rows))
 
 
-def _check_inputs(config: ExperimentConfig):
-    """Canonical checker input: the flagship series and its magnitudes."""
+def _handle_check(config: ExperimentConfig) -> _Body:
+    # every checker reads the flagship series, or its magnitudes
     result = _flagship(config)
+    alpha, beta = result.alpha, result.beta
     magnitudes = [
         (n, fourier.coefficient_real(c)) for n, c in result.f.items() if n > 0
     ]
-    return result, magnitudes
-
-
-def _handle_check(config: ExperimentConfig) -> _Body:
-    alpha, beta = _surds(config)
-    result, magnitudes = _check_inputs(config)
     if config.action == "bad-joint":
         cert = constructions.check_bad_joint(result.f, "C")
         extra = constructions.check_bad_joint(result.f, "L2")
@@ -500,9 +495,8 @@ def _handle_check(config: ExperimentConfig) -> _Body:
 
 
 def _handle_spectral(config: ExperimentConfig) -> _Body:
-    alpha, beta = _surds(config)
     result = _flagship(config)
-    measure = spectral.spectral_measure(result.f, alpha, beta)
+    measure = spectral.spectral_measure(result.f, result.alpha, result.beta)
     joint = spectral.joint_criterion_sum(measure)
     double = spectral.double_criterion_sum(measure)
     alpha_side = spectral.coboundary_integral(measure, "alpha")
@@ -549,11 +543,12 @@ def _handle_rates(config: ExperimentConfig) -> _Body:
         ] + [f"n = {n}: {v}" for n, v in zip(ns, values)]
         rows = ([n, str(v), str(v)] for n, v in zip(ns, values))
         return _Body(data, text, _value_table(rows))
-    alpha, beta = _surds(config)
     result = _flagship(config)
     n_values = sorted({1 << i for i in range(config.N.bit_length())} | {config.N})
     n_values = [n for n in n_values if n <= config.N]
-    profile = spectral.cesaro_rate_profile(result.f, alpha, beta, n_values)
+    profile = spectral.cesaro_rate_profile(
+        result.f, result.alpha, result.beta, n_values
+    )
     data = {
         "rows": [[n, per_n, per_n_sq] for n, per_n, per_n_sq in profile]
     }

@@ -22,12 +22,9 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .certify import (
-    HARD_CAP_BITS,
-    START_BITS,
     Enclosure,
     max_enclosure,
     pow_enclosure,
-    precisions,
     refine,
     separate,
     sqrt_enclosure,
@@ -337,20 +334,17 @@ def approximation_record(
 ) -> ApproximationRecord:
     """The certified record of a q from dirichlet_denominators: both
     distances to width tol, and the quality to width tol and, since the
-    record's admissibility is proven, strictly below 1; the quality's
-    precision walks precisions(START_BITS)."""
+    record's admissibility is proven, strictly below 1."""
     tol_f = _as_fraction(tol, "tol")
     da, db = (alpha * q).dist_to_int(), (beta * q).dist_to_int()
     dist_alpha = dist_enclosure(alpha, q, abs_tol=tol_f, exact=da)
     dist_beta = dist_enclosure(beta, q, abs_tol=tol_f, exact=db)
-    quality = _quality(q, da, db)
-    for bits in precisions(START_BITS):
-        enc = quality(bits)
-        if enc.width <= tol_f and enc.hi < 1:
-            return ApproximationRecord(q, dist_alpha, dist_beta, enc)
-    raise PrecisionCapError(
-        f"quality of q = {q} unresolved at the {HARD_CAP_BITS}-bit hard cap"
+    quality = refine(
+        _quality(q, da, db),
+        lambda enc: enc.width <= tol_f and enc.hi < 1,
+        what=f"quality of q = {q}",
     )
+    return ApproximationRecord(q, dist_alpha, dist_beta, quality)
 
 
 def dirichlet_pair_search(
@@ -452,7 +446,8 @@ def bad_pair_constant(
         except PrecisionCapError:
             # ties are kept at the smaller q
             continue
-    return refine(best_producer, Fraction(1, 10**30)), best_q
+    goal = Fraction(1, 10**30)
+    return refine(best_producer, lambda enc: enc.width <= goal), best_q
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .certify import HARD_CAP_BITS, WORK_PREC, Enclosure, precisions, sin_pi_enclosure
-from .errors import PrecisionCapError
+from .certify import WORK_PREC, Enclosure, refine, sin_pi_enclosure
 from .surd import FP_BITS
 
 PREC = WORK_PREC + 12
@@ -88,8 +87,6 @@ def _div(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
         return 0, 0
     a, b = abs(m1), abs(m2)
     sign = -1 if (m1 < 0) != (m2 < 0) else 1
-    if b == 1:
-        return _round(sign * a, e1 - e2)
     extra = max(PREC - a.bit_length() + b.bit_length() + 5, 5)
     quot, rem = divmod(a << extra, b)
     if rem:
@@ -352,7 +349,7 @@ def phase(t: int) -> WorkComplex:
     0 <= r < 2**190, e(t * 2**-192) is i**quadrant * (cos + i sin) of
     pi * r/2**191, and that cosine is the sine of pi * (2**190 - r)/2**191.
     Both points lie in [0, 1/2], so certify.sin_pi_enclosure encloses both
-    values; the precision walks certify.precisions from PREC + 40 bits until
+    values; certify.refine raises the precision from PREC + 40 bits until
     the two ends of each enclosure round to one PREC-bit number, which is
     then the correctly rounded value. The walk ends: by Niven's theorem
     sin(pi * x) at a rational x in [0, 1/2] is rational only when it is 0,
@@ -363,16 +360,17 @@ def phase(t: int) -> WorkComplex:
     quadrant, r = t >> _QUARTER, t & ((1 << _QUARTER) - 1)
     den = 1 << (_QUARTER + 1)
     cos_x, sin_x = Fraction((1 << _QUARTER) - r, den), Fraction(r, den)
-    for bits in precisions(PREC + 40):
+
+    def rounded(bits: int):
         c = _sin_pi_rounded(cos_x, bits)
-        s = None if c is None else _sin_pi_rounded(sin_x, bits)
-        if s is not None:
-            break
-    else:
-        raise PrecisionCapError(
-            f"the phase of residue {t} unresolved at the {HARD_CAP_BITS}-bit hard cap"
-        )
-    (cm, ce), (sm, se) = c, s
+        return c, None if c is None else _sin_pi_rounded(sin_x, bits)
+
+    (cm, ce), (sm, se) = refine(
+        rounded,
+        lambda pair: pair[1] is not None,
+        start=PREC + 40,
+        what=f"the phase of residue {t}",
+    )
     if quadrant == 1:
         cm, ce, sm, se = -sm, se, cm, ce
     elif quadrant == 2:

@@ -20,8 +20,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import Union
 
-from .certify import HARD_CAP_BITS, START_BITS, Enclosure, precisions, refine
-from .errors import ConfigError, PrecisionCapError
+from .certify import START_BITS, Enclosure, refine
+from .errors import ConfigError
 
 Rational = Union[int, Fraction]
 
@@ -308,10 +308,10 @@ def dist_enclosure(
     """Certified enclosure of ||q*x||, the distance from q*x to the integers.
 
     The enclosure is clamped into [0, 1/2], has lo > 0, and has width at most
-    abs_tol or at most rel_tol * lo; exactly one of the two is given. The
-    precision walks precisions(start_bits). The start is part of the result:
-    at a given width goal, the enclosure returned is the first one on that
-    schedule that meets it. A caller that holds the exact distance
+    abs_tol or at most rel_tol * lo; exactly one of the two is given. It is
+    refined from start_bits, and the start is part of the result: at a given
+    width goal, the enclosure returned is the first one on that schedule that
+    meets it. A caller that holds the exact distance
     (x*q).dist_to_int() already passes it as exact, so it is built once.
     """
     x.require_irrational("x")
@@ -323,14 +323,16 @@ def dist_enclosure(
     if tol <= 0:
         raise ConfigError(f"the tolerance must be positive, got {tol}")
     dist = (x * q).dist_to_int() if exact is None else exact
-    for bits in precisions(start_bits):
+
+    def clamped(bits: int) -> Enclosure:
         enc = dist.enclosure(bits)
-        lo, hi = max(enc.lo, _ZERO), min(enc.hi, _HALF)
-        if lo > 0 and hi - lo <= (tol if rel_tol is None else tol * lo):
-            return Enclosure(lo, hi)
-    raise PrecisionCapError(
-        f"||q*x|| for q = {q}, x = {x} unresolved at the "
-        f"{HARD_CAP_BITS}-bit hard cap"
+        return Enclosure(max(enc.lo, _ZERO), min(enc.hi, _HALF))
+
+    def done(enc: Enclosure) -> bool:
+        return enc.lo > 0 and enc.width <= (tol if rel_tol is None else tol * enc.lo)
+
+    return refine(
+        clamped, done, start=start_bits, what=f"||q*x|| for q = {q}, x = {x}"
     )
 
 
@@ -424,5 +426,6 @@ FP_MAX_K = 1 << (FP_BITS - 80)
 @lru_cache(maxsize=64)
 def fixed_point(x: QuadraticSurd) -> int:
     """X with |X - frac(x)*FP_ONE| < 1, built once per x."""
-    enc = refine(x.frac().enclosure, Fraction(1, 1 << (FP_BITS + 8)))
+    goal = Fraction(1, 1 << (FP_BITS + 8))
+    enc = refine(x.frac().enclosure, lambda e: e.width <= goal)
     return round(enc.mid * FP_ONE)

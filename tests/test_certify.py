@@ -15,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coblab import certify, diophantine, dyadic
 from coblab.certify import (
     GUARD_BITS,
     HARD_CAP_BITS,
+    START_BITS,
     Enclosure,
     _atanh_fixed,
     _fixed,
@@ -35,6 +37,7 @@ from coblab.certify import (
     sqrt_enclosure,
 )
 from coblab.errors import PrecisionCapError
+from coblab.surd import dist_enclosure, parse_surd
 
 
 def mpf_frac(x):
@@ -144,8 +147,9 @@ def test_pow_enclosure(n, expo):
 
 
 def test_refine_hits_width_goal():
-    enc = refine(lambda bits: sqrt_enclosure(2, bits), Fraction(1, 10**30))
-    assert enc.width <= Fraction(1, 10**30)
+    goal = Fraction(1, 10**30)
+    enc = refine(lambda bits: sqrt_enclosure(2, bits), lambda e: e.width <= goal)
+    assert enc.width <= goal
 
 
 def doubling_loop_reference(start):
@@ -183,7 +187,7 @@ def test_refine_raises_at_cap():
         return Enclosure(Fraction(0), Fraction(1))
 
     with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit"):
-        refine(stuck, Fraction(1, 10), start=64)
+        refine(stuck, lambda e: e.width <= Fraction(1, 10), start=64)
     assert seen == list(precisions(64))
 
 
@@ -195,16 +199,38 @@ def test_separate_raises_at_cap_on_equal_values():
         return sqrt_enclosure(2, bits)
 
     with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit"):
-        separate(one, one, start=192)
-    assert seen[::2] == list(precisions(192))
+        separate(one, one)
+    assert seen[::2] == list(precisions(START_BITS))
 
 
 def test_refine_and_separate_take_no_cap():
     producer = lambda bits: sqrt_enclosure(2, bits)
     with pytest.raises(TypeError):
-        refine(producer, Fraction(1, 10), cap=128)
+        refine(producer, lambda e: e.width <= Fraction(1, 10), cap=128)
     with pytest.raises(TypeError):
         separate(producer, producer, cap=128)
+    with pytest.raises(TypeError):
+        separate(producer, producer, start=128)
+
+
+def test_every_escalation_walks_the_one_schedule(monkeypatch):
+    """With certify.precisions cut to a single 8-bit step, no enclosure in
+    the package can reach its goal, so each escalation must end in the cap
+    error: none may walk a schedule of its own."""
+    monkeypatch.setattr(certify, "precisions", lambda start: iter([8]))
+    alpha, beta = parse_surd("(-1+1*sqrt(2))/1"), parse_surd("(-1+1*sqrt(3))/1")
+    root2 = lambda bits: sqrt_enclosure(2, bits)
+    close = lambda bits: sqrt_enclosure(Fraction(2000000000001, 10**12), bits)
+    escalations = [
+        lambda: dist_enclosure(alpha, 12345, abs_tol=Fraction(1, 10**12)),
+        lambda: diophantine.approximation_record(alpha, beta, 2),
+        lambda: dyadic.phase((3 << 188) + 123456789),
+        lambda: refine(root2, lambda e: e.width <= Fraction(1, 10**30)),
+        lambda: separate(root2, close),
+    ]
+    for escalate in escalations:
+        with pytest.raises(PrecisionCapError, match=f"{HARD_CAP_BITS}-bit hard cap"):
+            escalate()
 
 
 def test_separate_orders_close_values():

@@ -141,7 +141,7 @@ def test_nearest_int_and_distance():
     with mpmath.workdps(200):
         expected = 8 * mpmath.sqrt(2) - 11
         scaled = int(mpmath.floor(expected * mpmath.mpf(2) ** 150))
-    enc = refine(dist.enclosure, Fraction(1, 10**40))
+    enc = refine(dist.enclosure, lambda e: e.width <= Fraction(1, 10**40))
     val = Fraction(scaled, 2**150)
     assert enc.lo <= val + Fraction(1, 2**140) and val - Fraction(1, 2**140) <= enc.hi
 
@@ -300,7 +300,10 @@ def positive_dist_reference(x, q, abs_tol, start):
 
 def refined_dist_reference(x, q, abs_tol, start):
     """The records' loop: absolute width before the clamp, from 128."""
-    return _clamp(refine((x * q).dist_to_int().enclosure, abs_tol, start=start))
+    enc = refine(
+        (x * q).dist_to_int().enclosure, lambda e: e.width <= abs_tol, start=start
+    )
+    return _clamp(enc)
 
 
 def dist_oracle(x, q):
