@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterator, TypeVar, Union
 
 from .errors import PrecisionCapError
@@ -364,8 +364,15 @@ def sin_pi_enclosure(x: Enclosure, bits: int) -> Enclosure:
 # log and exp
 
 
+@lru_cache(maxsize=1024)
 def _atanh_fixed(n: int, d: int, bits: int) -> tuple[int, int]:
-    """atanh(n/d) for ints with 0 <= n/d <= 1/2, as ints on the 2**-(bits+4) grid."""
+    """atanh(n/d) for ints with 0 <= n/d <= 1/2, as ints on the 2**-(bits+4) grid.
+
+    Memoised, since log_fixed meets the same ratio again and again and
+    passes it in lowest terms. The 1024 latest (n, d, bits) stay: about
+    0.2 kB each at the 100-210 bits of shift, about 2.4 MB in all at the
+    8192-bit cap.
+    """
     p = bits + 6 + GUARD_BITS
     pw_lo, pw_hi = _fixed(n, d, p)  # t**k
     sq_lo, sq_hi = _mul_down(pw_lo, pw_lo, p), _mul_up(pw_hi, pw_hi, p)
@@ -399,7 +406,9 @@ def log_fixed(num: int, den: int, bits: int) -> tuple[int, int]:
     if num << max(-e, 0) < den << max(e, 0):
         e -= 1
     a, b = num << max(-e, 0), den << max(e, 0)  # m = a/b
-    body_lo, body_hi = _atanh_fixed(a - b, a + b, bits + 4)  # grid 2**-(bits+8)
+    g = gcd(a - b, a + b)  # lowest terms, so that equal ratios share a memo
+    # grid 2**-(bits+8)
+    body_lo, body_hi = _atanh_fixed((a - b) // g, (a + b) // g, bits + 4)
     ln2_lo, ln2_hi = _ln2_fixed(bits + 4)  # grid 2**-(bits+10)
     if e < 0:
         ln2_lo, ln2_hi = ln2_hi, ln2_lo

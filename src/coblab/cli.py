@@ -40,30 +40,7 @@ from .errors import (
 
 _SCHEMA = "coblab-report-v1"
 
-_ACTIONS = {
-    "approx": ("dirichlet", "bad-pair", "squares", "cf"),
-    "construct": (),
-    "check": (
-        "bad-joint",
-        "mur",
-        "double-bad",
-        "kac-salem",
-        "large-coeff",
-        "petersen",
-    ),
-    "spectral": (),
-    "rates": (),
-    "shift": (),
-    "selftest": (),
-}
-
 _FORMATS = ("csv", "json", "text")
-
-_DEFAULT_ALPHA = "(-1+1*sqrt(2))/1"
-_DEFAULT_BETA = "(-1+1*sqrt(3))/1"
-
-# Fields carried as canonical fraction strings so configs serialize exactly.
-_RATIONAL_FIELDS = ("delta", "gamma", "p", "ratio", "budget", "tol")
 
 # --tol is refused below 2**-(HARD_CAP_BITS - _TOL_MARGIN_BITS) = 2**-8000.
 # At the cap a rotation (a+b*sqrt(d))/c encloses ||q*x|| to width
@@ -82,52 +59,60 @@ _TOL_MARGIN_BITS = 192
 # check double-bad takes 2.1 s at --gamma 1000 and 6.6 s at 10**4.
 _EXPONENT_LIMIT = 1000
 
+# Every option that all subcommands share, in --help order: the name of its
+# flag and config field, its kind, its default and its help. A "count" is an
+# int of at least 1, and a "rational" is held as its canonical fraction
+# string ("3/5"), so that a config survives any number of serialization round
+# trips unchanged and two equal configs render byte-identical reports.
+_OPTIONS = (
+    ("alpha", "str", "(-1+1*sqrt(2))/1",
+     "first rotation number, (a+b*sqrt(d))/c"),
+    ("beta", "str", "(-1+1*sqrt(3))/1",
+     "second rotation number, (a+b*sqrt(d))/c"),
+    ("Q", "count", 10000, "denominator search bound"),
+    ("K", "count", 10, "number of construction terms / lattice columns"),
+    ("N", "count", 64, "range bound for searches, rates, and grids"),
+    ("depth", "count", 30, "continued-fraction / witness search depth"),
+    ("delta", "rational", "3/5", "exponent or threshold in (0, 1)"),
+    ("gamma", "rational", "2", "logarithmic decay exponent"),
+    ("p", "rational", "2", "lattice space exponent, at least 1"),
+    ("ratio", "rational", "2", "lacunarity ratio, above 1"),
+    ("budget", "rational", "2", "summability budget for term selection"),
+    ("tol", "rational", "1/1000000000000", "numeric tolerance in (0, 1)"),
+    ("out", "str", None, "report file path"),
+    ("format", "str", "text", None),
+    ("seed", "int", 0, "seed for randomized property checks"),
+    ("threads", "int", 1, "recorded in every report; has no effect"),
+)
+
+_KINDS = {name: kind for name, kind, _, _ in _OPTIONS}
+
 
 class ExperimentConfig:
     """Everything a run needs, in JSON-friendly primitives.
 
-    Rational-valued knobs are held as canonical fraction strings ("3/5"),
-    so a config survives any number of serialization round trips unchanged
-    and two equal configs render byte-identical reports. The record methods
-    repeat certify.Frozen's, which --help must not load.
+    The fields are the subcommand, its action, every option of _OPTIONS and
+    rates' doubling_tripling flag; a field not given takes its default. The
+    record methods repeat certify.Frozen's, which --help must not load.
     """
 
-    __slots__ = (
-        "subcommand", "action", "alpha", "beta", "Q", "K", "N", "depth",
-        "delta", "gamma", "p", "ratio", "budget", "tol", "out", "format",
-        "seed", "threads", "doubling_tripling",
-    )
+    __slots__ = ("subcommand", "action", *_KINDS, "doubling_tripling")
 
-    def __init__(
-        self,
-        subcommand: str,
-        action: str | None = None,
-        alpha: str = _DEFAULT_ALPHA,
-        beta: str = _DEFAULT_BETA,
-        Q: int = 10000,
-        K: int = 10,
-        N: int = 64,
-        depth: int = 30,
-        delta: str = "3/5",
-        gamma: str = "2",
-        p: str = "2",
-        ratio: str = "2",
-        budget: str = "2",
-        tol: str = "1/1000000000000",
-        out: str | None = None,
-        format: str = "text",
-        seed: int = 0,
-        threads: int = 1,
-        doubling_tripling: bool = False,
-    ):
+    def __init__(self, subcommand: str, action: str | None = None, **options):
         from fractions import Fraction
 
-        given = locals()
+        unknown = set(options).difference(self.__slots__[2:])
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        given = {name: default for name, _, default, _ in _OPTIONS}
+        given.update(doubling_tripling=False, subcommand=subcommand,
+                     action=action)
+        given.update(options)
         for name in self.__slots__:
             object.__setattr__(self, name, given[name])
-        if self.subcommand not in _ACTIONS:
+        if self.subcommand not in _COMMANDS:
             raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        allowed = _ACTIONS[self.subcommand]
+        allowed = _COMMANDS[self.subcommand].actions
         if allowed:
             if self.action not in allowed:
                 raise ConfigError(
@@ -140,14 +125,16 @@ class ExperimentConfig:
             )
         if self.format not in _FORMATS:
             raise ConfigError(f"format must be one of {_FORMATS}")
-        for name in ("Q", "K", "N", "depth"):
-            if int(getattr(self, name)) < 1:
+        for name, kind in _KINDS.items():
+            if kind == "count" and int(getattr(self, name)) < 1:
                 raise ConfigError(f"--{name} must be a positive integer")
         if self.seed < 0:
             raise ConfigError("--seed must be nonnegative")
         if self.threads < 1:
             raise ConfigError("--threads must be at least 1")
-        for name in _RATIONAL_FIELDS:
+        for name, kind in _KINDS.items():
+            if kind != "rational":
+                continue
             raw = getattr(self, name)
             try:
                 value = Fraction(str(raw))
@@ -196,7 +183,7 @@ class ExperimentConfig:
     def rational(self, name: str):
         from fractions import Fraction
 
-        if name not in _RATIONAL_FIELDS:
+        if _KINDS.get(name) != "rational":
             raise ConfigError(f"{name} is not a rational-valued field")
         return Fraction(getattr(self, name))
 
@@ -205,9 +192,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentConfig":
-        unknown = set(payload) - set(cls.__slots__)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "subcommand" not in payload:
             raise ConfigError("config needs a subcommand")
         return cls(**payload)
@@ -664,14 +648,27 @@ def _handle_selftest(config: ExperimentConfig) -> _Body:
     return _Body(data, text)
 
 
-_HANDLERS = {
-    "approx": _handle_approx,
-    "construct": _handle_construct,
-    "check": _handle_check,
-    "spectral": _handle_spectral,
-    "rates": _handle_rates,
-    "shift": _handle_shift,
-    "selftest": _handle_selftest,
+# Every subcommand, in --help order: its actions (none if it takes none), the
+# handler that builds its report and its help line.
+_Command = namedtuple("_Command", ("actions", "handler", "help"))
+_COMMANDS = {
+    "approx": _Command(("dirichlet", "bad-pair", "squares", "cf"), _handle_approx,
+                       "Diophantine searches: simultaneous denominators, pair "
+                       "constants, square powers, continued fractions"),
+    "construct": _Command((), _handle_construct,
+                          "build the certified joint-not-double series"),
+    "check": _Command(("bad-joint", "mur", "double-bad", "kac-salem",
+                       "large-coeff", "petersen"), _handle_check,
+                      "summability, envelope, and witness checkers on the "
+                      "constructed series"),
+    "spectral": _Command((), _handle_spectral,
+                         "atomic spectral measure and membership integrals"),
+    "rates": _Command((), _handle_rates, "ergodic averaging rate profiles"),
+    "shift": _Command((), _handle_shift,
+                      "lattice shift example: norms, the formal solution, "
+                      "and its divergence certificate"),
+    "selftest": _Command((), _handle_selftest,
+                         "run the deterministic property suite"),
 }
 
 
@@ -687,7 +684,7 @@ def run(config: ExperimentConfig, stream=None) -> int:
     """
     stream = stream if stream is not None else sys.stdout
     try:
-        body = _HANDLERS[config.subcommand](config)
+        body = _COMMANDS[config.subcommand].handler(config)
         _emit(config, body, stream)
         return 0
     except ConfigError as exc:
@@ -715,34 +712,15 @@ def _error_report(kind: str, exc: Exception) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     # No option states a default here: an option left out is left out of the
-    # namespace, so ExperimentConfig's own defaults are the only ones.
+    # namespace, so the defaults of _OPTIONS are the only ones.
     shared = argparse.ArgumentParser(
         add_help=False, argument_default=argparse.SUPPRESS
     )
-    shared.add_argument("--alpha",
-                        help="first rotation number, (a+b*sqrt(d))/c")
-    shared.add_argument("--beta",
-                        help="second rotation number, (a+b*sqrt(d))/c")
-    shared.add_argument("--Q", type=int, help="denominator search bound")
-    shared.add_argument("--K", type=int,
-                        help="number of construction terms / lattice columns")
-    shared.add_argument("--N", type=int,
-                        help="range bound for searches, rates, and grids")
-    shared.add_argument("--depth", type=int,
-                        help="continued-fraction / witness search depth")
-    shared.add_argument("--delta", help="exponent or threshold in (0, 1)")
-    shared.add_argument("--gamma", help="logarithmic decay exponent")
-    shared.add_argument("--p", help="lattice space exponent, at least 1")
-    shared.add_argument("--ratio", help="lacunarity ratio, above 1")
-    shared.add_argument("--budget",
-                        help="summability budget for term selection")
-    shared.add_argument("--tol", help="numeric tolerance in (0, 1)")
-    shared.add_argument("--out", help="report file path")
-    shared.add_argument("--format", choices=_FORMATS)
-    shared.add_argument("--seed", type=int,
-                        help="seed for randomized property checks")
-    shared.add_argument("--threads", type=int,
-                        help="recorded in every report; has no effect")
+    for name, kind, _, text in _OPTIONS:
+        shared.add_argument(
+            f"--{name}", type=int if kind in ("count", "int") else None,
+            choices=_FORMATS if name == "format" else None, help=text,
+        )
 
     parser = argparse.ArgumentParser(
         prog="coblab",
@@ -752,34 +730,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    approx = sub.add_parser(
-        "approx", parents=[shared],
-        help="Diophantine searches: simultaneous denominators, pair "
-             "constants, square powers, continued fractions",
-    )
-    approx.add_argument("action", choices=_ACTIONS["approx"])
-    sub.add_parser("construct", parents=[shared],
-                   help="build the certified joint-not-double series")
-    check = sub.add_parser(
-        "check", parents=[shared],
-        help="summability, envelope, and witness checkers on the "
-             "constructed series",
-    )
-    check.add_argument("action", choices=_ACTIONS["check"])
-    sub.add_parser("spectral", parents=[shared],
-                   help="atomic spectral measure and membership integrals")
-    rates = sub.add_parser("rates", parents=[shared],
-                           help="ergodic averaging rate profiles")
-    rates.add_argument(
-        "--doubling-tripling", dest="doubling_tripling", action="store_true",
+    for name, command in _COMMANDS.items():
+        subparser = sub.add_parser(name, parents=[shared], help=command.help)
+        if command.actions:
+            subparser.add_argument("action", choices=command.actions)
+    sub.choices["rates"].add_argument(
+        "--doubling-tripling", action="store_true",
         help="emit the exact unit-variance table for the commuting "
              "endomorphism square average",
     )
-    sub.add_parser("shift", parents=[shared],
-                   help="lattice shift example: norms, the formal solution, "
-                        "and its divergence certificate")
-    sub.add_parser("selftest", parents=[shared],
-                   help="run the deterministic property suite")
     return parser
 
 

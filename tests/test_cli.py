@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import coblab
 from coblab.cli import (
-    _ACTIONS,
+    _COMMANDS,
     ExperimentConfig,
     build_parser,
     config_from_namespace,
@@ -30,6 +30,10 @@ from coblab.cli import (
 from coblab.errors import ConfigError
 
 SCHEMA = "coblab-report-v1"
+
+# every (subcommand, action) pair of the command table
+COMMANDS = [(sub, act) for sub, command in _COMMANDS.items()
+            for act in command.actions or (None,)]
 
 
 def run_report(**kwargs):
@@ -385,9 +389,7 @@ class TestMain:
         assert config.action == "cf"
         assert config.depth == 8
 
-    @pytest.mark.parametrize("command", [
-        (sub, act) for sub, acts in _ACTIONS.items() for act in acts or (None,)
-    ])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_parser_defaults_are_the_config_defaults(self, command):
         sub, act = command
         ns = build_parser().parse_args([sub] + ([act] if act else []))
@@ -472,9 +474,10 @@ class TestMain:
     # Every subcommand, then a Fourier build outside the CLI; run with a
     # redirected stdout, so the reports stay out of the pipe. Neither mpmath
     # (a test extra) nor dataclasses (its start-up cost) is ever loaded, and
-    # --help loads no json or fractions either.
+    # --help loads no json or fractions either, and executes no library
+    # module: each stays a lazy module until a subcommand first uses it.
     NO_MPMATH_SCRIPT = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, sys, types\n"
         "from coblab.cli import main\n"
         "def absent(*names):\n"
         "    return not any(name in sys.modules for name in names)\n"
@@ -483,6 +486,11 @@ class TestMain:
         "except SystemExit as exc:\n"
         "    assert exc.code == 0\n"
         "assert absent('mpmath', 'dataclasses', 'json', 'fractions'), '--help'\n"
+        "executed = [name for name, module in sys.modules.items()\n"
+        "            if name.startswith('coblab.')\n"
+        "            and name not in ('coblab.cli', 'coblab.errors')\n"
+        "            and type(module) is types.ModuleType]\n"
+        "assert not executed, f'--help executes {executed}'\n"
         "for argv in (['approx', 'dirichlet', '--Q', '1000'],\n"
         "             ['approx', 'squares', '--N', '1000'],\n"
         "             ['shift', '--p', '1', '--K', '100'],\n"
@@ -568,7 +576,6 @@ def test_every_public_name_imports_from_the_package():
 # Q, K and N stay small so each run is quick (shift needs K >= 8, so K
 # reaches 10), and K also crosses shift's cap of 10**6, past which shift
 # refuses it and the flagship searches fall short, both at once
-COMMANDS = [(sub, act) for sub, acts in _ACTIONS.items() for act in acts or (None,)]
 ROTATIONS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/1", "(-2+1*sqrt(5))/1",
              "(1+sqrt(5))/2", "(3-2*sqrt(2))/5", "sqrt(4)", "x"]
 
@@ -733,6 +740,39 @@ def test_report_bytes_match_the_golden_digest(argv):
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[argv]
 
 
+# The sha256 of every --help page at an 80-column terminal. The parser is
+# built from the option and command tables; these pin the text it prints.
+HELP = {
+    "--help":
+        "19c70268b385b01fdd2db5c8f4bc724eda875417939b91683c60731d5df6e484",
+    "approx --help":
+        "817c867e0d9c54a8f0e4d390f198efac91a4e51bbafae0336fa7774b913485e3",
+    "construct --help":
+        "38584c8e83d859e4785d0b071da9e0cccfeee52bcdf3ceeaf446f8b2b875db92",
+    "check --help":
+        "e3a57582c73bb19bfa24f70b38aa32d5e650f53d366fd685285156eafef230b3",
+    "spectral --help":
+        "051706c1f7226c55dbab9e97a4d2df6b4ec5d3fc0c69f31dd02d4eaed20bd9cd",
+    "rates --help":
+        "d33fa9b621401923713fe9bc6903980390c5bbd8bbea3309ccfffba51dfe9ab4",
+    "shift --help":
+        "e39579e2d7254052a4daf3d097e8425b2895a852b7fac1e6a445d1543a2605e2",
+    "selftest --help":
+        "8ecd0fff47e7b393e8ea3721ed5e11b5c43dceecde7a2ecdc9d8bcf8c593dbc1",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_bytes_match_the_pinned_digest(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert excinfo.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP[argv]
+
+
 def test_golden_table_covers_every_action_and_format():
     for sub, action in COMMANDS:
         for fmt in ("csv", "json", "text"):
@@ -741,3 +781,4 @@ def test_golden_table_covers_every_action_and_format():
                 base += ["--K", "3"]
             assert " ".join(base + ["--format", fmt]) in GOLDEN
     assert len(GOLDEN) == 3 * len(COMMANDS) + 6
+    assert set(HELP) == {"--help", *(f"{sub} --help" for sub in _COMMANDS)}

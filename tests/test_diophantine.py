@@ -348,6 +348,31 @@ def test_bad_pair_argmin_matches_brute_force_on_random_pairs(a, b, c, d, d2, Q):
     assert argmin == mp_bad_pair_argmin(alpha, beta, Q)
 
 
+SURDS = st.builds(
+    QuadraticSurd,
+    a=st.integers(-9, 9),
+    b=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    d=st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]),
+    c=st.integers(1, 12),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=SURDS, beta=SURDS)
+def test_dirichlet_pigeonhole_in_two_dimensions(alpha, beta):
+    # for every N some 1 <= q <= N**2 has ||q*alpha|| < 1/N and ||q*beta|| <
+    # 1/N, in exact surd arithmetic; the least such q grows with N, so one
+    # forward scan finds it for N = 1, ..., 64 in turn
+    def close(q, n):
+        return all((x * q).dist_to_int() < Fraction(1, n) for x in (alpha, beta))
+
+    q = 1
+    for n in range(1, 65):
+        while q <= n * n and not close(q, n):
+            q += 1
+        assert q <= n * n, (alpha, beta, n)
+
+
 def test_bad_pair_memory_does_not_grow_with_q():
     tracemalloc.start()
     try:
