@@ -101,9 +101,6 @@ class Enclosure(Frozen):
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __float__(self) -> float:
-        return float(self.mid)
-
     def __contains__(self, value: Rational) -> bool:
         return self.lo <= Fraction(value) <= self.hi
 
@@ -158,15 +155,11 @@ class Enclosure(Frozen):
         lo = Fraction(0) if self.lo < 0 < self.hi else min(a, b)
         return Enclosure(lo, max(a, b))
 
-    def strictly_below(self, other: "Enclosure | Rational") -> bool:
-        if isinstance(other, Enclosure):
-            return self.hi < other.lo
-        return self.hi < Fraction(other)
+    def strictly_below(self, other: "Enclosure") -> bool:
+        return self.hi < other.lo
 
-    def strictly_above(self, other: "Enclosure | Rational") -> bool:
-        if isinstance(other, Enclosure):
-            return self.lo > other.hi
-        return self.lo > Fraction(other)
+    def strictly_above(self, other: "Enclosure") -> bool:
+        return self.lo > other.hi
 
     def rounded(self, bits: int) -> "Enclosure":
         """Round endpoints outward onto the 2**-bits dyadic grid.

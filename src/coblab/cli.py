@@ -46,12 +46,11 @@ _FORMATS = ("csv", "json", "text")
 # At the cap a rotation (a+b*sqrt(d))/c encloses ||q*x|| to width
 # |b|*q/(c*2**8192), and every scan refuses q past 10**13 < 2**44.
 # surd.parse_surd refuses |b| >= 2**63 and d > 10**9, so the stored |b|/c,
-# which takes in the square part of d, stays below 2**78 <= 2**120. For
-# |b|/c <= 2**120 every consumer meets any tol above the floor: a record's
-# distance needs |b|*q/c <= 2**192, a Fourier divisor's tol/8 needs
-# |b|*q/c <= 2**189, and a record's quality sqrt(q)*max(dist), with
-# sqrt(q) < 2**22 enclosed to width 2**-8192, has width below
-# (2**22*|b|*q/c + 1) * 2**-8192 <= 2**-8000.
+# which takes in the square part of d, stays below 2**78 <= 2**120. --tol
+# reaches only the approx dirichlet records, and for |b|/c <= 2**120 each
+# meets any tol above the floor: a distance needs |b|*q/c <= 2**192, and
+# the quality sqrt(q)*max(dist), with sqrt(q) < 2**22 enclosed to width
+# 2**-8192, has width below (2**22*|b|*q/c + 1) * 2**-8192 <= 2**-8000.
 _TOL_MARGIN_BITS = 192
 
 # --p and --gamma are refused above this (2 cores, CPython 3.11): shift --p
@@ -126,7 +125,10 @@ class ExperimentConfig:
         if self.format not in _FORMATS:
             raise ConfigError(f"format must be one of {_FORMATS}")
         for name, kind in _KINDS.items():
-            if kind == "count" and int(getattr(self, name)) < 1:
+            value = getattr(self, name)
+            if kind in ("count", "int") and type(value) is not int:
+                raise ConfigError(f"--{name} must be an integer, got {value!r}")
+            if kind == "count" and value < 1:
                 raise ConfigError(f"--{name} must be a positive integer")
         if self.seed < 0:
             raise ConfigError("--seed must be nonnegative")
@@ -549,7 +551,7 @@ def _handle_shift(config: ExperimentConfig) -> _Body:
     p = config.rational("p")
     h = shift_example.build_h(p)
     box = min(config.K, 2000)
-    norm = shift_example.lp_partial_norm(h, p, box, box)
+    norm = shift_example.lp_partial_norm(h, box)
     divergence = shift_example.divergence_certificate(p, config.K)
     data = {
         "p": config.p,

@@ -266,10 +266,7 @@ def build_joint_not_double(
     budget_f = Fraction(budget)
     notes: list[str] = []
     while True:
-        try:
-            selected = lacunary_denominators(qs, ratio, budget_f)
-        except ShortfallError:
-            selected = []
+        selected = lacunary_denominators(qs, ratio, budget_f)
         if len(selected) >= K:
             break
         if budget_f >= _BUDGET_CAP:
@@ -376,8 +373,6 @@ def _log_power(k: int, gamma: Fraction, bits: int) -> Enclosure:
     """(log k)**gamma = exp(gamma * log(log k)) for integer k >= 2."""
     if k < 2:
         raise ValueError("log power needs k >= 2")
-    if gamma == 0:
-        return Enclosure.point(1)
     base = log_enclosure(k, bits)
     inner_lo = log_enclosure(base.lo, bits).lo
     inner_hi = log_enclosure(base.hi, bits).hi

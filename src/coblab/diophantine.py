@@ -29,7 +29,7 @@ from .certify import (
     separate,
     sqrt_enclosure,
 )
-from .errors import ConfigError, PrecisionCapError, ShortfallError
+from .errors import ConfigError, PrecisionCapError
 from .surd import FP_BITS, FP_HALF, FP_MAX_K, FP_ONE, QuadraticSurd
 from .surd import dist_enclosure, fixed_point
 
@@ -365,9 +365,8 @@ def lacunary_denominators(
     qs: Sequence[int], ratio: Rational = 2.0, budget: Rational = 2.0
 ) -> list[int]:
     """Greedy smallest-first subsequence with q_{k+1} >= ratio * q_k whose
-    certified sum of q**-1/2 upper bounds stays at or below budget.
-
-    Raises ShortfallError when fewer than two denominators survive.
+    certified sum of q**-1/2 upper bounds stays at or below budget; it may
+    hold fewer terms than a caller needs, even none.
     """
     ratio_f = _as_fraction(ratio, "ratio")
     budget_f = _as_fraction(budget, "budget")
@@ -386,11 +385,6 @@ def lacunary_denominators(
             continue
         chosen.append(q)
         partial_hi += contribution
-    if len(chosen) < 2:
-        raise ShortfallError(
-            f"only {len(chosen)} of {len(qs)} records are selectable at "
-            f"ratio {float(ratio_f)}, budget {float(budget_f)}"
-        )
     return chosen
 
 

@@ -374,16 +374,12 @@ def browder_sum_norm(f: SparseFourierSeries, alpha: QuadraticSurd, n: int) -> fl
 # test and experiment inputs
 
 
-def random_real_series(
-    seed: int,
-    max_freq: int,
-    unit_l2: bool = True,
-    centered: bool = True,
-) -> SparseFourierSeries:
-    """Deterministic real-valued trigonometric polynomial with full support.
+def random_real_series(seed: int, max_freq: int) -> SparseFourierSeries:
+    """Deterministic real-valued centered trigonometric polynomial of unit
+    Parseval norm, supported on every n with 1 <= |n| <= max_freq.
 
     Coefficients for n = 1..max_freq are uniform in the unit square, mirrored
-    conjugately; optionally normalized to unit Parseval norm.
+    conjugately, then scaled to unit norm.
     """
     rng = random.Random(seed)
     data: dict[int, complex] = {}
@@ -392,10 +388,5 @@ def random_real_series(
         im = rng.uniform(-1.0, 1.0)
         data[n] = complex(re, im)
         data[-n] = complex(re, -im)
-    if not centered:
-        data[0] = complex(rng.uniform(-1.0, 1.0), 0.0)
     series = SparseFourierSeries(data, real_valued=True)
-    if unit_l2:
-        norm = series.l2_norm()
-        series = series.scale(1.0 / norm)
-    return series
+    return series.scale(1.0 / series.l2_norm())

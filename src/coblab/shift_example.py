@@ -88,14 +88,14 @@ def _grid_sum(pairs) -> Enclosure:
     return from_fixed(lo, hi, _GRID)
 
 
-def _logpower_ends(s: int, m: int, bits: int) -> tuple[int, int, int, int]:
-    """(a, b, c, d) with s**-2m * (log s)**-2m in [a/b, c/d], log s at bits:
+def _logpower_ends(s: int, bits: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d) with s**-2 * (log s)**-2 in [a/b, c/d], log s at bits:
     with log s in [lo, hi] * 2**-(bits+2), (lo, hi) from log_fixed, a/b and
-    c/d are (2**(bits+2) / (s*hi))**2m and (2**(bits+2) / (s*lo))**2m, the
+    c/d are (2**(bits+2) / (s*hi))**2 and (2**(bits+2) / (s*lo))**2, the
     rationals log_enclosure gives, built without a Fraction."""
     lo, hi = log_fixed(s, 1, bits)
-    e, one = 2 * m, 1 << ((bits + 2) * 2 * m)
-    return one, (s * hi) ** e, one, (s * lo) ** e
+    one = 1 << (2 * bits + 4)
+    return one, (s * hi) ** 2, one, (s * lo) ** 2
 
 
 def _ratio_grid(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -103,33 +103,38 @@ def _ratio_grid(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return (a << _GRID) // b, -((-c << _GRID) // d)
 
 
-def _logpower_grid(s: int, m: int, num: int) -> tuple[int, int]:
-    """num * s**-2m * (log s)**-2m on the grid, log s at _TERM_BITS."""
-    a, b, c, d = _logpower_ends(s, m, _TERM_BITS)
+def _logpower_grid(s: int, num: int) -> tuple[int, int]:
+    """num * s**-2 * (log s)**-2 on the grid, log s at _TERM_BITS."""
+    a, b, c, d = _logpower_ends(s, _TERM_BITS)
     return _ratio_grid(num * a, b, num * c, d)
 
 
 class LatticeFunction(Frozen):
-    """A positive function on the lattice that depends only on s = j + k.
+    """The l_p member h of build_h, a function of s = j + k alone.
 
-    kind "power" means value s**(-exponent); kind "logpower" means
-    s**(-2) * (log s)**(-2), the repair used at p = 1 where no pure power
-    lands inside l_1.
+    For p > 1, kind "power": h = s**(-exponent) with exponent (p+1)/p. At
+    p = 1, kind "logpower": h = s**(-2) * (log s)**(-2), the repair used
+    where no pure power lands inside l_1; exponent is 2 there too.
     """
 
-    __slots__ = ("kind", "p", "exponent")
+    __slots__ = ("p",)
 
-    def __init__(self, kind: str, p: Fraction, exponent: Fraction):
-        if kind not in ("power", "logpower"):
-            raise ConfigError(f"unknown lattice function kind {kind!r}")
-        if kind == "power" and exponent <= 1:
-            raise ConfigError("power kind needs an exponent above 1")
-        object.__setattr__(self, "kind", kind)
+    def __init__(self, p: Rational):
+        p = Fraction(p)
+        if p < 1:
+            raise ConfigError("the construction needs p >= 1")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "exponent", exponent)
+
+    @property
+    def kind(self) -> str:
+        return "logpower" if self.p == 1 else "power"
+
+    @property
+    def exponent(self) -> Fraction:
+        return (self.p + 1) / self.p
 
     def diagonal_value(self, s: int) -> Enclosure:
-        return _diag_power(self, s, Fraction(1), _TERM_BITS)
+        return _diag_power(self, s, _TERM_BITS)
 
     def value(self, j: int, k: int) -> Enclosure:
         if j < 1 or k < 1:
@@ -137,20 +142,13 @@ class LatticeFunction(Frozen):
         return self.diagonal_value(j + k)
 
 
-def _diag_power(
-    f: LatticeFunction, s: int, power: Fraction, bits: int
-) -> Enclosure:
-    """Enclosure of f(s)**power along the diagonal, for positive power."""
+def _diag_power(f: LatticeFunction, s: int, bits: int) -> Enclosure:
+    """Enclosure of f(s) along the diagonal."""
     if s < 2:
         raise ConfigError("diagonals start at s = 2")
-    power = Fraction(power)
     if f.kind == "power":
-        return _rational_pow(Fraction(s), -f.exponent * power, bits)
-    if power.denominator != 1:
-        raise ConfigError(
-            "the logarithmic kind supports integer powers only"
-        )
-    a, b, c, d = _logpower_ends(s, int(power), bits)
+        return _rational_pow(Fraction(s), -f.exponent, bits)
+    a, b, c, d = _logpower_ends(s, bits)
     return Enclosure(Fraction(a, b), Fraction(c, d))
 
 
@@ -161,12 +159,7 @@ def build_h(p: Rational) -> LatticeFunction:
     sum (s-1) s**(-p-1), which converges.  At p = 1 the same recipe would
     leave l_1, so a squared logarithm is inserted instead.
     """
-    p = Fraction(p)
-    if p < 1:
-        raise ConfigError("the construction needs p >= 1")
-    if p == 1:
-        return LatticeFunction("logpower", p, Fraction(2))
-    return LatticeFunction("power", p, (p + 1) / p)
+    return LatticeFunction(p)
 
 
 # ---------------------------------------------------------------------------
@@ -187,59 +180,35 @@ class LatticeSum(NamedTuple):
     diagonals: int
 
 
-def lp_partial_norm(
-    f: LatticeFunction, p: Rational, J: int, K: int
-) -> LatticeSum:
-    """Certified bracket for sum of f(j,k)**p over all j, k >= 1.
+def lp_partial_norm(f: LatticeFunction, box: int) -> LatticeSum:
+    """Certified bracket for sum of f(j,k)**p over all j, k >= 1, p = f.p.
 
-    The partial sum runs over the complete diagonals s <= min(J,K) + 1
-    (every lattice point with that diagonal lies inside the J x K box);
+    The partial sum runs over the complete diagonals s <= box + 1 (every
+    lattice point with that diagonal lies inside the box x box square);
     each diagonal contributes (s-1) f(s)**p.  The discarded part is bounded
-    by the integral test, which requires the diagonal series to converge.
+    by the integral test: for p > 1 the diagonal series is
+    sum (s-1) s**(-kappa) with kappa = p + 1 > 2.
     """
-    if J < 1 or K < 1:
+    if box < 1:
         raise ConfigError("box dimensions must be positive")
-    p = Fraction(p)
-    if p < 1:
-        raise ConfigError("l_p exponents below 1 are not supported")
-    S = min(J, K) + 1
+    S = box + 1
 
     if f.kind == "power":
-        kappa = f.exponent * p
-        if kappa <= 2:
-            raise ConfigError(
-                "the diagonal series sum (s-1) s**(-kappa) diverges for "
-                f"kappa = {kappa}; no finite tail bound exists"
-            )
+        kappa = f.p + 1
         if kappa.denominator == 1:
             partial = _acc_sum((s - 1, s ** int(kappa)) for s in range(2, S + 1))
         else:
-            partial = _grid_sum(
-                to_fixed((s - 1) * _diag_power(f, s, p, _TERM_BITS), _GRID)
-                for s in range(2, S + 1)
-            )
+            terms = ((s - 1) * _rational_pow(Fraction(s), -kappa, _TERM_BITS)
+                     for s in range(2, S + 1))
+            partial = _grid_sum(to_fixed(term, _GRID) for term in terms)
         # (s-1) s**-kappa <= s**(1-kappa), then integral comparison.
         tail_hi = _rational_pow(Fraction(S), 2 - kappa, 96).hi / (kappa - 2)
     else:
-        if p.denominator != 1:
-            raise ConfigError(
-                "the logarithmic kind supports integer l_p exponents only"
-            )
-        m = int(p)
-        partial = _logpower_partial(S, m)
-        if m == 1:
-            # sum_{s>S} (s-1) s**-2 (log s)**-2 <= int_S^inf dx/(x log^2 x).
-            tail_hi = 1 / log_enclosure(S, 96).lo
-        else:
-            tail_hi = Fraction(1, S ** (2 * m - 2)) / (
-                (2 * m - 2) * log_enclosure(S, 96).lo ** (2 * m)
-            )
+        partial = _grid_sum(_logpower_grid(s, s - 1) for s in range(2, S + 1))
+        # sum_{s>S} (s-1) s**-2 (log s)**-2 <= int_S^inf dx/(x log^2 x).
+        tail_hi = 1 / log_enclosure(S, 96).lo
     tail = Enclosure(Fraction(0), tail_hi)
     return LatticeSum(partial, tail, partial + tail, S)
-
-
-def _logpower_partial(S: int, m: int) -> Enclosure:
-    return _grid_sum(_logpower_grid(s, m, s - 1) for s in range(2, S + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +270,7 @@ def _q_diagonal_upper(f: LatticeFunction, s: int) -> Enclosure:
     """Analytic upper bound on q(s) = sum_{t>=s} f(t), valid for s >= 2."""
     if f.kind == "power":
         return _integral_power(s - 1, f.exponent) if s >= 3 else (
-            _diag_power(f, 2, Fraction(1), _BRACKET_BITS)
+            _diag_power(f, 2, _BRACKET_BITS)
             + _integral_power(2, f.exponent)
         )
     # q(s) <= f(s) + int_s^inf <= (log s)**-2 (s**-2 + s**-1), where
@@ -314,11 +283,9 @@ def _roll_down(
     f: LatticeFunction, remainder: Enclosure, M: int, bottom: int, keep: int
 ) -> dict:
     """q(t) = f(t) + q(t+1) on the grid for t = M-1, ..., bottom, from the
-    remainder q(M); returns the values at t <= keep."""
+    remainder q(M); returns the values at t <= keep, where keep < M - 1."""
     lo, hi = to_fixed(f.diagonal_value(M - 1) + remainder, _GRID)
     values = {}
-    if M - 1 <= keep:
-        values[M - 1] = from_fixed(lo, hi, _GRID)
     for t in range(M - 2, bottom - 1, -1):
         a, b = to_fixed(f.diagonal_value(t), _GRID)
         lo, hi = lo + a, hi + b

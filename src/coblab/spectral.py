@@ -42,11 +42,9 @@ class AtomicSpectralMeasure(Frozen):
     on the finite support).
     """
 
-    __slots__ = ("alpha", "beta", "atoms")
+    __slots__ = ("atoms",)
 
-    def __init__(self, alpha: QuadraticSurd, beta: QuadraticSurd, atoms: tuple[Atom, ...]):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+    def __init__(self, atoms: tuple[Atom, ...]):
         object.__setattr__(self, "atoms", atoms)
 
     def __len__(self) -> int:
@@ -87,7 +85,7 @@ def spectral_measure(
             da_sq = fourier.divisor_enclosure(alpha, n).square()
             db_sq = fourier.divisor_enclosure(beta, n).square()
         atoms.append(Atom(n=n, mass=mass, div_alpha_sq=da_sq, div_beta_sq=db_sq))
-    return AtomicSpectralMeasure(alpha=alpha, beta=beta, atoms=tuple(atoms))
+    return AtomicSpectralMeasure(tuple(atoms))
 
 
 def _criterion_sum(m: AtomicSpectralMeasure, term_of) -> CriterionSum:

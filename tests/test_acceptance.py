@@ -311,7 +311,7 @@ def test_criterion_07_diophantine_soundness():
 def test_criterion_08_lattice_shift():
     start = time.perf_counter()
     h2 = build_h(2)
-    norm = lp_partial_norm(h2, 2, 10**6, 10**6)
+    norm = lp_partial_norm(h2, 10**6)
     with mpmath.workdps(60):
         oracle = mp_fraction(mpmath.pi**2 / 6 - mpmath.zeta(3))
     checks = [

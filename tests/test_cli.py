@@ -121,6 +121,23 @@ class TestExperimentConfig:
             ExperimentConfig("selftest", threads=0)
 
     @pytest.mark.parametrize(
+        "payload",
+        [
+            {"subcommand": "approx", "action": "cf", "depth": "8"},
+            {"subcommand": "approx", "action": "dirichlet", "Q": 1.5},
+            {"subcommand": "approx", "action": "cf", "depth": True},
+            {"subcommand": "selftest", "seed": "0"},
+            {"subcommand": "selftest", "threads": "1"},
+        ],
+        ids=["depth-str", "Q-float", "depth-bool", "seed-str", "threads-str"],
+    )
+    def test_integer_fields_refuse_other_types(self, payload):
+        # a config read from JSON is a ConfigError (exit 2), not a traceback
+        # in run or a report that prints the wrong type
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ExperimentConfig.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
         "field,bad",
         [
             ("tol", "2"),
@@ -471,14 +488,16 @@ class TestMain:
         )
         assert done.returncode == 0, done.stderr
 
-    # Every subcommand, then a Fourier build outside the CLI; run with a
-    # redirected stdout, so the reports stay out of the pipe. Neither mpmath
-    # (a test extra) nor dataclasses (its start-up cost) is ever loaded, and
-    # --help loads no json or fractions either, and executes no library
-    # module: each stays a lazy module until a subcommand first uses it.
+    # Every (subcommand, action) pair at sizes that run in well under a
+    # second, plus the two flagged variants, then a Fourier build outside the
+    # CLI; run with a redirected stdout, so the reports stay out of the pipe.
+    # Neither mpmath nor numpy (test extras) nor dataclasses (its start-up
+    # cost) is ever loaded, and --help loads no json or fractions either, and
+    # executes no library module: each stays a lazy module until a
+    # subcommand first uses it.
     NO_MPMATH_SCRIPT = (
         "import contextlib, io, sys, types\n"
-        "from coblab.cli import main\n"
+        "from coblab.cli import _COMMANDS, main\n"
         "def absent(*names):\n"
         "    return not any(name in sys.modules for name in names)\n"
         "try:\n"
@@ -491,15 +510,13 @@ class TestMain:
         "            and name not in ('coblab.cli', 'coblab.errors')\n"
         "            and type(module) is types.ModuleType]\n"
         "assert not executed, f'--help executes {executed}'\n"
-        "for argv in (['approx', 'dirichlet', '--Q', '1000'],\n"
-        "             ['approx', 'squares', '--N', '1000'],\n"
-        "             ['shift', '--p', '1', '--K', '100'],\n"
-        "             ['rates', '--doubling-tripling', '--N', '8'],\n"
-        "             ['construct', '--K', '4', '--Q', '10000'],\n"
-        "             ['check', 'double-bad', '--K', '3'],\n"
-        "             ['spectral', '--Q', '10000'],\n"
-        "             ['rates', '--N', '16', '--Q', '10000'],\n"
-        "             ['selftest']):\n"
+        "small = ['--Q', '10000', '--K', '8', '--N', '16', '--depth', '10']\n"
+        "argvs = [[sub, *([action] if action else []), *small]\n"
+        "         for sub, command in _COMMANDS.items()\n"
+        "         for action in command.actions or (None,)]\n"
+        "argvs += [['rates', '--doubling-tripling', '--N', '8'],\n"
+        "          ['shift', '--p', '1', '--K', '100']]\n"
+        "for argv in argvs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
         "    assert absent('mpmath', 'dataclasses'), argv\n"
@@ -510,6 +527,7 @@ class TestMain:
         "import json\n"
         "json.dumps(fourier.apply_difference(base, alpha).to_json_dict())\n"
         "assert absent('mpmath', 'dataclasses'), 'apply_difference'\n"
+        "assert absent('numpy'), 'the CLI imports numpy'\n"
     )
 
     def test_scans_and_shift_never_import_mpmath(self):

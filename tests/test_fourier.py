@@ -387,7 +387,7 @@ def test_ergodic_norms_bit_identical_to_per_term_kernel(seed):
 
 
 def test_ergodic_norms_bit_identical_with_zero_frequency():
-    f = random_real_series(seed=3, max_freq=6, centered=False, unit_l2=False)
+    f = random_real_series(seed=3, max_freq=6) + SparseFourierSeries({0: 0.75}, True)
     assert 0 in f.support
     wide = SparseFourierSeries({652982: 1.0, -57649: 0.5 + 0.25j, 0: 2.0, 3: 1j})
     for g in (f, wide):
@@ -532,12 +532,6 @@ def test_random_real_series_deterministic_and_normalized():
     assert f.l2_norm() == pytest.approx(1.0, abs=1e-12)
     assert f.real_valued
     assert f.is_centered()
-
-
-def test_random_real_series_uncentered_variant():
-    f = random_real_series(seed=1, max_freq=2, centered=False, unit_l2=False)
-    assert 0 in f.support
-    assert mpmath.im(to_mp(f.coeff(0))) == 0
 
 
 def test_random_series_differ_across_seeds():

@@ -218,11 +218,8 @@ def reference_joint_not_double(alpha, beta, K, Q, ratio=2.0, budget=2.0):
     for rec in sorted(records, key=lambda r: r.q):
         first.setdefault(rec.q, rec)
     while True:
-        try:
-            chosen = lacunary_denominators([rec.q for rec in records], ratio, budget_f)
-            selected = [first[q] for q in chosen]
-        except ShortfallError:
-            selected = []
+        chosen = lacunary_denominators([rec.q for rec in records], ratio, budget_f)
+        selected = [first[q] for q in chosen]
         if len(selected) >= K:
             break
         if budget_f >= 1024:

@@ -3,10 +3,12 @@
 The golden digests of test_cli say that a report did not change, not that it
 is right. These checks read the printed JSON alone: every comparison marked
 satisfied must hold between its printed decimal endpoints, read as exact
-fractions, and every enclosure that `construct` prints must contain its
-value recomputed in mpmath at 400 bits from the printed q_sequence and the
-rotation numbers of the config, never from a printed decimal. Only pytest,
-mpmath and the standard library do the checking.
+fractions; every enclosure that `construct` prints must contain its value
+recomputed in mpmath at 400 bits from the printed q_sequence and the
+rotation numbers of the config, never from a printed decimal; and every
+enclosure that `shift` prints must contain its closed form, computed in
+mpmath at 400 bits from the config alone, or be named on NO_CLOSED_FORM.
+Only pytest, mpmath and the standard library do the checking.
 """
 
 import contextlib
@@ -86,7 +88,9 @@ def rotation(text):
 
 
 def exact(x):
-    """The exact rational value of a positive mpmath real."""
+    """The exact rational value of a Fraction or a positive mpmath real."""
+    if isinstance(x, Fraction):
+        return x
     assert x > 0
     man, exp = x.man_exp
     return Fraction(man) * Fraction(2) ** exp
@@ -143,3 +147,99 @@ def test_construct_entries_contain_their_recomputed_values(argv):
             if threshold is not None:
                 assert inside(threshold, entry["threshold"]), (argv, entry)
         assert inside(tail, result["tail_bound"])
+
+
+# `shift` at p = 2 (the default) and p = 3/2, K = 10: h(s) = s**-kappa with
+# kappa = (p+1)/p, and q(1, k) = sum_{t >= 1+k} h(t) is the Hurwitz zeta
+# value zeta(kappa, 1+k).
+SHIFT = ["shift --format json", "shift --p 3/2 --format json"]
+
+# The printed shift enclosures that contain no closed form, each with the
+# reason. Each is a point at the safe end of a 96-bit enclosure of an
+# integral bound, so it misses that bound by up to the enclosure's width; it
+# is checked to lie on the safe side of the bound's closed form, within
+# 2**-80 of it.
+NO_CLOSED_FORM = {
+    "integral lower": "the lower end of (1 - 1/1000) * p * (1+k)**(-1/p)",
+    "integral upper": "the upper end of p * k**(-1/p) for k > 1, and of "
+                      "2**-kappa + p * 2**(-1/p) at k = 1",
+}
+
+
+def shift_oracle(exact_p, K):
+    """The closed forms of a shift report, from p and K alone: a dict from
+    the path of each enclosure outside the certificate to its value, and a
+    dict from each certificate entry's description to its (value, threshold).
+    A threshold (name, bound) is on NO_CLOSED_FORM, and bound is the closed
+    form it bounds; a threshold None marks an annotation."""
+    eps = Fraction(1, 1000)
+    p = mpmath.mpf(exact_p.numerator) / exact_p.denominator
+    kappa = (p + 1) / p
+    S = min(K, 2000) + 1  # the diagonals of lp_norm
+    r = int(2 * exact_p) + 1  # the bounded exponent
+    coef = ((1 - eps) * p) ** p
+    row_sum = coef * mpmath.fsum(1 / mpmath.mpf(k + 1) for k in range(1, K + 1))
+    lr = p**r * mpmath.zeta(r / p - 1)
+    fields = {
+        "lp_norm.partial": mpmath.fsum((s - 1) / mpmath.mpf(s) ** (p + 1)
+                                       for s in range(2, S + 1)),
+        "lp_norm.tail": mpmath.zeta(p, S + 1) - mpmath.zeta(p + 1, S + 1),
+        "lp_norm.total": mpmath.zeta(p) - mpmath.zeta(p + 1),
+        "row_sum_lower": row_sum,
+        "lr_partial": lr,
+    }
+    entries = {
+        f"row 1 sum of q**{exact_p} over k <= {K} vs its logarithmic "
+        "growth floor": (row_sum, (mpmath.log(K + 2) - 1) * coef),
+        "slack 1/1000 in lower bounds; the first omitted series term exceeds "
+        "it on every sampled diagonal": (eps, None),
+        f"full lattice sum of q**{r} vs its closed convergence bound":
+            (lr, exact_p**r * (1 + exact_p / (r - 2 * exact_p))),
+    }
+    for k in sorted({1, 7, K}):
+        q = mpmath.zeta(kappa, 1 + k)
+        # int_{s-1}^inf x**-kappa dx at s = 1 + k, or h(2) + int_2^inf at s = 2
+        upper = (p * mpmath.mpf(k) ** (-1 / p) if k > 1
+                 else 2**-kappa + p * mpmath.mpf(2) ** (-1 / p))
+        entries[f"q at row 1, column {k} vs integral lower"] = (
+            q, ("integral lower", (1 - eps) * p * (1 + k) ** (-1 / p)))
+        entries[f"q at row 1, column {k} vs integral upper"] = (
+            q, ("integral upper", upper))
+    return fields, entries
+
+
+def printed_enclosures(node, path=""):
+    """(path, interval) of every enclosure in a report tree, certificates
+    left out."""
+    if isinstance(node, dict):
+        if set(node) == {"lo", "hi"}:
+            yield path, node
+        elif "entries" not in node:
+            for key, child in node.items():
+                yield from printed_enclosures(child, f"{path}.{key}".lstrip("."))
+
+
+@pytest.mark.parametrize("argv", SHIFT)
+def test_shift_enclosures_contain_their_closed_forms(argv):
+    envelope = report(argv)
+    result, config = envelope["result"], envelope["config"]
+    with mpmath.workprec(400):
+        fields, entries = shift_oracle(Fraction(config["p"]), config["K"])
+        found = dict(printed_enclosures(result))
+        assert sorted(found) == sorted(fields)
+        for path, interval in found.items():
+            assert inside(fields[path], interval), (argv, path)
+        printed_entries = result["certificate"]["entries"]
+        assert sorted(e["description"] for e in printed_entries) == sorted(entries)
+        for entry in printed_entries:
+            value, threshold = entries[entry["description"]]
+            assert inside(value, entry["value"]), (argv, entry)
+            if isinstance(threshold, tuple):
+                name, bound = threshold
+                assert name in NO_CLOSED_FORM
+                point, bound = printed(entry["threshold"]), exact(bound)
+                gap = (bound - point["lo"] if name == "integral lower"
+                       else point["hi"] - bound)
+                assert 0 <= gap <= bound / 2**80, (argv, entry)
+            elif threshold is not None:
+                assert inside(threshold, entry["threshold"]), (argv, entry)

@@ -2,10 +2,12 @@
 
 Oracles: closed forms evaluated with 50-digit mpmath (2**-3/2 for the
 corner value, zeta(3/2) - 1 for the corner of the formal solution,
-pi**2/6 - zeta(3) for the full l_2 mass), direct summation with ten times
-more explicit terms, and exact harmonic-sum arithmetic for the divergence
-floor. The long sums kept as ints on a dyadic grid must equal, endpoint for
-endpoint, the same sums done in Enclosure arithmetic.
+pi**2/6 - zeta(3) for the full l_2 mass), their 400-bit counterparts at
+random rational p (zeta(p) - zeta(p+1) and the Hurwitz zeta((p+1)/p, s)),
+direct summation with ten times more explicit terms, and exact
+harmonic-sum arithmetic for the divergence floor. The long sums kept as
+ints on a dyadic grid must equal, endpoint for endpoint, the same sums done
+in Enclosure arithmetic.
 """
 
 import io
@@ -24,7 +26,6 @@ from coblab.shift_example import (
     _diag_power,
     _isqrt_pow32_sum,
     _logpower_divergence,
-    _logpower_partial,
     _power_divergence,
     _power_series_remainder,
     _q_diagonal_upper,
@@ -34,6 +35,7 @@ from coblab.shift_example import (
     divergence_certificate,
     lp_partial_norm,
 )
+from mpbridge import mp_fraction
 
 
 def _oracle(expr_digits):
@@ -81,7 +83,7 @@ class TestBuildH:
 class TestLpPartialNorm:
     def test_p2_total_encloses_pi2_over_6_minus_zeta3(self):
         h = build_h(2)
-        result = lp_partial_norm(h, 2, 2000, 2000)
+        result = lp_partial_norm(h, 2000)
         with mpmath.workdps(50):
             oracle = mpmath.nstr(mpmath.pi**2 / 6 - mpmath.zeta(3), 40)
         assert _contains(result.total, oracle)
@@ -91,35 +93,35 @@ class TestLpPartialNorm:
         # Direct oracle: sum over the complete diagonals s <= 11 of
         # (s-1) s**-3, computed in exact rational arithmetic.
         h = build_h(2)
-        result = lp_partial_norm(h, 2, 10, 10)
+        result = lp_partial_norm(h, 10)
         direct = sum(Fraction(s - 1, s**3) for s in range(2, 12))
         assert result.partial.lo <= direct <= result.partial.hi
         assert result.partial.width < Fraction(1, 10**30)
 
     def test_tail_shrinks_with_the_box(self):
         h = build_h(2)
-        small = lp_partial_norm(h, 2, 50, 50)
-        large = lp_partial_norm(h, 2, 500, 500)
+        small = lp_partial_norm(h, 50)
+        large = lp_partial_norm(h, 500)
         assert large.tail.hi < small.tail.hi
         assert large.total.width < small.total.width
 
     def test_totals_nested_as_the_box_grows(self):
         h = build_h(2)
-        small = lp_partial_norm(h, 2, 50, 50)
-        large = lp_partial_norm(h, 2, 500, 500)
+        small = lp_partial_norm(h, 50)
+        large = lp_partial_norm(h, 500)
         assert small.total.lo <= large.total.lo
         assert large.total.hi <= small.total.hi
 
     def test_fractional_p_uses_enclosures(self):
         h = build_h(Fraction(5, 2))
-        result = lp_partial_norm(h, Fraction(5, 2), 40, 40)
+        result = lp_partial_norm(h, 40)
         # kappa = (7/5)(5/2) = 7/2; direct float check of the first terms.
         direct = sum((s - 1) * s**-3.5 for s in range(2, 42))
         assert abs(float(result.partial.mid) - direct) < 1e-12
 
     def test_logpower_total_is_finite_and_positive(self):
         h = build_h(1)
-        result = lp_partial_norm(h, 1, 300, 300)
+        result = lp_partial_norm(h, 300)
         direct = 0.0
         import math
 
@@ -128,14 +130,28 @@ class TestLpPartialNorm:
         assert abs(float(result.partial.mid) - direct) < 1e-9
         assert result.total.hi < 3
 
-    def test_divergent_exponent_is_refused(self):
-        h = build_h(2)
-        with pytest.raises(ConfigError):
-            lp_partial_norm(h, 1, 10, 10)
-
     def test_box_validation(self):
         with pytest.raises(ConfigError):
-            lp_partial_norm(build_h(2), 2, 0, 5)
+            lp_partial_norm(build_h(2), 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st.fractions(min_value=1, max_value=8, max_denominator=12).filter(
+        lambda p: p > 1),
+    box=st.integers(min_value=1, max_value=60),
+)
+def test_norm_and_formal_solution_contain_their_zeta_values(p, box):
+    # the p values no golden config pins: the l_p mass of h is
+    # zeta(p) - zeta(p+1), and q on the diagonal s is zeta((p+1)/p, s)
+    h = build_h(p)
+    total = lp_partial_norm(h, box).total
+    grid = build_q(h, 3, 4)
+    with mpmath.workprec(400):
+        mp_p = mpmath.mpf(p.numerator) / p.denominator
+        assert mp_fraction(mpmath.zeta(mp_p) - mpmath.zeta(mp_p + 1)) in total
+        for s, enc in grid.diagonals.items():
+            assert mp_fraction(mpmath.zeta((mp_p + 1) / mp_p, s)) in enc, s
 
 
 class TestBuildQ:
@@ -352,12 +368,8 @@ def _ref_grid_sum(terms):
     return acc
 
 
-def _ref_logpower_term(s, m, num, bits=110):
-    log_sq = log_enclosure(s, bits).square()
-    term = Enclosure.point(Fraction(num, s ** (2 * m)))
-    for _ in range(m):
-        term = term / log_sq
-    return term
+def _ref_logpower_term(s, num, bits=110):
+    return Enclosure.point(Fraction(num, s * s)) / log_enclosure(s, bits).square()
 
 
 def _ref_logpower_q_upper(s):
@@ -374,21 +386,20 @@ def _ref_roll_down(f, remainder, top, bottom):
 
 
 @settings(max_examples=25, deadline=None)
-@given(S=st.integers(min_value=2, max_value=200), m=st.sampled_from([1, 2]))
-def test_logpower_partial_matches_enclosure_reference(S, m):
-    ref = _ref_grid_sum(_ref_logpower_term(s, m, s - 1) for s in range(2, S + 1))
-    assert _logpower_partial(S, m) == ref
+@given(S=st.integers(min_value=2, max_value=200))
+def test_logpower_partial_matches_enclosure_reference(S):
+    ref = _ref_grid_sum(_ref_logpower_term(s, s - 1) for s in range(2, S + 1))
+    assert lp_partial_norm(build_h(1), S - 1).partial == ref
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     s=st.integers(min_value=2, max_value=10**6),
-    m=st.sampled_from([1, 2, 3]),
     bits=st.integers(min_value=64, max_value=256),
 )
-def test_logpower_diagonal_matches_enclosure_reference(s, m, bits):
+def test_logpower_diagonal_matches_enclosure_reference(s, bits):
     f = build_h(1)
-    assert _diag_power(f, s, Fraction(m), bits) == _ref_logpower_term(s, m, 1, bits)
+    assert _diag_power(f, s, bits) == _ref_logpower_term(s, 1, bits)
 
 
 @pytest.mark.parametrize("p", [1, 2, Fraction(3, 2), Fraction(5, 2)])
