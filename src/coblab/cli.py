@@ -58,129 +58,115 @@ _TOL_MARGIN_BITS = 192
 # check double-bad takes 2.1 s at --gamma 1000 and 6.6 s at 10**4.
 _EXPONENT_LIMIT = 1000
 
+# Checks that several option rows share, each a (test, message) pair; a
+# message may name the value as {value!r}.
+_INTEGER = (lambda v: type(v) is int, "must be an integer, got {value!r}")
+_POSITIVE_INT = (lambda v: v >= 1, "must be a positive integer")
+_TEXT = (lambda v: type(v) is str, "must be a string, got {value!r}")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_UNIT = (lambda v: 0 < v < 1, "must lie strictly between 0 and 1")
+_EXPONENT = (lambda v: v <= _EXPONENT_LIMIT, f"must be at most {_EXPONENT_LIMIT}")
+
 # Every option that all subcommands share, in --help order: the name of its
-# flag and config field, its kind, its default and its help. A "count" is an
-# int of at least 1, and a "rational" is held as its canonical fraction
-# string ("3/5"), so that a config survives any number of serialization round
-# trips unchanged and two equal configs render byte-identical reports.
+# flag and config field, its kind, its default, its help and the checks its
+# value must pass. A "count" is an int of at least 1, and a "rational" is
+# held as its canonical fraction string ("3/5"), so that a config survives
+# any number of serialization round trips unchanged and two equal configs
+# render byte-identical reports; its checks test it as a Fraction.
 _OPTIONS = (
     ("alpha", "str", "(-1+1*sqrt(2))/1",
-     "first rotation number, (a+b*sqrt(d))/c"),
+     "first rotation number, (a+b*sqrt(d))/c", (_TEXT,)),
     ("beta", "str", "(-1+1*sqrt(3))/1",
-     "second rotation number, (a+b*sqrt(d))/c"),
-    ("Q", "count", 10000, "denominator search bound"),
-    ("K", "count", 10, "number of construction terms / lattice columns"),
-    ("N", "count", 64, "range bound for searches, rates, and grids"),
-    ("depth", "count", 30, "continued-fraction / witness search depth"),
-    ("delta", "rational", "3/5", "exponent or threshold in (0, 1)"),
-    ("gamma", "rational", "2", "logarithmic decay exponent"),
-    ("p", "rational", "2", "lattice space exponent, at least 1"),
-    ("ratio", "rational", "2", "lacunarity ratio, above 1"),
-    ("budget", "rational", "2", "summability budget for term selection"),
-    ("tol", "rational", "1/1000000000000", "numeric tolerance in (0, 1)"),
-    ("out", "str", None, "report file path"),
-    ("format", "str", "text", None),
-    ("seed", "int", 0, "seed for randomized property checks"),
-    ("threads", "int", 1, "recorded in every report; has no effect"),
+     "second rotation number, (a+b*sqrt(d))/c", (_TEXT,)),
+    ("Q", "count", 10000, "denominator search bound", (_INTEGER, _POSITIVE_INT)),
+    ("K", "count", 10, "number of construction terms / lattice columns",
+     (_INTEGER, _POSITIVE_INT)),
+    ("N", "count", 64, "range bound for searches, rates, and grids",
+     (_INTEGER, _POSITIVE_INT)),
+    ("depth", "count", 30, "continued-fraction / witness search depth",
+     (_INTEGER, _POSITIVE_INT)),
+    ("delta", "rational", "3/5", "exponent or threshold in (0, 1)", (_UNIT,)),
+    ("gamma", "rational", "2", "logarithmic decay exponent", (_POSITIVE, _EXPONENT)),
+    ("p", "rational", "2", "lattice space exponent, at least 1",
+     (_AT_LEAST_1, _EXPONENT)),
+    ("ratio", "rational", "2", "lacunarity ratio, above 1",
+     ((lambda v: v > 1, "must exceed 1"),)),
+    ("budget", "rational", "2", "summability budget for term selection", (_POSITIVE,)),
+    ("tol", "rational", "1/1000000000000", "numeric tolerance in (0, 1)", (_UNIT,)),
+    ("out", "str", None, "report file path",
+     ((lambda v: v is None or type(v) is str,
+       "must be a string or null, got {value!r}"),)),
+    ("format", "str", "text", None,
+     ((lambda v: v in _FORMATS, f"must be one of {_FORMATS}"),)),
+    ("seed", "int", 0, "seed for randomized property checks",
+     (_INTEGER, (lambda v: v >= 0, "must be nonnegative"))),
+    ("threads", "int", 1, "recorded in every report; has no effect",
+     (_INTEGER, _AT_LEAST_1)),
 )
 
-_KINDS = {name: kind for name, kind, _, _ in _OPTIONS}
+# rates' --doubling-tripling flag: a config field, and an option of rates alone
+_FLAG = ("doubling_tripling", "flag", False,
+         "emit the exact unit-variance table for the commuting endomorphism "
+         "square average",
+         ((lambda v: type(v) is bool, "must be true or false, got {value!r}"),))
+
+_FIELDS = (*_OPTIONS, _FLAG)
+_KINDS = {name: kind for name, kind, *_ in _FIELDS}
 
 
-class ExperimentConfig:
+class ExperimentConfig(
+    namedtuple("ExperimentConfig", ("subcommand", "action", *_KINDS))
+):
     """Everything a run needs, in JSON-friendly primitives.
 
     The fields are the subcommand, its action, every option of _OPTIONS and
-    rates' doubling_tripling flag; a field not given takes its default. The
-    record methods repeat certify.Frozen's, which --help must not load.
+    rates' doubling_tripling flag; a field not given takes its default, and
+    each is checked against its row. A collections namedtuple, so that
+    --help loads neither certify nor fractions; its _make and _replace skip
+    the checks, and nothing calls them.
     """
 
-    __slots__ = ("subcommand", "action", *_KINDS, "doubling_tripling")
+    __slots__ = ()
 
-    def __init__(self, subcommand: str, action: str | None = None, **options):
+    def __new__(cls, subcommand: str, action: str | None = None, **options):
         from fractions import Fraction
 
-        unknown = set(options).difference(self.__slots__[2:])
+        unknown = set(options).difference(_KINDS)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        given = {name: default for name, _, default, _ in _OPTIONS}
-        given.update(doubling_tripling=False, subcommand=subcommand,
-                     action=action)
-        given.update(options)
-        for name in self.__slots__:
-            object.__setattr__(self, name, given[name])
-        if self.subcommand not in _COMMANDS:
-            raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        allowed = _COMMANDS[self.subcommand].actions
-        if allowed:
-            if self.action not in allowed:
-                raise ConfigError(
-                    f"subcommand {self.subcommand!r} needs an action "
-                    f"from {allowed}, got {self.action!r}"
-                )
-        elif self.action is not None:
+        if type(subcommand) is not str or subcommand not in _COMMANDS:
+            raise ConfigError(f"unknown subcommand {subcommand!r}")
+        allowed = _COMMANDS[subcommand].actions
+        if allowed and action not in allowed:
             raise ConfigError(
-                f"subcommand {self.subcommand!r} takes no action"
+                f"subcommand {subcommand!r} needs an action "
+                f"from {allowed}, got {action!r}"
             )
-        if self.format not in _FORMATS:
-            raise ConfigError(f"format must be one of {_FORMATS}")
-        for name, kind in _KINDS.items():
-            value = getattr(self, name)
-            if kind in ("count", "int") and type(value) is not int:
-                raise ConfigError(f"--{name} must be an integer, got {value!r}")
-            if kind == "count" and value < 1:
-                raise ConfigError(f"--{name} must be a positive integer")
-        if self.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        for name, kind in _KINDS.items():
-            if kind != "rational":
-                continue
-            raw = getattr(self, name)
-            try:
-                value = Fraction(str(raw))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"--{name}: not a rational: {raw!r}") from exc
-            object.__setattr__(self, name, str(value))
-        if not (0 < self.rational("tol") < 1):
-            raise ConfigError("--tol must lie strictly between 0 and 1")
+        if not allowed and action is not None:
+            raise ConfigError(f"subcommand {subcommand!r} takes no action")
+        values = {}
+        for name, kind, default, _, checks in _FIELDS:
+            value = values[name] = options.get(name, default)
+            if kind == "rational":
+                # str refuses a fraction of over 4300 digits with ValueError
+                try:
+                    value = Fraction(str(value))
+                    values[name] = str(value)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ConfigError(
+                        f"--{name}: not a rational: {values[name]!r}"
+                    ) from exc
+            for test, message in checks:
+                if not test(value):
+                    raise ConfigError(f"--{name} " + message.format(value=value))
         floor_bits = certify.HARD_CAP_BITS - _TOL_MARGIN_BITS
-        if self.rational("tol") < Fraction(1, 1 << floor_bits):
+        if Fraction(values["tol"]) < Fraction(1, 1 << floor_bits):
             raise ConfigError(
                 f"--tol must be at least 2**-{floor_bits}, the finest width "
                 f"met under the {certify.HARD_CAP_BITS}-bit precision cap"
             )
-        if not (0 < self.rational("delta") < 1):
-            raise ConfigError("--delta must lie strictly between 0 and 1")
-        if self.rational("gamma") <= 0:
-            raise ConfigError("--gamma must be positive")
-        if self.rational("p") < 1:
-            raise ConfigError("--p must be at least 1")
-        for name in ("gamma", "p"):
-            if self.rational(name) > _EXPONENT_LIMIT:
-                raise ConfigError(f"--{name} must be at most {_EXPONENT_LIMIT}")
-        if self.rational("ratio") <= 1:
-            raise ConfigError("--ratio must exceed 1")
-        if self.rational("budget") <= 0:
-            raise ConfigError("--budget must be positive")
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("ExperimentConfig is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not ExperimentConfig:
-            return NotImplemented
-        return self.to_json_dict() == other.to_json_dict()
-
-    def __hash__(self):
-        return hash(tuple(self.to_json_dict().values()))
-
-    def __repr__(self):
-        pairs = self.to_json_dict().items()
-        return f"ExperimentConfig({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+        return super().__new__(cls, subcommand, action, **values)
 
     def rational(self, name: str):
         from fractions import Fraction
@@ -190,7 +176,7 @@ class ExperimentConfig:
         return Fraction(getattr(self, name))
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return self._asdict()
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -203,60 +189,49 @@ class ExperimentConfig:
 # report assembly
 
 
-# What a handler produces before formatting: data, prose, and the series
-# writer, None when the subcommand has no CSV form. A collections namedtuple,
-# so that --help loads no typing.
-_Body = namedtuple("_Body", ("data", "text", "csv_write"), defaults=(None,))
+# What a handler produces before formatting: data, prose, and the CSV header
+# and rows, the header None when the subcommand has no CSV form. A
+# collections namedtuple, so that --help loads no typing.
+_Body = namedtuple("_Body", ("data", "text", "header", "rows"), defaults=(None, ()))
 
-
-def _precision_policy() -> dict:
-    return {
-        "working_bits": certify.WORK_PREC,
-        "enclosures": "rational intervals with outward dyadic rounding",
-        "enclosure_cap_bits": certify.HARD_CAP_BITS,
-    }
-
-
-def _config_json(config: ExperimentConfig) -> str:
-    import json
-
-    return json.dumps(config.to_json_dict(), sort_keys=True)
-
-
-def _header_lines(config: ExperimentConfig) -> list:
-    policy = _precision_policy()
-    return [
-        f"# {_SCHEMA}",
-        f"# version: {__version__}",
-        f"# precision: {policy['working_bits']}-bit working precision; "
-        f"{policy['enclosures']} (cap {policy['enclosure_cap_bits']} bits)",
-        f"# seed: {config.seed}",
-        f"# config: {_config_json(config)}",
-    ]
+# the header of the n,value_lo,value_hi table that spectral and rates print
+_VALUE_HEADER = ["n", "value_lo", "value_hi"]
 
 
 def _render(config: ExperimentConfig, body: _Body) -> str:
     import json
 
+    policy = {
+        "working_bits": certify.WORK_PREC,
+        "enclosures": "rational intervals with outward dyadic rounding",
+        "enclosure_cap_bits": certify.HARD_CAP_BITS,
+    }
     if config.format == "json":
         envelope = {
             "schema": _SCHEMA,
             "version": __version__,
-            "precision": _precision_policy(),
+            "precision": policy,
             "seed": config.seed,
             "config": config.to_json_dict(),
             "result": body.data,
         }
         return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    header = _header_lines(config)
+    header = [
+        f"# {_SCHEMA}",
+        f"# version: {__version__}",
+        f"# precision: {policy['working_bits']}-bit working precision; "
+        f"{policy['enclosures']} (cap {policy['enclosure_cap_bits']} bits)",
+        f"# seed: {config.seed}",
+        f"# config: {json.dumps(config.to_json_dict(), sort_keys=True)}",
+    ]
     if config.format == "csv":
-        buffer = io.StringIO()
-        if body.csv_write is None:
+        if body.header is None:
             raise ConfigError(
                 "no series output defined for this subcommand; "
                 "use --format json or text"
             )
-        body.csv_write(buffer)
+        buffer = io.StringIO()
+        report.write_rows(buffer, body.header, body.rows)
         return "\n".join(header) + "\n" + buffer.getvalue()
     return "\n".join(header + [""] + [str(line) for line in body.text]) + "\n"
 
@@ -271,12 +246,6 @@ def _emit(config: ExperimentConfig, body: _Body, stream) -> None:
                 handle.write(rendered)
         except OSError as exc:
             raise ConfigError(f"cannot write {config.out!r}: {exc}") from exc
-
-
-def _value_table(rows):
-    """The writer of the n,value_lo,value_hi table that spectral and rates
-    print; each row is [n, lo, hi], the endpoints as its caller prints them."""
-    return lambda fh: report.write_rows(fh, ["n", "value_lo", "value_hi"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +300,7 @@ def _handle_approx(config: ExperimentConfig) -> _Body:
              *report.endpoints(r.dist_beta), *report.endpoints(r.quality)]
             for r in records
         )
-        return _Body(data, text, lambda fh: report.write_rows(fh, header, rows))
+        return _Body(data, text, header, rows)
     if config.action == "bad-pair":
         constant, argmin = diophantine.bad_pair_constant(alpha, beta, config.Q)
         data = {
@@ -358,9 +327,7 @@ def _handle_approx(config: ExperimentConfig) -> _Body:
             f"{len(hits)} squares n**2 <= {config.N} with "
             f"||n**2 * beta|| < n**(-{config.delta})"
         ] + [str(n) for n in hits]
-        return _Body(
-            data, text, lambda fh: report.write_rows(fh, ["n"], ([n] for n in hits))
-        )
+        return _Body(data, text, ["n"], ([n] for n in hits))
     rows = list(diophantine.convergents(alpha, config.depth))
     terms = [a for a, _, _ in rows]
     data = {
@@ -370,22 +337,15 @@ def _handle_approx(config: ExperimentConfig) -> _Body:
     text = [f"continued fraction to depth {config.depth}: {terms}"] + [
         f"p/q = {p}/{q}" for _, p, q in rows
     ]
-
-    def write_csv(fh):
-        report.write_rows(
-            fh,
-            ["k", "a_k", "p_k", "q_k"],
-            ([k, *row] for k, row in enumerate(rows)),
-        )
-
-    return _Body(data, text, write_csv)
+    return _Body(data, text, ["k", "a_k", "p_k", "q_k"],
+                 ([k, *row] for k, row in enumerate(rows)))
 
 
 def _handle_construct(config: ExperimentConfig) -> _Body:
     result = _flagship(config)
     data = result.to_json_dict()
     text = [
-        f"denominators: {[r.q for r in result.q_sequence]}",
+        f"denominators: {list(result.q_sequence)}",
         f"overall verdict: {'PASS' if result.verdict else 'FAIL'}",
         "",
     ]
@@ -393,8 +353,7 @@ def _handle_construct(config: ExperimentConfig) -> _Body:
         text.append(cert.render())
         text.append("")
     text.extend(result.notes)
-    rows = data["f"]["coefficients"]
-    return _Body(data, text, lambda fh: report.write_rows(fh, ["n", "re", "im"], rows))
+    return _Body(data, text, ["n", "re", "im"], data["f"]["coefficients"])
 
 
 def _handle_check(config: ExperimentConfig) -> _Body:
@@ -464,20 +423,13 @@ def _handle_check(config: ExperimentConfig) -> _Body:
             f"{report.interval_str(partial.value, 12)}"
         ]
         certs = []
-
-    def write_csv(fh):
-        report.write_rows(
-            fh,
-            ["description", "value_lo", "value_hi", "comparison", "satisfied"],
-            (
-                [e.description, *report.endpoints(e.value), e.comparison,
-                 e.satisfied]
-                for cert in certs
-                for e in cert.entries
-            ),
-        )
-
-    return _Body(data, text, write_csv if certs else None)
+    header = ["description", "value_lo", "value_hi", "comparison", "satisfied"]
+    rows = (
+        [e.description, *report.endpoints(e.value), e.comparison, e.satisfied]
+        for cert in certs
+        for e in cert.entries
+    )
+    return _Body(data, text, header if certs else None, rows)
 
 
 def _handle_spectral(config: ExperimentConfig) -> _Body:
@@ -512,7 +464,7 @@ def _handle_spectral(config: ExperimentConfig) -> _Body:
         f"double criterion sum: {report.interval_str(double.value, 12)}",
     ]
     rows = ([n, *report.endpoints(term)] for n, term in double.terms)
-    return _Body(data, text, _value_table(rows))
+    return _Body(data, text, _VALUE_HEADER, rows)
 
 
 def _handle_rates(config: ExperimentConfig) -> _Body:
@@ -528,7 +480,7 @@ def _handle_rates(config: ExperimentConfig) -> _Body:
             "average: exactly 1 at every n"
         ] + [f"n = {n}: {v}" for n, v in zip(ns, values)]
         rows = ([n, str(v), str(v)] for n, v in zip(ns, values))
-        return _Body(data, text, _value_table(rows))
+        return _Body(data, text, _VALUE_HEADER, rows)
     result = _flagship(config)
     n_values = sorted({1 << i for i in range(config.N.bit_length())} | {config.N})
     n_values = [n for n in n_values if n <= config.N]
@@ -544,7 +496,7 @@ def _handle_rates(config: ExperimentConfig) -> _Body:
     ]
     # float64 diagnostics, so lo and hi coincide
     rows = ([n, repr(per_n), repr(per_n)] for n, per_n, _ in profile)
-    return _Body(data, text, _value_table(rows))
+    return _Body(data, text, _VALUE_HEADER, rows)
 
 
 def _handle_shift(config: ExperimentConfig) -> _Body:
@@ -580,15 +532,13 @@ def _handle_shift(config: ExperimentConfig) -> _Body:
     ]
     edge = min(config.N, 16)
 
-    def write_csv(fh):
+    def grid_rows():
+        # built only when the CSV is written
         grid = shift_example.build_q(h, edge, edge, tail_terms=256)
-        report.write_rows(
-            fh,
-            ["j", "k", "q_lo", "q_hi"],
-            ([j, k, *report.endpoints(enc)] for j, k, enc in grid.rows()),
-        )
+        for j, k, enc in grid.rows():
+            yield [j, k, *report.endpoints(enc)]
 
-    return _Body(data, text, write_csv)
+    return _Body(data, text, ["j", "k", "q_lo", "q_hi"], grid_rows())
 
 
 def _handle_selftest(config: ExperimentConfig) -> _Body:
@@ -718,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(
         add_help=False, argument_default=argparse.SUPPRESS
     )
-    for name, kind, _, text in _OPTIONS:
+    for name, kind, _, text, _ in _OPTIONS:
         shared.add_argument(
             f"--{name}", type=int if kind in ("count", "int") else None,
             choices=_FORMATS if name == "format" else None, help=text,
@@ -737,9 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command.actions:
             subparser.add_argument("action", choices=command.actions)
     sub.choices["rates"].add_argument(
-        "--doubling-tripling", action="store_true",
-        help="emit the exact unit-variance table for the commuting "
-             "endomorphism square average",
+        "--doubling-tripling", action="store_true", help=_FLAG[3]
     )
     return parser
 

@@ -41,8 +41,6 @@ from .certify import (
     sqrt_enclosure,
 )
 from .diophantine import (
-    ApproximationRecord,
-    approximation_record,
     convergents,
     dirichlet_denominators,
     lacunary_denominators,
@@ -106,7 +104,7 @@ class ConstructionResult(NamedTuple):
     beta: QuadraticSurd
     f: SparseFourierSeries
     g: SparseFourierSeries
-    q_sequence: tuple[ApproximationRecord, ...]
+    q_sequence: tuple[int, ...]
     certificates: tuple[Certificate, ...]
     tail_bound: Enclosure
     notes: tuple[str, ...] = ()
@@ -119,7 +117,7 @@ class ConstructionResult(NamedTuple):
         return {
             "alpha": str(self.alpha),
             "beta": str(self.beta),
-            "q_sequence": [rec.q for rec in self.q_sequence],
+            "q_sequence": list(self.q_sequence),
             "f": self.f.to_json_dict(),
             "g": self.g.to_json_dict(),
             "certificates": [c.to_json_dict() for c in self.certificates],
@@ -132,19 +130,19 @@ class ConstructionResult(NamedTuple):
 def _assemble_joint_not_double(
     alpha: QuadraticSurd,
     beta: QuadraticSurd,
-    chosen: Sequence[ApproximationRecord],
+    chosen: Sequence[int],
     notes: tuple[str, ...],
 ) -> ConstructionResult:
     """Build f, g and both certificates over an already-selected q sequence."""
     pi = pi_enclosure(_BITS)
     half_pi = pi / 2
 
-    dists_a = [_tight_dist(alpha, rec.q) for rec in chosen]
-    dists_b = [_tight_dist(beta, rec.q) for rec in chosen]
+    dists_a = [_tight_dist(alpha, q) for q in chosen]
+    dists_b = [_tight_dist(beta, q) for q in chosen]
     sines_b = [_half_sine(db) for db in dists_b]
 
     f = SparseFourierSeries(
-        {rec.q: WorkComplex.from_fraction(db.mid) for rec, db in zip(chosen, dists_b)}
+        {q: WorkComplex.from_fraction(db.mid) for q, db in zip(chosen, dists_b)}
     )
     g = transfer_coefficients(f, alpha, beta)
 
@@ -152,10 +150,10 @@ def _assemble_joint_not_double(
     g_total = Enclosure.point(0)
     dist_a_total = Enclosure.point(0)
     inv_sqrt_total = Enclosure.point(0)
-    for rec, da, db, sb in zip(chosen, dists_a, dists_b, sines_b):
+    for q, da, db, sb in zip(chosen, dists_a, dists_b, sines_b):
         g_total = g_total + db * _half_sine(da) / sb
         dist_a_total = dist_a_total + da
-        inv_sqrt_total = inv_sqrt_total + sqrt_enclosure(Fraction(1, rec.q), _BITS)
+        inv_sqrt_total = inv_sqrt_total + sqrt_enclosure(Fraction(1, q), _BITS)
 
     mid_link = half_pi * dist_a_total
     right_link = half_pi * inv_sqrt_total
@@ -196,16 +194,16 @@ def _assemble_joint_not_double(
     lower = Enclosure.point(1) / (2 * pi)
     upper = Enclosure.point(Fraction(1, 4))
     double_entries = []
-    for rec, db, sb in zip(chosen, dists_b, sines_b):
+    for q, db, sb in zip(chosen, dists_b, sines_b):
         # |h_hat| = ||q*beta|| / (2*sin(pi*||q*beta||))
         h_mag = db / (2 * sb)
         double_entries.append(
             CertificateEntry(
-                f"|h_hat({rec.q})| vs 1/(2*pi)", h_mag, ">=", lower
+                f"|h_hat({q})| vs 1/(2*pi)", h_mag, ">=", lower
             )
         )
         double_entries.append(
-            CertificateEntry(f"|h_hat({rec.q})| vs 1/4", h_mag, "<=", upper)
+            CertificateEntry(f"|h_hat({q})| vs 1/4", h_mag, "<=", upper)
         )
     double_cert = require(
         Certificate(kind="double-lower-bound", entries=tuple(double_entries)),
@@ -224,10 +222,9 @@ def _assemble_joint_not_double(
     )
 
 
-def _geometric_tail(chosen: Sequence[ApproximationRecord], half_pi: Enclosure) -> Enclosure:
+def _geometric_tail(chosen: Sequence[int], half_pi: Enclosure) -> Enclosure:
     """(pi/2) * q_K**-1/2 * r/(1-r) with r = sqrt(q_{K-1}/q_K)."""
-    q_last = chosen[-1].q
-    q_prev = chosen[-2].q
+    q_prev, q_last = chosen[-2:]
     r = sqrt_enclosure(Fraction(q_prev, q_last), _BITS)
     if r.hi >= 1:
         raise CertificationError("gap ratio enclosure must stay below 1")
@@ -250,10 +247,11 @@ def build_joint_not_double(
 
     Candidate denominators come from the certified simultaneous search up to
     Q; the greedy lacunary selection keeps sum q**-1/2 within the budget, and
-    only the K chosen get their certified approximation records. If
-    the default budget yields fewer than K terms it is doubled (the budget
-    only gates selection; certificates always bound the realized sums), and
-    each escalation is recorded in the result notes.
+    the joint certificate bounds the distances of the K chosen, so no
+    approximation record is built. If the default budget yields fewer than K
+    terms it is doubled (the budget only gates selection; certificates always
+    bound the realized sums), and each escalation is recorded in the result
+    notes.
     """
     if K < 2:
         raise ConfigError("need at least two construction terms")
@@ -276,8 +274,7 @@ def build_joint_not_double(
             )
         budget_f *= 2
         notes.append(f"summability budget escalated to {budget_f}")
-    chosen = [approximation_record(alpha, beta, q) for q in selected[:K]]
-    return _assemble_joint_not_double(alpha, beta, chosen, tuple(notes))
+    return _assemble_joint_not_double(alpha, beta, selected[:K], tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def flagship():
 def test_criterion_01_flagship_certificates(flagship):
     result, build_elapsed = flagship
     start = time.perf_counter()
-    qs = [rec.q for rec in result.q_sequence]
+    qs = list(result.q_sequence)
     checks = [("ten construction terms", len(qs) == 10)]
 
     joint = next(

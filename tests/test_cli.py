@@ -6,6 +6,7 @@ Determinism checks compare raw report bytes; error-path checks parse the
 machine-readable JSON written to stderr.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -19,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coblab
+from coblab import cli
 from coblab.cli import (
     _COMMANDS,
+    _KINDS,
     ExperimentConfig,
     build_parser,
     config_from_namespace,
@@ -155,6 +158,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig("selftest", **{field: bad})
 
+    def test_first_bad_field_in_table_order_is_reported(self):
+        with pytest.raises(ConfigError, match="^--Q "):
+            ExperimentConfig("selftest", format="xml", tol="2", Q=0)
+
+    def test_rational_too_long_to_print_is_a_config_error(self):
+        # str of a fraction of over 4300 digits raises ValueError
+        with pytest.raises(ConfigError, match="not a rational"):
+            ExperimentConfig("selftest", tol="1e-5000")
+
     def test_exponent_knobs_accept_their_bound(self):
         config = ExperimentConfig("selftest", gamma="1000", p="1000")
         assert (config.gamma, config.p) == ("1000", "1000")
@@ -162,6 +174,33 @@ class TestExperimentConfig:
     def test_non_rational_knob_rejected(self):
         with pytest.raises(ConfigError, match="not a rational"):
             ExperimentConfig("selftest", tol="tiny")
+
+    # values of the wrong type for a str field, the report path and the
+    # doubling-tripling flag; each ended in a traceback in run, or ran the
+    # doubling-tripling table, before the str and flag rows had checks
+    WRONG_TYPES = [
+        {"subcommand": "approx", "action": "cf", "alpha": 5},
+        {"subcommand": "approx", "action": "cf", "beta": None},
+        {"subcommand": "approx", "action": "cf", "out": ["x"]},
+        {"subcommand": "rates", "doubling_tripling": "no"},
+    ]
+
+    @pytest.mark.parametrize("payload", WRONG_TYPES,
+                             ids=["alpha-int", "beta-null", "out-list", "flag-str"])
+    def test_str_and_flag_fields_refuse_other_types(self, payload, monkeypatch,
+                                                    capsys):
+        with pytest.raises(ConfigError, match="must be"):
+            ExperimentConfig.from_json_dict(payload)
+        # main turns the refusal into exit 2 and the JSON error line
+        parser = build_parser()
+        monkeypatch.setattr(parser, "parse_args",
+                            lambda argv: argparse.Namespace(**payload))
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        assert main([]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"]["type"] == "ConfigError"
 
     def test_rational_accessor(self):
         from fractions import Fraction
@@ -473,21 +512,6 @@ class TestMain:
         assert err["error"]["type"] == "ConfigError"
         assert "running-time cap" in err["error"]["message"]
 
-    def test_main_never_imports_numpy(self):
-        # numpy is a test dependency only; a fresh interpreter shows whether
-        # the CLI path pulls it in
-        done = run_fresh(
-            "import sys\n"
-            "from coblab.cli import main\n"
-            "assert main(['approx', 'squares', '--N', '1000']) == 0\n"
-            "try:\n"
-            "    main(['--help'])\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0\n"
-            "sys.exit('numpy' in sys.modules)\n"
-        )
-        assert done.returncode == 0, done.stderr
-
     # Every (subcommand, action) pair at sizes that run in well under a
     # second, plus the two flagged variants, then a Fourier build outside the
     # CLI; run with a redirected stdout, so the reports stay out of the pipe.
@@ -633,6 +657,41 @@ def test_every_config_runs_or_exits_with_a_json_error(
         (line,) = err.getvalue().splitlines()
         error = json.loads(line)["error"]
         assert error["kind"] and error["message"]
+
+
+# values of every JSON type for any config field but the subcommand and
+# action, valid ones among them
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.lists(st.integers(), max_size=2),
+    st.sampled_from([1, 10, "3/5", "2", "0.5", "json", ROTATIONS[0]]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(COMMANDS),
+       fields=st.fixed_dictionaries(
+           {}, optional={name: JSON_VALUES for name in _KINDS}))
+def test_every_json_config_is_refused_or_has_fields_of_their_kinds(command, fields):
+    from fractions import Fraction
+
+    subcommand, action = command
+    try:
+        config = ExperimentConfig.from_json_dict(
+            {"subcommand": subcommand, "action": action, **fields}
+        )
+    except ConfigError:
+        return
+    for name, kind in _KINDS.items():
+        value = getattr(config, name)
+        if kind in ("count", "int"):
+            assert type(value) is int and value >= (kind == "count"), name
+        elif kind == "rational":
+            assert type(value) is str and str(Fraction(value)) == value, name
+        elif kind == "flag":
+            assert type(value) is bool, name
+        else:
+            assert type(value) is str or name == "out" and value is None, name
 
 
 # Golden reports: the sha256 of stdout for every (subcommand, action) pair in

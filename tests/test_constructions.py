@@ -154,7 +154,7 @@ def test_certificate_json_shape():
 
 
 def test_flagship_q_sequence(flagship):
-    assert [rec.q for rec in flagship.q_sequence] == FLAGSHIP_Q
+    assert flagship.q_sequence == tuple(FLAGSHIP_Q)
 
 
 def test_flagship_certificates_pass(flagship):
@@ -169,10 +169,10 @@ def test_flagship_budget_escalation_recorded(flagship):
 
 
 def test_flagship_coefficients_are_dist_beta(flagship):
-    for rec in flagship.q_sequence:
-        coeff = to_mp(flagship.f.coeff(rec.q))
+    for q in flagship.q_sequence:
+        coeff = to_mp(flagship.f.coeff(q))
         assert mpmath.im(coeff) == 0
-        oracle = dist_oracle(BETA, rec.q)
+        oracle = dist_oracle(BETA, q)
         assert abs(mpmath.re(coeff) - oracle) < mpmath.mpf(10) ** -30 * oracle
     assert set(flagship.f.support) == set(FLAGSHIP_Q)
 
@@ -185,12 +185,12 @@ def test_flagship_distances_start_at_192_bits(flagship):
     half_pi = pi_enclosure(192) / 2
     total = Enclosure.point(0)
     moved = False
-    for rec in flagship.q_sequence:
-        db = dist_enclosure(BETA, rec.q, rel_tol=rel, start_bits=192)
-        assert flagship.f.coeff(rec.q) == WorkComplex.from_fraction(db.mid)
-        da = dist_enclosure(ALPHA, rec.q, rel_tol=rel, start_bits=192)
+    for q in flagship.q_sequence:
+        db = dist_enclosure(BETA, q, rel_tol=rel, start_bits=192)
+        assert flagship.f.coeff(q) == WorkComplex.from_fraction(db.mid)
+        da = dist_enclosure(ALPHA, q, rel_tol=rel, start_bits=192)
         total = total + da
-        moved = moved or da != dist_enclosure(ALPHA, rec.q, rel_tol=rel)
+        moved = moved or da != dist_enclosure(ALPHA, q, rel_tol=rel)
     assert moved
     mid_link = flagship.certificates[0].entries[1]
     assert mid_link.value == half_pi * total

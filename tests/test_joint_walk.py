@@ -229,7 +229,8 @@ def reference_joint_not_double(alpha, beta, K, Q, ratio=2.0, budget=2.0):
             )
         budget_f *= 2
         notes.append(f"summability budget escalated to {budget_f}")
-    return _assemble_joint_not_double(alpha, beta, selected[:K], tuple(notes))
+    qs = [rec.q for rec in selected[:K]]
+    return _assemble_joint_not_double(alpha, beta, qs, tuple(notes))
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,12 @@
 The golden digests of test_cli say that a report did not change, not that it
 is right. These checks read the printed JSON alone: every comparison marked
 satisfied must hold between its printed decimal endpoints, read as exact
-fractions; every enclosure that `construct` prints must contain its value
-recomputed in mpmath at 400 bits from the printed q_sequence and the
-rotation numbers of the config, never from a printed decimal; and every
-enclosure that `shift` prints must contain its closed form, computed in
-mpmath at 400 bits from the config alone, or be named on NO_CLOSED_FORM.
+fractions; every enclosure that `construct` and `spectral` print must
+contain its value recomputed in mpmath at 400 bits from the printed
+q_sequence and the rotation numbers of the config, and every record of
+`approx dirichlet` from its printed q, never from a printed decimal; and
+every enclosure that `shift` prints must contain its closed form, computed
+in mpmath at 400 bits from the config alone, or be named on NO_CLOSED_FORM.
 Only pytest, mpmath and the standard library do the checking.
 """
 
@@ -87,6 +88,11 @@ def rotation(text):
     return (a + b * mpmath.sqrt(d)) / c
 
 
+def dist(q, x):
+    """||q*x||, the distance of q*x to the nearest integer."""
+    return abs(q * x - mpmath.nint(q * x))
+
+
 def exact(x):
     """The exact rational value of a Fraction or a positive mpmath real."""
     if isinstance(x, Fraction):
@@ -100,8 +106,8 @@ def construct_oracle(result, alpha, beta):
     """Each construct entry's (value, threshold), from the q list and the
     rotation numbers alone; the threshold is None for an annotation."""
     qs = result["q_sequence"]
-    dist_a = [abs(q * alpha - mpmath.nint(q * alpha)) for q in qs]
-    dist_b = [abs(q * beta - mpmath.nint(q * beta)) for q in qs]
+    dist_a = [dist(q, alpha) for q in qs]
+    dist_b = [dist(q, beta) for q in qs]
     g_sum = mpmath.fsum(b * mpmath.sinpi(a) / mpmath.sinpi(b)
                         for a, b in zip(dist_a, dist_b))
     alpha_sum = mpmath.pi / 2 * mpmath.fsum(dist_a)
@@ -147,6 +153,58 @@ def test_construct_entries_contain_their_recomputed_values(argv):
             if threshold is not None:
                 assert inside(threshold, entry["threshold"]), (argv, entry)
         assert inside(tail, result["tail_bound"])
+
+
+def test_dirichlet_records_contain_their_recomputed_values():
+    envelope = report("approx dirichlet --format json")
+    records = envelope["result"]["records"]
+    assert len(records) == envelope["result"]["count"] > 0
+    with mpmath.workprec(400):
+        alpha = rotation(envelope["config"]["alpha"])
+        beta = rotation(envelope["config"]["beta"])
+        for record in records:
+            q = record["q"]
+            dist_a, dist_b = dist(q, alpha), dist(q, beta)
+            assert inside(dist_a, record["dist_alpha"]), record
+            assert inside(dist_b, record["dist_beta"]), record
+            quality = mpmath.sqrt(q) * max(dist_a, dist_b)
+            assert inside(quality, record["quality"]), record
+
+
+# the golden spectral config, and the second construct config above
+SPECTRAL = ["spectral" + argv[len("construct"):] for argv in CONSTRUCT]
+
+
+@pytest.mark.parametrize("argv", SPECTRAL)
+def test_spectral_sums_contain_their_recomputed_values(argv):
+    envelope = report(argv)
+    result = envelope["result"]
+    # one atom at each denominator that construct prints for the same config
+    qs = report("construct" + argv[len("spectral"):])["result"]["q_sequence"]
+    assert result["atoms"] == len(qs)
+    with mpmath.workprec(400):
+        alpha = rotation(envelope["config"]["alpha"])
+        beta = rotation(envelope["config"]["beta"])
+        # the mass |f_hat(q)|**2 = ||q*beta||**2 and the divisor squares
+        # |1 - e(q*x)|**2 = 4*sin(pi*||q*x||)**2 of each atom
+        atoms = [(dist(q, beta) ** 2, 4 * mpmath.sinpi(dist(q, alpha)) ** 2,
+                  4 * mpmath.sinpi(dist(q, beta)) ** 2) for q in qs]
+        oracle = {
+            "alpha_integral": mpmath.fsum(m / da for m, da, _ in atoms),
+            "beta_integral": mpmath.fsum(m / db for m, _, db in atoms),
+            "joint_sum": mpmath.fsum(m * (da + db) / (da * db)
+                                     for m, da, db in atoms),
+            "double_sum": mpmath.fsum(m / (da * db) for m, da, db in atoms),
+        }
+        for key in ("alpha_integral", "beta_integral"):
+            assert result[key]["divergent"] is False
+            assert inside(oracle[key], result[key]["value"]), (argv, key)
+        for key in ("joint_sum", "double_sum"):
+            assert inside(oracle[key], result[key]), (argv, key)
+        # the masses are squares of the 140-bit coefficients, so the exact
+        # total differs from the sum of ||q*beta||**2 in the 42nd digit
+        mass = exact(mpmath.fsum(m for m, _, _ in atoms))
+        assert abs(Fraction(result["total_mass"]) - mass) <= mass / 10**30
 
 
 # `shift` at p = 2 (the default) and p = 3/2, K = 10: h(s) = s**-kappa with
