@@ -29,6 +29,7 @@ _EXPORTS = {
         "check_double_bad",
         "check_mur_envelope",
         "common_generator",
+        "flagship_series",
         "kac_salem_series",
         "large_coeff_witness",
         "petersen_series",

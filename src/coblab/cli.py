@@ -146,12 +146,21 @@ class ExperimentConfig(
         if not allowed and action is not None:
             raise ConfigError(f"subcommand {subcommand!r} takes no action")
         values = {}
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 is none
         for name, kind, default, _, checks in _FIELDS:
             value = values[name] = options.get(name, default)
             if kind == "rational":
-                # str refuses a fraction of over 4300 digits with ValueError
+                # str refuses a fraction of over limit (4300) digits with
+                # ValueError. A nonzero mantissa of L digits, D after the
+                # point, gets there with an exponent |e| >= limit + len(text),
+                # as e - D or |e| + D - L >= limit: it is refused unbuilt.
                 try:
-                    value = Fraction(str(value))
+                    text = str(value)
+                    mantissa, _, e = text.lower().partition("e")
+                    if limit and set(mantissa) & set("123456789") and abs(
+                            int(e or 0)) >= limit + len(text):
+                        raise ValueError(text)
+                    value = Fraction(text)
                     values[name] = str(value)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ConfigError(
@@ -167,6 +176,10 @@ class ExperimentConfig(
                 f"met under the {certify.HARD_CAP_BITS}-bit precision cap"
             )
         return super().__new__(cls, subcommand, action, **values)
+
+    def __getnewargs_ex__(self):
+        # copy and pickle rebuild a config through __new__, checks and all
+        return tuple(self[:2]), dict(zip(_KINDS, self[2:]))
 
     def rational(self, name: str):
         from fractions import Fraction
@@ -259,15 +272,12 @@ def _surds(config: ExperimentConfig):
     )
 
 
-def _flagship(config: ExperimentConfig):
+def _flagship(config: ExperimentConfig, build):
+    """alpha, beta and build(alpha, beta, K, Q, ratio, budget) under config."""
     alpha, beta = _surds(config)
-    return constructions.build_joint_not_double(
-        alpha,
-        beta,
-        config.K,
-        config.Q,
-        ratio=config.rational("ratio"),
-        budget=config.rational("budget"),
+    return alpha, beta, build(
+        alpha, beta, config.K, config.Q,
+        ratio=config.rational("ratio"), budget=config.rational("budget"),
     )
 
 
@@ -342,7 +352,7 @@ def _handle_approx(config: ExperimentConfig) -> _Body:
 
 
 def _handle_construct(config: ExperimentConfig) -> _Body:
-    result = _flagship(config)
+    _, _, result = _flagship(config, constructions.build_joint_not_double)
     data = result.to_json_dict()
     text = [
         f"denominators: {list(result.q_sequence)}",
@@ -358,18 +368,12 @@ def _handle_construct(config: ExperimentConfig) -> _Body:
 
 def _handle_check(config: ExperimentConfig) -> _Body:
     # every checker reads the flagship series, or its magnitudes
-    result = _flagship(config)
-    alpha, beta = result.alpha, result.beta
-    magnitudes = [
-        (n, fourier.coefficient_real(c)) for n, c in result.f.items() if n > 0
-    ]
+    alpha, beta, (f, _) = _flagship(config, constructions.flagship_series)
+    magnitudes = [(n, fourier.coefficient_real(c)) for n, c in f.items() if n > 0]
     if config.action == "bad-joint":
-        cert = constructions.check_bad_joint(result.f, "C")
-        extra = constructions.check_bad_joint(result.f, "L2")
-        data = {
-            "C": cert.to_json_dict(),
-            "L2": extra.to_json_dict(),
-        }
+        cert = constructions.check_bad_joint(f, "C")
+        extra = constructions.check_bad_joint(f, "L2")
+        data = {"C": cert.to_json_dict(), "L2": extra.to_json_dict()}
         text = [cert.render(), "", extra.render()]
         certs = [cert, extra]
     elif config.action == "mur":
@@ -385,8 +389,7 @@ def _handle_check(config: ExperimentConfig) -> _Body:
         # The log-power envelope is undefined at |k| = 1; check the series
         # with its first harmonic removed.
         trimmed = fourier.SparseFourierSeries(
-            {n: c for n, c in result.f.items() if abs(n) >= 2},
-            real_valued=result.f.real_valued,
+            {n: c for n, c in f.items() if abs(n) >= 2}, real_valued=f.real_valued
         )
         cert = constructions.check_double_bad(trimmed, config.rational("gamma"))
         data = cert.to_json_dict()
@@ -407,13 +410,13 @@ def _handle_check(config: ExperimentConfig) -> _Body:
         certs = []
     elif config.action == "large-coeff":
         cert = constructions.large_coeff_witness(
-            result.f, beta, config.depth, threshold=config.rational("delta")
+            f, beta, config.depth, threshold=config.rational("delta")
         )
         data = cert.to_json_dict()
         text = [cert.render()]
         certs = [cert]
     else:
-        partial = constructions.petersen_series(result.f, alpha, beta)
+        partial = constructions.petersen_series(f, alpha, beta)
         data = {
             "value": report.enclosure_json(partial.value),
             "terms": [[n, report.enclosure_json(e)] for n, e in partial.terms],
@@ -433,8 +436,8 @@ def _handle_check(config: ExperimentConfig) -> _Body:
 
 
 def _handle_spectral(config: ExperimentConfig) -> _Body:
-    result = _flagship(config)
-    measure = spectral.spectral_measure(result.f, result.alpha, result.beta)
+    alpha, beta, (f, _) = _flagship(config, constructions.flagship_series)
+    measure = spectral.spectral_measure(f, alpha, beta)
     joint = spectral.joint_criterion_sum(measure)
     double = spectral.double_criterion_sum(measure)
     alpha_side = spectral.coboundary_integral(measure, "alpha")
@@ -481,12 +484,10 @@ def _handle_rates(config: ExperimentConfig) -> _Body:
         ] + [f"n = {n}: {v}" for n, v in zip(ns, values)]
         rows = ([n, str(v), str(v)] for n, v in zip(ns, values))
         return _Body(data, text, _VALUE_HEADER, rows)
-    result = _flagship(config)
+    alpha, beta, (f, _) = _flagship(config, constructions.flagship_series)
     n_values = sorted({1 << i for i in range(config.N.bit_length())} | {config.N})
     n_values = [n for n in n_values if n <= config.N]
-    profile = spectral.cesaro_rate_profile(
-        result.f, result.alpha, result.beta, n_values
-    )
+    profile = spectral.cesaro_rate_profile(f, alpha, beta, n_values)
     data = {
         "rows": [[n, per_n, per_n_sq] for n, per_n, per_n_sq in profile]
     }

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import takewhile
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -74,8 +75,10 @@ class PartialSum(NamedTuple):
 # certified scalar helpers
 
 
+@lru_cache(maxsize=1024)
 def _tight_dist(x: QuadraticSurd, q: int) -> Enclosure:
-    """Enclosure of ||q*x|| with relative width below 1e-32, inside (0, 1/2]."""
+    """Enclosure of ||q*x|| with relative width below 1e-32, inside (0, 1/2];
+    memoised, so the flagship certificates and checks reuse f's enclosures."""
     return dist_enclosure(x, q, rel_tol=Fraction(1, 10**32), start_bits=_BITS)
 
 
@@ -127,23 +130,73 @@ class ConstructionResult(NamedTuple):
         }
 
 
-def _assemble_joint_not_double(
-    alpha: QuadraticSurd,
-    beta: QuadraticSurd,
-    chosen: Sequence[int],
-    notes: tuple[str, ...],
+def _geometric_tail(chosen: Sequence[int], half_pi: Enclosure) -> Enclosure:
+    """(pi/2) * q_K**-1/2 * r/(1-r) with r = sqrt(q_{K-1}/q_K)."""
+    q_prev, q_last = chosen[-2:]
+    r = sqrt_enclosure(Fraction(q_prev, q_last), _BITS)
+    if r.hi >= 1:
+        raise CertificationError("gap ratio enclosure must stay below 1")
+    one_minus_r = Enclosure(1 - r.hi, 1 - r.lo)
+    return half_pi * sqrt_enclosure(Fraction(1, q_last), _BITS) * r / one_minus_r
+
+
+_BUDGET_CAP = Fraction(1024)
+
+
+def flagship_series(
+    alpha: QuadraticSurd, beta: QuadraticSurd, K: int, Q: int,
+    ratio: Rational = 2.0, budget: Rational = 2.0,
+) -> tuple[SparseFourierSeries, tuple[str, ...]]:
+    """The flagship series f, f_hat(q_k) = ||q_k*beta|| at K frequencies q_k.
+
+    Candidate denominators come from the certified simultaneous search up to
+    Q; the greedy lacunary selection keeps sum q**-1/2 within the budget, so
+    no approximation record is built. If the default budget yields fewer than
+    K terms it is doubled (the budget only gates selection; certificates
+    always bound the realized sums), and each escalation is recorded in the
+    notes returned with f.
+    """
+    if K < 2:
+        raise ConfigError("need at least two construction terms")
+    qs = dirichlet_denominators(alpha, beta, Q)
+    if len(qs) < K:
+        raise ShortfallError(
+            f"only {len(qs)} simultaneous Dirichlet denominators up to"
+            f" {Q}, need {K}"
+        )
+    budget_f = Fraction(budget)
+    notes: list[str] = []
+    while True:
+        selected = lacunary_denominators(qs, ratio, budget_f)
+        if len(selected) >= K:
+            break
+        if budget_f >= _BUDGET_CAP:
+            raise ShortfallError(
+                f"selection yields {len(selected)} terms even at summability"
+                f" budget {budget_f}; need {K}"
+            )
+        budget_f *= 2
+        notes.append(f"summability budget escalated to {budget_f}")
+    f = SparseFourierSeries(
+        {q: WorkComplex.from_fraction(_tight_dist(beta, q).mid)
+         for q in selected[:K]}
+    )
+    return f, tuple(notes)
+
+
+def build_joint_not_double(
+    alpha: QuadraticSurd, beta: QuadraticSurd, K: int, Q: int,
+    ratio: Rational = 2.0, budget: Rational = 2.0,
 ) -> ConstructionResult:
-    """Build f, g and both certificates over an already-selected q sequence."""
+    """The flagship construction: flagship_series's f, g and both certificates."""
+    f, notes = flagship_series(alpha, beta, K, Q, ratio, budget)
+    chosen = f.support
     pi = pi_enclosure(_BITS)
     half_pi = pi / 2
 
     dists_a = [_tight_dist(alpha, q) for q in chosen]
     dists_b = [_tight_dist(beta, q) for q in chosen]
     sines_b = [_half_sine(db) for db in dists_b]
-
-    f = SparseFourierSeries(
-        {q: WorkComplex.from_fraction(db.mid) for q, db in zip(chosen, dists_b)}
-    )
     g = transfer_coefficients(f, alpha, beta)
 
     # summable side: per-term |g_hat| = ||q*beta|| * sin(pi*||q*alpha||) / sin(pi*||q*beta||)
@@ -215,66 +268,11 @@ def _assemble_joint_not_double(
         beta=beta,
         f=f,
         g=g,
-        q_sequence=tuple(chosen),
+        q_sequence=chosen,
         certificates=(joint_cert, double_cert),
         tail_bound=tail,
         notes=notes,
     )
-
-
-def _geometric_tail(chosen: Sequence[int], half_pi: Enclosure) -> Enclosure:
-    """(pi/2) * q_K**-1/2 * r/(1-r) with r = sqrt(q_{K-1}/q_K)."""
-    q_prev, q_last = chosen[-2:]
-    r = sqrt_enclosure(Fraction(q_prev, q_last), _BITS)
-    if r.hi >= 1:
-        raise CertificationError("gap ratio enclosure must stay below 1")
-    one_minus_r = Enclosure(1 - r.hi, 1 - r.lo)
-    return half_pi * sqrt_enclosure(Fraction(1, q_last), _BITS) * r / one_minus_r
-
-
-_BUDGET_CAP = Fraction(1024)
-
-
-def build_joint_not_double(
-    alpha: QuadraticSurd,
-    beta: QuadraticSurd,
-    K: int,
-    Q: int,
-    ratio: Rational = 2.0,
-    budget: Rational = 2.0,
-) -> ConstructionResult:
-    """The flagship construction: K Dirichlet frequencies, f, g, certificates.
-
-    Candidate denominators come from the certified simultaneous search up to
-    Q; the greedy lacunary selection keeps sum q**-1/2 within the budget, and
-    the joint certificate bounds the distances of the K chosen, so no
-    approximation record is built. If the default budget yields fewer than K
-    terms it is doubled (the budget only gates selection; certificates always
-    bound the realized sums), and each escalation is recorded in the result
-    notes.
-    """
-    if K < 2:
-        raise ConfigError("need at least two construction terms")
-    qs = dirichlet_denominators(alpha, beta, Q)
-    if len(qs) < K:
-        raise ShortfallError(
-            f"only {len(qs)} simultaneous Dirichlet denominators up to"
-            f" {Q}, need {K}"
-        )
-    budget_f = Fraction(budget)
-    notes: list[str] = []
-    while True:
-        selected = lacunary_denominators(qs, ratio, budget_f)
-        if len(selected) >= K:
-            break
-        if budget_f >= _BUDGET_CAP:
-            raise ShortfallError(
-                f"selection yields {len(selected)} terms even at summability"
-                f" budget {budget_f}; need {K}"
-            )
-        budget_f *= 2
-        notes.append(f"summability budget escalated to {budget_f}")
-    return _assemble_joint_not_double(alpha, beta, selected[:K], tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,23 @@ machine-readable JSON written to stderr.
 
 import argparse
 import contextlib
+import copy
 import hashlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coblab
-from coblab import cli
+from coblab import cli, constructions
 from coblab.cli import (
     _COMMANDS,
     _KINDS,
@@ -166,6 +170,56 @@ class TestExperimentConfig:
         # str of a fraction of over 4300 digits raises ValueError
         with pytest.raises(ConfigError, match="not a rational"):
             ExperimentConfig("selftest", tol="1e-5000")
+
+    # Fraction built 10**e for these before str refused the result: each took
+    # 13-14 s to exit 2 with the same error line
+    @pytest.mark.parametrize("argv", [["selftest", "--tol", "1e-10000000"],
+                                      ["shift", "--p", "1e-10000000"]])
+    def test_huge_decimal_exponents_are_refused_unbuilt(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"kind": "config", "type": "ConfigError",
+                      "message": f"{argv[1]}: not a rational: '1e-10000000'"},
+            "schema": SCHEMA, "version": coblab.__version__,
+        }
+
+    # exponents on both sides of where the refusal before Fraction starts,
+    # about 4300 + len(text): it refuses exactly what str(Fraction) refuses
+    @settings(max_examples=80, deadline=None)
+    @given(mantissa=st.sampled_from(["0", "0.00", "1", "2.5", "0.001", "7.",
+                                     ".5", "12_5.0_1", "x1"]),
+           sign=st.sampled_from(["", "-", "+"]),
+           e=st.integers(4250, 4350), mark=st.sampled_from("eE"))
+    def test_exponent_refusal_agrees_with_fraction_and_str(
+        self, mantissa, sign, e, mark
+    ):
+        text = f"{mantissa}{mark}{sign}{e}"
+        try:
+            str(Fraction(text))
+            refused = False
+        except ValueError:
+            refused = True
+        try:
+            ExperimentConfig("selftest", tol=text)
+        except ConfigError as exc:
+            assert ("not a rational" in str(exc)) == refused, text
+        else:
+            assert not refused, text
+
+    def test_copy_deepcopy_and_pickle_give_an_equal_config(self):
+        config = ExperimentConfig("rates", doubling_tripling=True, K=5,
+                                  tol="0.001", out="rates.txt")
+        for clone in (copy.copy(config), copy.deepcopy(config),
+                      pickle.loads(pickle.dumps(config))):
+            assert clone == config
+            assert type(clone) is ExperimentConfig
+        # each goes through __new__, so the checks run again
+        with pytest.raises(ConfigError, match="^--K "):
+            copy.copy(config._replace(K=0))
 
     def test_exponent_knobs_accept_their_bound(self):
         config = ExperimentConfig("selftest", gamma="1000", p="1000")
@@ -817,6 +871,41 @@ def test_report_bytes_match_the_golden_digest(argv):
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[argv]
 
 
+# rates, spectral and every check action read the flagship series f alone, so
+# they print their golden bytes while the transfer to g fails; construct and
+# selftest build g and both certificates
+SERIES_READERS = [argv for argv in sorted(GOLDEN)
+                  if argv.split()[0] in ("check", "rates", "spectral")
+                  and argv.endswith("--format json")
+                  and "--doubling-tripling" not in argv]
+
+
+class Refused(Exception):
+    pass
+
+
+@pytest.fixture
+def no_transfer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Refused
+
+    monkeypatch.setattr(constructions, "transfer_coefficients", refuse)
+
+
+@pytest.mark.parametrize("argv", SERIES_READERS)
+def test_series_readers_build_neither_g_nor_certificates(argv, no_transfer):
+    stream = io.StringIO()
+    config = config_from_namespace(build_parser().parse_args(argv.split()))
+    assert run(config, stream=stream) == 0
+    assert hashlib.sha256(stream.getvalue().encode()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("subcommand", ["construct", "selftest"])
+def test_construct_and_selftest_build_g(subcommand, no_transfer):
+    with pytest.raises(Refused):
+        run(ExperimentConfig(subcommand, format="json"), stream=io.StringIO())
+
+
 # The sha256 of every --help page at an 80-column terminal. The parser is
 # built from the option and command tables; these pin the text it prints.
 HELP = {
@@ -858,4 +947,5 @@ def test_golden_table_covers_every_action_and_format():
                 base += ["--K", "3"]
             assert " ".join(base + ["--format", fmt]) in GOLDEN
     assert len(GOLDEN) == 3 * len(COMMANDS) + 6
+    assert len(SERIES_READERS) == 8
     assert set(HELP) == {"--help", *(f"{sub} --help" for sub in _COMMANDS)}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coblab.constructions import _assemble_joint_not_double, build_joint_not_double
+from coblab.constructions import flagship_series
 from coblab.diophantine import (
     _admissible,
     _first_entry,
@@ -205,7 +205,8 @@ def test_denominators_are_the_search_records(pair):
 
 
 def reference_joint_not_double(alpha, beta, K, Q, ratio=2.0, budget=2.0):
-    """The flagship selection on the full certified records of the search."""
+    """The flagship selection on the full certified records of the search:
+    the chosen q and the notes."""
     records = dirichlet_pair_search(alpha, beta, Q)
     if len(records) < K:
         raise ShortfallError(
@@ -229,8 +230,7 @@ def reference_joint_not_double(alpha, beta, K, Q, ratio=2.0, budget=2.0):
             )
         budget_f *= 2
         notes.append(f"summability budget escalated to {budget_f}")
-    qs = [rec.q for rec in selected[:K]]
-    return _assemble_joint_not_double(alpha, beta, qs, tuple(notes))
+    return [rec.q for rec in selected[:K]], tuple(notes)
 
 
 @pytest.mark.parametrize(
@@ -244,18 +244,17 @@ def reference_joint_not_double(alpha, beta, K, Q, ratio=2.0, budget=2.0):
     ],
 )
 def test_flagship_equals_the_reference_on_full_records(pair, K, Q, ratio, budget):
+    # build_joint_not_double is a fixed function of (alpha, beta, f, notes),
+    # so the selection is all there is to compare
     alpha, beta = PAIRS[pair]
-    got = build_joint_not_double(alpha, beta, K, Q, ratio=ratio, budget=budget)
-    ref = reference_joint_not_double(alpha, beta, K, Q, ratio=ratio, budget=budget)
-    assert got.q_sequence == ref.q_sequence
-    assert got.certificates == ref.certificates
-    assert got.notes == ref.notes
-    assert got.to_json_dict() == ref.to_json_dict()
-    assert [c.render() for c in got.certificates] == [
-        c.render() for c in ref.certificates
-    ]
+    f, notes = flagship_series(alpha, beta, K, Q, ratio=ratio, budget=budget)
+    qs, ref_notes = reference_joint_not_double(
+        alpha, beta, K, Q, ratio=ratio, budget=budget
+    )
+    assert f.support == tuple(qs)
+    assert notes == ref_notes
     if budget < 2:
-        assert len(got.notes) == 3
+        assert len(notes) == 3
 
 
 @pytest.mark.parametrize(
@@ -264,7 +263,7 @@ def test_flagship_equals_the_reference_on_full_records(pair, K, Q, ratio, budget
 )
 def test_flagship_shortfalls_match_the_reference(K, Q, ratio):
     with pytest.raises(ShortfallError) as got:
-        build_joint_not_double(ALPHA, BETA, K, Q, ratio=ratio)
+        flagship_series(ALPHA, BETA, K, Q, ratio=ratio)
     with pytest.raises(ShortfallError) as ref:
         reference_joint_not_double(ALPHA, BETA, K, Q, ratio=ratio)
     assert str(got.value) == str(ref.value)

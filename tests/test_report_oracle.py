@@ -5,10 +5,12 @@ is right. These checks read the printed JSON alone: every comparison marked
 satisfied must hold between its printed decimal endpoints, read as exact
 fractions; every enclosure that `construct` and `spectral` print must
 contain its value recomputed in mpmath at 400 bits from the printed
-q_sequence and the rotation numbers of the config, and every record of
-`approx dirichlet` from its printed q, never from a printed decimal; and
-every enclosure that `shift` prints must contain its closed form, computed
-in mpmath at 400 bits from the config alone, or be named on NO_CLOSED_FORM.
+q_sequence and the rotation numbers of the config, every record of
+`approx dirichlet` from its printed q, the `approx bad-pair` constant from
+every q up to Q, and each `check large-coeff` entry from its printed n,
+never from a printed decimal; and every enclosure that `shift` prints must
+contain its closed form, computed in mpmath at 400 bits from the config
+alone, or be named on NO_CLOSED_FORM.
 Only pytest, mpmath and the standard library do the checking.
 """
 
@@ -301,3 +303,66 @@ def test_shift_enclosures_contain_their_closed_forms(argv):
                 assert 0 <= gap <= bound / 2**80, (argv, entry)
             elif threshold is not None:
                 assert inside(threshold, entry["threshold"]), (argv, entry)
+
+
+def test_bad_pair_constant_is_the_first_minimum_over_every_q():
+    envelope = report("approx bad-pair --format json")
+    result = envelope["result"]
+    argmin = result["argmin"]
+    with mpmath.workprec(400):
+        alpha = rotation(envelope["config"]["alpha"])
+        beta = rotation(envelope["config"]["beta"])
+        quality = [mpmath.sqrt(q) * max(dist(q, alpha), dist(q, beta))
+                   for q in range(1, result["Q"] + 1)]
+        best = quality[argmin - 1]
+        assert inside(best, result["constant"])
+        # no q <= Q does better, and none before argmin does as well
+        assert all(value > best for value in quality[:argmin - 1])
+        assert min(quality) == best
+
+
+def convergent_denominators(x, top):
+    """The continued-fraction denominators q_k <= top of x, k >= 0."""
+    found, q_prev, q = [], 0, 1
+    x -= mpmath.floor(x)
+    while q <= top:
+        found.append(q)
+        x = 1 / x
+        a = int(mpmath.floor(x))
+        x -= a
+        q_prev, q = q, a * q + q_prev
+    return found
+
+
+WITNESS = "|h_hat({})| lower bound |f_hat|/(2*pi*||n*beta||)"
+SAME_WITNESS = "same witness vs |n*f_hat(n)|/(2*pi)"
+
+
+def test_large_coeff_entries_contain_their_recomputed_values():
+    envelope = report("check large-coeff --format json")
+    config, entries = envelope["config"], envelope["result"]["entries"]
+    # the series checked is construct's f of the same (default) config:
+    # f_hat(q) = ||q*beta|| on its q_sequence
+    qs = report("construct --format json")["result"]["q_sequence"]
+    assert len(entries) % 3 == 0
+    ns = []
+    with mpmath.workprec(400):
+        beta = rotation(config["beta"])
+        for first, witness, same in zip(*[iter(entries)] * 3):
+            n = int(re.fullmatch(r"n\*\|\|n\*beta\|\| at n=(\d+)",
+                                 first["description"]).group(1))
+            assert witness["description"] == WITNESS.format(n)
+            assert same["description"] == SAME_WITNESS
+            f_hat = d = dist(n, beta)
+            ratio = f_hat / (2 * mpmath.pi * d)
+            assert inside(n * d, first["value"]), first
+            assert inside(Fraction(1), first["threshold"]), first
+            assert inside(ratio, witness["value"]), witness
+            assert inside(Fraction(config["delta"]), witness["threshold"])
+            assert inside(ratio, same["value"]), same
+            assert inside(n * f_hat / (2 * mpmath.pi), same["threshold"]), same
+            ns.append(n)
+        # the n are the convergent denominators of beta in the support
+        assert ns == sorted(set(convergent_denominators(beta, max(qs)))
+                            & set(qs))
+        assert ns
