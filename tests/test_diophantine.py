@@ -333,6 +333,23 @@ def test_bad_pair_argmin_matches_brute_force_at_20000(pair):
     assert argmin == mp_bad_pair_argmin(alpha, beta, 20000)
 
 
+def test_bad_pair_settles_near_ties_by_certified_comparison(monkeypatch):
+    # alpha, beta = 1/2 + 2**-200 * sqrt(2), sqrt(3): every even q has
+    # ||q*x|| = q * 2**-200 * sqrt(d), far below one ulp of 2**-192, so its
+    # 2q-ulp bracket reaches 0 and the fixed-point screen keeps it; only the
+    # certified comparisons tell the even q apart, and the least wins
+    alpha = QuadraticSurd(2**200, 2, 2, 2**201)
+    beta = QuadraticSurd(2**200, 2, 3, 2**201)
+    comparisons = []
+    monkeypatch.setattr(
+        diophantine, "separate",
+        lambda *args: comparisons.append(args) or separate(*args),
+    )
+    _, argmin = bad_pair_constant(alpha, beta, 64)
+    assert len(comparisons) > 1
+    assert argmin == 2 == mp_bad_pair_argmin(alpha, beta, 64, dps=200)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     a=st.integers(-9, 9),
