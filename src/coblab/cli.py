@@ -150,17 +150,23 @@ class ExperimentConfig(
         for name, kind, default, _, checks in _FIELDS:
             value = values[name] = options.get(name, default)
             if kind == "rational":
-                # str refuses a fraction of over limit (4300) digits with
-                # ValueError. A nonzero mantissa of L digits, D after the
-                # point, gets there with an exponent |e| >= limit + len(text),
-                # as e - D or |e| + D - L >= limit: it is refused unbuilt.
+                # The text is parsed first with its exponent's digits zeroed,
+                # which keeps the syntax and the digit count that Fraction
+                # checks: a zero mantissa is 0 at any exponent, so 10**|e| is
+                # never built for it. str refuses a fraction of over limit
+                # (4300) digits with ValueError. A nonzero mantissa of L
+                # digits, D after the point, gets there with an exponent
+                # |e| >= limit + len(text), as e - D or |e| + D - L >= limit:
+                # it is refused unbuilt.
                 try:
                     text = str(value)
-                    mantissa, _, e = text.lower().partition("e")
-                    if limit and set(mantissa) & set("123456789") and abs(
-                            int(e or 0)) >= limit + len(text):
-                        raise ValueError(text)
-                    value = Fraction(text)
+                    mantissa, mark, e = text.lower().partition("e")
+                    value = Fraction(mantissa + mark + "".join(
+                        "0" if c.isdecimal() else c for c in e))
+                    if value and mark:
+                        if limit and abs(int(e)) >= limit + len(text):
+                            raise ValueError(text)
+                        value = Fraction(text)
                     values[name] = str(value)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ConfigError(

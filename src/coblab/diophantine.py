@@ -3,16 +3,14 @@
 The central search asks for denominators q that approximate two rotation
 numbers simultaneously: max(||q*alpha||, ||q*beta||) < q**(-1/2), the
 two-dimensional pigeonhole guarantee evaluated here by exact arithmetic.
-The rotation scans enumerate candidates exactly and in O(sqrt(Q)) steps with
-small_multiples, an integer walk that carries the 192-bit residues s of q*x
-for both rotations at once; |s| is within 2q ulps of ||q*x||*2**192. The
-simultaneous search settles q*||q*x||**2 < 1 in that fixed point where the
-bound decides it: q*(|s| + 2q)**2 < 2**384 proves it, and |s| > 2q with
-q*(|s| - 2q)**2 >= 2**384 refutes it. Only inside the band between does the
-exact surd sign run; the badness scan settles by certified comparison. The
-square scan steps n^2*beta in the same 192-bit fixed point and settles
-||n^2*beta|| < n**(-a/b) as the integer inequality ||n^2*beta||**b * n**a < 1
-on the residue's bracket.
+Three scans read one fixed-point fact, proven once in _bracket: for the odd
+192-bit step X = fixed_point(x) | 1, the signed residue s of k*X is within
+2k ulps of ||k*x||*2**192. The joint scans take both steps from _steps and
+walk both rotations at once with _walk, in O(sqrt(Q)) steps, through
+windows widened by that margin; the simultaneous search settles
+q*||q*x||**2 < 1 on the bracket where it decides and by the exact surd sign
+inside it, the badness scan by certified comparison. The square scan steps
+n^2*X and settles ||n^2*beta||**b * n**a < 1 on the bracket of k = n^2.
 """
 
 from __future__ import annotations
@@ -121,25 +119,37 @@ def convergents(x: QuadraticSurd, depth: int) -> Iterator[tuple[int, int, int]]:
 # exact enumeration of small multiples
 
 
-# the walks cost O(sqrt(n_max)) steps: `approx dirichlet` takes about 1.4 s
+# the walks cost O(sqrt(Q)) steps: `approx dirichlet` takes about 1.4 s
 # at 10**12 and 4 s at this cap (2 cores, CPython 3.11)
 _SCAN_CAP = 10**13
 
 
-def _rotation_step(x: QuadraticSurd, n_max: int) -> int:
-    """Odd X with |X - frac(x)*2**192| < 2: n*X mod 2**192 tracks frac(n*x)
-    within 2n ulps and is nonzero for 0 < n < 2**192. n_max past the
-    residue's proven range FP_MAX_K, or past the practical cap 10**13 on the
-    walks' running time, raises ConfigError."""
-    if n_max > FP_MAX_K:
-        raise ConfigError(
-            f"scan bound {n_max} exceeds the fixed-point range {FP_MAX_K}"
-        )
-    if n_max > _SCAN_CAP:
-        raise ConfigError(
-            f"scan bound {n_max} exceeds the running-time cap 10**13"
-        )
-    return fixed_point(x) | 1
+def _steps(alpha: QuadraticSurd, beta: QuadraticSurd, Q: int) -> tuple[int, int]:
+    """(X, Y) = fixed_point(x) | 1 for alpha and beta, the odd steps of a joint
+    scan of 1 <= q <= Q. A rational rotation, Q < 1, or Q past the proven
+    range FP_MAX_K or the running-time cap 10**13 raises ConfigError."""
+    alpha.require_irrational("alpha")
+    beta.require_irrational("beta")
+    if Q < 1:
+        raise ConfigError(f"Q must be a positive integer, got {Q}")
+    if Q > FP_MAX_K:
+        raise ConfigError(f"scan bound {Q} exceeds the fixed-point range {FP_MAX_K}")
+    if Q > _SCAN_CAP:
+        raise ConfigError(f"scan bound {Q} exceeds the running-time cap 10**13")
+    return fixed_point(alpha) | 1, fixed_point(beta) | 1
+
+
+def _bracket(k: int, s: int) -> tuple[int, int]:
+    """(max(|s| - 2k, 0), |s| + 2k), which holds m = ||k*x||*2**192 for s the
+    signed residue of k*X, X = fixed_point(x) | 1, and k >= 0: fixed_point
+    is within 1 of frac(x)*2**192 and | 1 adds at most 1, so k*X is within
+    2k of k*frac(x)*2**192, and the distance to the nearest multiple of
+    2**192, |s| at the one and m at the other, moves no more than its
+    argument. Every scan reads this 2k-ulp margin: the windows of _walk and
+    the square scan widen by it at the block's top, and the settles use it.
+    """
+    m, e = abs(s), 2 * k
+    return max(m - e, 0), m + e
 
 
 def _signed(residue: int) -> int:
@@ -166,46 +176,18 @@ def _first_returns(X: int, L: int, cap: int) -> tuple[int, int, int, int]:
     return a, A, b, B
 
 
-def small_multiples(
-    x: QuadraticSurd,
-    lo: int,
-    hi: int,
-    eps: Rational,
-    y: Optional[QuadraticSurd] = None,
-    y_eps: Optional[Rational] = None,
-) -> Iterator[tuple]:
-    """(q, s) for every q in [lo, hi) with ||q*x|| < eps, in increasing q.
-
-    s is the signed residue of q*X, the step of _rotation_step, so abs(s) is
-    within 2q ulps of ||q*x||*2**192. The window is widened by 2*hi ulps: a
-    few extra q may appear (every q if eps >~ 1/4), none is missed. The walk
-    enters the block at its first hit, found by _first_entry in O(log) steps,
-    and each later hit follows the last after a, b or a+b steps (the
-    three-gap theorem; Slater 1967), so the walk costs O(1) per hit.
-
-    Given a second rotation y, the walk carries the residue of q*Y, Y the step
-    of y, by one add per step, and yields (q, s, u) only for the hits whose
-    signed residue u of q*Y lies in the window of y_eps (default eps), widened
-    the same way: every q with both distances below their eps is yielded.
-    """
-    x.require_irrational("x")
-    eps_f = _as_fraction(eps, "eps")
-    y_eps_f = eps_f if y_eps is None else _as_fraction(y_eps, "y_eps")
-    if lo < 1 or eps_f <= 0 or y_eps_f <= 0:
-        raise ConfigError(f"need lo >= 1 and eps > 0, got lo={lo}, eps={eps}")
-    E = math.ceil(eps_f * FP_ONE) + 2 * hi  # hits have |s| < E
-    X = _rotation_step(x, hi - 1)
-    if y is None:
-        return ((n, s) for n, s, _ in _walk(X, E, 0, 1, lo, hi))
-    y.require_irrational("y")
-    W = math.ceil(y_eps_f * FP_ONE) + 2 * hi
-    return _walk(X, E, _rotation_step(y, hi - 1), W, lo, hi)
-
-
 def _walk(X: int, E: int, Y: int, W: int, lo: int, hi: int) -> Iterator[tuple]:
-    """(n, s, u) for n in [lo, hi) with |s| < E and |u| < W, where s and u are
-    the signed residues of n*X and n*Y; every n in [lo, hi) with |u| < W when
-    E is a quarter turn or wider."""
+    """(n, s, u), s and u the signed residues of n*X and n*Y, for every n in
+    [lo, hi) with ||n*x||*2**192 < E and ||n*y||*2**192 < W, increasing; X
+    and Y are the odd steps of x and y, and W = 2**192 passes every n.
+
+    It yields the n with |s| < E + 2hi and |u| < W + 2hi, the windows
+    widened by the margin of _bracket at hi (every n with the second when
+    the first is a quarter turn or wider). It enters the block at its first
+    hit, found by _first_entry, and each later hit follows the last after
+    a, b or a+b steps (the three-gap theorem; Slater 1967): O(1) per hit.
+    """
+    E, W = _bracket(hi, E)[1], _bracket(hi, W)[1]
     if 4 * E >= FP_ONE:
         for n in range(lo, hi):
             u = _signed(n * Y)
@@ -279,21 +261,21 @@ def _quality(q: int, da: QuadraticSurd, db: QuadraticSurd):
 
 
 def _admissible(x: QuadraticSurd, q: int, s: int) -> bool:
-    """Whether q*||q*x||**2 < 1, for s the signed residue of q*X, X the step
-    of _rotation_step(x, ...).
+    """Whether q*||q*x||**2 < 1, for s the signed residue of q*X, X the odd
+    step of x.
 
-    abs(s) is within 2q ulps of m = ||q*x||*2**192, so q*(|s| + 2q)**2 <
-    2**384 proves q*m*m < 2**384, and |s| > 2q with q*(|s| - 2q)**2 >= 2**384
-    proves the opposite. Only between the two does the exact sign of the surd
+    _bracket(q, s) = (low, high) holds m = ||q*x||*2**192, so q*high**2 <
+    2**384 proves q*m*m < 2**384, and q*low**2 >= 2**384 proves the
+    opposite. Only between the two does the exact sign of the surd
     q*||q*x||**2 - 1 run. The bound is used for 1 <= q <= 10**13, the scans'
     cap, and a signed residue |s| <= 2**191; outside, ValueError.
     """
-    m, e = abs(s), 2 * q
-    if not (1 <= q <= _SCAN_CAP and m <= FP_HALF):
+    if not (1 <= q <= _SCAN_CAP and abs(s) <= FP_HALF):
         raise ValueError(f"fixed-point settle used outside its range: q={q}, s={s}")
-    if q * (m + e) ** 2 < _FP_ONE_SQ:
+    low, high = _bracket(q, s)
+    if q * high**2 < _FP_ONE_SQ:
         return True
-    if m > e and q * (m - e) ** 2 >= _FP_ONE_SQ:
+    if q * low**2 >= _FP_ONE_SQ:
         return False
     dist = (x * q).dist_to_int()
     return (dist * dist * q - 1).sign() < 0
@@ -304,23 +286,18 @@ def dirichlet_denominators(
 ) -> list[int]:
     """All q <= Q with max(||q*alpha||, ||q*beta||) < q**(-1/2), increasing.
 
-    Each dyadic block [lo, 2*lo) walks small_multiples over both rotations:
-    alpha with eps = 1/isqrt(lo) >= q**(-1/2), beta with the window
-    W = isqrt(2**384 // lo) + 1 + 2*hi ulps, outside which |u| - 2q >
-    isqrt(2**384 // lo), so q*||q*beta||**2 >= 1. Each yielded q is settled
-    for both rotations by _admissible. Q past 10**13 raises ConfigError.
+    Each dyadic block [lo, 2*lo) walks both rotations with _walk, in ulps:
+    alpha within 2**192/isqrt(lo) >= 2**192/sqrt(q), beta within
+    isqrt(2**384 // lo) + 1, at or past which q*||q*beta||**2 > 1. Each
+    yielded q is settled for both rotations by _admissible. _steps refuses
+    a rational rotation and a Q below 1 or past 10**13 with ConfigError.
     """
-    alpha.require_irrational("alpha")
-    beta.require_irrational("beta")
-    if Q < 1:
-        raise ConfigError(f"Q must be a positive integer, got {Q}")
-    _rotation_step(beta, Q)  # refuses a Q past the range or the cap up front
+    X, Y = _steps(alpha, beta, Q)
     found = []
     for lo, hi in dyadic_blocks(Q):
-        eps_beta = Fraction(math.isqrt(_FP_ONE_SQ // lo) + 1, FP_ONE)
-        for q, s, u in small_multiples(
-            alpha, lo, hi, Fraction(1, math.isqrt(lo)), beta, eps_beta
-        ):
+        E = -(-FP_ONE // math.isqrt(lo))
+        W = math.isqrt(_FP_ONE_SQ // lo) + 1
+        for q, s, u in _walk(X, E, Y, W, lo, hi):
             if _admissible(beta, q, u) and _admissible(alpha, q, s):
                 found.append(q)
     return found
@@ -401,30 +378,26 @@ def bad_pair_constant(
     infimum over all q can only be smaller. Returns (enclosure, argmin q).
 
     The upper bound c on the minimum starts at 1/2 (the bound at q = 1) and
-    falls with each visited q. Block [lo, 2*lo) walks small_multiples over
-    both rotations with eps >= c/sqrt(lo) for the c at the block's start; q
-    is kept while its fixed-point lower bound can reach c, and the kept q are
+    falls with each visited q. Block [lo, 2*lo) walks both rotations with
+    _walk within c/sqrt(lo), in ulps, for the c at the block's start; q is
+    kept while the low end of its _bracket can reach c, and the kept q are
     settled in increasing order by certified comparison, ties staying at the
-    smaller q. Memory does not grow with Q.
+    smaller q. Memory does not grow with Q for surds whose denominator is
+    below 2**63, as parse_surd requires; a pair within ulps of a rational
+    keeps its multiples: for (2**200 + 2*sqrt(d))/2**201 the kept q grow as Q/2.
     """
-    alpha.require_irrational("alpha")
-    beta.require_irrational("beta")
-    if Q < 1:
-        raise ConfigError(f"Q must be a positive integer, got {Q}")
-
-    _rotation_step(beta, Q)  # refuses a Q past the range or the cap up front
+    X, Y = _steps(alpha, beta, Q)
     # c2 = (c * 2**192)**2, so with m = max(dist) * 2**192 in ulps,
     # sqrt(q) * max(dist) <= c exactly when q*m*m <= c2
     c2 = _FP_ONE_SQ // 4
     kept: list[tuple[int, int]] = []
     for lo, hi in dyadic_blocks(Q):
-        eps = Fraction(math.isqrt(c2 // lo) + 1, FP_ONE)
-        for q, s_alpha, s_beta in small_multiples(alpha, lo, hi, eps, beta):
-            # each residue is within 2q ulps of its distance * 2**192
-            d = max(abs(s_alpha), abs(s_beta))
-            low = q * max(d - 2 * q, 0) ** 2
+        r = math.isqrt(c2 // lo) + 1
+        for q, s_alpha, s_beta in _walk(X, r, Y, r, lo, hi):
+            m_lo, m_hi = _bracket(q, max(abs(s_alpha), abs(s_beta)))
+            low = q * m_lo**2
             if low <= c2:
-                c2 = min(c2, q * (d + 2 * q) ** 2)
+                c2 = min(c2, q * m_hi**2)
                 kept = [(k, v) for k, v in kept if v <= c2] + [(q, low)]
 
     def producer_for(q: int):
@@ -454,7 +427,7 @@ _SQUARE_N_MAX = 10**6
 def _power_bound(delta: Fraction, pick, rnd) -> tuple[int, int, int]:
     """(a, b, 2**(192*b)) for a/b = delta or, if b > 64, for the nearest
     fraction with denominator at most 64 above (pick=min, rnd=ceil) or below
-    (max, floor) delta, which keeps (d + n^2)**b below 2**12352."""
+    (max, floor) delta, which keeps a bracket's end**b below 2**12352."""
     if delta.denominator > 64:
         delta = pick(Fraction(rnd(delta * q), q) for q in range(1, 65))
     return delta.numerator, delta.denominator, 1 << (FP_BITS * delta.denominator)
@@ -468,15 +441,15 @@ def square_approximation_search(
     delta must sit in (1/2, 2/3); float inputs are taken at their exact
     binary value. N is capped at 10**6 because the scan visits every n.
 
-    The residue r of n^2 * X, X = surd.fixed_point(beta), is stepped
-    exactly (r += s, s += 2X, mod 2**192), and its distance d to 0 is within
-    n^2 ulps of m = ||n^2 * beta|| * 2**192, so d - n^2 <= m <= d + n^2.
-    - An integer window per dyadic block [lo, hi) drops n with d >= E, where
-      E = isqrt(2**384 // lo) + 1 + hi**2: then n*(d - n^2)**2 >= 2**384,
-      so ||n^2 * beta|| > n**(-1/2) > n**(-delta).
+    The residue r of n^2 * X, X = fixed_point(beta) | 1, is stepped exactly
+    (r += s, s += 2X, mod 2**192), and the _bracket (low, high) of n^2 and
+    its signed residue holds m = ||n^2 * beta|| * 2**192.
+    - An integer window per dyadic block [lo, hi), widened by the margin of
+      _bracket at hi^2, keeps every n with m <= isqrt(2**384 // lo); each n
+      it drops has n*m*m > 2**384, so ||n^2 * beta|| > n**(-1/2) > n**(-delta).
     - For delta = a/b, ||n^2 * beta|| < n**(-delta) is exactly
-      m**b * n**a < 2**(192*b). So (d + n^2)**b * n**a < 2**(192*b) proves
-      a hit, and d > n^2 with (d - n^2)**b * n**a >= 2**(192*b) proves a miss.
+      m**b * n**a < 2**(192*b). So high**b * n**a < 2**(192*b) proves a hit,
+      and low**b * n**a >= 2**(192*b) proves a miss.
       A delta with b > 64 is first bracketed by the fractions
       delta- <= delta <= delta+ with denominators at most 64 next to it:
       a hit for delta+ is one for delta, since n**(-delta+) <= n**(-delta),
@@ -497,19 +470,20 @@ def square_approximation_search(
 
     a, b, one = _power_bound(delta_f, min, math.ceil)  # the hit test
     a_lo, b_lo, one_lo = _power_bound(delta_f, max, math.floor)  # the miss test
-    X = fixed_point(beta)
+    X = fixed_point(beta) | 1
     mask, step = FP_ONE - 1, 2 * X
     accepted = [1]  # the threshold at n = 1 is 1; distances are <= 1/2
     for lo, hi in dyadic_blocks(N):
-        E = math.isqrt(_FP_ONE_SQ // lo) + 1 + hi * hi
+        E = _bracket(hi * hi, math.isqrt(_FP_ONE_SQ // lo) + 1)[1]
         L, c = 2 * E - 1, E - 1  # n is in the window when t < L
         t, s = (lo * lo * X + c) & mask, (2 * lo + 1) * X
         for n in range(lo, hi):
             if t < L and n > 1:
-                d, e = abs(_signed(t - c)), n * n
-                if (d + e) ** b * n**a < one:
+                e = n * n
+                low, high = _bracket(e, _signed(t - c))
+                if high**b * n**a < one:
                     accepted.append(n)
-                elif d <= e or (d - e) ** b_lo * n**a_lo < one_lo:
+                elif low**b_lo * n**a_lo < one_lo:
                     dist = (beta * e).dist_to_int()
                     threshold = lambda bits, nv=n: pow_enclosure(nv, -delta_f, bits)
                     if separate(dist.enclosure, threshold) < 0:

@@ -187,13 +187,37 @@ class TestExperimentConfig:
             "schema": SCHEMA, "version": coblab.__version__,
         }
 
+    # Fraction built 10**|e| for a zero mantissa too, in 0.2-0.35 s at
+    # |e| = 10**6, before the range check refused the 0; at an exponent of
+    # 4300 digits it could not finish. Past 4300 digits Fraction refuses it.
+    @pytest.mark.parametrize("name, text, message", [
+        ("tol", "0e-1000000", "--tol must lie strictly between 0 and 1"),
+        ("tol", "0.000e-1000000", "--tol must lie strictly between 0 and 1"),
+        ("tol", "-0e+1000000", "--tol must lie strictly between 0 and 1"),
+        ("p", "0e-1000000", "--p must be at least 1"),
+        ("tol", "0e-" + "9" * 4300, "--tol must lie strictly between 0 and 1"),
+        ("tol", "0e-" + "9" * 4301, "--tol: not a rational: '0e-" + "9" * 4301 + "'"),
+    ], ids=["tol", "point", "signed", "p", "4300-digits", "4301-digits"])
+    def test_zero_mantissas_are_parsed_without_their_exponent(
+        self, name, text, message
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig("selftest", **{name: text})
+        assert time.perf_counter() - start < 0.05
+        assert str(info.value) == message
+
     # exponents on both sides of where the refusal before Fraction starts,
-    # about 4300 + len(text): it refuses exactly what str(Fraction) refuses
-    @settings(max_examples=80, deadline=None)
-    @given(mantissa=st.sampled_from(["0", "0.00", "1", "2.5", "0.001", "7.",
-                                     ".5", "12_5.0_1", "x1"]),
+    # about 4300 + len(text), and past Fraction's 4300 digits, for zero and
+    # nonzero mantissas: it refuses exactly what str(Fraction) refuses
+    @settings(max_examples=120, deadline=None)
+    @given(mantissa=st.sampled_from(["0", "0.00", "-0", "+0.", ".0", "0_0",
+                                     "0/7", "1", "2.5", "0.001", "7.", ".5",
+                                     "12_5.0_1", "x1"]),
            sign=st.sampled_from(["", "-", "+"]),
-           e=st.integers(4250, 4350), mark=st.sampled_from("eE"))
+           e=st.one_of(st.integers(4250, 4350).map(str),
+                       st.sampled_from(["1" * 4301, "1_" + "0" * 4300])),
+           mark=st.sampled_from("eE"))
     def test_exponent_refusal_agrees_with_fraction_and_str(
         self, mantissa, sign, e, mark
     ):

@@ -19,18 +19,21 @@ from coblab import diophantine
 from coblab.certify import Enclosure, pow_enclosure, separate, sqrt_enclosure
 from coblab.diophantine import (
     CONVERGENT_DIGITS,
+    _bracket,
+    _walk,
     bad_pair_constant,
     convergents,
+    dirichlet_denominators,
     dirichlet_pair_search,
     dyadic_blocks,
     integer_dependence_search,
     lacunary_denominators,
-    small_multiples,
     square_approximation_search,
 )
 from coblab.cli import ExperimentConfig, run
 from coblab.errors import ConfigError
 from coblab.surd import (
+    FP_MAX_K,
     QuadraticSurd,
     dist_enclosure,
     fixed_point,
@@ -238,34 +241,52 @@ def test_dirichlet_rejects_q_past_the_fixed_point_range():
     b=st.sampled_from([-3, -2, -1, 1, 2, 3]),
     c=st.integers(1, 30),
     d=st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]),
-    hi=st.integers(1, 10**4),
+    hi=st.one_of(st.integers(1, 10**4), st.integers(1, 2**40)),
     span=st.integers(0, 1500),
-    eps=st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(3, 5),
+    eps=st.one_of(
+        st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(3, 5),
                      max_denominator=10**6),
+        st.integers(1, 3000).map(lambda hits: Fraction(hits, 2**40)),
+    ),
 )
-def test_small_multiples_yields_every_exact_hit_in_order(a, b, c, d, hi, span, eps):
+def test_walk_yields_every_exact_hit_in_order(a, b, c, d, hi, span, eps):
+    # one rotation: the second window, 2**192 ulps, passes every q
     x = QuadraticSurd(a, b, d, c)
     lo = max(1, hi - span)
-    got = list(small_multiples(x, lo, hi, eps))
-    qs = [q for q, _ in got]
+    X = fixed_point(x) | 1
+    got = list(_walk(X, math.ceil(eps * 2**192), 0, 2**192, lo, hi))
+    qs = [q for q, _, _ in got]
     assert all(u < v for u, v in zip(qs, qs[1:]))
     assert all(lo <= q < hi for q in qs)
     exact = [q for q in range(lo, hi) if (x * q).dist_to_int() < eps]
     assert set(exact) <= set(qs)
-    for q, s in got:
-        # the signed residue tracks ||q*x|| * 2**192 within 2q ulps
+    for q, s, _ in got:
+        # the bracket holds the 256-bit enclosure of ||q*x|| * 2**192
         dist = (x * q).dist_to_int().enclosure(256)
-        assert dist.lo * 2**192 - 2 * q <= abs(s) <= dist.hi * 2**192 + 2 * q
+        low, high = _bracket(q, s)
+        assert low <= dist.lo * 2**192 and dist.hi * 2**192 <= high
 
 
-def test_small_multiples_validates():
-    with pytest.raises(ConfigError):
-        next(small_multiples(ALPHA, 0, 10, Fraction(1, 10)))
-    with pytest.raises(ConfigError):
-        next(small_multiples(ALPHA, 1, 10, 0))
-    with pytest.raises(ConfigError, match="fixed-point range"):
-        next(small_multiples(ALPHA, 1, 2**112 + 2, Fraction(1, 10)))
-    assert list(small_multiples(ALPHA, 5, 5, Fraction(1, 10))) == []
+RATIONAL = QuadraticSurd(1, 0, 1, 2)
+
+
+@pytest.mark.parametrize("scan", [dirichlet_denominators, bad_pair_constant])
+@pytest.mark.parametrize(
+    "alpha, beta, Q, message",
+    [
+        (RATIONAL, BETA, 10, f"alpha must be irrational, got {RATIONAL}"),
+        (ALPHA, RATIONAL, 10, f"beta must be irrational, got {RATIONAL}"),
+        (ALPHA, BETA, 0, "Q must be a positive integer, got 0"),
+        (ALPHA, BETA, 10**13 + 1,
+         f"scan bound {10**13 + 1} exceeds the running-time cap 10**13"),
+        (ALPHA, BETA, FP_MAX_K + 1,
+         f"scan bound {FP_MAX_K + 1} exceeds the fixed-point range {FP_MAX_K}"),
+    ],
+)
+def test_joint_scans_validate(scan, alpha, beta, Q, message):
+    with pytest.raises(ConfigError) as info:
+        scan(alpha, beta, Q)
+    assert str(info.value) == message
 
 
 # -- greedy selection ----------------------------------------------------------

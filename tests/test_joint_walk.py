@@ -12,13 +12,13 @@ from coblab.constructions import flagship_series
 from coblab.diophantine import (
     _admissible,
     _first_entry,
-    _rotation_step,
+    _steps,
+    _walk,
     dirichlet_denominators,
     dirichlet_pair_search,
     lacunary_denominators,
-    small_multiples,
 )
-from coblab.errors import ConfigError, ShortfallError
+from coblab.errors import ShortfallError
 from coblab.surd import QuadraticSurd, parse_surd
 
 ONE = 1 << 192
@@ -71,21 +71,22 @@ def test_two_rotation_walk_is_the_brute_force_filter(
     lo = max(1, hi - span)
     # a quarter turn or more takes the every-q path; else about 2*hits steps
     eps = Fraction(2, 5) if wide else Fraction(hits, hi)
-    got = list(small_multiples(x, lo, hi, eps, y, y_eps))
+    X, Y = _steps(x, y, hi)
+    E, W = math.ceil(eps * ONE), math.ceil(y_eps * ONE)
+    got = list(_walk(X, E, Y, W, lo, hi))
 
-    X, Y = _rotation_step(x, hi - 1), _rotation_step(y, hi - 1)
-    E = math.ceil(eps * ONE) + 2 * hi
-    W = math.ceil(y_eps * ONE) + 2 * hi
+    E2, W2 = E + 2 * hi, W + 2 * hi  # the windows widened by the 2q-ulp margin
     brute = [
         (q, signed(q * X), signed(q * Y))
         for q in range(lo, hi)
-        if (4 * E >= ONE or abs(signed(q * X)) < E) and abs(signed(q * Y)) < W
+        if (4 * E2 >= ONE or abs(signed(q * X)) < E2) and abs(signed(q * Y)) < W2
     ]
     assert got == brute
+    # one rotation: a second window of 2**192 ulps passes every q
     single = [(q, s) for q, s, _ in got]
     assert single == [
-        (q, s) for q, s in small_multiples(x, lo, hi, eps)
-        if abs(signed(q * Y)) < W
+        (q, s) for q, s, _ in _walk(X, E, Y, ONE, lo, hi)
+        if abs(signed(q * Y)) < W2
     ]
     qs = {q for q, _, _ in got}
     for q in range(lo, hi):
@@ -109,15 +110,6 @@ def test_first_entry_is_the_first_brute_force_entry(m, x, window, start):
     L, t = 1 + (window - 1) % m, start % m
     k = next(k for k in range(m) if (t + k * X) % m < L)
     assert _first_entry(t, X, m, L) == k
-
-
-def test_two_rotation_walk_validates():
-    with pytest.raises(ConfigError):
-        small_multiples(ALPHA, 1, 10, Fraction(1, 10), BETA, 0)
-    with pytest.raises(ConfigError):
-        small_multiples(ALPHA, 1, 10, Fraction(1, 10), QuadraticSurd(1, 0, 1, 2))
-    with pytest.raises(ConfigError, match="running-time cap"):
-        small_multiples(ALPHA, 1, 10**13 + 2, Fraction(1, 10), BETA)
 
 
 # -- the fixed-point settle ----------------------------------------------------
