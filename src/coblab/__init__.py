@@ -25,11 +25,12 @@ _EXPORTS = {
         "ConstructionResult",
         "PartialSum",
         "build_joint_not_double",
-        "check_bad_joint",
         "check_double_bad",
         "check_mur_envelope",
         "common_generator",
+        "envelope_sum",
         "flagship_series",
+        "joint_summability_sums",
         "kac_salem_series",
         "large_coeff_witness",
         "petersen_series",

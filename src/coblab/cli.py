@@ -86,7 +86,7 @@ _OPTIONS = (
      (_INTEGER, _POSITIVE_INT)),
     ("depth", "count", 30, "continued-fraction / witness search depth",
      (_INTEGER, _POSITIVE_INT)),
-    ("delta", "rational", "3/5", "exponent or threshold in (0, 1)", (_UNIT,)),
+    ("delta", "rational", "3/5", "exponent of approx squares, in (0, 1)", (_UNIT,)),
     ("gamma", "rational", "2", "logarithmic decay exponent", (_POSITIVE, _EXPONENT)),
     ("p", "rational", "2", "lattice space exponent, at least 1",
      (_AT_LEAST_1, _EXPONENT)),
@@ -373,55 +373,53 @@ def _handle_construct(config: ExperimentConfig) -> _Body:
 
 
 def _handle_check(config: ExperimentConfig) -> _Body:
-    # every checker reads the flagship series, or its magnitudes
+    # every checker reads the flagship series, or its magnitudes; four print
+    # values and two a certificate
     alpha, beta, (f, _) = _flagship(config, constructions.flagship_series)
     magnitudes = [(n, fourier.coefficient_real(c)) for n, c in f.items() if n > 0]
     if config.action == "bad-joint":
-        cert = constructions.check_bad_joint(f, "C")
-        extra = constructions.check_bad_joint(f, "L2")
-        data = {"C": cert.to_json_dict(), "L2": extra.to_json_dict()}
-        text = [cert.render(), "", extra.render()]
-        certs = [cert, extra]
-    elif config.action == "mur":
-        # The envelope criterion wants a non-increasing sequence; feed it
-        # the decreasing rearrangement of the coefficient magnitudes.
-        cert = constructions.check_mur_envelope(
+        c_sum, l2_sum = constructions.joint_summability_sums(f)
+        data = {
+            "C": report.enclosure_json(c_sum),
+            "L2": report.enclosure_json(l2_sum),
+        }
+        text = [
+            f"sum over support of |k| * |f_hat(k)|: "
+            f"{report.interval_str(c_sum, 12)}",
+            f"sum over support of k**2 * |f_hat(k)|**2 (exact): "
+            f"{report.interval_str(l2_sum, 12)}",
+        ]
+        return _Body(data, text)
+    if config.action == "mur":
+        # The envelope sum wants a non-increasing sequence; feed it the
+        # decreasing rearrangement of the coefficient magnitudes.
+        partial = certify.Enclosure.point(constructions.envelope_sum(
             sorted((m for _, m in magnitudes), reverse=True)
-        )
-        data = cert.to_json_dict()
-        text = [cert.render()]
-        certs = [cert]
-    elif config.action == "double-bad":
-        # The log-power envelope is undefined at |k| = 1; check the series
-        # with its first harmonic removed.
-        trimmed = fourier.SparseFourierSeries(
-            {n: c for n, c in f.items() if abs(n) >= 2}, real_valued=f.real_valued
-        )
-        cert = constructions.check_double_bad(trimmed, config.rational("gamma"))
-        data = cert.to_json_dict()
-        text = [cert.render()]
-        certs = [cert]
-    elif config.action == "kac-salem":
-        partial, tail = constructions.kac_salem_series(magnitudes, beta)
+        ))
+        data = {
+            "terms": len(magnitudes),
+            "partial": report.enclosure_json(partial),
+        }
+        text = [
+            f"partial sum of k * a_k**2 over the {len(magnitudes)} magnitudes "
+            f"in decreasing order (exact): {report.interval_str(partial, 12)}"
+        ]
+        return _Body(data, text)
+    if config.action == "kac-salem":
+        partial, entropy = constructions.kac_salem_series(magnitudes, beta)
         data = {
             "partial": report.enclosure_json(partial.value),
-            "tail": report.enclosure_json(tail),
+            "entropy": report.enclosure_json(entropy),
             "terms": len(partial.terms),
         }
         text = [
             f"partial sum of |a_k| / sin(pi ||k beta||) over "
             f"{len(partial.terms)} terms: {report.interval_str(partial.value, 12)}",
-            f"tail allowance: {report.interval_str(tail, 12)}",
+            f"entropy sum of |a_k| * log(1/|a_k|): "
+            f"{report.interval_str(entropy, 12)}",
         ]
-        certs = []
-    elif config.action == "large-coeff":
-        cert = constructions.large_coeff_witness(
-            f, beta, config.depth, threshold=config.rational("delta")
-        )
-        data = cert.to_json_dict()
-        text = [cert.render()]
-        certs = [cert]
-    else:
+        return _Body(data, text)
+    if config.action == "petersen":
         partial = constructions.petersen_series(f, alpha, beta)
         data = {
             "value": report.enclosure_json(partial.value),
@@ -431,14 +429,22 @@ def _handle_check(config: ExperimentConfig) -> _Body:
             f"quadratic-divisor series over {len(partial.terms)} atoms: "
             f"{report.interval_str(partial.value, 12)}"
         ]
-        certs = []
+        return _Body(data, text)
+    if config.action == "large-coeff":
+        cert = constructions.large_coeff_witness(f, beta, config.depth)
+    else:
+        # The log-power envelope is undefined at |k| = 1; check the series
+        # with its first harmonic removed.
+        trimmed = fourier.SparseFourierSeries(
+            {n: c for n, c in f.items() if abs(n) >= 2}, real_valued=f.real_valued
+        )
+        cert = constructions.check_double_bad(trimmed, config.rational("gamma"))
     header = ["description", "value_lo", "value_hi", "comparison", "satisfied"]
     rows = (
         [e.description, *report.endpoints(e.value), e.comparison, e.satisfied]
-        for cert in certs
         for e in cert.entries
     )
-    return _Body(data, text, header if certs else None, rows)
+    return _Body(cert.to_json_dict(), [cert.render()], header, rows)
 
 
 def _handle_spectral(config: ExperimentConfig) -> _Body:

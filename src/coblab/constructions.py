@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .certify import (
     Enclosure,
@@ -279,47 +279,26 @@ def build_joint_not_double(
 # sufficient-condition checkers
 
 
-def check_bad_joint(f: SparseFourierSeries, mode: str) -> Certificate:
-    """Summability evidence that f is a joint coboundary for any bad rotation.
+def joint_summability_sums(f: SparseFourierSeries) -> tuple[Enclosure, Enclosure]:
+    """Sum over the support of |k|*|f_hat(k)| and, exactly, of
+    k**2*|f_hat(k)|**2.
 
-    mode "C" evaluates sum |k|*|f_hat(k)| (continuous-solution route), mode
-    "L2" evaluates sum k**2*|f_hat(k)|**2 (square-summable route), both
-    exactly over the finite support.
+    The first is the continuous-solution route and the second the
+    square-summable route to a joint solution for any bad rotation pair.
+    Values only: on a finite support both sums are finite.
     """
     f.require_centered("joint summability data")
-    if mode not in ("C", "L2"):
-        raise ConfigError(f"mode must be 'C' or 'L2', got {mode!r}")
-    entries = []
-    if mode == "C":
-        total = Enclosure.point(0)
-        for n, c in f.items():
-            total = total + abs(n) * coefficient_magnitude_enclosure(c)
-        entries.append(
-            CertificateEntry("sum over support of |k| * |f_hat(k)|", total)
-        )
-    else:
-        exact = Fraction(0)
-        for n, c in f.items():
-            exact += n * n * coefficient_mass(c)
-        entries.append(
-            CertificateEntry(
-                "sum over support of k**2 * |f_hat(k)|**2 (exact)",
-                Enclosure.point(exact),
-            )
-        )
-    return Certificate(kind="membership", entries=tuple(entries))
+    total = Enclosure.point(0)
+    exact = Fraction(0)
+    for n, c in f.items():
+        total = total + abs(n) * coefficient_magnitude_enclosure(c)
+        exact += n * n * coefficient_mass(c)
+    return total, Enclosure.point(exact)
 
 
-def check_mur_envelope(
-    a: Sequence[Rational],
-    tail_bound: Optional[Rational] = None,
-) -> Certificate:
-    """Monotone-envelope summability: sum over k of k * a_k**2, exactly.
-
-    The envelope must be positive and non-increasing (validated exactly on
-    the supplied rationals); an optional caller-supplied analytic tail is
-    recorded and added to the reported total.
-    """
+def envelope_sum(a: Sequence[Rational]) -> Fraction:
+    """Sum over k of k * a_k**2, exactly, for a nonempty, nonnegative and
+    non-increasing envelope (validated exactly on the supplied rationals)."""
     if not a:
         raise ConfigError("envelope must be nonempty")
     vals = [Fraction(x) for x in a]
@@ -328,40 +307,34 @@ def check_mur_envelope(
     for prev, curr in zip(vals, vals[1:]):
         if curr > prev:
             raise ConfigError("envelope must be non-increasing")
-    partial = sum((k * v * v for k, v in enumerate(vals, start=1)), Fraction(0))
-    entries = [
-        CertificateEntry(
-            f"envelope of {len(vals)} terms verified non-increasing",
-            Enclosure.point(Fraction(len(vals))),
-        ),
-        CertificateEntry(
-            "partial sum of k * a_k**2 (exact)", Enclosure.point(partial)
-        ),
-    ]
-    if tail_bound is not None:
-        tail = Fraction(tail_bound)
-        if tail < 0:
-            raise ConfigError("tail bound must be nonnegative")
-        entries.append(
+    return sum((k * v * v for k, v in enumerate(vals, start=1)), Fraction(0))
+
+
+def check_mur_envelope(a: Sequence[Rational], tail_bound: Rational) -> Certificate:
+    """Monotone-envelope summability: envelope_sum(a) plus a caller-supplied
+    analytic tail, recorded and added to the reported total."""
+    partial = envelope_sum(a)
+    tail = Fraction(tail_bound)
+    if tail < 0:
+        raise ConfigError("tail bound must be nonnegative")
+    return Certificate(
+        kind="membership",
+        entries=(
+            CertificateEntry(
+                f"envelope of {len(a)} terms verified non-increasing",
+                Enclosure.point(Fraction(len(a))),
+            ),
+            CertificateEntry(
+                "partial sum of k * a_k**2 (exact)", Enclosure.point(partial)
+            ),
             CertificateEntry(
                 "caller-supplied analytic tail bound", Enclosure.point(tail)
-            )
-        )
-        entries.append(
+            ),
             CertificateEntry(
-                "partial plus tail",
-                Enclosure(partial, partial + tail),
-            )
-        )
-    else:
-        entries.append(
-            CertificateEntry(
-                "no analytic tail supplied; partial sum only, convergence"
-                " of the full series is the caller's claim",
-                Enclosure.point(partial),
-            )
-        )
-    return Certificate(kind="membership", entries=tuple(entries))
+                "partial plus tail", Enclosure(partial, partial + tail)
+            ),
+        ),
+    )
 
 
 def _log_power(k: int, gamma: Fraction, bits: int) -> Enclosure:
@@ -445,24 +418,26 @@ def check_double_bad(f: SparseFourierSeries, gamma: Rational) -> Certificate:
 # obstruction witnesses
 
 
+# The floor every large-coefficient witness must reach. It is not the
+# certified 1/(2*pi): on the flagship series each witness is exactly
+# 1/(2*pi), and a ">=" between two enclosures of one value cannot hold.
+_WITNESS_FLOOR = Fraction(1, 10)
+
+
 def large_coeff_witness(
-    f: SparseFourierSeries,
-    beta: QuadraticSurd,
-    depth: int,
-    threshold: Rational = Fraction(1, 10),
+    f: SparseFourierSeries, beta: QuadraticSurd, depth: int
 ) -> Certificate:
     """Non-decaying double-solution coefficients along convergent denominators.
 
     For each convergent denominator n of beta found in f's support, certifies
     n*||n*beta|| < 1 and records the witness |f_hat(n)|/(2*pi*||n*beta||),
     which therefore dominates |n*f_hat(n)|/(2*pi). The verdict requires every
-    witness to exceed the caller threshold. Only magnitudes enter, so the
+    witness to reach the fixed floor 1/10. Only magnitudes enter, so the
     witness is invariant under rotating every coefficient by a fixed phase.
     """
     beta.require_irrational("beta")
     if depth < 1:
         raise ConfigError("depth must be positive")
-    threshold_f = Fraction(threshold)
     support = set(f.support)
     top = max(support, default=0)  # q_k grows with k: none past top is a hit
     walk = takewhile(lambda row: row[2] <= top, convergents(beta, depth))
@@ -487,7 +462,7 @@ def large_coeff_witness(
                 f"|h_hat({n})| lower bound |f_hat|/(2*pi*||n*beta||)",
                 witness,
                 ">=",
-                Enclosure.point(threshold_f),
+                Enclosure.point(_WITNESS_FLOOR),
             )
         )
         entries.append(

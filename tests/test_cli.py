@@ -811,18 +811,16 @@ GOLDEN = {
         "d1fd1f6b71497747966b4facc807d4fb8bbae3aec0723e03c573ae33526bc0c1",
     "construct --format text":
         "0ed6ee8f6f610b040c27df1b20653ec7f83ce1c9633005da690b951b6ff82938",
-    "check bad-joint --format csv":
-        "6d40c68f635b1555390c74b6baf5a9908c71e47a74e5f0d7cb780a7ef7c6a0b3",
+    "check bad-joint --format csv": NO_SERIES,
     "check bad-joint --format json":
-        "211e34115da3bdf2f1a6464b3f9621656744ac1d1c1c750b8cad8f4aae01312c",
+        "331b62b6a7c10b8d55302cb39a235275d9e6411cd69f5d3a1dae71f518cf6a0c",
     "check bad-joint --format text":
-        "97efb8745be4dbcb62da905757353412dd583a2098119f7f3ee75ffc80136824",
-    "check mur --format csv":
-        "28415f40e72eb02d742d9e70ac1b829b7166b13b560887e70044c6bb606d8d2a",
+        "9174f94665b995fd7df8604e434f215f8fa6af1420d6e41dadb0fea34261547b",
+    "check mur --format csv": NO_SERIES,
     "check mur --format json":
-        "718151c72be953a3cf0fe8628b14c4f39e19610399f267d26db8fa32421243ae",
+        "1877d187f3a23cc5f17b83be0a203fcfe4ebfe34c7893ee146c10d475c1df8e6",
     "check mur --format text":
-        "9fdc82c1c6d9e2e27319ee3286cf673d8054f9a18b218fefa8a6ea8e35cf1abf",
+        "048d013fe924018b445438863c60732bbe87cff772157d6f474037ecc08845f8",
     "check double-bad --K 3 --format csv":
         "f085b2deba87df63828a9a189102a90fb0576a37b5866376119b212034280a55",
     "check double-bad --K 3 --format json":
@@ -831,15 +829,15 @@ GOLDEN = {
         "6d85a61c579bf0647ffee86bc1c1028d5c0e765bed59368801d1248033015d5f",
     "check kac-salem --format csv": NO_SERIES,
     "check kac-salem --format json":
-        "e217e6786b20163b9e0ccbab5197f13710b84afc22e69064c71388590058edf7",
+        "8509eb76dc382ae719c0162eeb4717c7d21290a364f85e67c43fbaa9571219e2",
     "check kac-salem --format text":
-        "1a7f13b5b3921412e4e2549b5fd538a89c0fb4ae9c1a16fd74a62a9acba4a107",
+        "24bef6f712dd0c9ace41bb935b63e46c7ed4c795e9902d8bab75eaf771680d32",
     "check large-coeff --format csv":
-        "be09cd28dce896539221f46de8eae9a41e5555dfd72be3a8a2c8f01d945f2a3f",
+        "d59d337b36f556180a6f764367250d1b0a1411b334b1d8f9aabff0bff786db55",
     "check large-coeff --format json":
-        "79b44820bf09dec2350c9d379e705082901084fa44fdba79976c801350506fc2",
+        "fa542bf757f416f0adbaa92d27af2158b332ac5654acfefd35692a40685e0ea9",
     "check large-coeff --format text":
-        "e72cca8332e0aa7b2501c3dc3727a2bddaf03d804127f78f04104871ee955be0",
+        "8712f9747188c64634cdb8dc4c14d50d543c13e81a2bd9df019c0f6b6713abb0",
     "check petersen --format csv": NO_SERIES,
     "check petersen --format json":
         "c9752f1f0b370f28f5f0fc3a0d1ded2c7fbe7c7f24d6b8638c871484bcb413f2",
@@ -936,19 +934,19 @@ HELP = {
     "--help":
         "19c70268b385b01fdd2db5c8f4bc724eda875417939b91683c60731d5df6e484",
     "approx --help":
-        "817c867e0d9c54a8f0e4d390f198efac91a4e51bbafae0336fa7774b913485e3",
+        "cf0fe224b6011be84a6d80bfd07416b679723452d3ee1b3750a552a4aca5ca38",
     "construct --help":
-        "38584c8e83d859e4785d0b071da9e0cccfeee52bcdf3ceeaf446f8b2b875db92",
+        "0ff1605276584b17023ded7772546ba43bef6096b0d0a6730c68e8295fc2b936",
     "check --help":
-        "e3a57582c73bb19bfa24f70b38aa32d5e650f53d366fd685285156eafef230b3",
+        "e0a0a0cb96a39484588859e7830e1fced42bdd2e481cd9efd374ec1094b980e8",
     "spectral --help":
-        "051706c1f7226c55dbab9e97a4d2df6b4ec5d3fc0c69f31dd02d4eaed20bd9cd",
+        "9beaa88fe58509ff677aba677322b20b6acf9ce7a6d11932f106a62d024a3c09",
     "rates --help":
-        "d33fa9b621401923713fe9bc6903980390c5bbd8bbea3309ccfffba51dfe9ab4",
+        "0518a2a05d1a6ab89050cf8c22381645699a87d5b318efcbaac467b527fcf2f9",
     "shift --help":
-        "e39579e2d7254052a4daf3d097e8425b2895a852b7fac1e6a445d1543a2605e2",
+        "1a872cc1acc83ef14869e8888db4a0a6a90de1594a6fcce50b28830c150fbacf",
     "selftest --help":
-        "8ecd0fff47e7b393e8ea3721ed5e11b5c43dceecde7a2ecdc9d8bcf8c593dbc1",
+        "1c9bc7f246278c52fb06169fa8b27cc5920165621cfb7140f8fe6582d0649823",
 }
 
 
