@@ -376,7 +376,6 @@ def _handle_check(config: ExperimentConfig) -> _Body:
     # every checker reads the flagship series, or its magnitudes; four print
     # values and two a certificate
     alpha, beta, (f, _) = _flagship(config, constructions.flagship_series)
-    magnitudes = [(n, fourier.coefficient_real(c)) for n, c in f.items() if n > 0]
     if config.action == "bad-joint":
         c_sum, l2_sum = constructions.joint_summability_sums(f)
         data = {
@@ -393,9 +392,11 @@ def _handle_check(config: ExperimentConfig) -> _Body:
     if config.action == "mur":
         # The envelope sum wants a non-increasing sequence; feed it the
         # decreasing rearrangement of the coefficient magnitudes.
-        partial = certify.Enclosure.point(constructions.envelope_sum(
-            sorted((m for _, m in magnitudes), reverse=True)
-        ))
+        magnitudes = sorted(
+            (fourier.coefficient_real(c) for n, c in f.items() if n > 0),
+            reverse=True,
+        )
+        partial = certify.Enclosure.point(constructions.envelope_sum(magnitudes))
         data = {
             "terms": len(magnitudes),
             "partial": report.enclosure_json(partial),
@@ -406,6 +407,7 @@ def _handle_check(config: ExperimentConfig) -> _Body:
         ]
         return _Body(data, text)
     if config.action == "kac-salem":
+        magnitudes = [(n, fourier.coefficient_real(c)) for n, c in f.items() if n > 0]
         partial, entropy = constructions.kac_salem_series(magnitudes, beta)
         data = {
             "partial": report.enclosure_json(partial.value),
@@ -582,7 +584,7 @@ def _handle_selftest(config: ExperimentConfig) -> _Body:
     phi = fourier.apply_difference(g, alpha)
     measure = spectral.spectral_measure(phi, alpha, beta)
     integral = spectral.coboundary_integral(measure, "alpha")
-    mass = spectral.spectral_measure(g, alpha, beta).total_mass()
+    mass = g.l2_norm_sq_exact()  # the total spectral mass, by Parseval
     checks.append(
         ("spectral change of variables recovers the solution mass",
          integral.value.lo <= mass <= integral.value.hi)

@@ -565,12 +565,12 @@ def power_lift_joint(
     gamma: QuadraticSurd,
     k: int,
     j: int,
-    tol: float = 1e-12,
 ) -> SparseFourierSeries:
     """Lift a joint coboundary of (T_gamma, T_gamma**j) to (T_gamma**k, T_gamma**j).
 
-    Requires (I - T_gamma) u_x = (I - T_gamma**j) u_y within tol, making
-    u = (I - T_gamma) u_x a joint coboundary of the base pair. Returns
+    Requires (I - T_gamma) u_x = (I - T_gamma**j) u_y within
+    1e-12 * max(1, ||u_x||, ||u_y||), making u = (I - T_gamma) u_x a joint
+    coboundary of the base pair. Returns
     v = sum over n < k of T_gamma**n u, which telescopes to (I - T_gamma**k) u_x;
     both representations are computed and must agree (an exact identity, so a
     mismatch is a precision bug).
@@ -581,7 +581,7 @@ def power_lift_joint(
     u = apply_difference(u_x, gamma)
     other = apply_difference(u_y, gamma * j)
     scale = max(1.0, u_x.l2_norm(), u_y.l2_norm())
-    if _max_abs_diff(u, other) > tol * scale:
+    if _max_abs_diff(u, other) > 1e-12 * scale:
         raise ValueError(
             "precondition failed: (I - T_gamma) u_x differs from"
             " (I - T_gamma**j) u_y beyond tolerance"

@@ -55,7 +55,6 @@ class Dependence(NamedTuple):
     m: int
     n: int
     p: int
-    gcd_mn: int
 
 
 def _as_fraction(value: Rational, name: str) -> Fraction:
@@ -499,9 +498,15 @@ def integer_dependence_search(
     """Smallest relation m*alpha + n*beta + p = 0 with |m|,|n|,|p| <= B.
 
     Distinct radicands force independence (1, sqrt(d), sqrt(d') are linearly
-    independent over the rationals), reported as None. Otherwise the search
-    is exhaustive in exact arithmetic, ordered by |m|+|n|+|p| with ties
-    broken lexicographically and toward positive m.
+    independent over the rationals), reported as None. In one field, with
+    x = (a_x + b_x*sqrt(d))/c_x, a relation splits into its sqrt(d) part
+    m*b_alpha/c_alpha + n*b_beta/c_beta = 0, which fixes m/n, and its
+    rational part, which fixes p = -(m*a_alpha/c_alpha + n*a_beta/c_beta).
+    So with m, n that ratio in lowest terms and t the p it fixes, the
+    relations are exactly the integer multiples of the primitive triple
+    t.denominator*(m, n, t). The smallest is that triple or its negative;
+    the one with m > 0 is returned if it fits in B, None otherwise (neither
+    m nor n is 0, for both rotations are irrational).
     """
     alpha.require_irrational("alpha")
     beta.require_irrational("beta")
@@ -509,24 +514,12 @@ def integer_dependence_search(
         raise ConfigError(f"B must be a positive integer, got {B}")
     if alpha.d != beta.d:
         return None
-
-    triples = [
-        (m, n, p)
-        for m in range(-B, B + 1)
-        for n in range(-B, B + 1)
-        for p in range(-B, B + 1)
-        if (m, n, p) != (0, 0, 0)
-    ]
-    triples.sort(
-        key=lambda t: (
-            abs(t[0]) + abs(t[1]) + abs(t[2]),
-            abs(t[0]),
-            abs(t[1]),
-            abs(t[2]),
-            t[0] <= 0,
-        )
-    )
-    for m, n, p in triples:
-        if alpha * m + beta * n + p == 0:
-            return Dependence(m=m, n=n, p=p, gcd_mn=math.gcd(abs(m), abs(n)))
-    return None
+    ratio = Fraction(-beta.b * alpha.c, beta.c * alpha.b)
+    m, n = ratio.numerator, ratio.denominator
+    t = -(m * Fraction(alpha.a, alpha.c) + n * Fraction(beta.a, beta.c))
+    m, n, p = m * t.denominator, n * t.denominator, t.numerator
+    if m < 0:
+        m, n, p = -m, -n, -p
+    if max(abs(m), abs(n), abs(p)) > B:
+        return None
+    return Dependence(m=m, n=n, p=p)

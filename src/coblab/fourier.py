@@ -8,9 +8,9 @@ residue t = (n * surd.fixed_point(alpha)) mod 2**192 lies within n + 1 units
 of frac(n*alpha) * 2**192, and `dyadic.phase(t)` is e(t * 2**-192) correctly
 rounded from certify's sine. So a phase is off from e(n*alpha) by its final
 rounding plus at most 2*pi*(n + 1) * 2**-192, and the per-operation relative
-error stays below 1e-30 throughout the supported desk scale. Certified interval
-statements (small-divisor reports) are produced separately with the exact
-kernel; the midpoint arithmetic here never feeds a certificate directly.
+error stays below 1e-30 throughout the supported desk scale. The certified
+divisors |1 - e(n*alpha)| are divisor_enclosure's, which `spectral` prints;
+the midpoint arithmetic here never feeds a certificate directly.
 Exact masses and real parts are read from the mantissas.
 
 Ergodic-sum diagnostics evaluate the Dirichlet kernel
@@ -34,7 +34,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping
 
 from .certify import Enclosure, sin_pi_enclosure, sqrt_enclosure
 from .dyadic import ONE, ZERO, WorkComplex, phase, to_fraction
@@ -44,8 +44,6 @@ from .surd import dist_enclosure, fixed_point
 _MASK = FP_ONE - 1
 # pi * 2**-192 is exact, so pi_ulp * t rounds exactly as pi * ldexp(t, -192)
 _PI_ULP = math.pi * 2.0**-FP_BITS
-
-Rational = Union[int, float, Fraction]
 
 
 @lru_cache(maxsize=64)
@@ -207,24 +205,15 @@ class SparseFourierSeries:
         }
 
 
-class SmallDivisorEntry(NamedTuple):
-    """Certified data for one frequency of a coboundary solve."""
-
-    n: int
-    divisor: Enclosure  # |1 - e(n*alpha)| (or the product for double solves)
-    magnitude: Enclosure  # |solution coefficient|
+# the distance tolerance of divisor_enclosure: its first 128-bit step meets it
+_DIVISOR_TOL = Fraction(1, 10**15)
 
 
-class SmallDivisorReport(NamedTuple):
-    entries: tuple[SmallDivisorEntry, ...]
-
-
-def divisor_enclosure(alpha: QuadraticSurd, n: int, tol: Rational = Fraction(1, 10**15)) -> Enclosure:
+def divisor_enclosure(alpha: QuadraticSurd, n: int) -> Enclosure:
     """Certified |1 - e(n*alpha)| = 2*sin(pi*||n*alpha||) for n != 0."""
     if n == 0:
         raise ValueError("the zero frequency has no divisor")
-    tol_f = Fraction(tol)
-    dist = dist_enclosure(alpha, abs(n), abs_tol=tol_f / 8)
+    dist = dist_enclosure(alpha, abs(n), abs_tol=_DIVISOR_TOL / 8)
     return 2 * sin_pi_enclosure(dist, 192)
 
 
@@ -264,40 +253,29 @@ def apply_difference(f: SparseFourierSeries, alpha: QuadraticSurd) -> SparseFour
 
 
 def _solve(
-    f: SparseFourierSeries, rotations: tuple[QuadraticSurd, ...], tol: Rational
-) -> tuple[SparseFourierSeries, SmallDivisorReport]:
-    """Divide each coefficient by the product of 1 - e(n*x) over the
-    rotations x, with the certified product of their divisors."""
-    tol_f = Fraction(tol)
+    f: SparseFourierSeries, rotations: tuple[QuadraticSurd, ...]
+) -> SparseFourierSeries:
+    """Divide each coefficient once by the product of 1 - e(n*x) over the
+    rotations x."""
     data = {}
-    entries = []
     first, *rest = rotations
     for n, c in f._coeffs.items():
         factor = _one_minus_phase(first, n)
-        div = divisor_enclosure(first, n, tol_f)
         for x in rest:
             factor = factor * _one_minus_phase(x, n)
-            div = div * divisor_enclosure(x, n, tol_f)
         data[n] = c / factor
-        mag = coefficient_magnitude_enclosure(c) / div
-        entries.append(SmallDivisorEntry(n=n, divisor=div, magnitude=mag))
-    entries.sort(key=lambda e: e.n)
-    return SparseFourierSeries(data, f.real_valued), SmallDivisorReport(tuple(entries))
+    return SparseFourierSeries(data, f.real_valued)
 
 
-def solve_coboundary(
-    f: SparseFourierSeries,
-    alpha: QuadraticSurd,
-    tol: Rational = Fraction(1, 10**12),
-) -> tuple[SparseFourierSeries, SmallDivisorReport]:
-    """Solve f = (I - T_alpha) g for g, with a certified small-divisor report.
+def solve_coboundary(f: SparseFourierSeries, alpha: QuadraticSurd) -> SparseFourierSeries:
+    """Solve f = (I - T_alpha) g for g at working precision.
 
-    The input must be centered. Divisor enclosures are refined until they
-    exclude zero, which is always possible for irrational alpha.
+    The input must be centered; for irrational alpha no divisor
+    1 - e(n*alpha) with n != 0 vanishes.
     """
     alpha.require_irrational("alpha")
     f.require_centered("coboundary data")
-    return _solve(f, (alpha,), tol)
+    return _solve(f, (alpha,))
 
 
 def transfer_coefficients(
@@ -319,16 +297,13 @@ def transfer_coefficients(
 
 
 def double_solve(
-    f: SparseFourierSeries,
-    alpha: QuadraticSurd,
-    beta: QuadraticSurd,
-    tol: Rational = Fraction(1, 10**12),
-) -> tuple[SparseFourierSeries, SmallDivisorReport]:
-    """Solve f = (I - T_alpha)(I - T_beta) h, reporting the divisor products."""
+    f: SparseFourierSeries, alpha: QuadraticSurd, beta: QuadraticSurd
+) -> SparseFourierSeries:
+    """Solve f = (I - T_alpha)(I - T_beta) h for h at working precision."""
     alpha.require_irrational("alpha")
     beta.require_irrational("beta")
     f.require_centered("double-coboundary data")
-    return _solve(f, (alpha, beta), tol)
+    return _solve(f, (alpha, beta))
 
 
 # ---------------------------------------------------------------------------

@@ -136,11 +136,6 @@ class LatticeFunction(Frozen):
     def diagonal_value(self, s: int) -> Enclosure:
         return _diag_power(self, s, _TERM_BITS)
 
-    def value(self, j: int, k: int) -> Enclosure:
-        if j < 1 or k < 1:
-            raise ConfigError("lattice indices start at 1")
-        return self.diagonal_value(j + k)
-
 
 def _diag_power(f: LatticeFunction, s: int, bits: int) -> Enclosure:
     """Enclosure of f(s) along the diagonal."""
@@ -223,17 +218,10 @@ class ShiftGrid(NamedTuple):
     integral lower and upper brackets.
     """
 
-    source: LatticeFunction
     J: int
     K: int
-    tail_terms: int
     diagonals: dict
     certificate: Certificate
-
-    def value(self, j: int, k: int) -> Enclosure:
-        if not (1 <= j <= self.J and 1 <= k <= self.K):
-            raise ConfigError("lattice point outside the computed box")
-        return self.diagonals[j + k]
 
     def rows(self):
         for j in range(1, self.J + 1):
@@ -353,7 +341,7 @@ def build_q(
         Certificate(kind="membership", entries=tuple(entries)),
         "formal solution brackets",
     )
-    return ShiftGrid(f, J, K, tail_terms, diagonals, cert)
+    return ShiftGrid(J, K, diagonals, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +360,6 @@ class DivergenceReport(NamedTuple):
     l_p, not for lack of any decay.
     """
 
-    p: Fraction
-    K: int
     row_sum_lower: Enclosure
     bounded_exponent: int
     lr_partial: Enclosure
@@ -485,11 +471,10 @@ def _power_divergence(p: Fraction, K: int) -> DivergenceReport:
         Certificate(kind="divergence-witness", entries=tuple(entries)),
         "divergence certificate",
     )
-    return DivergenceReport(p, K, row_sum_lower, r, lr_partial, None, cert)
+    return DivergenceReport(row_sum_lower, r, lr_partial, None, cert)
 
 
 def _logpower_divergence(K: int) -> DivergenceReport:
-    p = Fraction(1)
     f = build_h(1)
     r = 3
     entries = [
@@ -580,7 +565,7 @@ def _logpower_divergence(K: int) -> DivergenceReport:
         Certificate(kind="divergence-witness", entries=tuple(entries)),
         "divergence certificate",
     )
-    return DivergenceReport(p, K, row_sum_lower, r, lr_partial, _J0, cert)
+    return DivergenceReport(row_sum_lower, r, lr_partial, _J0, cert)
 
 
 def _row_integral_lower(j: int, K: int, J0: int) -> Enclosure:

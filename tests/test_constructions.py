@@ -210,7 +210,7 @@ def test_flagship_double_coefficients_bracketed(flagship):
     # the double solve applies to phi = (I - T_alpha) f, so each coefficient
     # reduces to f_hat(q) / (1 - e(q*beta)) with magnitude in [1/(2pi), 1/4]
     phi = apply_difference(flagship.f, ALPHA)
-    h, _ = double_solve(phi, ALPHA, BETA)
+    h = double_solve(phi, ALPHA, BETA)
     lo = 1 / (2 * math.pi)
     for q in FLAGSHIP_Q:
         mag = abs(to_mp(h.coeff(q)))
@@ -532,7 +532,7 @@ def test_common_generator_flagship_dependence():
 
 
 def test_common_generator_normalizes_orientation():
-    dep = Dependence(m=-2, n=3, p=-1, gcd_mn=1)
+    dep = Dependence(m=-2, n=3, p=-1)
     gamma, k, j = common_generator(ALPHA, dep)
     assert (k, j) == (3, 2)
     assert (gamma.a, gamma.b, gamma.d, gamma.c) == (1, 1, 2, 3)
@@ -540,7 +540,7 @@ def test_common_generator_normalizes_orientation():
 
 def test_common_generator_rejects_degenerate():
     with pytest.raises(ConfigError):
-        common_generator(ALPHA, Dependence(m=2, n=0, p=-1, gcd_mn=2))
+        common_generator(ALPHA, Dependence(m=2, n=0, p=-1))
 
 
 def _lift_setup():
@@ -548,8 +548,8 @@ def _lift_setup():
     dep = integer_dependence_search(ALPHA, beta, 5)
     gamma, k, j = common_generator(ALPHA, dep)
     u = random_real_series(31, 5)
-    u_x, _ = solve_coboundary(u, gamma)
-    u_y, _ = solve_coboundary(u, beta)  # j*gamma differs from beta by 1
+    u_x = solve_coboundary(u, gamma)
+    u_y = solve_coboundary(u, beta)  # j*gamma differs from beta by 1
     return beta, gamma, k, j, u_x, u_y
 
 

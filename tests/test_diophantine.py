@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coblab import diophantine
@@ -634,7 +634,6 @@ def test_dependence_rational_combination():
     beta = (2 * ALPHA + 1) / 3
     dep = integer_dependence_search(ALPHA, beta, 5)
     assert (dep.m, dep.n, dep.p) == (2, -3, 1)
-    assert dep.gcd_mn == 1
     assert ALPHA * dep.m + beta * dep.n + dep.p == 0
 
 
@@ -652,6 +651,50 @@ def test_dependence_shifted_same_surd():
 def test_dependence_bound_too_small():
     beta = (2 * ALPHA + 1) / 3
     assert integer_dependence_search(ALPHA, beta, 1) is None
+
+
+def brute_force_dependence(alpha, beta, B):
+    """The smallest (m, n, p) with m*alpha + n*beta + p = 0 and entries in
+    [-B, B], found by testing every triple in order of |m|+|n|+|p|, then |m|,
+    |n|, |p|, then positive m first; None if there is none."""
+    if alpha.d != beta.d:
+        return None
+    triples = [
+        (m, n, p)
+        for m in range(-B, B + 1)
+        for n in range(-B, B + 1)
+        for p in range(-B, B + 1)
+        if (m, n, p) != (0, 0, 0)
+    ]
+    triples.sort(key=lambda t: (abs(t[0]) + abs(t[1]) + abs(t[2]),
+                                abs(t[0]), abs(t[1]), abs(t[2]), t[0] <= 0))
+    for m, n, p in triples:
+        if alpha * m + beta * n + p == 0:
+            return m, n, p
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=SURDS,
+    other=SURDS,
+    lift=st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-4, 4),
+                   st.integers(1, 3)),
+    related=st.booleans(),
+    B=st.integers(1, 8),
+)
+# in lowest terms (m, n) = (-1, 1) both times, so the sign flips; in the
+# first, p = 1/2 there, so the relation is (2, -2, -1)
+@example(alpha=QuadraticSurd(1, 1, 5, 2), other=QuadraticSurd(0, 1, 5, 2),
+         lift=(1, 0, 1), related=False, B=2)
+@example(alpha=SQRT2, other=SQRT2 + 1, lift=(1, 0, 1), related=False, B=1)
+def test_dependence_matches_the_exhaustive_search(alpha, other, lift, related, B):
+    # beta = (u*alpha + v)/w shares alpha's field and has a small relation;
+    # other shares it with probability 1/8 and otherwise has none
+    u, v, w = lift
+    beta = (alpha * u + v) / w if related else other
+    assert integer_dependence_search(alpha, beta, B) == brute_force_dependence(
+        alpha, beta, B)
 
 
 # -- serialization --------------------------------------------------------------

@@ -201,23 +201,11 @@ def test_apply_difference_consistency():
 
 def test_solve_coboundary_identity_and_report():
     f = random_real_series(seed=3, max_freq=6)
-    g, report = solve_coboundary(f, ALPHA)
+    g = solve_coboundary(f, ALPHA)
     back = apply_difference(g, ALPHA)
     assert max_abs_coeff_diff(back, f) < mpmath.mpf("1e-34")
     assert g.real_valued
-    assert [e.n for e in report.entries] == list(f.support)
-    with mpmath.workdps(60):
-        a = surd_mpf(ALPHA)
-        for entry in report.entries:
-            dist = abs(entry.n * a - mpmath.nint(entry.n * a))
-            oracle_div = 2 * mpmath.sin(mpmath.pi * dist)
-            assert entry.divisor.lo > 0
-            assert mp_fraction(oracle_div) in entry.divisor or (
-                abs(float(entry.divisor.mid) - float(oracle_div)) < 1e-16
-            )
-            oracle_mag = abs(to_mp(f.coeff(entry.n))) / oracle_div
-            assert float(entry.magnitude.lo) <= float(oracle_mag) * (1 + 1e-12)
-            assert float(entry.magnitude.hi) >= float(oracle_mag) * (1 - 1e-12)
+    assert g.support == f.support
 
 
 def test_solve_coboundary_rejects_uncentered():
@@ -258,18 +246,10 @@ def test_transfer_identity():
 
 def test_double_solve_identity_and_report():
     f = random_real_series(seed=23, max_freq=4)
-    h, report = double_solve(f, ALPHA, BETA)
+    h = double_solve(f, ALPHA, BETA)
     back = apply_difference(apply_difference(h, ALPHA), BETA)
     assert max_abs_coeff_diff(back, f) < mpmath.mpf("1e-33")
-    with mpmath.workdps(60):
-        a = surd_mpf(ALPHA)
-        b = surd_mpf(BETA)
-        for entry in report.entries:
-            da = abs(entry.n * a - mpmath.nint(entry.n * a))
-            db = abs(entry.n * b - mpmath.nint(entry.n * b))
-            oracle = 4 * mpmath.sin(mpmath.pi * da) * mpmath.sin(mpmath.pi * db)
-            assert float(entry.divisor.lo) <= float(oracle) * (1 + 1e-15)
-            assert float(entry.divisor.hi) >= float(oracle) * (1 - 1e-15)
+    assert h.support == f.support
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ contain its value recomputed in mpmath at 400 bits from the printed
 q_sequence and the rotation numbers of the config, every record of
 `approx dirichlet` from its printed q, the `approx bad-pair` constant from
 every q up to Q, each `check large-coeff` entry from its printed n, and each
-value of `check bad-joint`, `mur` and `kac-salem` from construct's
-q_sequence, never from a printed decimal; and every enclosure that `shift`
-prints must contain its closed form, computed in mpmath at 400 bits from the
-config alone, or be named on NO_CLOSED_FORM. No golden report fails an
+value of `check bad-joint`, `mur` and `kac-salem` and each term of `check
+petersen` from construct's q_sequence, never from a printed decimal; and
+every enclosure that `shift` prints must contain its closed form or finite
+sum, computed in mpmath at 400 bits from the config alone, or be named on
+NO_CLOSED_FORM or NO_ORACLE. So 236 of the 244 enclosures that the golden
+JSON reports print have an oracle: only the 5 of `check double-bad` and the
+3 of the l_3 bound of `shift --p 1` do not. No golden report fails an
 entry, and only `check double-bad` prints a certificate that compares
 nothing.
 Only pytest, mpmath and the standard library do the checking.
@@ -242,20 +245,34 @@ def test_spectral_sums_contain_their_recomputed_values(argv):
         assert abs(Fraction(result["total_mass"]) - mass) <= mass / 10**30
 
 
-# `shift` at p = 2 (the default) and p = 3/2, K = 10: h(s) = s**-kappa with
-# kappa = (p+1)/p, and q(1, k) = sum_{t >= 1+k} h(t) is the Hurwitz zeta
-# value zeta(kappa, 1+k).
-SHIFT = ["shift --format json", "shift --p 3/2 --format json"]
+# `shift` at p = 2 (the default), p = 3/2 and p = 1, K = 10. For p > 1,
+# h(s) = s**-kappa with kappa = (p+1)/p, and q(1, k) = sum_{t >= 1+k} h(t) is
+# the Hurwitz zeta value zeta(kappa, 1+k); at p = 1, h(s) = s**-2 (log s)**-2.
+SHIFT = ["shift --format json", "shift --p 3/2 --format json",
+         "shift --p 1 --format json"]
 
-# The printed shift enclosures that contain no closed form, each with the
-# reason. Each is a point at the safe end of a 96-bit enclosure of an
-# integral bound, so it misses that bound by up to the enclosure's width; it
-# is checked to lie on the safe side of the bound's closed form, within
-# 2**-80 of it.
+# The printed shift thresholds that contain no closed form, each with the
+# side of its bound that it lies on and the reason. Each is a point at the
+# safe end of a 96- or 120-bit enclosure of a bound, so it misses that bound
+# by up to the enclosure's width; it is checked to lie on the safe side of
+# the bound's closed form, within 2**-80 of it.
 NO_CLOSED_FORM = {
-    "integral lower": "the lower end of (1 - 1/1000) * p * (1+k)**(-1/p)",
-    "integral upper": "the upper end of p * k**(-1/p) for k > 1, and of "
-                      "2**-kappa + p * 2**(-1/p) at k = 1",
+    "integral lower": ("below", "the lower end of (1 - 1/1000) * p * "
+                                "(1+k)**(-1/p)"),
+    "integral upper": ("above", "the upper end of p * k**(-1/p) for k > 1, "
+                                "and of 2**-kappa + p * 2**(-1/p) at k = 1"),
+    "power envelope": ("above", "the upper end of t**(-5/2)"),
+    "row integral lower": ("below", "the lower end of (2/3) * (1 - 1/1000)**2 "
+                                    "* K * 5504**(-3/2)"),
+    "closed l_3 bound": ("above", "(3/(4 * log(2)**2))**3 + 4/log(3)**6 + 1, "
+                                  "from lower ends of the logarithms"),
+}
+
+# The printed shift enclosures with no oracle, each with the reason.
+NO_ORACLE = {
+    "l_3 mass": "sum over s <= 400 of (s-1) * U(s)**3, for an upper bound U "
+                "of q(s) with its logarithm rounded down, plus a tail bound: "
+                "it bounds the l_3 mass of q, which has no closed form",
 }
 
 
@@ -263,8 +280,11 @@ def shift_oracle(exact_p, K):
     """The closed forms of a shift report, from p and K alone: a dict from
     the path of each enclosure outside the certificate to its value, and a
     dict from each certificate entry's description to its (value, threshold).
-    A threshold (name, bound) is on NO_CLOSED_FORM, and bound is the closed
-    form it bounds; a threshold None marks an annotation."""
+    A value (lo, hi) brackets the printed one; a value named on NO_ORACLE has
+    no oracle. A threshold (name, bound) is on NO_CLOSED_FORM, and bound is
+    the closed form it bounds; a threshold None marks an annotation."""
+    if exact_p == 1:
+        return logpower_oracle(K)
     eps = Fraction(1, 1000)
     p = mpmath.mpf(exact_p.numerator) / exact_p.denominator
     kappa = (p + 1) / p
@@ -301,6 +321,72 @@ def shift_oracle(exact_p, K):
     return fields, entries
 
 
+# h(s) = s**-2 (log s)**-2 is decreasing, so the diagonal terms
+# (s-1) * h(s) are too, and their integral over [N, inf) is, with L = log N,
+# int (x-1) / (x log x)**2 dx = 1/L - exp(-L)/L + E1(L)
+def logpower_integral(N):
+    L = mpmath.log(N)
+    return 1 / L - mpmath.exp(-L) / L + mpmath.e1(L)
+
+
+def envelope_start():
+    """The least n past e**4 with (log n)**4 <= n."""
+    return int(mpmath.findroot(lambda x: mpmath.log(x) ** 4 - x, 5500)) + 1
+
+
+def logpower_oracle(K):
+    """shift_oracle at p = 1."""
+    eps = Fraction(1, 1000)
+    S = min(K, 2000) + 1  # the diagonals of lp_norm
+    partial = mpmath.fsum((s - 1) / (s * mpmath.log(s)) ** 2 for s in range(2, S + 1))
+    # the discarded sum over s > S lies between the integrals from S+1 and S
+    tail = (logpower_integral(S + 1), logpower_integral(S))
+    J0 = envelope_start()
+    # for K < J0 - 4 every row j in (1, 2, 4) has j + k < J0 for all k <= K,
+    # so its integral lower bound is K copies of J0**(-3/2)
+    assert K < J0 - 4
+    rows = {j: 2 * (1 - eps) / 3 * mpmath.fsum(max(j + k, J0) ** mpmath.mpf(-1.5)
+                                               for k in range(1, K + 1))
+            for j in (1, 2, 4)}
+    row_floor = 2 * (1 - eps) ** 2 / 3 * K * mpmath.mpf(J0) ** -1.5
+    fields = {
+        "lp_norm.partial": partial,
+        "lp_norm.tail": tail,
+        "lp_norm.total": (partial + tail[0], partial + tail[1]),
+        "row_sum_lower": rows[1],
+        "lr_partial": "l_3 mass",
+    }
+    entries = {
+        f"(log n)**4 at n = {n}": (mpmath.log(n) ** 4, Fraction(n))
+        for n in (J0, J0 - 1)
+    }
+    entries["x/(log x)**4 increases past e**4, so the power envelope "
+            f"t**(-5/2) <= t**(-2)(log t)**(-2) holds for all t >= {J0}"] = (
+        Fraction(J0), None)
+    for t in (J0, 2 * J0):
+        entries[f"series term vs power envelope at t = {t}"] = (
+            1 / (t * mpmath.log(t)) ** 2,
+            ("power envelope", mpmath.mpf(t) ** -2.5))
+    for j, row in rows.items():
+        entries[f"row {j} sum of q over k <= {K} vs integral lower"] = (
+            row, ("row integral lower", row_floor))
+    entries["full lattice sum of q**3 vs its closed convergence bound"] = (
+        "l_3 mass",
+        ("closed l_3 bound", (3 / (4 * mpmath.log(2) ** 2)) ** 3
+         + 4 / mpmath.log(3) ** 6 + 1))
+    return fields, entries
+
+
+def contains(interval, value):
+    """A printed interval holds value, or both ends of a bracket (lo, hi)
+    around it; a value named on NO_ORACLE is not checked."""
+    if isinstance(value, str):
+        assert value in NO_ORACLE
+        return True
+    return all(inside(x, interval)
+               for x in (value if isinstance(value, tuple) else (value,)))
+
+
 def printed_enclosures(node, path=""):
     """(path, interval) of every enclosure in a report tree, certificates
     left out."""
@@ -317,22 +403,23 @@ def test_shift_enclosures_contain_their_closed_forms(argv):
     envelope = report(argv)
     result, config = envelope["result"], envelope["config"]
     with mpmath.workprec(400):
-        fields, entries = shift_oracle(Fraction(config["p"]), config["K"])
+        p = Fraction(config["p"])
+        fields, entries = shift_oracle(p, config["K"])
+        assert result["log_threshold"] == (envelope_start() if p == 1 else None)
         found = dict(printed_enclosures(result))
         assert sorted(found) == sorted(fields)
         for path, interval in found.items():
-            assert inside(fields[path], interval), (argv, path)
+            assert contains(interval, fields[path]), (argv, path)
         printed_entries = result["certificate"]["entries"]
         assert sorted(e["description"] for e in printed_entries) == sorted(entries)
         for entry in printed_entries:
             value, threshold = entries[entry["description"]]
-            assert inside(value, entry["value"]), (argv, entry)
+            assert contains(entry["value"], value), (argv, entry)
             if isinstance(threshold, tuple):
                 name, bound = threshold
-                assert name in NO_CLOSED_FORM
+                side, _ = NO_CLOSED_FORM[name]
                 point, bound = printed(entry["threshold"]), exact(bound)
-                gap = (bound - point["lo"] if name == "integral lower"
-                       else point["hi"] - bound)
+                gap = bound - point["lo"] if side == "below" else point["hi"] - bound
                 assert 0 <= gap <= bound / 2**80, (argv, entry)
             elif threshold is not None:
                 assert inside(threshold, entry["threshold"]), (argv, entry)
@@ -437,3 +524,23 @@ def test_check_values_contain_their_recomputed_values(argv):
         assert sorted(found) == sorted(oracle)
         for path, interval in found.items():
             assert inside(oracle[path], interval), (argv, path)
+
+
+def test_petersen_terms_contain_their_recomputed_values():
+    envelope = report("check petersen --format json")
+    result = envelope["result"]
+    # the series checked is construct's f of the same (default) config
+    qs = report("construct --format json")["result"]["q_sequence"]
+    assert [n for n, _ in result["terms"]] == qs
+    with mpmath.workprec(400):
+        alpha = rotation(envelope["config"]["alpha"])
+        beta = rotation(envelope["config"]["beta"])
+        # |f_hat(q)|**2 * sin(pi*||q*beta||)**2 / sin(pi*||q*alpha||)**2; the
+        # mass is the square of a 140-bit coefficient, off from ||q*beta||**2
+        # by about 1e-42 relative, and every printed end lies at least 4e-32
+        # relative from the value
+        terms = [(dist(q, beta) * mpmath.sinpi(dist(q, beta))
+                  / mpmath.sinpi(dist(q, alpha))) ** 2 for q in qs]
+        for term, (n, interval) in zip(terms, result["terms"]):
+            assert inside(term, interval), n
+        assert inside(mpmath.fsum(terms), result["value"])

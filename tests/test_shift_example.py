@@ -53,7 +53,7 @@ class TestBuildH:
         assert h.exponent == Fraction(3, 2)
 
     def test_corner_value_is_inverse_sqrt8(self):
-        v = build_h(2).value(1, 1)
+        v = build_h(2).diagonal_value(2)  # h(1, 1)
         with mpmath.workdps(50):
             oracle = mpmath.nstr(mpmath.mpf(2) ** mpmath.mpf("-1.5"), 40)
         assert _contains(v, oracle)
@@ -62,22 +62,14 @@ class TestBuildH:
     def test_p1_switches_to_logpower(self):
         h = build_h(1)
         assert h.kind == "logpower"
-        v = h.value(1, 1)
+        v = h.diagonal_value(2)  # h(1, 1)
         with mpmath.workdps(50):
             oracle = mpmath.nstr(1 / (4 * mpmath.log(2) ** 2), 40)
         assert _contains(v, oracle)
 
-    def test_values_depend_only_on_the_diagonal(self):
-        h = build_h(3)
-        assert h.value(1, 4) == h.value(2, 3) == h.value(4, 1)
-
     def test_rejects_p_below_one(self):
         with pytest.raises(ConfigError):
             build_h(Fraction(1, 2))
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ConfigError):
-            build_h(2).value(0, 3)
 
 
 class TestLpPartialNorm:
@@ -159,7 +151,7 @@ class TestBuildQ:
         grid = build_q(build_h(2), 1, 1, tail_terms=2000)
         with mpmath.workdps(50):
             oracle = mpmath.nstr(mpmath.zeta(mpmath.mpf("1.5")) - 1, 40)
-        q11 = grid.value(1, 1)
+        q11 = grid.diagonals[2]  # q(1, 1)
         assert _contains(q11, oracle)
         assert q11.width < Fraction(2, 10**5)
 
@@ -223,11 +215,6 @@ class TestBuildQ:
         q2 = grid.diagonals[2]
         assert q2.lo <= Fraction(repr(direct)) + Fraction(1, 100)
         assert q2.hi >= Fraction(repr(direct))
-
-    def test_value_outside_box_is_refused(self):
-        grid = build_q(build_h(2), 2, 2, tail_terms=50)
-        with pytest.raises(ConfigError):
-            grid.value(3, 1)
 
     def test_tail_terms_validation(self):
         with pytest.raises(ConfigError):
