@@ -208,12 +208,6 @@ class WorkComplex:
     def __neg__(self):
         return _make(-self.re_man, self.re_exp, -self.im_man, self.im_exp)
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:

@@ -168,9 +168,6 @@ class SparseFourierSeries:
             data[n] = data.get(n, ZERO) + c
         return SparseFourierSeries(data, self.real_valued and other.real_valued)
 
-    def __sub__(self, other: "SparseFourierSeries") -> "SparseFourierSeries":
-        return self + other.scale(-1)
-
     def scale(self, factor) -> "SparseFourierSeries":
         s = WorkComplex(factor)
         data = {n: c * s for n, c in self._coeffs.items()}

@@ -4,7 +4,7 @@ A value is stored as (a + b*sqrt(d))/c with integers a, b, c > 0 and d
 squarefree, reduced so gcd(a, b, c) = 1. Signs, comparisons, floors and
 integer-distance computations are exact integer work: the floor is
 (a + isqrt(b*b*d))//c for b > 0 and (a - isqrt(b*b*d) - 1)//c for b < 0,
-exact because sqrt(b*b*d) is irrational. Only ``float()`` rounds.
+exact because sqrt(b*b*d) is irrational. Only ``enclosure`` rounds, outward.
 
 The rotation scans, the Fourier phases and the ergodic-sum kernels all step
 one fixed-point residue of a rotation number x, frac(k*x) * 2**FP_BITS, from
@@ -164,9 +164,6 @@ class QuadraticSurd:
             self.a * c2 - a2 * self.c, self.b * c2 - b2 * self.c, d, self.c * c2
         )
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         parts = self._parts(other)
         if parts is None:
@@ -199,10 +196,6 @@ class QuadraticSurd:
             return self * other.inverse()
         q = Fraction(other)
         return self * Fraction(q.denominator, q.numerator)
-
-    def __rtruediv__(self, other):
-        inv = self.inverse()
-        return inv * other
 
     # -- order --------------------------------------------------------------
 
@@ -259,9 +252,6 @@ class QuadraticSurd:
             hi_num = self.a * scale + self.b * s
         den = self.c * scale
         return Enclosure(Fraction(lo_num, den), Fraction(hi_num, den))
-
-    def __float__(self) -> float:
-        return float(self.enclosure(96).mid)
 
     def __floor__(self) -> int:
         """floor(x) with r = isqrt(b*b*d): (a + r)//c for b > 0 and

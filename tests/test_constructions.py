@@ -101,6 +101,9 @@ def test_entry_entire_interval_comparison():
     assert not CertificateEntry("d", value, "<", touching).satisfied
     overlapping = Enclosure(Fraction(3, 2), Fraction(3))
     assert not CertificateEntry("d", value, "<=", overlapping).satisfied
+    assert CertificateEntry("d", touching, ">=", value).satisfied
+    assert not CertificateEntry("d", touching, ">", value).satisfied
+    assert not CertificateEntry("d", overlapping, ">=", value).satisfied
 
 
 def test_entry_nonstrict_accepts_equality():

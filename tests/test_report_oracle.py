@@ -11,11 +11,12 @@ every q up to Q, each `check large-coeff` entry from its printed n, and each
 value of `check bad-joint`, `mur` and `kac-salem` and each term of `check
 petersen` from construct's q_sequence, never from a printed decimal; and
 every enclosure that `shift` prints must contain its closed form or finite
-sum, computed in mpmath at 400 bits from the config alone, or be named on
-NO_CLOSED_FORM or NO_ORACLE. So 236 of the 244 enclosures that the golden
-JSON reports print have an oracle: only the 5 of `check double-bad` and the
-3 of the l_3 bound of `shift --p 1` do not. No golden report fails an
-entry, and only `check double-bad` prints a certificate that compares
+sum, computed in mpmath at 400 bits from the config alone, or lie on the
+safe side of a bound named on NO_CLOSED_FORM. A table maps every enclosure
+that the golden JSON reports print to the test that checks it or to
+NO_ORACLE, and an enclosure it does not name fails: 239 of the 244 have an
+oracle, and only the 5 of `check double-bad` do not. No golden report fails
+an entry, and only `check double-bad` prints a certificate that compares
 nothing.
 Only pytest, mpmath and the standard library do the checking.
 """
@@ -251,11 +252,12 @@ def test_spectral_sums_contain_their_recomputed_values(argv):
 SHIFT = ["shift --format json", "shift --p 3/2 --format json",
          "shift --p 1 --format json"]
 
-# The printed shift thresholds that contain no closed form, each with the
-# side of its bound that it lies on and the reason. Each is a point at the
+# The printed shift bounds that contain no closed form, each with the side of
+# its bound that it lies on and the reason. Each threshold is a point at the
 # safe end of a 96- or 120-bit enclosure of a bound, so it misses that bound
-# by up to the enclosure's width; it is checked to lie on the safe side of
-# the bound's closed form, within 2**-80 of it.
+# by up to the enclosure's width, and the l_3 mass is a sum of bounds with
+# their logarithms rounded down; the printed end on the safe side is checked
+# to lie on that side of the bound's exact-log form, within 2**-80 of it.
 NO_CLOSED_FORM = {
     "integral lower": ("below", "the lower end of (1 - 1/1000) * p * "
                                 "(1+k)**(-1/p)"),
@@ -266,13 +268,10 @@ NO_CLOSED_FORM = {
                                     "* K * 5504**(-3/2)"),
     "closed l_3 bound": ("above", "(3/(4 * log(2)**2))**3 + 4/log(3)**6 + 1, "
                                   "from lower ends of the logarithms"),
-}
-
-# The printed shift enclosures with no oracle, each with the reason.
-NO_ORACLE = {
-    "l_3 mass": "sum over s <= 400 of (s-1) * U(s)**3, for an upper bound U "
-                "of q(s) with its logarithm rounded down, plus a tail bound: "
-                "it bounds the l_3 mass of q, which has no closed form",
+    "l_3 mass": ("above", "sum over s <= 400 of (s-1) * U(s)**3 plus the tail "
+                          "8/(400 * log(400)**6), U(s) = (s+1)/(s**2 * "
+                          "log(s)**2) from lower ends of the logarithms: it "
+                          "bounds the l_3 mass of q, which has no closed form"),
 }
 
 
@@ -280,9 +279,9 @@ def shift_oracle(exact_p, K):
     """The closed forms of a shift report, from p and K alone: a dict from
     the path of each enclosure outside the certificate to its value, and a
     dict from each certificate entry's description to its (value, threshold).
-    A value (lo, hi) brackets the printed one; a value named on NO_ORACLE has
-    no oracle. A threshold (name, bound) is on NO_CLOSED_FORM, and bound is
-    the closed form it bounds; a threshold None marks an annotation."""
+    A value (lo, hi) brackets the printed one. A value or threshold
+    (name, bound) is on NO_CLOSED_FORM, and bound is the exact form it bounds;
+    a threshold None marks an annotation."""
     if exact_p == 1:
         return logpower_oracle(K)
     eps = Fraction(1, 1000)
@@ -349,12 +348,16 @@ def logpower_oracle(K):
                                                for k in range(1, K + 1))
             for j in (1, 2, 4)}
     row_floor = 2 * (1 - eps) ** 2 / 3 * K * mpmath.mpf(J0) ** -1.5
+    cap = 400  # the partial range of the l_3 mass
+    l3_mass = ("l_3 mass", mpmath.fsum(
+        (s - 1) * ((s + 1) / (s**2 * mpmath.log(s) ** 2)) ** 3
+        for s in range(2, cap + 1)) + 8 / (cap * mpmath.log(cap) ** 6))
     fields = {
         "lp_norm.partial": partial,
         "lp_norm.tail": tail,
         "lp_norm.total": (partial + tail[0], partial + tail[1]),
         "row_sum_lower": rows[1],
-        "lr_partial": "l_3 mass",
+        "lr_partial": l3_mass,
     }
     entries = {
         f"(log n)**4 at n = {n}": (mpmath.log(n) ** 4, Fraction(n))
@@ -371,18 +374,28 @@ def logpower_oracle(K):
         entries[f"row {j} sum of q over k <= {K} vs integral lower"] = (
             row, ("row integral lower", row_floor))
     entries["full lattice sum of q**3 vs its closed convergence bound"] = (
-        "l_3 mass",
+        l3_mass,
         ("closed l_3 bound", (3 / (4 * mpmath.log(2) ** 2)) ** 3
          + 4 / mpmath.log(3) ** 6 + 1))
     return fields, entries
 
 
+def on_safe_side(interval, bound):
+    """The printed end of interval on the safe side of a NO_CLOSED_FORM bound
+    (name, value) lies on that side of value, within 2**-80 of it."""
+    name, value = bound
+    side, _ = NO_CLOSED_FORM[name]
+    point, value = printed(interval), exact(value)
+    gap = value - point["lo"] if side == "below" else point["hi"] - value
+    return 0 <= gap <= value / 2**80
+
+
 def contains(interval, value):
     """A printed interval holds value, or both ends of a bracket (lo, hi)
-    around it; a value named on NO_ORACLE is not checked."""
-    if isinstance(value, str):
-        assert value in NO_ORACLE
-        return True
+    around it, or holds a NO_CLOSED_FORM bound (name, value) on its safe
+    side."""
+    if isinstance(value, tuple) and isinstance(value[0], str):
+        return on_safe_side(interval, value) and inside(value[1], interval)
     return all(inside(x, interval)
                for x in (value if isinstance(value, tuple) else (value,)))
 
@@ -416,11 +429,7 @@ def test_shift_enclosures_contain_their_closed_forms(argv):
             value, threshold = entries[entry["description"]]
             assert contains(entry["value"], value), (argv, entry)
             if isinstance(threshold, tuple):
-                name, bound = threshold
-                side, _ = NO_CLOSED_FORM[name]
-                point, bound = printed(entry["threshold"]), exact(bound)
-                gap = bound - point["lo"] if side == "below" else point["hi"] - bound
-                assert 0 <= gap <= bound / 2**80, (argv, entry)
+                assert on_safe_side(entry["threshold"], threshold), (argv, entry)
             elif threshold is not None:
                 assert inside(threshold, entry["threshold"]), (argv, entry)
 
@@ -544,3 +553,155 @@ def test_petersen_terms_contain_their_recomputed_values():
         for term, (n, interval) in zip(terms, result["terms"]):
             assert inside(term, interval), n
         assert inside(mpmath.fsum(terms), result["value"])
+
+
+# The printed enclosures of `check double-bad` with no oracle, with the reason.
+NO_ORACLE = {
+    "double-bad envelope": "the envelope constant M, the partial sum and the "
+                           "tail allowance of `check double-bad` are replaced "
+                           "by ROADMAP item 15's envelope; an oracle for the "
+                           "present one would check bytes about to change",
+}
+
+# What checks each enclosure that a golden JSON report prints, by config
+# and label: the oracle test that recomputes it, the name of a NO_CLOSED_FORM
+# bound that the shift test holds it to, or a NO_ORACLE name. A label is the
+# enclosure's path in the result with the list indices dropped, or "value of"
+# or "threshold of" an entry's description; "{n}" stands for an integer.
+CONSTRUCT_ENTRIES = (
+    "sum of |g_hat(q_k)| vs (pi/2) * sum of ||q_k*alpha||",
+    "(pi/2) * sum of ||q_k*alpha|| vs (pi/2) * sum of q_k**-1/2",
+    "sum of |g_hat(q_k)| vs (pi/2) * sum of q_k**-1/2",
+    "|h_hat({n})| vs 1/(2*pi)",
+    "|h_hat({n})| vs 1/4",
+)
+SHIFT_P2_ENTRIES = (
+    "row 1 sum of q**2 over k <= {n} vs its logarithmic growth floor",
+    "full lattice sum of q**5 vs its closed convergence bound",
+)
+ENCLOSURE_CHECKERS = {
+    "approx bad-pair --format json": {
+        test_bad_pair_constant_is_the_first_minimum_over_every_q: ("constant",),
+    },
+    "approx dirichlet --format json": {
+        test_dirichlet_records_contain_their_recomputed_values: (
+            "records[].dist_alpha", "records[].dist_beta", "records[].quality"),
+    },
+    "check bad-joint --format json": {
+        test_check_values_contain_their_recomputed_values: ("C", "L2"),
+    },
+    "check kac-salem --format json": {
+        test_check_values_contain_their_recomputed_values: ("entropy", "partial"),
+    },
+    "check mur --format json": {
+        test_check_values_contain_their_recomputed_values: ("partial",),
+    },
+    "check double-bad --K 3 --format json": {
+        "double-bad envelope": tuple(f"value of {d}" for d in (
+            "envelope constant M = max |f_hat(k)| * k**2 * (log k)**gamma",
+            "envelope of {n} terms verified non-increasing",
+            "partial sum of k * a_k**2 (exact)",
+            "caller-supplied analytic tail bound",
+            "partial plus tail")),
+    },
+    "check large-coeff --format json": {
+        test_large_coeff_entries_contain_their_recomputed_values: tuple(
+            f"{role} of {d}" for role in ("value", "threshold")
+            for d in ("n*||n*beta|| at n={n}", WITNESS.format("{n}"),
+                      SAME_WITNESS)),
+    },
+    "check petersen --format json": {
+        test_petersen_terms_contain_their_recomputed_values: ("terms[][]",
+                                                              "value"),
+    },
+    "construct --format json": {
+        test_construct_entries_contain_their_recomputed_values: (
+            "tail_bound",
+            "value of discarded tail of sum |g_hat| under the geometric gap "
+            "model",
+            *(f"{role} of {d}" for role in ("value", "threshold")
+              for d in CONSTRUCT_ENTRIES)),
+    },
+    "spectral --format json": {
+        test_spectral_sums_contain_their_recomputed_values: (
+            "alpha_integral.value", "beta_integral.value", "double_sum",
+            "joint_sum"),
+    },
+    "shift --format json": {
+        test_shift_enclosures_contain_their_closed_forms: (
+            "lp_norm.partial", "lp_norm.tail", "lp_norm.total",
+            "row_sum_lower", "lr_partial",
+            "value of slack 1/1000 in lower bounds; the first omitted series "
+            "term exceeds it on every sampled diagonal",
+            "value of q at row 1, column {n} vs integral lower",
+            "value of q at row 1, column {n} vs integral upper",
+            *(f"{role} of {d}" for role in ("value", "threshold")
+              for d in SHIFT_P2_ENTRIES)),
+        "integral lower": ("threshold of q at row 1, column {n} vs integral "
+                           "lower",),
+        "integral upper": ("threshold of q at row 1, column {n} vs integral "
+                           "upper",),
+    },
+    "shift --p 1 --format json": {
+        test_shift_enclosures_contain_their_closed_forms: (
+            "lp_norm.partial", "lp_norm.tail", "lp_norm.total",
+            "row_sum_lower",
+            "value of (log n)**4 at n = {n}",
+            "threshold of (log n)**4 at n = {n}",
+            "value of x/(log x)**4 increases past e**4, so the power envelope "
+            "t**(-5/2) <= t**(-2)(log t)**(-2) holds for all t >= {n}",
+            "value of series term vs power envelope at t = {n}",
+            "value of row {n} sum of q over k <= {n} vs integral lower"),
+        "power envelope": ("threshold of series term vs power envelope at "
+                           "t = {n}",),
+        "row integral lower": ("threshold of row {n} sum of q over k <= {n} vs "
+                               "integral lower",),
+        "closed l_3 bound": ("threshold of full lattice sum of q**3 vs its "
+                             "closed convergence bound",),
+        "l_3 mass": ("lr_partial", "value of full lattice sum of q**3 vs its "
+                                   "closed convergence bound"),
+    },
+}
+
+
+def label_pattern(template):
+    """A label template as a regular expression, "{n}" matching an integer."""
+    return re.escape(template).replace(re.escape("{n}"), r"\d+")
+
+
+def labelled_enclosures(node, path=""):
+    """The label of every enclosure in a report tree."""
+    if isinstance(node, dict):
+        if set(node) == {"lo", "hi"}:
+            yield path
+        elif "description" in node:
+            yield from (f"{role} of {node['description']}"
+                        for role in ("value", "threshold") if role in node)
+        else:
+            for key, child in node.items():
+                yield from labelled_enclosures(child, f"{path}.{key}".lstrip("."))
+    elif isinstance(node, list):
+        for child in node:
+            yield from labelled_enclosures(child, f"{path}[]")
+
+
+def test_every_printed_enclosure_has_an_oracle_or_a_reason():
+    used, checked = set(), []
+    for argv in JSON_GOLDEN:
+        for label in labelled_enclosures(report(argv)["result"]):
+            found = [(checker, template)
+                     for checker, templates in ENCLOSURE_CHECKERS.get(argv, {}).items()
+                     for template in templates
+                     if re.fullmatch(label_pattern(template), label)]
+            assert len(found) == 1, (argv, label, found)
+            used.add((argv, *found[0]))
+            checked.append(found[0][0])
+    # every template matches, and a name is a known bound or reason
+    assert used == {(argv, checker, template)
+                    for argv, checkers in ENCLOSURE_CHECKERS.items()
+                    for checker, templates in checkers.items()
+                    for template in templates}
+    for checker in {c for checkers in ENCLOSURE_CHECKERS.values() for c in checkers}:
+        assert callable(checker) or checker in NO_CLOSED_FORM.keys() | NO_ORACLE.keys()
+    assert len(checked) == 244
+    assert sum(checker in NO_ORACLE for checker in checked) == 5
