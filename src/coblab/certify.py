@@ -155,12 +155,6 @@ class Enclosure(Frozen):
         lo = Fraction(0) if self.lo < 0 < self.hi else min(a, b)
         return Enclosure(lo, max(a, b))
 
-    def strictly_below(self, other: "Enclosure") -> bool:
-        return self.hi < other.lo
-
-    def strictly_above(self, other: "Enclosure") -> bool:
-        return self.lo > other.hi
-
     def rounded(self, bits: int) -> "Enclosure":
         """Round endpoints outward onto the 2**-bits dyadic grid.
 

@@ -458,7 +458,7 @@ def _handle_spectral(config: ExperimentConfig) -> _Body:
     beta_side = spectral.coboundary_integral(measure, "beta")
     data = {
         "atoms": len(measure),
-        "total_mass": str(measure.total_mass()),
+        "total_mass": str(f.l2_norm_sq_exact()),
         "alpha_integral": {
             "value": report.enclosure_json(alpha_side.value),
             "divergent": alpha_side.divergent,
@@ -472,7 +472,7 @@ def _handle_spectral(config: ExperimentConfig) -> _Body:
     }
     text = [
         f"atomic measure with {len(measure)} atoms, "
-        f"total mass {float(measure.total_mass()):.6g}",
+        f"total mass {float(f.l2_norm_sq_exact()):.6g}",
         "alpha-side membership integral: "
         + report.interval_str(alpha_side.value, 12),
         "beta-side membership integral: "

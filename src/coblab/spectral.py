@@ -3,10 +3,11 @@
 Two commuting irrational rotations diagonalize together in the Fourier
 basis, so the spectral measure of a trigonometric polynomial is purely
 atomic: one atom per supported frequency n, sitting at the pair of
-eigenvalues (e(n*alpha), e(n*beta)) with mass |f_hat(n)|**2. Membership of
-f in the range of (I - T_alpha), of (I - T_beta), or of their product then
-reduces to weighted sums over atoms with certified divisor enclosures
-|1 - e(n*x)|**2 = 4*sin(pi*||n*x||)**2.
+eigenvalues (e(n*alpha), e(n*beta)) with mass |f_hat(n)|**2. The measure is
+the tuple of its atoms; its total mass is f.l2_norm_sq_exact(), by Parseval.
+Membership of f in the range of (I - T_alpha), of (I - T_beta), or of their
+product then reduces to weighted sums over atoms with certified divisor
+enclosures |1 - e(n*x)|**2 = 4*sin(pi*||n*x||)**2.
 
 Everything here reports partial sums over the finite atom set. Divergence
 of an infinite criterion integral is never claimed from a truncation; what
@@ -16,11 +17,12 @@ each atom contributes at least an analytic floor.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import fourier
-from .certify import Enclosure, Frozen
+from .certify import Enclosure
 from .errors import CertificationError, ConfigError
 from .surd import QuadraticSurd
 
@@ -32,26 +34,6 @@ class Atom(NamedTuple):
     mass: Fraction
     div_alpha_sq: Enclosure
     div_beta_sq: Enclosure
-
-
-class AtomicSpectralMeasure(Frozen):
-    """Spectral measure of a trigonometric polynomial under a rotation pair.
-
-    Atoms are kept sorted by (|n|, n) so that every reduction over them is
-    reproducible. Total mass equals the squared L2 norm exactly (Parseval
-    on the finite support).
-    """
-
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms: tuple[Atom, ...]):
-        object.__setattr__(self, "atoms", atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    def total_mass(self) -> Fraction:
-        return sum((atom.mass for atom in self.atoms), Fraction(0))
 
 
 class CriterionSum(NamedTuple):
@@ -69,15 +51,16 @@ class CriterionSum(NamedTuple):
 
 def spectral_measure(
     f: fourier.SparseFourierSeries, alpha: QuadraticSurd, beta: QuadraticSurd
-) -> AtomicSpectralMeasure:
-    """Diagonalize f against the rotation pair: one atom per frequency."""
+) -> tuple[Atom, ...]:
+    """Diagonalize f against the rotation pair: one atom per frequency.
+
+    Atoms are sorted by (|n|, n) so that every reduction is reproducible.
+    """
     alpha.require_irrational("alpha")
     beta.require_irrational("beta")
     atoms = []
     for n in sorted(f.support, key=lambda m: (abs(m), m)):
         mass = fourier.coefficient_mass(f.coeff(n))
-        if mass == 0:
-            continue
         if n == 0:
             da_sq = Enclosure.point(0)
             db_sq = Enclosure.point(0)
@@ -85,15 +68,15 @@ def spectral_measure(
             da_sq = fourier.divisor_enclosure(alpha, n).square()
             db_sq = fourier.divisor_enclosure(beta, n).square()
         atoms.append(Atom(n=n, mass=mass, div_alpha_sq=da_sq, div_beta_sq=db_sq))
-    return AtomicSpectralMeasure(tuple(atoms))
+    return tuple(atoms)
 
 
-def _criterion_sum(m: AtomicSpectralMeasure, term_of) -> CriterionSum:
+def _criterion_sum(m: tuple[Atom, ...], term_of) -> CriterionSum:
     """Sum term_of(atom) over the atoms off frequency 0, with the ledger."""
     total = Enclosure.point(0)
     divergent = False
     terms = []
-    for atom in m.atoms:
+    for atom in m:
         if atom.n == 0:
             divergent = True
             continue
@@ -103,9 +86,7 @@ def _criterion_sum(m: AtomicSpectralMeasure, term_of) -> CriterionSum:
     return CriterionSum(value=total, divergent=divergent, terms=tuple(terms))
 
 
-def coboundary_integral(
-    m: AtomicSpectralMeasure, which: str
-) -> CriterionSum:
+def coboundary_integral(m: tuple[Atom, ...], which: str) -> CriterionSum:
     """Partial sum of mass / |1 - e(n*x)|**2 over atoms, x = alpha or beta.
 
     Finiteness of this integral is the one-sided coboundary criterion; an
@@ -120,7 +101,7 @@ def coboundary_integral(
     )
 
 
-def joint_criterion_sum(m: AtomicSpectralMeasure) -> CriterionSum:
+def joint_criterion_sum(m: tuple[Atom, ...]) -> CriterionSum:
     """Partial sum of mass * (d_a + d_b) / (d_a * d_b) over atoms.
 
     Algebraically this is the sum of the two one-sided integrals; both
@@ -136,14 +117,14 @@ def joint_criterion_sum(m: AtomicSpectralMeasure) -> CriterionSum:
         coboundary_integral(m, "alpha").value + coboundary_integral(m, "beta").value
     )
     # both enclosures hold the same exact sum, so disjoint ones mean a bug
-    if joint.value.strictly_below(recombined) or joint.value.strictly_above(recombined):
+    if joint.value.hi < recombined.lo or joint.value.lo > recombined.hi:
         raise CertificationError(
             "joint criterion sum drifted from the sum of its one-sided parts"
         )
     return joint
 
 
-def double_criterion_sum(m: AtomicSpectralMeasure) -> CriterionSum:
+def double_criterion_sum(m: tuple[Atom, ...]) -> CriterionSum:
     """Partial sum of mass / (d_a * d_b) over atoms, the product criterion.
 
     The per-atom ledger is the content: for atoms produced by the main
@@ -185,10 +166,12 @@ def doubling_tripling_variance(n: int) -> Fraction:
     """Exact variance of the n-by-n double average under doubling/tripling.
 
     The orbit of a single harmonic under x -> 2x and x -> 3x runs through
-    the exponents 2**k * 3**j, which are pairwise distinct by unique
-    factorization. Orthogonality then gives
-    ||(1/n) * sum over the block||**2 = n**2 / n**2 = 1, exactly.
+    the frequencies v = 2**i * 3**j, i, j < n. By orthogonality
+    ||(1/n) * sum over the block||**2 = sum over v of mult(v)**2 / n**2,
+    where mult(v) counts the pairs (i, j) that land on v. Unique
+    factorization makes every mult(v) one, so the value is 1.
     """
     if n < 1:
         raise ConfigError("n must be positive")
-    return Fraction(1)
+    mult = Counter(2**i * 3**j for i in range(n) for j in range(n))
+    return Fraction(sum(m * m for m in mult.values()), n * n)

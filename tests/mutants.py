@@ -124,4 +124,11 @@ MUTANTS = (
         "    if m < 0:\n        m, n, p = -m, -n, -p\n", "",
         (DEPENDENCE,),
     ),
+    Mutant(
+        "doubling/tripling frequencies all powers of two",
+        "src/coblab/spectral.py",
+        "Counter(2**i * 3**j for", "Counter(2**i * 2**j for",
+        ("tests/test_acceptance.py::test_criterion_05_doubling_tripling_exactness",
+         "tests/test_spectral.py::test_variance_small_cases"),
+    ),
 )

@@ -681,13 +681,25 @@ class TestMain:
         assert from_main == from_run
 
 
-def test_every_public_name_imports_from_the_package():
-    listed = dir(coblab)
-    for name in coblab.__all__:
+LAYERS = ("certify", "report", "constructions", "diophantine", "errors",
+          "fourier", "shift_example", "spectral", "surd")
+
+
+def test_every_layer_imports_from_the_package():
+    for layer in LAYERS:
         namespace = {}
-        exec(f"from coblab import {name}", namespace)
-        assert namespace[name] is getattr(coblab, name), name
-        assert name in listed, name
+        exec(f"from coblab import {layer}", namespace)
+        assert namespace[layer] is sys.modules[f"coblab.{layer}"], layer
+    # importing the package registers the layers but executes none of them
+    done = run_fresh(
+        "import sys, types\n"
+        "import coblab\n"
+        f"layers = {LAYERS!r}\n"
+        "executed = [m for m in layers\n"
+        "            if type(sys.modules['coblab.' + m]) is types.ModuleType]\n"
+        "assert not executed, executed\n"
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # every (subcommand, action) pair as a command line through main, rotation
