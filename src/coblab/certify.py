@@ -13,9 +13,11 @@ the target precision plus GUARD_BITS. Each loop keeps a lower and an upper
 partial sum; every product and quotient is floored for the lower sum and
 ceiled for the upper one, and the truncation remainder is ceiled, so each
 bracket holds by construction while the at most one ulp lost per step stays
-below the guard bits. log, exp and pow stay in ints to the end, since every
-later step (a coarser grid, e*ln 2, 1/exp(u), exponent*log(base)) is a floor
-or a ceiling onto a dyadic grid. A Fraction is built once per public result.
+below the guard bits. sin, log, exp and pow stay in ints to the end, since
+every later step (pi*x read from numerators and denominators, a coarser
+grid, e*ln 2, 1/exp(u), exponent*log(base)) is a floor or a ceiling onto a
+dyadic grid. A Fraction is built once per public result: for
+sin_pi_enclosure, once per end.
 
 Precision escalates on one schedule, precisions(start): start, 2*start,
 4*start, ... and then HARD_CAP_BITS, the one cap every report prints. refine
@@ -304,21 +306,19 @@ def pi_enclosure(bits: int) -> Enclosure:
 # sin on [0, pi/2]
 
 
-def _sin_taylor(t: Fraction, bits: int) -> Enclosure:
-    """Alternating Taylor bracket of sin(t) for rational t in [0, 2]."""
-    if t == 0:
-        return Enclosure.point(0)
-    if not 0 < t <= 2:
-        raise ValueError("sin bracket only supports arguments in [0, 2]")
+def _sin_fixed(num: int, den: int, bits: int) -> tuple[int, int]:
+    """Alternating Taylor bracket of sin(t) for t = num/den in [0, 2], as ints
+    on the 2**-(bits+4) grid."""
     p = bits + 8 + GUARD_BITS
-    a_lo, a_hi = _fixed(t.numerator, t.denominator, p)  # t**(2k+1) / (2k+1)!
+    a_lo, a_hi = _fixed(num, den, p)  # t**(2k+1) / (2k+1)!
     sq_lo, sq_hi = _mul_down(a_lo, a_lo, p), _mul_up(a_hi, a_hi, p)
     lo = hi = 0
     k = 0
     while True:
         if a_hi < 1 << GUARD_BITS:
             # term < 2**-(bits+8): the tail lies between 0 and (-1)**k * term
-            return from_fixed(*_alternate(lo, hi, k, 0, a_hi), p).rounded(bits + 4)
+            lo, hi = _alternate(lo, hi, k, 0, a_hi)
+            return lo >> (GUARD_BITS + 4), -(-hi >> (GUARD_BITS + 4))
         lo, hi = _alternate(lo, hi, k, a_lo, a_hi)
         k += 1
         # terms strictly decrease for t <= 2 since (2k)(2k+1) >= 6 > t*t
@@ -331,20 +331,23 @@ def sin_pi_enclosure(x: Enclosure, bits: int) -> Enclosure:
 
     Monotone on the quarter period, so endpoint brackets suffice; if the
     scaled upper endpoint may cross pi/2 the upper bound falls back to 1.
+    pi lies on the 2**-(bits+8) grid, so pi*x is num/den with ints read
+    from the numerators and denominators, and the ends stay ints on the
+    2**-(bits+10) grid until the one Enclosure is built.
     """
-    if x.lo < 0 or x.hi > Fraction(1, 2):
+    lo_n, lo_d = x.lo.numerator, x.lo.denominator
+    hi_n, hi_d = x.hi.numerator, x.hi.denominator
+    if lo_n < 0 or 2 * hi_n > hi_d:
         raise ValueError("argument enclosure must lie inside [0, 1/2]")
-    pi = pi_enclosure(bits + 6)
-    lo_arg = pi.lo * x.lo
-    hi_arg = pi.hi * x.hi
-    lower = _sin_taylor(lo_arg, bits + 6).lo
-    if hi_arg <= pi.lo / 2:
-        upper = min(_sin_taylor(hi_arg, bits + 6).hi, Fraction(1))
+    pi_lo, pi_hi = to_fixed(pi_enclosure(bits + 6), bits + 8)
+    one = 1 << (bits + 10)
+    lower = max(_sin_fixed(pi_lo * lo_n, lo_d << (bits + 8), bits + 6)[0], 0)
+    if 2 * pi_hi * hi_n <= pi_lo * hi_d:  # pi.hi * x.hi <= pi.lo / 2
+        upper = min(_sin_fixed(pi_hi * hi_n, hi_d << (bits + 8), bits + 6)[1], one)
     else:
         # x.hi at or next to 1/2: sin(pi*x.hi) is within ulp of 1
-        upper = Fraction(1)
-    lower = max(lower, Fraction(0))
-    return Enclosure(lower, upper)
+        upper = one
+    return from_fixed(lower, upper, bits + 10)
 
 
 # ---------------------------------------------------------------------------

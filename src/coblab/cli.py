@@ -456,9 +456,10 @@ def _handle_spectral(config: ExperimentConfig) -> _Body:
     double = spectral.double_criterion_sum(measure)
     alpha_side = spectral.coboundary_integral(measure, "alpha")
     beta_side = spectral.coboundary_integral(measure, "beta")
+    mass = f.l2_norm_sq_exact()
     data = {
         "atoms": len(measure),
-        "total_mass": str(f.l2_norm_sq_exact()),
+        "total_mass": str(mass),
         "alpha_integral": {
             "value": report.enclosure_json(alpha_side.value),
             "divergent": alpha_side.divergent,
@@ -472,7 +473,7 @@ def _handle_spectral(config: ExperimentConfig) -> _Body:
     }
     text = [
         f"atomic measure with {len(measure)} atoms, "
-        f"total mass {float(f.l2_norm_sq_exact()):.6g}",
+        f"total mass {float(mass):.6g}",
         "alpha-side membership integral: "
         + report.interval_str(alpha_side.value, 12),
         "beta-side membership integral: "
@@ -677,6 +678,16 @@ def _error_report(kind: str, exc: Exception) -> None:
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse under the error policy of run: a refused command line prints
+    its usage and the JSON error line, then exits 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _error_report("config", ConfigError(f"{self.prog}: {message}"))
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # No option states a default here: an option left out is left out of the
     # namespace, so the defaults of _OPTIONS are the only ones.
@@ -689,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=_FORMATS if name == "format" else None, help=text,
         )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coblab",
         description=(
             "Certified constructions, searches, and diagnostics for joint "

@@ -11,21 +11,28 @@ rounding plus at most 2*pi*(n + 1) * 2**-192, and the per-operation relative
 error stays below 1e-30 throughout the supported desk scale. The certified
 divisors |1 - e(n*alpha)| are divisor_enclosure's, which `spectral` prints;
 the midpoint arithmetic here never feeds a certificate directly.
-Exact masses and real parts are read from the mantissas.
+Exact masses and real parts are read from the mantissas: a Parseval mass
+shifts every squared mantissa onto the finest exponent grid among the parts
+and builds one Fraction from the integer sum. The phases e(n*alpha), n > 0,
+and the divisors 1 - e(n*alpha), any n, are memoised per (rotation, n) in
+two LRU caches of 65536 entries; an entry holds one WorkComplex, about
+0.4 KB with its key, so each cache stays below 26 MB.
 
 Ergodic-sum diagnostics evaluate the Dirichlet kernel
 D(n, x) = |sin(pi*n*x)/sin(pi*x)| in float64 on exactly reduced arguments, a
 relative error of a few 1e-15 against their 1e-9 tolerances. Per rotation x
 and sorted distinct magnitudes k = |nu|, a table holds frac(k*x) * 2**192 and
-sin(pi*||k*x||); the residue of n*k*x is (n * frac(k*x)) mod 2**192, the same
-bits as reducing n*k*x directly, and that of -n*k*x is 2**192 minus it, with
-the same distance. So an LRU cache of rows D(n, k*x)**2 per (x, magnitudes, n)
+sin(pi*||k*x||), about 0.13 KB per magnitude in each of at most 64 tables.
+The residue of n*k*x is (n * frac(k*x)) mod 2**192, the same bits as
+reducing n*k*x directly, and that of -n*k*x is 2**192 minus it, with the
+same distance. So an LRU cache of rows D(n, k*x)**2 per (x, magnitudes, n)
 serves both signs of nu and every series with those magnitudes: at most 8192
 rows of about 0.25 KB plus 32 bytes per magnitude (4 MB for ten). Each series
-memoises its float masses |f_hat(nu)|**2 and the row position of each |nu|,
-and sums in storage order, so every value equals the term-by-term evaluation
-exactly. A rational x or an n*|nu| past surd.FP_MAX_K is refused before
-a row is built, and a refused call stores nothing.
+memoises its float masses |f_hat(nu)|**2, each paired with the row position
+of its |nu|, and sums in storage order, so every value equals the
+term-by-term evaluation exactly. A rational x or an n*|nu| past
+surd.FP_MAX_K is refused before a row is built, and a refused call stores
+nothing.
 """
 
 from __future__ import annotations
@@ -73,17 +80,20 @@ def _kernel_row(
     reach = n * mags[-1] if mags else 0
     if reach > FP_MAX_K:
         raise ValueError(f"n*|nu| = {reach} exceeds the exact-reduction range {FP_MAX_K}")
-    row, sin = [], math.sin
+    sin, mask, half, one, pi_ulp = math.sin, _MASK, FP_HALF, FP_ONE, _PI_ULP
+    row, at_zero = [], float(n)  # D(n, 0)
     for entry in _residue_table(alpha, mags):
-        q = float(n)  # D(n, 0)
-        if entry is not None:
-            t = (n * entry[0]) & _MASK  # the residue of n*k*alpha, exactly
-            q = sin(_PI_ULP * (t if t <= FP_HALF else FP_ONE - t)) / entry[1]
+        if entry is None:
+            q = at_zero
+        else:
+            t, sin_k = entry
+            t = (n * t) & mask  # the residue of n*k*alpha, exactly
+            q = sin(pi_ulp * (t if t <= half else one - t)) / sin_k
         row.append(q * q)
     return tuple(row)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 16)  # memory per entry: see the module docstring
 def _phase(alpha: QuadraticSurd, n: int) -> WorkComplex:
     """e(n*alpha) at working precision for n > 0, from an exact residue."""
     return phase((n * fixed_point(alpha)) & _MASK)
@@ -99,7 +109,9 @@ def unit_phase(alpha: QuadraticSurd, n: int) -> WorkComplex:
     return _phase(alpha, -n).conj()
 
 
+@lru_cache(maxsize=1 << 16)  # memory per entry: see the module docstring
 def _one_minus_phase(alpha: QuadraticSurd, n: int) -> WorkComplex:
+    """The divisor 1 - e(n*alpha) at working precision, any integer n."""
     return 1 - unit_phase(alpha, n)
 
 
@@ -120,7 +132,8 @@ class SparseFourierSeries:
     ):
         data = {}
         for n, value in coefficients.items():
-            c = WorkComplex(value)
+            # a WorkComplex is immutable, so it is kept as it is
+            c = value if isinstance(value, WorkComplex) else WorkComplex(value)
             if c:
                 data[int(n)] = c
         if real_valued:
@@ -178,19 +191,21 @@ class SparseFourierSeries:
 
     def l2_norm_sq_exact(self) -> Fraction:
         """Exact Parseval mass: coefficients are dyadic, so this is a Fraction."""
-        return sum(map(coefficient_mass, self._coeffs.values()), Fraction(0))
+        return _exact_mass(self._coeffs.values())
 
     def l2_norm(self) -> float:
         return math.sqrt(float(self.l2_norm_sq_exact()))
 
     def _float_masses(self) -> tuple:
-        """(|f_hat|**2 floats, sorted distinct |nu|, row index per nu)."""
+        """(((|f_hat(nu)|**2, row index of |nu|) per nu, in storage order),
+        sorted distinct |nu|)."""
         if self._masses is None:
-            weights = tuple(abs(complex(c)) ** 2 for c in self._coeffs.values())
             mags = tuple(sorted({abs(nu) for nu in self._coeffs}))
             slot = {k: i for i, k in enumerate(mags)}
-            index = tuple(slot[abs(nu)] for nu in self._coeffs)
-            object.__setattr__(self, "_masses", (weights, mags, index))
+            terms = tuple(
+                (abs(complex(c)) ** 2, slot[abs(nu)]) for nu, c in self._coeffs.items()
+            )
+            object.__setattr__(self, "_masses", (terms, mags))
         return self._masses
 
     # -- serialization -------------------------------------------------------------
@@ -219,11 +234,26 @@ def coefficient_real(c: WorkComplex) -> Fraction:
     return to_fraction(c.re_man, c.re_exp)
 
 
+def _exact_mass(coeffs) -> Fraction:
+    """Exact sum of |c|**2 over working-precision coefficients.
+
+    Every squared mantissa is shifted onto the finest exponent grid among
+    the parts, so the sum is one int and one Fraction is built from it.
+    """
+    parts = [
+        (man, exp)
+        for c in coeffs
+        for man, exp in ((c.re_man, c.re_exp), (c.im_man, c.im_exp))
+        if man
+    ]
+    low = min((exp for _, exp in parts), default=0)
+    total = sum(man * man << 2 * (exp - low) for man, exp in parts)
+    return to_fraction(total, 2 * low)
+
+
 def coefficient_mass(c: WorkComplex) -> Fraction:
     """Exact |c|**2 of a working-precision coefficient (its parts are dyadic)."""
-    re = to_fraction(c.re_man, c.re_exp)
-    im = to_fraction(c.im_man, c.im_exp)
-    return re * re + im * im
+    return _exact_mass((c,))
 
 
 def coefficient_magnitude_enclosure(c: WorkComplex) -> Enclosure:
@@ -321,11 +351,11 @@ def double_ergodic_sum_norm(
     """
     if n < 1 or m < 1:
         raise ValueError("sum lengths must be positive")
-    weights, mags, index = f._float_masses()
+    terms, mags = f._float_masses()
     d_a = _kernel_row(alpha, "alpha", mags, n)
     d_b = _kernel_row(beta, "beta", mags, m)
     total = 0.0
-    for w, i in zip(weights, index):
+    for w, i in terms:
         total += w * d_a[i] * d_b[i]
     return math.sqrt(total)
 
@@ -334,10 +364,10 @@ def browder_sum_norm(f: SparseFourierSeries, alpha: QuadraticSurd, n: int) -> fl
     """L2 norm of sum_{k<n} T_alpha^k f, the one-rotation ergodic sum."""
     if n < 1:
         raise ValueError("sum length must be positive")
-    weights, mags, index = f._float_masses()
+    terms, mags = f._float_masses()
     d_a = _kernel_row(alpha, "alpha", mags, n)
     total = 0.0
-    for w, i in zip(weights, index):
+    for w, i in terms:
         total += w * d_a[i]
     return math.sqrt(total)
 

@@ -29,6 +29,8 @@ REPORT = "src/coblab/report.py"
 ENTRY = "tests/test_constructions.py::test_entry_entire_interval_comparison"
 LOG_3000 = ("tests/test_certify.py::"
             "test_log_enclosure_contains_the_3000_bit_log_at_small_bits")
+SIN_GRID = ("tests/test_certify.py::"
+            "test_sin_pi_enclosure_contains_the_sine_next_to_a_grid_point")
 DEPENDENCE = ("tests/test_diophantine.py::"
               "test_dependence_matches_the_exhaustive_search")
 
@@ -67,9 +69,20 @@ MUTANTS = (
     ),
     Mutant(
         "sin_pi lower end from the upper end of pi", CERTIFY,
-        "    lo_arg = pi.lo * x.lo\n", "    lo_arg = pi.hi * x.lo\n",
+        "_sin_fixed(pi_lo * lo_n,", "_sin_fixed(pi_hi * lo_n,",
         ("tests/test_certify.py::test_sin_pi_on_wide_interval",
          "tests/test_certify.py::test_sin_pi_enclosure_near_half"),
+    ),
+    Mutant(
+        "sin_pi lower end rounded up onto its grid", CERTIFY,
+        "return lo >> (GUARD_BITS + 4), ", "return -(-lo >> (GUARD_BITS + 4)), ",
+        ("tests/test_certify.py::test_sin_pi_enclosure",
+         SIN_GRID),
+    ),
+    Mutant(
+        "sin Taylor tail term dropped", CERTIFY,
+        "            lo, hi = _alternate(lo, hi, k, 0, a_hi)\n", "",
+        (SIN_GRID,),
     ),
     Mutant(
         "decimal_str rounds the lower endpoint up", REPORT,

@@ -3,8 +3,8 @@
 Every enclosure is checked against mpmath at several hundred bits, an
 independent route: the kernel uses only integer brackets and rational
 series, while the oracle uses binary floating point transcendentals. The
-integer log, exp and pow kernels must also give exactly the endpoints of the
-Fraction-valued kernels they replaced, kept below as a reference.
+integer sin, log, exp and pow kernels must also give exactly the endpoints
+of the Fraction-valued kernels they replaced, kept below as a reference.
 """
 
 import math
@@ -347,6 +347,41 @@ def test_sin_pi_enclosure_near_half(bits, a, e):
 # their endpoints exactly, not just contain the same value.
 
 
+def _ref_sin_taylor(t, bits):
+    if t == 0:
+        return Enclosure.point(0)
+    p = bits + 8 + GUARD_BITS
+    a_lo, a_hi = _fixed(t.numerator, t.denominator, p)
+    sq_lo, sq_hi = _mul_down(a_lo, a_lo, p), _mul_up(a_hi, a_hi, p)
+    lo = hi = 0
+    k = 0
+    while True:
+        if a_hi < 1 << GUARD_BITS:
+            if k % 2 == 0:
+                hi += a_hi
+            else:
+                lo -= a_hi
+            return from_fixed(lo, hi, p).rounded(bits + 4)
+        if k % 2 == 0:
+            lo, hi = lo + a_lo, hi + a_hi
+        else:
+            lo, hi = lo - a_hi, hi - a_lo
+        k += 1
+        d = (2 * k) * (2 * k + 1)
+        a_lo, a_hi = _mul_down(a_lo, sq_lo, p, d), _mul_up(a_hi, sq_hi, p, d)
+
+
+def _ref_sin_pi(x, bits):
+    pi = pi_enclosure(bits + 6)
+    lower = _ref_sin_taylor(pi.lo * x.lo, bits + 6).lo
+    hi_arg = pi.hi * x.hi
+    if hi_arg <= pi.lo / 2:
+        upper = min(_ref_sin_taylor(hi_arg, bits + 6).hi, Fraction(1))
+    else:
+        upper = Fraction(1)
+    return Enclosure(max(lower, Fraction(0)), upper)
+
+
 def _ref_atanh_series(t, bits):
     if t == 0:
         return Enclosure.point(0)
@@ -523,6 +558,67 @@ def test_exp_matches_fraction_reference(bits, u):
 @given(bits=ANY_BITS, base=POSITIVE, expo=EXPONENT)
 def test_pow_matches_fraction_reference(bits, base, expo):
     assert pow_enclosure(base, expo, bits) == _ref_pow(base, expo, bits)
+
+
+HALF = Fraction(1, 2)
+SIN_POINT = st.one_of(
+    st.fractions(min_value=0, max_value=HALF, max_denominator=2**64),
+    st.fractions(min_value=0, max_value=HALF, max_denominator=10**40),
+    # next to 1/2, where pi.hi * x passes pi/2 and the upper end is 1
+    st.builds(lambda a, e: HALF - Fraction(a, 2**e),
+              st.integers(min_value=0, max_value=2**16),
+              st.integers(min_value=17, max_value=1100)),
+    st.sampled_from([Fraction(0), HALF]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=st.integers(min_value=64, max_value=1024), ends=st.lists(
+    SIN_POINT, min_size=1, max_size=2).map(sorted))
+@example(bits=64, ends=[HALF])
+@example(bits=128, ends=[Fraction(0), HALF - Fraction(1, 2**70)])
+@example(bits=1024, ends=[Fraction(1, 3), HALF - Fraction(1, 2**1030)])
+def test_sin_pi_matches_fraction_reference(bits, ends):
+    x = Enclosure(ends[0], ends[-1])
+    assert sin_pi_enclosure(x, bits) == _ref_sin_pi(x, bits)
+
+
+def next_to_a_grid_point(bits, j, side):
+    """x near 1/2 with sin(pi*x) a hair above (side 1) or below (side -1)
+    1 - j * 2**-(bits+10), a point of the output grid of
+    sin_pi_enclosure(., bits).
+
+    Near 1/2 the sine is flat, so pi's own width moves sin(pi.hi * x) and
+    sin(pi.lo * x) by far less than the last Taylor term: an end that lost
+    that term's tail rounds onto the grid point, on the wrong side of
+    sin(pi*x).
+    """
+    with mpmath.workprec(3 * bits + 200):
+        target = 1 - mpmath.ldexp(j, -bits - 10) + side * mpmath.ldexp(1, -bits - 60)
+        sign, man, exp, _ = (mpmath.asin(target) / mpmath.pi)._mpf_
+    return man * Fraction(2) ** exp
+
+
+# Containment against mpmath's sine at 3 * bits + 200 bits, taken exactly as
+# a Fraction, where the bracket's last term decides on which side of a grid
+# point an end falls.
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.integers(min_value=64, max_value=256),
+    j=st.integers(min_value=1, max_value=2**12),
+    side=st.sampled_from([-1, 1]),
+)
+@example(bits=64, j=1, side=1)  # the upper end needs the tail
+@example(bits=128, j=1, side=-1)  # the lower end needs the tail
+def test_sin_pi_enclosure_contains_the_sine_next_to_a_grid_point(bits, j, side):
+    x = next_to_a_grid_point(bits, j, side)
+    with mpmath.workprec(3 * bits + 200):
+        sign, man, exp, _ = mpmath.sin(mpmath.pi * mpf_frac(x))._mpf_
+    value = man * Fraction(2) ** exp
+    enc = sin_pi_enclosure(Enclosure.point(x), bits)
+    slack = Fraction(1, 2 ** (3 * bits + 150))
+    assert enc.lo - slack <= value <= enc.hi + slack
+    assert enc.width <= Fraction(1, 2**bits)
 
 
 def test_pow_rejects_nonpositive_base():

@@ -973,6 +973,33 @@ def test_help_bytes_match_the_pinned_digest(argv, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == HELP[argv]
 
 
+# The sha256 of the stderr of two refused command lines at an 80-column
+# terminal: a value argparse cannot convert and an option no subcommand has.
+# Each prints its parser's usage and then the JSON error line, and exits 2.
+ARGPARSE_ERRORS = {
+    "construct --K x":
+        "c92d60d0834d0363edb7b0d3153b4318f4b6f52404b15392106c1ece2fb03297",
+    "construct --bogus 1":
+        "b4ebde61c1492316660c06b15219aa1f04e23867e46af1d7c6e1927d6823612d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ARGPARSE_ERRORS))
+def test_argparse_error_bytes_match_the_golden_digest(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, line = err.rstrip("\n").rsplit("\n", 1)
+    assert usage.startswith("usage: coblab")
+    error = json.loads(line)["error"]
+    assert (error["kind"], error["type"]) == ("config", "ConfigError")
+    assert argv.split()[-2] in error["message"]
+    assert hashlib.sha256(err.encode()).hexdigest() == ARGPARSE_ERRORS[argv]
+
+
 def test_golden_table_covers_every_action_and_format():
     for sub, action in COMMANDS:
         for fmt in ("csv", "json", "text"):

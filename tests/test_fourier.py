@@ -24,6 +24,7 @@ from coblab.fourier import (
     apply_rotation,
     browder_sum_norm,
     coefficient_magnitude_enclosure,
+    coefficient_mass,
     divisor_enclosure,
     double_ergodic_sum_norm,
     coefficient_real,
@@ -145,6 +146,45 @@ def test_norms_exact_and_float():
     f = SparseFourierSeries({1: 0.5, -1: 0.5, 3: 0.25j})
     assert f.l2_norm_sq_exact() == Fraction(1, 4) + Fraction(1, 4) + Fraction(1, 16)
     assert f.l2_norm() == pytest.approx(math.sqrt(9 / 16), rel=1e-15)
+
+
+# The Fraction-valued masses that the integer Parseval mass replaced: each
+# part converted to a Fraction, squared and summed in storage order.
+
+
+def reference_mass(c):
+    re = Fraction(c.re_man) * Fraction(2) ** c.re_exp
+    im = Fraction(c.im_man) * Fraction(2) ** c.im_exp
+    return re * re + im * im
+
+
+def reference_l2_norm_sq(f):
+    return sum(map(reference_mass, f._coeffs.values()), Fraction(0))
+
+
+# a part with a zero mantissa, or one from a mantissa and an exponent far
+# from the other parts' exponents
+PART = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(min_value=-(2**PREC), max_value=2**PREC),
+              st.integers(min_value=-600, max_value=600)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=st.dictionaries(
+    st.integers(min_value=-50, max_value=50), st.tuples(PART, PART), max_size=12))
+@example(parts={})
+@example(parts={1: ((0, 0), (3, 0))})
+@example(parts={1: ((1, -600), (0, 0)), -2: ((5, 600), (-7, 3))})
+def test_exact_mass_matches_the_fraction_sum(parts):
+    f = SparseFourierSeries({n: WorkComplex.from_parts(*re, *im)
+                             for n, (re, im) in parts.items()})
+    exact = f.l2_norm_sq_exact()
+    assert type(exact) is Fraction
+    assert exact == reference_l2_norm_sq(f)
+    for c in f._coeffs.values():
+        assert coefficient_mass(c) == reference_mass(c)
 
 
 # ---------------------------------------------------------------------------
