@@ -452,10 +452,10 @@ def _handle_check(config: ExperimentConfig) -> _Body:
 def _handle_spectral(config: ExperimentConfig) -> _Body:
     alpha, beta, (f, _) = _flagship(config, constructions.flagship_series)
     measure = spectral.spectral_measure(f, alpha, beta)
-    joint = spectral.joint_criterion_sum(measure)
-    double = spectral.double_criterion_sum(measure)
     alpha_side = spectral.coboundary_integral(measure, "alpha")
     beta_side = spectral.coboundary_integral(measure, "beta")
+    joint = spectral.joint_criterion_sum(measure, alpha_side, beta_side)
+    double = spectral.double_criterion_sum(measure)
     mass = f.l2_norm_sq_exact()
     data = {
         "atoms": len(measure),

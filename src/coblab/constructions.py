@@ -27,7 +27,6 @@ so degenerate all-zero families stay trivially true.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import takewhile
@@ -46,15 +45,13 @@ from .diophantine import (
     dirichlet_denominators,
     lacunary_denominators,
 )
-from .dyadic import ZERO, WorkComplex
+from .dyadic import WorkComplex
 from .errors import CertificationError, ConfigError, ShortfallError
 from .fourier import (
     SparseFourierSeries,
-    apply_difference,
     coefficient_magnitude_enclosure,
     coefficient_mass,
     transfer_coefficients,
-    unit_phase,
 )
 from .report import Certificate, CertificateEntry, enclosure_json, require
 from .surd import QuadraticSurd, dist_enclosure
@@ -527,82 +524,3 @@ def kac_salem_series(
         total = total + term
         entropy = entropy + mag_f * log_enclosure(1 / mag_f, _BITS)
     return PartialSum(value=total, terms=tuple(terms)), entropy
-
-
-# ---------------------------------------------------------------------------
-# dependence lift
-
-
-def common_generator(
-    alpha: QuadraticSurd, dependence
-) -> tuple[QuadraticSurd, int, int]:
-    """gamma with alpha = k*gamma and beta = j*gamma modulo 1.
-
-    From m*alpha + n*beta + p = 0 the pair rotates by powers of a single
-    rotation: normalize the relation so the beta coefficient is negative and
-    the alpha coefficient positive, then gamma = (alpha + s)/|n| with s the
-    unique shift making beta a clean multiple. Returns (gamma, k, j) with
-    k = |n| (so T_alpha = T_gamma**k) and j = m (so T_beta = T_gamma**j).
-    """
-    m, n, p = dependence.m, dependence.n, dependence.p
-    if n > 0 or (n == 0):
-        m, n, p = -m, -n, -p
-    if n == 0 or m <= 0:
-        raise ConfigError(
-            "dependence must relate both rotations with opposite signs"
-        )
-    k = -n
-    if math.gcd(m, k) != 1:
-        raise ConfigError("dependence coefficients must be coprime")
-    s = (p * pow(m, -1, k)) % k
-    gamma = (alpha + s) / k
-    return gamma, k, m
-
-
-def power_lift_joint(
-    u_x: SparseFourierSeries,
-    u_y: SparseFourierSeries,
-    gamma: QuadraticSurd,
-    k: int,
-    j: int,
-) -> SparseFourierSeries:
-    """Lift a joint coboundary of (T_gamma, T_gamma**j) to (T_gamma**k, T_gamma**j).
-
-    Requires (I - T_gamma) u_x = (I - T_gamma**j) u_y within
-    1e-12 * max(1, ||u_x||, ||u_y||), making u = (I - T_gamma) u_x a joint
-    coboundary of the base pair. Returns
-    v = sum over n < k of T_gamma**n u, which telescopes to (I - T_gamma**k) u_x;
-    both representations are computed and must agree (an exact identity, so a
-    mismatch is a precision bug).
-    """
-    gamma.require_irrational("gamma")
-    if k < 1 or j < 1:
-        raise ConfigError("powers must be positive")
-    u = apply_difference(u_x, gamma)
-    other = apply_difference(u_y, gamma * j)
-    scale = max(1.0, u_x.l2_norm(), u_y.l2_norm())
-    if _max_abs_diff(u, other) > 1e-12 * scale:
-        raise ValueError(
-            "precondition failed: (I - T_gamma) u_x differs from"
-            " (I - T_gamma**j) u_y beyond tolerance"
-        )
-    data = {}
-    for nu, c in u.items():
-        phase_sum = ZERO
-        for n_pow in range(k):
-            phase_sum += unit_phase(gamma, n_pow * nu)
-        data[nu] = c * phase_sum
-    v = SparseFourierSeries(data, u.real_valued)
-    telescoped = apply_difference(u_x, gamma * k)
-    if _max_abs_diff(v, telescoped) > 1e-24 * max(1.0, u_x.l2_norm()) * k:
-        raise CertificationError(
-            "telescoped lift disagrees with the summed representation"
-        )
-    return v
-
-
-def _max_abs_diff(f: SparseFourierSeries, g: SparseFourierSeries) -> float:
-    worst = 0.0
-    for n in set(f.support) | set(g.support):
-        worst = max(worst, abs(complex(f.coeff(n)) - complex(g.coeff(n))))
-    return worst

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .certify import (
     Enclosure,
@@ -47,14 +47,6 @@ class ApproximationRecord(NamedTuple):
     dist_alpha: Enclosure
     dist_beta: Enclosure
     quality: Enclosure
-
-
-class Dependence(NamedTuple):
-    """An exact integer relation m*alpha + n*beta + p = 0."""
-
-    m: int
-    n: int
-    p: int
 
 
 def _as_fraction(value: Rational, name: str) -> Fraction:
@@ -417,7 +409,7 @@ def bad_pair_constant(
 
 
 # ---------------------------------------------------------------------------
-# square denominators and integer dependence
+# square denominators
 
 
 _SQUARE_N_MAX = 10**6
@@ -490,36 +482,3 @@ def square_approximation_search(
             t = (t + s) & mask
             s += step
     return accepted
-
-
-def integer_dependence_search(
-    alpha: QuadraticSurd, beta: QuadraticSurd, B: int
-) -> Optional[Dependence]:
-    """Smallest relation m*alpha + n*beta + p = 0 with |m|,|n|,|p| <= B.
-
-    Distinct radicands force independence (1, sqrt(d), sqrt(d') are linearly
-    independent over the rationals), reported as None. In one field, with
-    x = (a_x + b_x*sqrt(d))/c_x, a relation splits into its sqrt(d) part
-    m*b_alpha/c_alpha + n*b_beta/c_beta = 0, which fixes m/n, and its
-    rational part, which fixes p = -(m*a_alpha/c_alpha + n*a_beta/c_beta).
-    So with m, n that ratio in lowest terms and t the p it fixes, the
-    relations are exactly the integer multiples of the primitive triple
-    t.denominator*(m, n, t). The smallest is that triple or its negative;
-    the one with m > 0 is returned if it fits in B, None otherwise (neither
-    m nor n is 0, for both rotations are irrational).
-    """
-    alpha.require_irrational("alpha")
-    beta.require_irrational("beta")
-    if B < 1:
-        raise ConfigError(f"B must be a positive integer, got {B}")
-    if alpha.d != beta.d:
-        return None
-    ratio = Fraction(-beta.b * alpha.c, beta.c * alpha.b)
-    m, n = ratio.numerator, ratio.denominator
-    t = -(m * Fraction(alpha.a, alpha.c) + n * Fraction(beta.a, beta.c))
-    m, n, p = m * t.denominator, n * t.denominator, t.numerator
-    if m < 0:
-        m, n, p = -m, -n, -p
-    if max(abs(m), abs(n), abs(p)) > B:
-        return None
-    return Dependence(m=m, n=n, p=p)

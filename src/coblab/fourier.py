@@ -175,12 +175,6 @@ class SparseFourierSeries:
 
     # -- algebra ----------------------------------------------------------------
 
-    def __add__(self, other: "SparseFourierSeries") -> "SparseFourierSeries":
-        data = dict(self._coeffs)
-        for n, c in other._coeffs.items():
-            data[n] = data.get(n, ZERO) + c
-        return SparseFourierSeries(data, self.real_valued and other.real_valued)
-
     def scale(self, factor) -> "SparseFourierSeries":
         s = WorkComplex(factor)
         data = {n: c * s for n, c in self._coeffs.items()}
@@ -265,44 +259,11 @@ def coefficient_magnitude_enclosure(c: WorkComplex) -> Enclosure:
 # rotation workflows
 
 
-def apply_rotation(f: SparseFourierSeries, alpha: QuadraticSurd) -> SparseFourierSeries:
-    """Compose with the rotation by alpha: coefficient n picks up e(n*alpha)."""
-    alpha.require_irrational("alpha")
-    data = {n: c * unit_phase(alpha, n) for n, c in f._coeffs.items()}
-    return SparseFourierSeries(data, f.real_valued)
-
-
 def apply_difference(f: SparseFourierSeries, alpha: QuadraticSurd) -> SparseFourierSeries:
     """(I - T_alpha) f, the coboundary of f under the rotation by alpha."""
     alpha.require_irrational("alpha")
     data = {n: c * _one_minus_phase(alpha, n) for n, c in f._coeffs.items()}
     return SparseFourierSeries(data, f.real_valued)
-
-
-def _solve(
-    f: SparseFourierSeries, rotations: tuple[QuadraticSurd, ...]
-) -> SparseFourierSeries:
-    """Divide each coefficient once by the product of 1 - e(n*x) over the
-    rotations x."""
-    data = {}
-    first, *rest = rotations
-    for n, c in f._coeffs.items():
-        factor = _one_minus_phase(first, n)
-        for x in rest:
-            factor = factor * _one_minus_phase(x, n)
-        data[n] = c / factor
-    return SparseFourierSeries(data, f.real_valued)
-
-
-def solve_coboundary(f: SparseFourierSeries, alpha: QuadraticSurd) -> SparseFourierSeries:
-    """Solve f = (I - T_alpha) g for g at working precision.
-
-    The input must be centered; for irrational alpha no divisor
-    1 - e(n*alpha) with n != 0 vanishes.
-    """
-    alpha.require_irrational("alpha")
-    f.require_centered("coboundary data")
-    return _solve(f, (alpha,))
 
 
 def transfer_coefficients(
@@ -321,16 +282,6 @@ def transfer_coefficients(
         for n, c in f._coeffs.items()
     }
     return SparseFourierSeries(data, f.real_valued)
-
-
-def double_solve(
-    f: SparseFourierSeries, alpha: QuadraticSurd, beta: QuadraticSurd
-) -> SparseFourierSeries:
-    """Solve f = (I - T_alpha)(I - T_beta) h for h at working precision."""
-    alpha.require_irrational("alpha")
-    beta.require_irrational("beta")
-    f.require_centered("double-coboundary data")
-    return _solve(f, (alpha, beta))
 
 
 # ---------------------------------------------------------------------------

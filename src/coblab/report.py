@@ -8,7 +8,6 @@ the value it stands for.
 
 from __future__ import annotations
 
-import csv
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -54,6 +53,8 @@ def enclosure_json(enc: Enclosure) -> dict:
 
 def write_rows(fileobj, header: list, rows: Iterable) -> None:
     """One CSV header row, then the rows."""
+    import csv  # here, so a JSON or text report never loads it
+
     writer = csv.writer(fileobj)
     writer.writerow(header)
     writer.writerows(rows)

@@ -101,21 +101,22 @@ def coboundary_integral(m: tuple[Atom, ...], which: str) -> CriterionSum:
     )
 
 
-def joint_criterion_sum(m: tuple[Atom, ...]) -> CriterionSum:
+def joint_criterion_sum(
+    m: tuple[Atom, ...], alpha_side: CriterionSum, beta_side: CriterionSum
+) -> CriterionSum:
     """Partial sum of mass * (d_a + d_b) / (d_a * d_b) over atoms.
 
-    Algebraically this is the sum of the two one-sided integrals; both
-    routes are computed and must agree, so a drift between them signals a
-    precision bug rather than a mathematical possibility.
+    Algebraically this is the sum of the two one-sided integrals of m, which
+    the caller passes as alpha_side and beta_side; the two routes must
+    agree, so a drift between them signals a precision bug rather than a
+    mathematical possibility.
     """
     joint = _criterion_sum(
         m,
         lambda atom: (atom.mass * (atom.div_alpha_sq + atom.div_beta_sq))
         / (atom.div_alpha_sq * atom.div_beta_sq),
     )
-    recombined = (
-        coboundary_integral(m, "alpha").value + coboundary_integral(m, "beta").value
-    )
+    recombined = alpha_side.value + beta_side.value
     # both enclosures hold the same exact sum, so disjoint ones mean a bug
     if joint.value.hi < recombined.lo or joint.value.lo > recombined.hi:
         raise CertificationError(

@@ -188,15 +188,6 @@ class QuadraticSurd:
         norm = self.a * self.a - self.b * self.b * self.d
         return QuadraticSurd(self.c * self.a, -self.c * self.b, self.d, norm)
 
-    def __truediv__(self, other):
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        if isinstance(other, QuadraticSurd):
-            return self * other.inverse()
-        q = Fraction(other)
-        return self * Fraction(q.denominator, q.numerator)
-
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:

@@ -1,9 +1,10 @@
-"""Soundness mutants: each row breaks one certified step of src/coblab and
-names the tests that must fail on it.
+"""Soundness mutants: each row breaks one certified step of src/coblab, or
+of a test reference in tests/references.py, and names the tests that must
+fail on it.
 
-A row gives the file, the exact old text (it occurs once in src/, which
-test_mutants checks), the new text and the tests expected to kill it, as
-pytest node ids. run_mutants.py applies each row in a temporary copy of the
+A row gives the file, the exact old text (it occurs once among src/ and
+tests/references.py, which test_mutants checks), the new text and the tests
+expected to kill it, as pytest node ids. run_mutants.py applies each row in a temporary copy of the
 tree and runs its tests. A test named by WEAK compares a digest or another
 implementation's output: it would fail on a sound rewrite too, so a mutant
 that only such tests kill is weakly killed.
@@ -26,6 +27,7 @@ WEAK = re.compile(r"digest|identical|_reference|loops_it_replaced")
 CERTIFY = "src/coblab/certify.py"
 DIOPHANTINE = "src/coblab/diophantine.py"
 REPORT = "src/coblab/report.py"
+REFERENCES = "tests/references.py"
 ENTRY = "tests/test_constructions.py::test_entry_entire_interval_comparison"
 LOG_3000 = ("tests/test_certify.py::"
             "test_log_enclosure_contains_the_3000_bit_log_at_small_bits")
@@ -127,13 +129,13 @@ MUTANTS = (
         ("tests/test_diophantine.py::test_walk_yields_every_exact_hit_in_order",),
     ),
     Mutant(
-        "dependence not scaled by t.denominator", DIOPHANTINE,
+        "dependence not scaled by t.denominator", REFERENCES,
         "    m, n, p = m * t.denominator, n * t.denominator, t.numerator\n",
         "    p = t.numerator\n",
         (DEPENDENCE,),
     ),
     Mutant(
-        "dependence sign not normalised to m > 0", DIOPHANTINE,
+        "dependence sign not normalised to m > 0", REFERENCES,
         "    if m < 0:\n        m, n, p = -m, -n, -p\n", "",
         (DEPENDENCE,),
     ),

@@ -18,29 +18,22 @@ import mpmath
 import pytest
 
 from coblab.certify import Enclosure, pi_enclosure, sqrt_enclosure
-from coblab.constructions import (
-    build_joint_not_double,
-    common_generator,
-    power_lift_joint,
-)
+from coblab.constructions import build_joint_not_double
 from coblab.diophantine import (
     dirichlet_pair_search,
-    integer_dependence_search,
     square_approximation_search,
 )
 from coblab.fourier import (
     apply_difference,
-    apply_rotation,
     browder_sum_norm,
     coefficient_magnitude_enclosure,
     divisor_enclosure,
     double_ergodic_sum_norm,
-    double_solve,
     random_real_series,
-    solve_coboundary,
 )
 from coblab.shift_example import build_h, divergence_certificate, lp_partial_norm
 from coblab.spectral import (
+    coboundary_integral,
     double_criterion_sum,
     doubling_tripling_variance,
     joint_criterion_sum,
@@ -48,6 +41,15 @@ from coblab.spectral import (
 )
 from coblab.surd import dist_enclosure, parse_surd
 from mpbridge import mp_fraction
+from references import (
+    add,
+    apply_rotation,
+    common_generator,
+    double_solve,
+    integer_dependence_search,
+    power_lift_joint,
+    solve_coboundary,
+)
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
 BETA = parse_surd("(-1+1*sqrt(3))/1", label="beta")
@@ -148,7 +150,8 @@ def test_criterion_02_spectral_dichotomy(flagship):
     result, _ = flagship
     phi = apply_difference(result.f, ALPHA)
     measure = spectral_measure(phi, ALPHA, BETA)
-    joint = joint_criterion_sum(measure)
+    joint = joint_criterion_sum(measure, coboundary_integral(measure, "alpha"),
+                                coboundary_integral(measure, "beta"))
     double = double_criterion_sum(measure)
     pi_sq = pi_enclosure(200).square()
 
@@ -243,12 +246,12 @@ def _summed_series_norm(f, n: int, m: int) -> float:
     inner = None
     term = f
     for _ in range(m):
-        inner = term if inner is None else inner + term
+        inner = term if inner is None else add(inner, term)
         term = apply_rotation(term, BETA)
     outer = None
     term = inner
     for _ in range(n):
-        outer = term if outer is None else outer + term
+        outer = term if outer is None else add(outer, term)
         term = apply_rotation(term, ALPHA)
     return outer.l2_norm()
 
@@ -357,7 +360,7 @@ def test_criterion_09_dependence_and_lift():
     rhs = None
     term = apply_difference(u_y, beta)
     for _ in range(k):
-        rhs = term if rhs is None else rhs + term
+        rhs = term if rhs is None else add(rhs, term)
         term = apply_rotation(term, gamma)
     scale = max(1.0, u_x.l2_norm(), u_y.l2_norm())
     agree = True

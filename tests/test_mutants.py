@@ -1,4 +1,5 @@
-"""The mutant table cannot rot: each row still names a live line of src/.
+"""The mutant table cannot rot: each row still names a live line of src/ or
+of tests/references.py.
 
 run_mutants.py applies the rows; this only checks that each would apply.
 """
@@ -17,8 +18,10 @@ def source(path):
         return fh.read()
 
 
-SOURCES = {path: source(path) for path in glob.glob("src/**/*.py", root_dir=ROOT,
-                                                    recursive=True)}
+# the library and the one test module that mutant rows may target
+SOURCES = {path: source(path) for path in [
+    *glob.glob("src/**/*.py", root_dir=ROOT, recursive=True),
+    "tests/references.py"]}
 
 
 def test_mutant_names_are_unique_and_the_table_has_ten_rows():

@@ -14,7 +14,7 @@ every enclosure that `shift` prints must contain its closed form or finite
 sum, computed in mpmath at 400 bits from the config alone, or lie on the
 safe side of a bound named on NO_CLOSED_FORM. A table maps every enclosure
 that the golden JSON reports print to the test that checks it or to
-NO_ORACLE, and an enclosure it does not name fails: 239 of the 244 have an
+NO_ORACLE, and an enclosure it does not name fails: 261 of the 266 have an
 oracle, and only the 5 of `check double-bad` do not. No golden report fails
 an entry, and only `check double-bad` prints a certificate that compares
 nothing.
@@ -86,9 +86,9 @@ def test_every_satisfied_comparison_holds_between_its_printed_decimals():
             assert holds(printed(entry["value"]),
                          printed(entry["threshold"])), (argv, entry)
             checked += 1
-    # construct, check large-coeff, shift and shift --p 1 print 48
-    # comparisons, every one satisfied
-    assert checked == 48
+    # construct, check large-coeff, shift, shift --p 3/2 and shift --p 1
+    # print 56 comparisons, every one satisfied
+    assert checked == 56
 
 
 def certificates(node):
@@ -575,10 +575,32 @@ CONSTRUCT_ENTRIES = (
     "|h_hat({n})| vs 1/(2*pi)",
     "|h_hat({n})| vs 1/4",
 )
-SHIFT_P2_ENTRIES = (
-    "row 1 sum of q**2 over k <= {n} vs its logarithmic growth floor",
-    "full lattice sum of q**5 vs its closed convergence bound",
-)
+
+
+def shift_power_checkers(p, r):
+    """The checkers of a shift report at a power p > 1, whose l_r mass has a
+    closed convergence bound."""
+    entries = (
+        f"row 1 sum of q**{p} over k <= {{n}} vs its logarithmic growth floor",
+        f"full lattice sum of q**{r} vs its closed convergence bound",
+    )
+    return {
+        test_shift_enclosures_contain_their_closed_forms: (
+            "lp_norm.partial", "lp_norm.tail", "lp_norm.total",
+            "row_sum_lower", "lr_partial",
+            "value of slack 1/1000 in lower bounds; the first omitted series "
+            "term exceeds it on every sampled diagonal",
+            "value of q at row 1, column {n} vs integral lower",
+            "value of q at row 1, column {n} vs integral upper",
+            *(f"{role} of {d}" for role in ("value", "threshold")
+              for d in entries)),
+        "integral lower": ("threshold of q at row 1, column {n} vs integral "
+                           "lower",),
+        "integral upper": ("threshold of q at row 1, column {n} vs integral "
+                           "upper",),
+    }
+
+
 ENCLOSURE_CHECKERS = {
     "approx bad-pair --format json": {
         test_bad_pair_constant_is_the_first_minimum_over_every_q: ("constant",),
@@ -627,21 +649,8 @@ ENCLOSURE_CHECKERS = {
             "alpha_integral.value", "beta_integral.value", "double_sum",
             "joint_sum"),
     },
-    "shift --format json": {
-        test_shift_enclosures_contain_their_closed_forms: (
-            "lp_norm.partial", "lp_norm.tail", "lp_norm.total",
-            "row_sum_lower", "lr_partial",
-            "value of slack 1/1000 in lower bounds; the first omitted series "
-            "term exceeds it on every sampled diagonal",
-            "value of q at row 1, column {n} vs integral lower",
-            "value of q at row 1, column {n} vs integral upper",
-            *(f"{role} of {d}" for role in ("value", "threshold")
-              for d in SHIFT_P2_ENTRIES)),
-        "integral lower": ("threshold of q at row 1, column {n} vs integral "
-                           "lower",),
-        "integral upper": ("threshold of q at row 1, column {n} vs integral "
-                           "upper",),
-    },
+    "shift --format json": shift_power_checkers("2", 5),
+    "shift --p 3/2 --format json": shift_power_checkers("3/2", 4),
     "shift --p 1 --format json": {
         test_shift_enclosures_contain_their_closed_forms: (
             "lp_norm.partial", "lp_norm.tail", "lp_norm.total",
@@ -703,5 +712,5 @@ def test_every_printed_enclosure_has_an_oracle_or_a_reason():
                     for template in templates}
     for checker in {c for checkers in ENCLOSURE_CHECKERS.values() for c in checkers}:
         assert callable(checker) or checker in NO_CLOSED_FORM.keys() | NO_ORACLE.keys()
-    assert len(checked) == 244
+    assert len(checked) == 266
     assert sum(checker in NO_ORACLE for checker in checked) == 5

@@ -31,6 +31,7 @@ from coblab.spectral import (
     spectral_measure,
 )
 from coblab.surd import parse_surd
+from references import add
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
 BETA = parse_surd("(-1+1*sqrt(3))/1", label="beta")
@@ -128,40 +129,37 @@ def test_coboundary_integral_validates_side():
         coboundary_integral(m, "gamma")
 
 
+def sides(m):
+    """The two one-sided integrals that joint_criterion_sum checks against."""
+    return coboundary_integral(m, "alpha"), coboundary_integral(m, "beta")
+
+
 def test_joint_criterion_is_sum_of_sides():
     f = random_real_series(17, 8)
     m = spectral_measure(f, ALPHA, BETA)
-    joint = joint_criterion_sum(m)
-    recombined = (
-        coboundary_integral(m, "alpha").value
-        + coboundary_integral(m, "beta").value
-    )
+    alpha_side, beta_side = sides(m)
+    joint = joint_criterion_sum(m, alpha_side, beta_side)
+    recombined = alpha_side.value + beta_side.value
     assert abs(float(joint.value.mid) - float(recombined.mid)) < 1e-12 * max(
         float(recombined.mid), 1.0
     )
 
 
-def test_joint_criterion_rejects_sides_that_drift_apart(monkeypatch):
-    from coblab import spectral
+def test_joint_criterion_rejects_sides_that_drift_apart():
     from coblab.errors import CertificationError
 
     m = spectral_measure(random_real_series(17, 8), ALPHA, BETA)
-    honest = spectral.coboundary_integral
-
-    def shifted(measure, which):
-        side = honest(measure, which)
-        if which == "beta":  # far below a float midpoint test, far above the widths
-            side = side._replace(value=side.value + Fraction(1, 10**20))
-        return side
-
-    monkeypatch.setattr(spectral, "coboundary_integral", shifted)
+    alpha_side, beta_side = sides(m)
+    # far below a float midpoint test, far above the widths
+    shifted = beta_side._replace(value=beta_side.value + Fraction(1, 10**20))
+    joint_criterion_sum(m, alpha_side, beta_side)
     with pytest.raises(CertificationError):
-        joint_criterion_sum(m)
+        joint_criterion_sum(m, alpha_side, shifted)
 
 
 def test_joint_criterion_empty_measure():
     m = spectral_measure(SparseFourierSeries({}), ALPHA, BETA)
-    joint = joint_criterion_sum(m)
+    joint = joint_criterion_sum(m, *sides(m))
     assert joint.value.hi == 0
     assert joint.terms == ()
     assert not joint.divergent
@@ -204,7 +202,7 @@ def test_pipeline_double_terms_have_uniform_floor(pipeline_atoms):
 
 def test_pipeline_joint_increments_are_summable(pipeline_atoms):
     result, m = pipeline_atoms
-    ledger = joint_criterion_sum(m)
+    ledger = joint_criterion_sum(m, *sides(m))
     for (n, term) in ledger.terms:
         q = abs(n)
         da = float(dist_oracle(ALPHA, q))
@@ -254,7 +252,7 @@ def test_profile_single_mode_matches_kernel_product():
 def test_profile_coboundary_sum_decays():
     g = random_real_series(5, 6)
     h = random_real_series(6, 6)
-    f = apply_difference(g, ALPHA) + apply_difference(h, BETA)
+    f = add(apply_difference(g, ALPHA), apply_difference(h, BETA))
     profile = cesaro_rate_profile(f, ALPHA, BETA, [2, 8, 32, 128, 512])
     rates = [per_n for _, per_n, _ in profile]
     assert rates[-1] < rates[0]
