@@ -36,6 +36,7 @@ from .certify import (
     Enclosure,
     exp_enclosure,
     log_enclosure,
+    max_enclosure,
     pi_enclosure,
     sin_pi_enclosure,
     sqrt_enclosure,
@@ -392,7 +393,7 @@ def check_double_bad(f: SparseFourierSeries, gamma: Rational) -> Certificate:
             * (k * k)
             * _log_power(k, gamma_f, _BITS)
         )
-        m_enc = Enclosure(max(m_enc.lo, term.lo), max(m_enc.hi, term.hi))
+        m_enc = max_enclosure(m_enc, term)
     m_entry = CertificateEntry(
         "envelope constant M = max |f_hat(k)| * k**2 * (log k)**gamma", m_enc
     )

@@ -179,11 +179,6 @@ class WorkComplex:
         _init(self, *_real_parts(re), *_real_parts(im))
 
     @classmethod
-    def from_parts(cls, re_man: int, re_exp: int, im_man: int = 0, im_exp: int = 0):
-        """re_man * 2**re_exp + i * im_man * 2**im_exp, each part rounded."""
-        return _make(*_round(re_man, re_exp), *_round(im_man, im_exp))
-
-    @classmethod
     def from_fraction(cls, value: Fraction) -> "WorkComplex":
         """A real rational: the numerator rounded to PREC bits, then the quotient."""
         num = _round(value.numerator, 0)

@@ -6,8 +6,9 @@ atomic: one atom per supported frequency n, sitting at the pair of
 eigenvalues (e(n*alpha), e(n*beta)) with mass |f_hat(n)|**2. The measure is
 the tuple of its atoms; its total mass is f.l2_norm_sq_exact(), by Parseval.
 Membership of f in the range of (I - T_alpha), of (I - T_beta), or of their
-product then reduces to weighted sums over atoms with certified divisor
-enclosures |1 - e(n*x)|**2 = 4*sin(pi*||n*x||)**2.
+product then reduces to one weighted sum over atoms, criterion_sum, with
+certified divisor enclosures |1 - e(n*x)|**2 = 4*sin(pi*||n*x||)**2. The
+joint criterion is the sum of the two one-sided integrals.
 
 Everything here reports partial sums over the finite atom set. Divergence
 of an infinite criterion integral is never claimed from a truncation; what
@@ -19,11 +20,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import fourier
 from .certify import Enclosure
-from .errors import CertificationError, ConfigError
+from .errors import ConfigError
 from .surd import QuadraticSurd
 
 
@@ -71,8 +74,16 @@ def spectral_measure(
     return tuple(atoms)
 
 
-def _criterion_sum(m: tuple[Atom, ...], term_of) -> CriterionSum:
-    """Sum term_of(atom) over the atoms off frequency 0, with the ledger."""
+def criterion_sum(m: tuple[Atom, ...], s: int, t: int) -> CriterionSum:
+    """Partial sum of mass / (|1 - e(n*alpha)|**(2*s) * |1 - e(n*beta)|**(2*t)).
+
+    (1, 0) and (0, 1) are the one-sided coboundary integrals; the joint
+    criterion is their sum. (1, 1) is the product criterion, whose per-atom
+    ledger is the content: for atoms produced by the main construction each
+    term sits above 1/(4*pi**2). An atom at frequency 0 makes every one of
+    them infinite, reported through the divergent flag rather than by
+    raising. s + t must be positive.
+    """
     total = Enclosure.point(0)
     divergent = False
     terms = []
@@ -80,63 +91,11 @@ def _criterion_sum(m: tuple[Atom, ...], term_of) -> CriterionSum:
         if atom.n == 0:
             divergent = True
             continue
-        term = term_of(atom)
+        divisor = reduce(mul, (atom.div_alpha_sq,) * s + (atom.div_beta_sq,) * t)
+        term = Enclosure.point(atom.mass) / divisor
         terms.append((atom.n, term))
         total = total + term
     return CriterionSum(value=total, divergent=divergent, terms=tuple(terms))
-
-
-def coboundary_integral(m: tuple[Atom, ...], which: str) -> CriterionSum:
-    """Partial sum of mass / |1 - e(n*x)|**2 over atoms, x = alpha or beta.
-
-    Finiteness of this integral is the one-sided coboundary criterion; an
-    atom at frequency 0 makes it infinite, reported through the divergent
-    flag rather than by raising.
-    """
-    if which not in ("alpha", "beta"):
-        raise ConfigError(f"which must be 'alpha' or 'beta', got {which!r}")
-    field = "div_alpha_sq" if which == "alpha" else "div_beta_sq"
-    return _criterion_sum(
-        m, lambda atom: Enclosure.point(atom.mass) / getattr(atom, field)
-    )
-
-
-def joint_criterion_sum(
-    m: tuple[Atom, ...], alpha_side: CriterionSum, beta_side: CriterionSum
-) -> CriterionSum:
-    """Partial sum of mass * (d_a + d_b) / (d_a * d_b) over atoms.
-
-    Algebraically this is the sum of the two one-sided integrals of m, which
-    the caller passes as alpha_side and beta_side; the two routes must
-    agree, so a drift between them signals a precision bug rather than a
-    mathematical possibility.
-    """
-    joint = _criterion_sum(
-        m,
-        lambda atom: (atom.mass * (atom.div_alpha_sq + atom.div_beta_sq))
-        / (atom.div_alpha_sq * atom.div_beta_sq),
-    )
-    recombined = alpha_side.value + beta_side.value
-    # both enclosures hold the same exact sum, so disjoint ones mean a bug
-    if joint.value.hi < recombined.lo or joint.value.lo > recombined.hi:
-        raise CertificationError(
-            "joint criterion sum drifted from the sum of its one-sided parts"
-        )
-    return joint
-
-
-def double_criterion_sum(m: tuple[Atom, ...]) -> CriterionSum:
-    """Partial sum of mass / (d_a * d_b) over atoms, the product criterion.
-
-    The per-atom ledger is the content: for atoms produced by the main
-    construction each term sits above 1/(4*pi**2), so the partial sums grow
-    at least linearly in the atom count.
-    """
-    return _criterion_sum(
-        m,
-        lambda atom: Enclosure.point(atom.mass)
-        / (atom.div_alpha_sq * atom.div_beta_sq),
-    )
 
 
 def cesaro_rate_profile(

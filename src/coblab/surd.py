@@ -1,7 +1,7 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
 A value is stored as (a + b*sqrt(d))/c with integers a, b, c > 0 and d
-squarefree, reduced so gcd(a, b, c) = 1. Signs, comparisons, floors and
+squarefree, reduced so gcd(a, b, c) = 1. Signs, floors and
 integer-distance computations are exact integer work: the floor is
 (a + isqrt(b*b*d))//c for b > 0 and (a - isqrt(b*b*d) - 1)//c for b < 0,
 exact because sqrt(b*b*d) is irrational. Only ``enclosure`` rounds, outward.
@@ -178,16 +178,6 @@ class QuadraticSurd:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QuadraticSurd":
-        if self.is_rational:
-            if self.a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return QuadraticSurd(self.c, 0, 1, self.a)
-        # 1/((a+b*sqrt(d))/c) = c*(a-b*sqrt(d))/(a^2-b^2 d); the norm is
-        # nonzero because d is squarefree and b != 0
-        norm = self.a * self.a - self.b * self.b * self.d
-        return QuadraticSurd(self.c * self.a, -self.c * self.b, self.d, norm)
-
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
@@ -205,24 +195,6 @@ class QuadraticSurd:
         if a > 0:
             return 1 if lhs > rhs else -1
         return -1 if lhs > rhs else 1
-
-    def _cmp(self, other) -> int:
-        diff = self - other
-        if diff is NotImplemented:
-            raise TypeError(f"cannot compare QuadraticSurd with {type(other)}")
-        return diff.sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

@@ -26,13 +26,29 @@ def _signed(raw) -> tuple[int, int]:
     return (-man if sign else man), exp
 
 
+def _dyadic(man: int, exp: int) -> WorkComplex:
+    """man * 2**exp: man rounded to 140 bits, then scaled exactly."""
+    z = WorkComplex(man)
+    return z * 2**exp if exp >= 0 else z / 2**-exp
+
+
+def from_parts(re_man: int, re_exp: int, im_man: int = 0,
+               im_exp: int = 0) -> WorkComplex:
+    """re_man * 2**re_exp + i * im_man * 2**im_exp, each part rounded once.
+
+    Scaling by a power of two and adding a zero part are exact, so any
+    exponent gives the coefficient's own rounding of the exact value.
+    """
+    return _dyadic(re_man, re_exp) + _dyadic(im_man, im_exp) * 1j
+
+
 def from_mp(x) -> WorkComplex:
     """An mpmath number as a coefficient, rounded to nearest at 140 bits."""
     if hasattr(x, "_mpc_"):
         re, im = x._mpc_
     else:
         re, im = mpmath.mpmathify(x)._mpf_, mpmath.libmp.fzero
-    return WorkComplex.from_parts(*_signed(re), *_signed(im))
+    return from_parts(*_signed(re), *_signed(im))
 
 
 def mp_fraction(x) -> Fraction:

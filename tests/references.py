@@ -2,7 +2,8 @@
 
 The formal coboundary solves, the rotation and the sum of series, and the
 dependence lift are what the acceptance criteria check the library
-against. No report prints what they compute, so they live here, built on
+against; the exact inverse of a surd drives the Gauss-map reference of the
+surd tests. No report prints what they compute, so they live here, built on
 the public API of coblab alone, at the same working precision.
 """
 
@@ -68,6 +69,20 @@ def double_solve(
     beta.require_irrational("beta")
     f.require_centered("double-coboundary data")
     return _solve(f, (alpha, beta))
+
+
+# ---------------------------------------------------------------------------
+# surds
+
+
+def inverse(x: QuadraticSurd) -> QuadraticSurd:
+    """1/x exactly: 1/((a + b*sqrt(d))/c) = c*(a - b*sqrt(d))/(a**2 - b**2*d).
+
+    The norm a**2 - b**2*d is nonzero for b != 0, because d is squarefree.
+    """
+    if x.is_rational and x.a == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return QuadraticSurd(x.c * x.a, -x.c * x.b, x.d, x.a * x.a - x.b * x.b * x.d)
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def test_walk_yields_every_exact_hit_in_order(a, b, c, d, hi, span, eps):
     qs = [q for q, _, _ in got]
     assert all(u < v for u, v in zip(qs, qs[1:]))
     assert all(lo <= q < hi for q in qs)
-    exact = [q for q in range(lo, hi) if (x * q).dist_to_int() < eps]
+    exact = [q for q in range(lo, hi) if ((x * q).dist_to_int() - eps).sign() < 0]
     assert set(exact) <= set(qs)
     for q, s, _ in got:
         # the bracket holds the 256-bit enclosure of ||q*x|| * 2**192
@@ -402,7 +402,8 @@ def test_dirichlet_pigeonhole_in_two_dimensions(alpha, beta):
     # 1/N, in exact surd arithmetic; the least such q grows with N, so one
     # forward scan finds it for N = 1, ..., 64 in turn
     def close(q, n):
-        return all((x * q).dist_to_int() < Fraction(1, n) for x in (alpha, beta))
+        return all(((x * q).dist_to_int() - Fraction(1, n)).sign() < 0
+                   for x in (alpha, beta))
 
     q = 1
     for n in range(1, 65):

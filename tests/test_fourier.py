@@ -32,7 +32,7 @@ from coblab.fourier import (
     unit_phase,
 )
 from coblab.surd import FP_BITS, FP_MAX_K, FP_ONE, QuadraticSurd, fixed_point, parse_surd
-from mpbridge import mp_fraction, to_mp
+from mpbridge import from_parts, mp_fraction, to_mp
 from references import add, apply_rotation, double_solve, solve_coboundary
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
@@ -176,7 +176,7 @@ PART = st.one_of(
 @example(parts={1: ((0, 0), (3, 0))})
 @example(parts={1: ((1, -600), (0, 0)), -2: ((5, 600), (-7, 3))})
 def test_exact_mass_matches_the_fraction_sum(parts):
-    f = SparseFourierSeries({n: WorkComplex.from_parts(*re, *im)
+    f = SparseFourierSeries({n: from_parts(*re, *im)
                              for n, (re, im) in parts.items()})
     exact = f.l2_norm_sq_exact()
     assert type(exact) is Fraction
@@ -572,7 +572,7 @@ def test_random_series_differ_across_seeds():
 MANTISSA = st.integers(-(1 << PREC) + 1, (1 << PREC) - 1)
 # close exponents make rounding ties common; far ones reach the sticky-bit sum
 EXPONENT = st.one_of(st.integers(-150, -130), st.integers(-600, 200))
-WORK = st.builds(WorkComplex.from_parts, MANTISSA, EXPONENT, MANTISSA, EXPONENT)
+WORK = st.builds(from_parts, MANTISSA, EXPONENT, MANTISSA, EXPONENT)
 SURD = st.builds(
     QuadraticSurd,
     st.integers(-60, 60),
@@ -607,6 +607,21 @@ def rounded_quotient(x, y):
 
 def assert_bits(got, want):
     assert to_mp(got)._mpc_ == mpmath.mpc(want)._mpc_
+
+
+# mantissas past PREC bits and exponents past the float range
+WIDE_PART = (st.integers(-(1 << 300), 1 << 300), st.integers(-1200, 1200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.tuples(*WIDE_PART, *WIDE_PART))
+@example(parts=((1 << PREC) + 1, 0, (1 << PREC) + 3, -1100))  # ties to even
+def test_from_parts_rounds_like_mpmath(parts):
+    # the bridge that builds the coefficients of these tests, at any exponent
+    re_man, re_exp, im_man, im_exp = parts
+    with mpmath.workprec(PREC):
+        want = mpmath.mpc(mpmath.mpf((re_man, re_exp)), mpmath.mpf((im_man, im_exp)))
+        assert_bits(from_parts(*parts), want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -687,8 +702,8 @@ DIVISION_EXAMPLES = [
 @given(x=WORK, y=WORK, real=st.floats(allow_nan=False, allow_infinity=False))
 # (2**140 - 1) + 2 lies halfway between two 140-bit numbers: ties go to even
 @example(
-    x=WorkComplex.from_parts((1 << PREC) - 1, 0, 1, 0),
-    y=WorkComplex.from_parts(1, 1, (1 << PREC) - 1, -1),
+    x=from_parts((1 << PREC) - 1, 0, 1, 0),
+    y=from_parts(1, 1, (1 << PREC) - 1, -1),
     real=0.5,
 )
 def test_arithmetic_matches_mpmath_bit_for_bit(x, y, real):
@@ -707,7 +722,7 @@ def test_arithmetic_matches_mpmath_bit_for_bit(x, y, real):
 
 @pytest.mark.parametrize("x,y", DIVISION_EXAMPLES)
 def test_division_is_correctly_rounded(x, y):
-    x, y = WorkComplex.from_parts(*x), WorkComplex.from_parts(*y)
+    x, y = from_parts(*x), from_parts(*y)
     with mpmath.workprec(PREC):
         assert_bits(x / y, rounded_quotient(x, y))
 

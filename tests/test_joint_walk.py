@@ -90,8 +90,8 @@ def test_two_rotation_walk_is_the_brute_force_filter(
     ]
     qs = {q for q, _, _ in got}
     for q in range(lo, hi):
-        if q not in qs and (x * q).dist_to_int() < eps:
-            assert not (y * q).dist_to_int() < y_eps, q
+        if q not in qs and ((x * q).dist_to_int() - eps).sign() < 0:
+            assert ((y * q).dist_to_int() - y_eps).sign() >= 0, q
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coblab.cli import ExperimentConfig, run
 from coblab.constructions import build_joint_not_double
@@ -24,13 +26,12 @@ from coblab.fourier import (
 )
 from coblab.spectral import (
     cesaro_rate_profile,
-    coboundary_integral,
-    double_criterion_sum,
+    criterion_sum,
     doubling_tripling_variance,
-    joint_criterion_sum,
     spectral_measure,
 )
-from coblab.surd import parse_surd
+from coblab.surd import COEFFICIENT_LIMIT, RADICAND_LIMIT, QuadraticSurd, parse_surd
+from mpbridge import mp_fraction
 from references import add
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
@@ -98,7 +99,7 @@ def test_coboundary_integral_change_of_variables():
     g = random_real_series(3, 6)
     f = apply_difference(g, ALPHA)
     m = spectral_measure(f, ALPHA, BETA)
-    result = coboundary_integral(m, "alpha")
+    result = criterion_sum(m, 1, 0)
     exact = g.l2_norm_sq_exact()
     assert not result.divergent
     assert result.value.lo <= exact <= result.value.hi
@@ -108,7 +109,7 @@ def test_coboundary_integral_change_of_variables():
 def test_coboundary_integral_single_mode_value():
     f = SparseFourierSeries({1: 1})
     m = spectral_measure(f, ALPHA, BETA)
-    result = coboundary_integral(m, "alpha")
+    result = criterion_sum(m, 1, 0)
     with mpmath.workdps(40):
         oracle = 1 / (2 * mpmath.sinpi(dist_oracle(ALPHA, 1))) ** 2
     assert abs(float(result.value.mid) - float(oracle)) < 1e-12
@@ -118,65 +119,90 @@ def test_coboundary_integral_single_mode_value():
 def test_coboundary_integral_divergent_at_zero_mass():
     f = SparseFourierSeries({0: 2, 3: 1})
     m = spectral_measure(f, ALPHA, BETA)
-    result = coboundary_integral(m, "alpha")
+    result = criterion_sum(m, 1, 0)
     assert result.divergent
     assert len(result.terms) == 1  # the finite part is still reported
 
 
-def test_coboundary_integral_validates_side():
-    m = spectral_measure(SparseFourierSeries({1: 1}), ALPHA, BETA)
-    with pytest.raises(ConfigError):
-        coboundary_integral(m, "gamma")
-
-
 def sides(m):
-    """The two one-sided integrals that joint_criterion_sum checks against."""
-    return coboundary_integral(m, "alpha"), coboundary_integral(m, "beta")
+    """The two one-sided integrals, whose sum is the joint criterion."""
+    return criterion_sum(m, 1, 0), criterion_sum(m, 0, 1)
 
 
 def test_joint_criterion_is_sum_of_sides():
+    # atom by atom, the two sides add up to the joint integrand
+    # mass * (d_a + d_b) / (d_a * d_b), enclosed here from the same divisors
     f = random_real_series(17, 8)
     m = spectral_measure(f, ALPHA, BETA)
     alpha_side, beta_side = sides(m)
-    joint = joint_criterion_sum(m, alpha_side, beta_side)
+    total = Fraction(0)
+    for atom, (n, a), (n_b, b) in zip(m, alpha_side.terms, beta_side.terms):
+        assert atom.n == n == n_b
+        da, db = atom.div_alpha_sq, atom.div_beta_sq
+        joint = (atom.mass * (da + db)) / (da * db)
+        both = a + b
+        assert joint.lo <= both.lo <= both.hi <= joint.hi
+        total += both.mid
     recombined = alpha_side.value + beta_side.value
-    assert abs(float(joint.value.mid) - float(recombined.mid)) < 1e-12 * max(
-        float(recombined.mid), 1.0
-    )
-
-
-def test_joint_criterion_rejects_sides_that_drift_apart():
-    from coblab.errors import CertificationError
-
-    m = spectral_measure(random_real_series(17, 8), ALPHA, BETA)
-    alpha_side, beta_side = sides(m)
-    # far below a float midpoint test, far above the widths
-    shifted = beta_side._replace(value=beta_side.value + Fraction(1, 10**20))
-    joint_criterion_sum(m, alpha_side, beta_side)
-    with pytest.raises(CertificationError):
-        joint_criterion_sum(m, alpha_side, shifted)
+    assert recombined.lo <= total <= recombined.hi
 
 
 def test_joint_criterion_empty_measure():
     m = spectral_measure(SparseFourierSeries({}), ALPHA, BETA)
-    joint = joint_criterion_sum(m, *sides(m))
-    assert joint.value.hi == 0
-    assert joint.terms == ()
-    assert not joint.divergent
+    alpha_side, beta_side = sides(m)
+    assert (alpha_side.value + beta_side.value).hi == 0
+    assert alpha_side.terms == beta_side.terms == ()
+    assert not alpha_side.divergent and not beta_side.divergent
+
+
+# parse_surd's whole input range
+coefficients = st.integers(-COEFFICIENT_LIMIT + 1, COEFFICIENT_LIMIT - 1)
+SURDS = st.builds(
+    QuadraticSurd,
+    coefficients,
+    coefficients.filter(bool),
+    st.integers(2, RADICAND_LIMIT).filter(lambda d: math.isqrt(d) ** 2 != d),
+    coefficients.filter(bool),
+)
+
+
+def mp_divisor_sq(x, n):
+    """|1 - e(n*x)|**2 = 4*sin(pi*n*x)**2 at the ambient mpmath precision."""
+    value = (mpmath.mpf(x.a) + x.b * mpmath.sqrt(x.d)) / x.c
+    return 4 * mpmath.sinpi(n * value) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), max_freq=st.integers(1, 6),
+       alpha=SURDS, beta=SURDS)
+@example(seed=17, max_freq=8, alpha=ALPHA, beta=BETA)
+def test_joint_criterion_contains_the_summed_joint_integrand(
+        seed, max_freq, alpha, beta):
+    # the sum of the two sides holds sum of mass * (d_a + d_b) / (d_a * d_b),
+    # with the divisors recomputed at 300 bits from the surds' radicals
+    m = spectral_measure(random_real_series(seed, max_freq), alpha, beta)
+    alpha_side, beta_side = sides(m)
+    with mpmath.workprec(300):
+        oracle = mpmath.mpf(0)
+        for atom in m:
+            da, db = mp_divisor_sq(alpha, atom.n), mp_divisor_sq(beta, atom.n)
+            mass = mpmath.mpf(atom.mass.numerator) / atom.mass.denominator
+            oracle += mass * (da + db) / (da * db)
+    assert mp_fraction(oracle) in alpha_side.value + beta_side.value
 
 
 def test_double_criterion_change_of_variables():
     h = random_real_series(7, 5)
     phi = apply_difference(apply_difference(h, ALPHA), BETA)
     m = spectral_measure(phi, ALPHA, BETA)
-    result = double_criterion_sum(m)
+    result = criterion_sum(m, 1, 1)
     exact = h.l2_norm_sq_exact()
     assert result.value.lo <= exact <= result.value.hi
 
 
 def test_double_criterion_flags_zero_atom():
     m = spectral_measure(SparseFourierSeries({0: 1}), ALPHA, BETA)
-    assert double_criterion_sum(m).divergent
+    assert criterion_sum(m, 1, 1).divergent
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +219,7 @@ def pipeline_atoms():
 def test_pipeline_double_terms_have_uniform_floor(pipeline_atoms):
     _, m = pipeline_atoms
     floor = 1 / (4 * math.pi**2)
-    ledger = double_criterion_sum(m)
+    ledger = criterion_sum(m, 1, 1)
     assert len(ledger.terms) == 10
     for _, term in ledger.terms:
         assert float(term.lo) >= floor - 1e-15
@@ -202,8 +228,9 @@ def test_pipeline_double_terms_have_uniform_floor(pipeline_atoms):
 
 def test_pipeline_joint_increments_are_summable(pipeline_atoms):
     result, m = pipeline_atoms
-    ledger = joint_criterion_sum(m, *sides(m))
-    for (n, term) in ledger.terms:
+    alpha_side, beta_side = sides(m)
+    for (n, a), (_, b) in zip(alpha_side.terms, beta_side.terms):
+        term = a + b
         q = abs(n)
         da = float(dist_oracle(ALPHA, q))
         bound = 1 / q + math.pi**2 / 4 * da * da
@@ -217,7 +244,7 @@ def test_pipeline_double_average_bound(pipeline_atoms):
     h = random_real_series(23, 6)
     phi = apply_difference(apply_difference(h, ALPHA), BETA)
     m = spectral_measure(phi, ALPHA, BETA)
-    cap = 4 * math.sqrt(float(double_criterion_sum(m).value.hi))
+    cap = 4 * math.sqrt(float(criterion_sum(m, 1, 1).value.hi))
     for n in (1, 7, 31, 100):
         assert double_ergodic_sum_norm(phi, ALPHA, BETA, n, n) <= cap + 1e-9
 
@@ -313,7 +340,7 @@ def csv_lines(**fields):
 
 def test_criterion_csv_round_trip_columns():
     f = build_joint_not_double(ALPHA, BETA, 4, 300).f
-    terms = double_criterion_sum(spectral_measure(f, ALPHA, BETA)).terms
+    terms = criterion_sum(spectral_measure(f, ALPHA, BETA), 1, 1).terms
     lines = csv_lines(subcommand="spectral")
     assert lines[0] == "n,value_lo,value_hi"
     assert len(lines) == 1 + len(terms)
