@@ -103,9 +103,6 @@ class Enclosure(Frozen):
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __contains__(self, value: Rational) -> bool:
-        return self.lo <= Fraction(value) <= self.hi
-
     def __add__(self, other: "Enclosure | Rational") -> "Enclosure":
         if isinstance(other, Enclosure):
             return Enclosure(self.lo + other.lo, self.hi + other.hi)

@@ -68,12 +68,13 @@ _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 _UNIT = (lambda v: 0 < v < 1, "must lie strictly between 0 and 1")
 _EXPONENT = (lambda v: v <= _EXPONENT_LIMIT, f"must be at most {_EXPONENT_LIMIT}")
 
-# Every option that all subcommands share, in --help order: the name of its
-# flag and config field, its kind, its default, its help and the checks its
-# value must pass. A "count" is an int of at least 1, and a "rational" is
-# held as its canonical fraction string ("3/5"), so that a config survives
-# any number of serialization round trips unchanged and two equal configs
-# render byte-identical reports; its checks test it as a Fraction.
+# Every config field but the subcommand and action, in --help order: the
+# name of its option and field, its kind, its default, its help and the
+# checks its value must pass. A "count" is an int of at least 1, a "flag" a
+# bool that its option sets, and a "rational" is held as its canonical
+# fraction string ("3/5"), so that a config survives any number of
+# serialization round trips unchanged and two equal configs render
+# byte-identical reports; its checks test it as a Fraction.
 _OPTIONS = (
     ("alpha", "str", "(-1+1*sqrt(2))/1",
      "first rotation number, (a+b*sqrt(d))/c", (_TEXT,)),
@@ -103,16 +104,12 @@ _OPTIONS = (
      (_INTEGER, (lambda v: v >= 0, "must be nonnegative"))),
     ("threads", "int", 1, "recorded in every report; has no effect",
      (_INTEGER, _AT_LEAST_1)),
+    ("doubling_tripling", "flag", False,
+     "emit the exact unit-variance table for the commuting endomorphism "
+     "square average",
+     ((lambda v: type(v) is bool, "must be true or false, got {value!r}"),)),
 )
-
-# rates' --doubling-tripling flag: a config field, and an option of rates alone
-_FLAG = ("doubling_tripling", "flag", False,
-         "emit the exact unit-variance table for the commuting endomorphism "
-         "square average",
-         ((lambda v: type(v) is bool, "must be true or false, got {value!r}"),))
-
-_FIELDS = (*_OPTIONS, _FLAG)
-_KINDS = {name: kind for name, kind, *_ in _FIELDS}
+_KINDS = {name: kind for name, kind, *_ in _OPTIONS}
 
 
 class ExperimentConfig(
@@ -120,11 +117,11 @@ class ExperimentConfig(
 ):
     """Everything a run needs, in JSON-friendly primitives.
 
-    The fields are the subcommand, its action, every option of _OPTIONS and
-    rates' doubling_tripling flag; a field not given takes its default, and
-    each is checked against its row. A collections namedtuple, so that
-    --help loads neither certify nor fractions; its _make and _replace skip
-    the checks, and nothing calls them.
+    The fields are the subcommand, its action and every row of _OPTIONS,
+    also those whose option the subcommand lacks; a field not given takes
+    its default, and each is checked against its row. A collections
+    namedtuple, so that --help loads neither certify nor fractions; its
+    _make and _replace skip the checks, and nothing calls them.
     """
 
     __slots__ = ()
@@ -147,7 +144,7 @@ class ExperimentConfig(
             raise ConfigError(f"subcommand {subcommand!r} takes no action")
         values = {}
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 is none
-        for name, kind, default, _, checks in _FIELDS:
+        for name, kind, default, _, checks in _OPTIONS:
             value = values[name] = options.get(name, default)
             if kind == "rational":
                 # The text is parsed first with its exponent's digits zeroed,
@@ -616,25 +613,32 @@ def _handle_selftest(config: ExperimentConfig) -> _Body:
 
 
 # Every subcommand, in --help order: its actions (none if it takes none), the
-# handler that builds its report and its help line.
-_Command = namedtuple("_Command", ("actions", "handler", "help"))
+# options its handler reads under any action (and those of _OUTPUT, which
+# every report prints), the handler that builds its report and its help line.
+_Command = namedtuple("_Command", ("actions", "options", "handler", "help"))
+_OUTPUT = ("out", "format", "seed")
+_SERIES = ("alpha", "beta", "K", "Q", "ratio", "budget")  # what _flagship reads
 _COMMANDS = {
-    "approx": _Command(("dirichlet", "bad-pair", "squares", "cf"), _handle_approx,
+    "approx": _Command(("dirichlet", "bad-pair", "squares", "cf"),
+                       ("alpha", "beta", "Q", "N", "depth", "delta", "tol"),
+                       _handle_approx,
                        "Diophantine searches: simultaneous denominators, pair "
                        "constants, square powers, continued fractions"),
-    "construct": _Command((), _handle_construct,
+    "construct": _Command((), _SERIES, _handle_construct,
                           "build the certified joint-not-double series"),
     "check": _Command(("bad-joint", "mur", "double-bad", "kac-salem",
-                       "large-coeff", "petersen"), _handle_check,
+                       "large-coeff", "petersen"),
+                      (*_SERIES, "depth", "gamma"), _handle_check,
                       "summability, envelope, and witness checkers on the "
                       "constructed series"),
-    "spectral": _Command((), _handle_spectral,
+    "spectral": _Command((), _SERIES, _handle_spectral,
                          "atomic spectral measure and membership integrals"),
-    "rates": _Command((), _handle_rates, "ergodic averaging rate profiles"),
-    "shift": _Command((), _handle_shift,
+    "rates": _Command((), (*_SERIES, "N", "doubling_tripling"), _handle_rates,
+                      "ergodic averaging rate profiles"),
+    "shift": _Command((), ("K", "N", "p"), _handle_shift,
                       "lattice shift example: norms, the formal solution, "
                       "and its divergence certificate"),
-    "selftest": _Command((), _handle_selftest,
+    "selftest": _Command((), ("alpha", "beta", "K", "Q"), _handle_selftest,
                          "run the deterministic property suite"),
 }
 
@@ -688,17 +692,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # No option states a default here: an option left out is left out of the
-    # namespace, so the defaults of _OPTIONS are the only ones.
-    shared = argparse.ArgumentParser(
-        add_help=False, argument_default=argparse.SUPPRESS
-    )
-    for name, kind, _, text, _ in _OPTIONS:
-        shared.add_argument(
-            f"--{name}", type=int if kind in ("count", "int") else None,
-            choices=_FORMATS if name == "format" else None, help=text,
-        )
-
     parser = _Parser(
         prog="coblab",
         description=(
@@ -708,12 +701,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in _COMMANDS.items():
-        subparser = sub.add_parser(name, parents=[shared], help=command.help)
+        # No option states a default here: an option left out is left out of
+        # the namespace, so the defaults of _OPTIONS are the only ones.
+        subparser = sub.add_parser(name, help=command.help,
+                                   argument_default=argparse.SUPPRESS)
         if command.actions:
             subparser.add_argument("action", choices=command.actions)
-    sub.choices["rates"].add_argument(
-        "--doubling-tripling", action="store_true", help=_FLAG[3]
-    )
+        for option, kind, _, text, _ in _OPTIONS:
+            if option in command.options or option in _OUTPUT:
+                kwargs = ({"action": "store_true"} if kind == "flag" else
+                          {"type": int if kind in ("count", "int") else None,
+                           "choices": _FORMATS if option == "format" else None})
+                subparser.add_argument("--" + option.replace("_", "-"),
+                                       help=text, **kwargs)
     return parser
 
 

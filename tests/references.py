@@ -3,18 +3,29 @@
 The formal coboundary solves, the rotation and the sum of series, and the
 dependence lift are what the acceptance criteria check the library
 against; the exact inverse of a surd drives the Gauss-map reference of the
-surd tests. No report prints what they compute, so they live here, built on
-the public API of coblab alone, at the same working precision.
+surd tests, and `contains` is the oracles' containment test. No report
+prints what they compute, so they live here, built on the public API of
+coblab alone, at the same working precision.
 """
 
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from coblab.certify import Enclosure
 from coblab.dyadic import ZERO
 from coblab.errors import CertificationError, ConfigError
 from coblab.fourier import SparseFourierSeries, apply_difference, unit_phase
 from coblab.surd import QuadraticSurd
+
+# ---------------------------------------------------------------------------
+# enclosures
+
+
+def contains(enc: Enclosure, value) -> bool:
+    """Whether the rational value, or the number its text spells, lies in enc."""
+    return enc.lo <= Fraction(value) <= enc.hi
+
 
 # ---------------------------------------------------------------------------
 # series algebra

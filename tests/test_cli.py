@@ -14,6 +14,7 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -28,6 +29,7 @@ from coblab import cli, constructions
 from coblab.cli import (
     _COMMANDS,
     _KINDS,
+    _OUTPUT,
     ExperimentConfig,
     build_parser,
     config_from_namespace,
@@ -173,8 +175,10 @@ class TestExperimentConfig:
 
     # Fraction built 10**e for these before str refused the result: each took
     # 13-14 s to exit 2 with the same error line
-    @pytest.mark.parametrize("argv", [["selftest", "--tol", "1e-10000000"],
-                                      ["shift", "--p", "1e-10000000"]])
+    @pytest.mark.parametrize("argv", [
+        ["approx", "dirichlet", "--tol", "1e-10000000"],
+        ["shift", "--p", "1e-10000000"],
+    ])
     def test_huge_decimal_exponents_are_refused_unbuilt(self, argv, capsys):
         start = time.perf_counter()
         assert main(argv) == 2
@@ -183,7 +187,7 @@ class TestExperimentConfig:
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "error": {"kind": "config", "type": "ConfigError",
-                      "message": f"{argv[1]}: not a rational: '1e-10000000'"},
+                      "message": f"{argv[-2]}: not a rational: '1e-10000000'"},
             "schema": SCHEMA, "version": coblab.__version__,
         }
 
@@ -554,7 +558,7 @@ class TestMain:
         assert data_rows(out)[1:] == [f"{n},1,1" for n in range(1, 9)]
 
     def test_main_rejects_bad_flag_values(self, capsys):
-        assert main(["selftest", "--tol", "2"]) == 2
+        assert main(["approx", "dirichlet", "--tol", "2"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "config"
 
@@ -591,8 +595,9 @@ class TestMain:
         assert "running-time cap" in err["error"]["message"]
 
     # Every (subcommand, action) pair at sizes that run in well under a
-    # second, plus the two flagged variants, then a Fourier build outside the
-    # CLI; run with a redirected stdout, so the reports stay out of the pipe.
+    # second, each given only the sizes it takes, plus the two flagged
+    # variants, then a Fourier build outside the CLI; run with a redirected
+    # stdout, so the reports stay out of the pipe.
     # Neither mpmath nor numpy (test extras) nor dataclasses (its start-up
     # cost) is ever loaded, and --help loads no json or fractions either, and
     # executes no library module: each stays a lazy module until a
@@ -612,8 +617,10 @@ class TestMain:
         "            and name not in ('coblab.cli', 'coblab.errors')\n"
         "            and type(module) is types.ModuleType]\n"
         "assert not executed, f'--help executes {executed}'\n"
-        "small = ['--Q', '10000', '--K', '8', '--N', '16', '--depth', '10']\n"
-        "argvs = [[sub, *([action] if action else []), *small]\n"
+        "small = {'Q': 10000, 'K': 8, 'N': 16, 'depth': 10}\n"
+        "argvs = [[sub, *([action] if action else []),\n"
+        "          *(f'--{k}={v}' for k, v in small.items()\n"
+        "            if k in command.options)]\n"
         "         for sub, command in _COMMANDS.items()\n"
         "         for action in command.actions or (None,)]\n"
         "argvs += [['rates', '--doubling-tripling', '--N', '8'],\n"
@@ -702,12 +709,13 @@ def test_every_layer_imports_from_the_package():
     assert done.returncode == 0, done.stderr
 
 
-# every (subcommand, action) pair as a command line through main, rotation
-# numbers with two invalid ones, and rational knobs on both sides of their
-# ranges (--gamma and --p also past the upper bound that the config refuses);
-# Q, K and N stay small so each run is quick (shift needs K >= 8, so K
-# reaches 10), and K also crosses shift's cap of 10**6, past which shift
-# refuses it and the flagship searches fall short, both at once
+# every (subcommand, action) pair as a command line through main, given the
+# options its subcommand takes: rotation numbers with two invalid ones, and
+# rational knobs on both sides of their ranges (--gamma and --p also past the
+# upper bound that the config refuses); Q, K and N stay small so each run is
+# quick (shift needs K >= 8, so K reaches 10), and K also crosses shift's cap
+# of 10**6, past which shift refuses it and the flagship searches fall short,
+# both at once
 ROTATIONS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/1", "(-2+1*sqrt(5))/1",
              "(1+sqrt(5))/2", "(3-2*sqrt(2))/5", "sqrt(4)", "x"]
 
@@ -735,9 +743,11 @@ def test_every_config_runs_or_exits_with_a_json_error(
     command, fmt, doubling_tripling, **fields
 ):
     subcommand, action = command
+    options = _COMMANDS[subcommand].options
     argv = [subcommand, *([action] if action else []), f"--format={fmt}"]
-    argv += [f"--{name}={value}" for name, value in fields.items()]
-    if doubling_tripling and subcommand == "rates":
+    argv += [f"--{name}={value}" for name, value in fields.items()
+             if name in options or name == "seed"]
+    if doubling_tripling and "doubling_tripling" in options:
         argv.append("--doubling-tripling")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -907,6 +917,38 @@ def test_report_bytes_match_the_golden_digest(argv):
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[argv]
 
 
+def fields_read(argv):
+    """The config fields that the handler of argv reads, format, out and
+    seed aside, traced on a config subclass that records its attribute
+    reads; the printed config is the tuple itself, not a read."""
+    reads = set()
+
+    class Traced(ExperimentConfig):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    config = config_from_namespace(build_parser().parse_args(argv.split()))
+    with contextlib.redirect_stderr(io.StringIO()):
+        run(Traced(**config.to_json_dict()), stream=io.StringIO())
+    return reads & set(_KINDS) - set(_OUTPUT)
+
+
+# Each golden config reads only options of its subcommand's row, and its
+# golden configs together read all of them, so the parser offers no option
+# that no handler reads, and no handler reads a field it is not offered.
+@pytest.mark.parametrize("subcommand", list(_COMMANDS))
+def test_golden_configs_read_exactly_the_options_of_their_row(subcommand):
+    options = set(_COMMANDS[subcommand].options)
+    reads = {argv: fields_read(argv) for argv in sorted(GOLDEN)
+             if argv.split()[0] == subcommand}
+    for argv, fields in reads.items():
+        assert fields <= options, (argv, fields - options)
+    assert set().union(*reads.values()) == options
+
+
 # rates, spectral and every check action read the flagship series f alone, so
 # they print their golden bytes while the transfer to g fails; construct and
 # selftest build g and both certificates
@@ -948,19 +990,19 @@ HELP = {
     "--help":
         "19c70268b385b01fdd2db5c8f4bc724eda875417939b91683c60731d5df6e484",
     "approx --help":
-        "cf0fe224b6011be84a6d80bfd07416b679723452d3ee1b3750a552a4aca5ca38",
+        "dbfad5b04c12cd79696bc19104b83079389dfa11199aff385716ac7709739c28",
     "construct --help":
-        "0ff1605276584b17023ded7772546ba43bef6096b0d0a6730c68e8295fc2b936",
+        "6b1916e33ef2cbceccc422379439ce3e280c0aa94803194b1104fa080ac2e0cc",
     "check --help":
-        "e0a0a0cb96a39484588859e7830e1fced42bdd2e481cd9efd374ec1094b980e8",
+        "faf02bbb7341dcea4ade8c1bcdd473f37765e467af38c1d3b0c292f872ed625f",
     "spectral --help":
-        "9beaa88fe58509ff677aba677322b20b6acf9ce7a6d11932f106a62d024a3c09",
+        "e41546f666c7130d5a8897468bfd581236a6b200d7721321e04eab7c9f55aefe",
     "rates --help":
-        "0518a2a05d1a6ab89050cf8c22381645699a87d5b318efcbaac467b527fcf2f9",
+        "01d0bb495e6c5ba6c80780f87e3d9d8c1a33c48737871fac1010bb6c1a6e68e4",
     "shift --help":
-        "1a872cc1acc83ef14869e8888db4a0a6a90de1594a6fcce50b28830c150fbacf",
+        "928ba940edf356f7da6f0409af5b9e48db61ac25c0c6f0f6ae349d679ba6ca70",
     "selftest --help":
-        "1c9bc7f246278c52fb06169fa8b27cc5920165621cfb7140f8fe6582d0649823",
+        "cb5177cac3baed402cf4603f49ec07c349c89f0c0999490b3220ab3d7856e97d",
 }
 
 
@@ -980,7 +1022,7 @@ def test_help_bytes_match_the_pinned_digest(argv, monkeypatch, capsys):
 # Each prints its parser's usage and then the JSON error line, and exits 2.
 ARGPARSE_ERRORS = {
     "construct --K x":
-        "c92d60d0834d0363edb7b0d3153b4318f4b6f52404b15392106c1ece2fb03297",
+        "1c6ab9dc5af38ad29779f6106ef33e615adab44a630b0014e50c0c64dc4c7049",
     "construct --bogus 1":
         "b4ebde61c1492316660c06b15219aa1f04e23867e46af1d7c6e1927d6823612d",
 }
@@ -1002,6 +1044,54 @@ def test_argparse_error_bytes_match_the_golden_digest(argv, monkeypatch, capsys)
     assert hashlib.sha256(err.encode()).hexdigest() == ARGPARSE_ERRORS[argv]
 
 
+# Each subcommand --help lists exactly the options of its row and _OUTPUT.
+@pytest.mark.parametrize("subcommand", list(_COMMANDS))
+def test_each_help_page_lists_the_options_of_its_row(subcommand, capsys):
+    with pytest.raises(SystemExit):
+        main([subcommand, "--help"])
+    listed = re.findall(r"^  --([\w-]+)", capsys.readouterr().out, re.M)
+    assert [name.replace("-", "_") for name in listed] == [
+        name for name in _KINDS
+        if name in _COMMANDS[subcommand].options or name in _OUTPUT]
+
+
+# One option that its subcommand's row lacks, for each subcommand: argparse
+# refuses it like any other bad command line, with the usage text and the
+# JSON error line, and exit 2.
+STRAY_OPTIONS = [
+    "approx cf --threads 2",
+    "approx dirichlet --gamma 3",
+    "construct --gamma 3",
+    "check mur --N 5",
+    "check double-bad --tol 1/2",
+    "spectral --depth 5",
+    "rates --p 2",
+    "shift --alpha (-1+1*sqrt(2))/1",
+    "selftest --tol 1/2",
+    "selftest --doubling-tripling",
+]
+
+
+@pytest.mark.parametrize("argv", STRAY_OPTIONS)
+def test_an_option_outside_the_row_exits_two(argv, capsys):
+    subcommand, stray = argv.split()[0], argv[argv.index(" --") + 1:]
+    option = stray.split()[0][2:].replace("-", "_")
+    assert option in _KINDS
+    assert option not in _COMMANDS[subcommand].options + _OUTPUT
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, line = err.rstrip("\n").rsplit("\n", 1)
+    assert usage.startswith("usage: coblab")
+    assert json.loads(line) == {
+        "error": {"kind": "config", "type": "ConfigError",
+                  "message": f"coblab: unrecognized arguments: {stray}"},
+        "schema": SCHEMA, "version": coblab.__version__,
+    }
+
+
 def test_golden_table_covers_every_action_and_format():
     for sub, action in COMMANDS:
         for fmt in ("csv", "json", "text"):
@@ -1012,3 +1102,4 @@ def test_golden_table_covers_every_action_and_format():
     assert len(GOLDEN) == 3 * len(COMMANDS) + 7
     assert len(SERIES_READERS) == 8
     assert set(HELP) == {"--help", *(f"{sub} --help" for sub in _COMMANDS)}
+    assert {argv.split()[0] for argv in STRAY_OPTIONS} == set(_COMMANDS)

@@ -33,7 +33,7 @@ from coblab.fourier import (
 )
 from coblab.surd import FP_BITS, FP_MAX_K, FP_ONE, QuadraticSurd, fixed_point, parse_surd
 from mpbridge import from_parts, mp_fraction, to_mp
-from references import add, apply_rotation, double_solve, solve_coboundary
+from references import add, apply_rotation, contains, double_solve, solve_coboundary
 
 ALPHA = parse_surd("(-1+1*sqrt(2))/1", label="alpha")
 BETA = parse_surd("(-1+1*sqrt(3))/1", label="beta")
@@ -269,7 +269,7 @@ def test_divisor_enclosure_oracle_tightness():
 def test_coefficient_magnitude_enclosure():
     c = WorkComplex(3, 4)
     enc = coefficient_magnitude_enclosure(c)
-    assert Fraction(5) in enc
+    assert contains(enc, 5)
     assert float(enc.width) < 1e-30
 
 
@@ -606,7 +606,17 @@ def rounded_quotient(x, y):
 
 
 def assert_bits(got, want):
-    assert to_mp(got)._mpc_ == mpmath.mpc(want)._mpc_
+    # want is rounded to PREC bits here, also for a caller outside
+    # workprec(PREC), where mpmath would round it to 53
+    with mpmath.workprec(PREC):
+        assert to_mp(got)._mpc_ == mpmath.mpc(want)._mpc_
+
+
+def test_assert_bits_rounds_at_prec_outside_workprec():
+    # a 53-bit rounding of this expectation drops its low bits
+    with mpmath.workprec(PREC):
+        want = mpmath.mpc(mpmath.mpf(((1 << PREC) + 3, -1100)))
+    assert_bits(from_parts((1 << PREC) + 3, -1100, 0, 0), want)
 
 
 # mantissas past PREC bits and exponents past the float range

@@ -36,14 +36,11 @@ from coblab.shift_example import (
     lp_partial_norm,
 )
 from mpbridge import mp_fraction
+from references import contains
 
 
 def _oracle(expr_digits):
     return Fraction(expr_digits)
-
-
-def _contains(enc, digits: str) -> bool:
-    return enc.lo <= Fraction(digits) <= enc.hi
 
 
 class TestBuildH:
@@ -56,7 +53,7 @@ class TestBuildH:
         v = build_h(2).diagonal_value(2)  # h(1, 1)
         with mpmath.workdps(50):
             oracle = mpmath.nstr(mpmath.mpf(2) ** mpmath.mpf("-1.5"), 40)
-        assert _contains(v, oracle)
+        assert contains(v, oracle)
         assert v.width < Fraction(1, 10**25)
 
     def test_p1_switches_to_logpower(self):
@@ -65,7 +62,7 @@ class TestBuildH:
         v = h.diagonal_value(2)  # h(1, 1)
         with mpmath.workdps(50):
             oracle = mpmath.nstr(1 / (4 * mpmath.log(2) ** 2), 40)
-        assert _contains(v, oracle)
+        assert contains(v, oracle)
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ConfigError):
@@ -78,7 +75,7 @@ class TestLpPartialNorm:
         result = lp_partial_norm(h, 2000)
         with mpmath.workdps(50):
             oracle = mpmath.nstr(mpmath.pi**2 / 6 - mpmath.zeta(3), 40)
-        assert _contains(result.total, oracle)
+        assert contains(result.total, oracle)
         assert result.total.width < Fraction(1, 1000)
 
     def test_partial_matches_direct_box_summation(self):
@@ -141,9 +138,9 @@ def test_norm_and_formal_solution_contain_their_zeta_values(p, box):
     grid = build_q(h, 3, 4)
     with mpmath.workprec(400):
         mp_p = mpmath.mpf(p.numerator) / p.denominator
-        assert mp_fraction(mpmath.zeta(mp_p) - mpmath.zeta(mp_p + 1)) in total
+        assert contains(total, mp_fraction(mpmath.zeta(mp_p) - mpmath.zeta(mp_p + 1)))
         for s, enc in grid.diagonals.items():
-            assert mp_fraction(mpmath.zeta((mp_p + 1) / mp_p, s)) in enc, s
+            assert contains(enc, mp_fraction(mpmath.zeta((mp_p + 1) / mp_p, s))), s
 
 
 class TestBuildQ:
@@ -152,7 +149,7 @@ class TestBuildQ:
         with mpmath.workdps(50):
             oracle = mpmath.nstr(mpmath.zeta(mpmath.mpf("1.5")) - 1, 40)
         q11 = grid.diagonals[2]  # q(1, 1)
-        assert _contains(q11, oracle)
+        assert contains(q11, oracle)
         assert q11.width < Fraction(2, 10**5)
 
     def test_bracket_certificate_passes(self):
