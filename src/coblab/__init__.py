@@ -10,9 +10,10 @@ Each public name is imported from the module that defines it, as in
 `from coblab.surd import parse_surd`. The package itself defines no other
 names: it registers its layer modules lazily, so each is in sys.modules on
 import of the package but executes only when first used, and a subcommand
-pays only for the modules it calls. Before Python 3.12 the lazy loader takes
-no lock, so a program that first touches a module from several threads at
-once should import it beforehand.
+pays only for the modules it calls. The report handlers of the command line
+are one of them, `commands`, so `coblab --help` executes none of their code.
+Before Python 3.12 the lazy loader takes no lock, so a program that first
+touches a module from several threads at once should import it beforehand.
 """
 
 import importlib.util
@@ -20,8 +21,8 @@ import sys
 
 __version__ = "0.1.0"
 
-_LAYERS = ("certify", "report", "constructions", "diophantine", "errors",
-           "fourier", "shift_example", "spectral", "surd")
+_LAYERS = ("certify", "report", "commands", "constructions", "diophantine",
+           "errors", "fourier", "shift_example", "spectral", "surd")
 
 __all__ = ["__version__", *_LAYERS]
 

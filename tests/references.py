@@ -5,9 +5,11 @@ dependence lift are what the acceptance criteria check the library
 against; the exact inverse of a surd drives the Gauss-map reference of the
 surd tests, and `contains` is the oracles' containment test. No report
 prints what they compute, so they live here, built on the public API of
-coblab alone, at the same working precision.
+coblab alone, at the same working precision. `eager_parser`, the oracle of
+the command-line parser, is built from the tables that its caller passes in.
 """
 
+import argparse
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -216,3 +218,39 @@ def max_abs_diff(f: SparseFourierSeries, g: SparseFourierSeries) -> float:
     for n in set(f.support) | set(g.support):
         worst = max(worst, abs(complex(f.coeff(n)) - complex(g.coeff(n))))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the command line
+
+
+def eager_parser(parser_class, commands, options, output, formats):
+    """The coblab argument parser built whole: every subparser with its action
+    and options up front, as coblab.cli.build_parser did before its
+    subparsers filled in on first use.
+
+    commands, options, output and formats are the tables _COMMANDS, _OPTIONS,
+    _OUTPUT and _FORMATS of coblab.cli; parser_class makes the top-level
+    parser and every subparser.
+    """
+    parser = parser_class(
+        prog="coblab",
+        description=(
+            "Certified constructions, searches, and diagnostics for joint "
+            "and double coboundaries of commuting circle rotations."
+        ),
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, command in commands.items():
+        subparser = sub.add_parser(name, help=command.help,
+                                   argument_default=argparse.SUPPRESS)
+        if command.actions:
+            subparser.add_argument("action", choices=command.actions)
+        for option, kind, _, text, _ in options:
+            if option in command.options or option in output:
+                kwargs = ({"action": "store_true"} if kind == "flag" else
+                          {"type": int if kind in ("count", "int") else None,
+                           "choices": formats if option == "format" else None})
+                subparser.add_argument("--" + option.replace("_", "-"),
+                                       help=text, **kwargs)
+    return parser

@@ -21,14 +21,16 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coblab
-from coblab import cli, constructions
+from coblab import cli, commands, constructions
 from coblab.cli import (
     _COMMANDS,
+    _FORMATS,
     _KINDS,
+    _OPTIONS,
     _OUTPUT,
     ExperimentConfig,
     build_parser,
@@ -37,6 +39,7 @@ from coblab.cli import (
     run,
 )
 from coblab.errors import ConfigError
+from references import eager_parser
 
 SCHEMA = "coblab-report-v1"
 
@@ -599,24 +602,33 @@ class TestMain:
     # variants, then a Fourier build outside the CLI; run with a redirected
     # stdout, so the reports stay out of the pipe.
     # Neither mpmath nor numpy (test extras) nor dataclasses (its start-up
-    # cost) is ever loaded, and --help loads no json or fractions either, and
-    # executes no library module: each stays a lazy module until a
-    # subcommand first uses it.
+    # cost) is ever loaded. The top-level and a subcommand --help load no
+    # json or fractions either, a command line that argparse refuses no
+    # fractions, and none of the three executes a module but cli and errors,
+    # the handler module commands included: each stays a lazy module until a
+    # run first uses it.
     NO_MPMATH_SCRIPT = (
         "import contextlib, io, sys, types\n"
         "from coblab.cli import _COMMANDS, main\n"
         "def absent(*names):\n"
         "    return not any(name in sys.modules for name in names)\n"
-        "try:\n"
-        "    main(['--help'])\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0\n"
-        "assert absent('mpmath', 'dataclasses', 'json', 'fractions'), '--help'\n"
-        "executed = [name for name, module in sys.modules.items()\n"
-        "            if name.startswith('coblab.')\n"
-        "            and name not in ('coblab.cli', 'coblab.errors')\n"
-        "            and type(module) is types.ModuleType]\n"
-        "assert not executed, f'--help executes {executed}'\n"
+        "for argv, code in [(['--help'], 0), (['construct', '--help'], 0),\n"
+        "                   (['construct', '--K', 'x'], 2)]:\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "                contextlib.redirect_stderr(io.StringIO()):\n"
+        "            main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == code, argv\n"
+        "    else:\n"
+        "        raise AssertionError(f'{argv} did not exit')\n"
+        "    assert absent('mpmath', 'dataclasses', 'fractions'), argv\n"
+        "    assert code or absent('json'), argv  # the error line is JSON\n"
+        "    executed = [name for name, module in sys.modules.items()\n"
+        "                if name.startswith('coblab.')\n"
+        "                and name not in ('coblab.cli', 'coblab.errors')\n"
+        "                and type(module) is types.ModuleType]\n"
+        "    assert not executed, f'{argv} executes {executed}'\n"
         "small = {'Q': 10000, 'K': 8, 'N': 16, 'depth': 10}\n"
         "argvs = [[sub, *([action] if action else []),\n"
         "          *(f'--{k}={v}' for k, v in small.items()\n"
@@ -673,6 +685,24 @@ class TestMain:
         )
         assert done.returncode == 0, done.stderr
 
+    # python -m coblab.cli runs cli.py as __main__; a module that imported
+    # coblab.cli would compile it a second time, with a second
+    # ExperimentConfig class. runpy with alter_sys runs it the way -m does.
+    @pytest.mark.parametrize("argv", [["--help"], ["shift", "--p", "1", "--K", "10"]])
+    def test_python_m_never_imports_coblab_cli(self, argv):
+        done = run_fresh(
+            "import contextlib, io, runpy, sys\n"
+            f"sys.argv = ['coblab', *{argv!r}]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('coblab.cli', run_name='__main__',\n"
+            "                         alter_sys=True)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n"
+            "assert 'coblab.cli' not in sys.modules\n"
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_main_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["juggle"])
@@ -688,8 +718,13 @@ class TestMain:
         assert from_main == from_run
 
 
-LAYERS = ("certify", "report", "constructions", "diophantine", "errors",
-          "fourier", "shift_example", "spectral", "surd")
+LAYERS = ("certify", "report", "commands", "constructions", "diophantine",
+          "errors", "fourier", "shift_example", "spectral", "surd")
+
+
+# run finds the handler of a config's subcommand in commands.HANDLERS
+def test_the_handler_module_serves_exactly_the_subcommands():
+    assert list(commands.HANDLERS) == list(_COMMANDS)
 
 
 def test_every_layer_imports_from_the_package():
@@ -1019,12 +1054,12 @@ def test_help_bytes_match_the_pinned_digest(argv, monkeypatch, capsys):
 
 # The sha256 of the stderr of two refused command lines at an 80-column
 # terminal: a value argparse cannot convert and an option no subcommand has.
-# Each prints its parser's usage and then the JSON error line, and exits 2.
+# Each prints its subcommand's usage and then the JSON error line, and exits 2.
 ARGPARSE_ERRORS = {
     "construct --K x":
         "1c6ab9dc5af38ad29779f6106ef33e615adab44a630b0014e50c0c64dc4c7049",
     "construct --bogus 1":
-        "b4ebde61c1492316660c06b15219aa1f04e23867e46af1d7c6e1927d6823612d",
+        "5652888e74bbba56a0dca2f55b5e237ec21b632de12a6fde4d3bfc584cc55af7",
 }
 
 
@@ -1055,9 +1090,9 @@ def test_each_help_page_lists_the_options_of_its_row(subcommand, capsys):
         if name in _COMMANDS[subcommand].options or name in _OUTPUT]
 
 
-# One option that its subcommand's row lacks, for each subcommand: argparse
-# refuses it like any other bad command line, with the usage text and the
-# JSON error line, and exit 2.
+# One option that its subcommand's row lacks, for each subcommand: its
+# subparser refuses it like any other bad command line, with its usage text
+# and the JSON error line, and exit 2.
 STRAY_OPTIONS = [
     "approx cf --threads 2",
     "approx dirichlet --gamma 3",
@@ -1084,10 +1119,10 @@ def test_an_option_outside_the_row_exits_two(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     usage, line = err.rstrip("\n").rsplit("\n", 1)
-    assert usage.startswith("usage: coblab")
+    assert usage.startswith(f"usage: coblab {subcommand} [-h]")
     assert json.loads(line) == {
         "error": {"kind": "config", "type": "ConfigError",
-                  "message": f"coblab: unrecognized arguments: {stray}"},
+                  "message": f"coblab {subcommand}: unrecognized arguments: {stray}"},
         "schema": SCHEMA, "version": coblab.__version__,
     }
 
@@ -1103,3 +1138,120 @@ def test_golden_table_covers_every_action_and_format():
     assert len(SERIES_READERS) == 8
     assert set(HELP) == {"--help", *(f"{sub} --help" for sub in _COMMANDS)}
     assert {argv.split()[0] for argv in STRAY_OPTIONS} == set(_COMMANDS)
+
+
+# The parser oracle: build_parser's subparsers add their options the first
+# time a command line reaches them, and refuse their own leftovers. Every
+# drawn command line must fare the same under the eager parser of
+# tests/references.py, which builds every subparser whole, with each
+# subparser refusing its leftovers the same way: the same namespace, or the
+# same exit code, stdout and stderr.
+class StrictParser(cli._Parser):
+    """The oracle's parser class: it refuses what it leaves unparsed, so that a
+    stray option after a subcommand prints that subcommand's usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
+# option values of every kind: valid ones and ones of the wrong type
+VALID_VALUES = {"count": "7", "int": "0", "rational": "3/5", "str": "json"}
+OPTION_VALUES = st.sampled_from(
+    ["7", "0", "-3", "x", "1.5", "3/5", "2", "json", "xml", "", ROTATIONS[0]])
+
+
+@st.composite
+def command_lines(draw):
+    """A command line drawn from _COMMANDS x _OPTIONS: a subcommand (now and
+    then an unknown one, or none) with or without an action, options of its
+    row or another's, with valid or wrongly typed values, abbreviated,
+    repeated or in --name=value form, and -h at either level."""
+    subcommand = draw(st.sampled_from(list(_COMMANDS)))
+    if draw(st.integers(0, 9)) == 0:
+        subcommand = draw(st.sampled_from(["juggle", None]))
+    command = _COMMANDS.get(subcommand)
+    actions = command.actions if command else ()
+    groups = []
+    with_action = draw(st.integers(0, 3)) if actions else draw(st.booleans())
+    if with_action:
+        # mostly its own action, else another subcommand's or none at all
+        own_action = actions and draw(st.integers(0, 3))
+        others = st.sampled_from(["cf", "mur", "nope"])
+        groups.append([draw(st.sampled_from(actions) if own_action else others)])
+    own = [row for row in _OPTIONS
+           if command and (row[0] in command.options or row[0] in _OUTPUT)]
+    for _ in range(draw(st.integers(0, 4))):
+        name, kind, *_ = draw(st.sampled_from(
+            own if own and draw(st.integers(0, 3)) else _OPTIONS))
+        option = "--" + name.replace("_", "-")
+        if draw(st.booleans()):
+            option = option[:draw(st.integers(3, len(option)))]
+        # a valid value for its kind two times in three (a flag has none)
+        value = VALID_VALUES.get(kind)
+        if value is None or not draw(st.integers(0, 2)):
+            value = draw(OPTION_VALUES)
+        if kind == "flag" and draw(st.integers(0, 3)):
+            groups.append([option])
+        elif draw(st.booleans()):
+            groups.append([f"{option}={value}"])
+        else:
+            groups.append([option, value])
+    if draw(st.integers(0, 4)) == 0:
+        groups.append([draw(st.sampled_from(["-h", "--help", "--he"]))])
+    groups = draw(st.permutations(groups))
+    top = [draw(st.sampled_from(["-h", "--help", "--K"]))] if draw(
+        st.integers(0, 9)) == 0 else []
+    return [*top, *([subcommand] if subcommand else []),
+            *(arg for group in groups for arg in group)]
+
+
+def parse_outcome(parser, argv):
+    """The namespace that parser makes of argv, as the repr of each value (so
+    that True and 1 differ), or its exit code, with the bytes it writes to
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {name: repr(value)
+                      for name, value in vars(parser.parse_args(argv)).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+@example(argv=["rates", "--doubling-tripling", "--N", "8"])
+@example(argv=["shift", "--form", "json", "--p", "1", "--p", "3/2"])
+@example(argv=["approx", "--Q", "x", "cf"])
+@example(argv=["construct", "--gamma", "3"])
+@example(argv=["check", "-h"])
+@example(argv=["-h"])
+def test_the_lazy_parser_agrees_with_the_eager_oracle(argv):
+    eager = eager_parser(StrictParser, _COMMANDS, _OPTIONS, _OUTPUT, _FORMATS)
+    assert parse_outcome(build_parser(), argv) == parse_outcome(eager, argv)
+
+
+def test_one_command_line_builds_the_options_of_its_subcommand_only(
+        monkeypatch):
+    parser = build_parser()
+    built = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording(self, *args, **kwargs):
+        built.append((self.prog, args[0]))
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    assert parse_outcome(parser, ["--help"])[0] == 0
+    assert built == []
+    parser.parse_args(["shift", "--p", "1"])
+    assert built == [("coblab shift", name) for name in
+                     ("--K", "--N", "--p", "--out", "--format", "--seed")]
+    parser.parse_args(["shift", "--K", "9"])
+    assert len(built) == 6
+    parser.parse_args(["approx", "cf"])
+    assert {prog for prog, _ in built[6:]} == {"coblab approx"}
