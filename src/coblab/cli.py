@@ -269,9 +269,7 @@ _COMMANDS = {
                        "constants, square powers, continued fractions"),
     "construct": _Command((), _SERIES,
                           "build the certified joint-not-double series"),
-    "check": _Command(("bad-joint", "mur", "double-bad", "kac-salem",
-                       "large-coeff", "petersen"),
-                      (*_SERIES, "depth", "gamma"),
+    "check": _Command(("double-bad",), (*_SERIES, "gamma"),
                       "summability, envelope, and witness checkers on the "
                       "constructed series"),
     "spectral": _Command((), _SERIES,

@@ -16,7 +16,6 @@ from collections import namedtuple
 # The package registers its submodules lazily; calling them by qualified name
 # means each subcommand executes only the modules it uses.
 from . import (
-    certify,
     constructions,
     diophantine,
     fourier,
@@ -138,74 +137,13 @@ def _handle_construct(config) -> _Body:
 
 
 def _handle_check(config) -> _Body:
-    # every checker reads the flagship series, or its magnitudes; four print
-    # values and two a certificate
-    alpha, beta, (f, _) = _flagship(config, constructions.flagship_series)
-    if config.action == "bad-joint":
-        c_sum, l2_sum = constructions.joint_summability_sums(f)
-        data = {
-            "C": report.enclosure_json(c_sum),
-            "L2": report.enclosure_json(l2_sum),
-        }
-        text = [
-            f"sum over support of |k| * |f_hat(k)|: "
-            f"{report.interval_str(c_sum, 12)}",
-            f"sum over support of k**2 * |f_hat(k)|**2 (exact): "
-            f"{report.interval_str(l2_sum, 12)}",
-        ]
-        return _Body(data, text)
-    if config.action == "mur":
-        # The envelope sum wants a non-increasing sequence; feed it the
-        # decreasing rearrangement of the coefficient magnitudes.
-        magnitudes = sorted(
-            (fourier.coefficient_real(c) for n, c in f.items() if n > 0),
-            reverse=True,
-        )
-        partial = certify.Enclosure.point(constructions.envelope_sum(magnitudes))
-        data = {
-            "terms": len(magnitudes),
-            "partial": report.enclosure_json(partial),
-        }
-        text = [
-            f"partial sum of k * a_k**2 over the {len(magnitudes)} magnitudes "
-            f"in decreasing order (exact): {report.interval_str(partial, 12)}"
-        ]
-        return _Body(data, text)
-    if config.action == "kac-salem":
-        magnitudes = [(n, fourier.coefficient_real(c)) for n, c in f.items() if n > 0]
-        partial, entropy = constructions.kac_salem_series(magnitudes, beta)
-        data = {
-            "partial": report.enclosure_json(partial.value),
-            "entropy": report.enclosure_json(entropy),
-            "terms": len(partial.terms),
-        }
-        text = [
-            f"partial sum of |a_k| / sin(pi ||k beta||) over "
-            f"{len(partial.terms)} terms: {report.interval_str(partial.value, 12)}",
-            f"entropy sum of |a_k| * log(1/|a_k|): "
-            f"{report.interval_str(entropy, 12)}",
-        ]
-        return _Body(data, text)
-    if config.action == "petersen":
-        partial = constructions.petersen_series(f, alpha, beta)
-        data = {
-            "value": report.enclosure_json(partial.value),
-            "terms": [[n, report.enclosure_json(e)] for n, e in partial.terms],
-        }
-        text = [
-            f"quadratic-divisor series over {len(partial.terms)} atoms: "
-            f"{report.interval_str(partial.value, 12)}"
-        ]
-        return _Body(data, text)
-    if config.action == "large-coeff":
-        cert = constructions.large_coeff_witness(f, beta, config.depth)
-    else:
-        # The log-power envelope is undefined at |k| = 1; check the series
-        # with its first harmonic removed.
-        trimmed = fourier.SparseFourierSeries(
-            {n: c for n, c in f.items() if abs(n) >= 2}, real_valued=f.real_valued
-        )
-        cert = constructions.check_double_bad(trimmed, config.rational("gamma"))
+    _, _, (f, _) = _flagship(config, constructions.flagship_series)
+    # The log-power envelope is undefined at |k| = 1; check the series with
+    # its first harmonic removed.
+    trimmed = fourier.SparseFourierSeries(
+        {n: c for n, c in f.items() if abs(n) >= 2}, real_valued=f.real_valued
+    )
+    cert = constructions.check_double_bad(trimmed, config.rational("gamma"))
     header = ["description", "value_lo", "value_hi", "comparison", "satisfied"]
     rows = (
         [e.description, *report.endpoints(e.value), e.comparison, e.satisfied]

@@ -1,6 +1,6 @@
 """Explicit joint coboundaries that are not double coboundaries, with
-machine-checked certificates, plus the sufficient-condition checkers and
-obstruction witnesses surrounding them.
+machine-checked certificates, plus the decay-envelope checker that
+`check double-bad` runs on the same series.
 
 The flagship pipeline picks simultaneous Dirichlet denominators q_k for a
 rotation pair (alpha, beta), puts f_hat(q_k) = ||q_k*beta||, and transfers
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import takewhile
 from typing import NamedTuple, Sequence, Union
 
 from .certify import (
@@ -41,17 +40,12 @@ from .certify import (
     sin_pi_enclosure,
     sqrt_enclosure,
 )
-from .diophantine import (
-    convergents,
-    dirichlet_denominators,
-    lacunary_denominators,
-)
+from .diophantine import dirichlet_denominators, lacunary_denominators
 from .dyadic import WorkComplex
 from .errors import CertificationError, ConfigError, ShortfallError
 from .fourier import (
     SparseFourierSeries,
     coefficient_magnitude_enclosure,
-    coefficient_mass,
     transfer_coefficients,
 )
 from .report import Certificate, CertificateEntry, enclosure_json, require
@@ -62,13 +56,6 @@ Rational = Union[int, float, Fraction]
 _BITS = 192
 
 
-class PartialSum(NamedTuple):
-    """A certified partial sum with its per-term ledger."""
-
-    value: Enclosure
-    terms: tuple[tuple[int, Enclosure], ...]
-
-
 # ---------------------------------------------------------------------------
 # certified scalar helpers
 
@@ -76,7 +63,7 @@ class PartialSum(NamedTuple):
 @lru_cache(maxsize=1024)
 def _tight_dist(x: QuadraticSurd, q: int) -> Enclosure:
     """Enclosure of ||q*x|| with relative width below 1e-32, inside (0, 1/2];
-    memoised, so the flagship certificates and checks reuse f's enclosures."""
+    memoised, so the flagship certificates reuse f's enclosures."""
     return dist_enclosure(x, q, rel_tol=Fraction(1, 10**32), start_bits=_BITS)
 
 
@@ -277,23 +264,6 @@ def build_joint_not_double(
 # sufficient-condition checkers
 
 
-def joint_summability_sums(f: SparseFourierSeries) -> tuple[Enclosure, Enclosure]:
-    """Sum over the support of |k|*|f_hat(k)| and, exactly, of
-    k**2*|f_hat(k)|**2.
-
-    The first is the continuous-solution route and the second the
-    square-summable route to a joint solution for any bad rotation pair.
-    Values only: on a finite support both sums are finite.
-    """
-    f.require_centered("joint summability data")
-    total = Enclosure.point(0)
-    exact = Fraction(0)
-    for n, c in f.items():
-        total = total + abs(n) * coefficient_magnitude_enclosure(c)
-        exact += n * n * coefficient_mass(c)
-    return total, Enclosure.point(exact)
-
-
 def envelope_sum(a: Sequence[Rational]) -> Fraction:
     """Sum over k of k * a_k**2, exactly, for a nonempty, nonnegative and
     non-increasing envelope (validated exactly on the supplied rationals)."""
@@ -410,118 +380,3 @@ def check_double_bad(f: SparseFourierSeries, gamma: Rational) -> Certificate:
     )
     delegated = check_mur_envelope(envelope, tail_bound=tail_enc)
     return Certificate(kind="membership", entries=(m_entry,) + delegated.entries)
-
-
-# ---------------------------------------------------------------------------
-# obstruction witnesses
-
-
-# The floor every large-coefficient witness must reach. It is not the
-# certified 1/(2*pi): on the flagship series each witness is exactly
-# 1/(2*pi), and a ">=" between two enclosures of one value cannot hold.
-_WITNESS_FLOOR = Fraction(1, 10)
-
-
-def large_coeff_witness(
-    f: SparseFourierSeries, beta: QuadraticSurd, depth: int
-) -> Certificate:
-    """Non-decaying double-solution coefficients along convergent denominators.
-
-    For each convergent denominator n of beta found in f's support, certifies
-    n*||n*beta|| < 1 and records the witness |f_hat(n)|/(2*pi*||n*beta||),
-    which therefore dominates |n*f_hat(n)|/(2*pi). The verdict requires every
-    witness to reach the fixed floor 1/10. Only magnitudes enter, so the
-    witness is invariant under rotating every coefficient by a fixed phase.
-    """
-    beta.require_irrational("beta")
-    if depth < 1:
-        raise ConfigError("depth must be positive")
-    support = set(f.support)
-    top = max(support, default=0)  # q_k grows with k: none past top is a hit
-    walk = takewhile(lambda row: row[2] <= top, convergents(beta, depth))
-    hits = sorted({q for _, _, q in walk if q in support})
-    if not hits:
-        raise ShortfallError(
-            "no convergent denominators of beta in the support"
-        )
-    pi = pi_enclosure(_BITS)
-    entries = []
-    for n in hits:
-        dist = _tight_dist(beta, n)
-        mag = coefficient_magnitude_enclosure(f.coeff(n))
-        witness = mag / (2 * pi * dist)
-        entries.append(
-            CertificateEntry(
-                f"n*||n*beta|| at n={n}", n * dist, "<", Enclosure.point(1)
-            )
-        )
-        entries.append(
-            CertificateEntry(
-                f"|h_hat({n})| lower bound |f_hat|/(2*pi*||n*beta||)",
-                witness,
-                ">=",
-                Enclosure.point(_WITNESS_FLOOR),
-            )
-        )
-        entries.append(
-            CertificateEntry(
-                f"same witness vs |n*f_hat(n)|/(2*pi)",
-                witness,
-                ">=",
-                n * mag / (2 * pi),
-            )
-        )
-    return Certificate(kind="divergence-witness", entries=tuple(entries))
-
-
-def petersen_series(
-    f: SparseFourierSeries, alpha: QuadraticSurd, beta: QuadraticSurd
-) -> PartialSum:
-    """Partial sum of |f_hat(n)|**2 * sin(pi*n*beta)**2 / sin(pi*n*alpha)**2.
-
-    Diagnostic only: finiteness of the full series cannot be decided from a
-    truncation, so the value is reported with its per-term ledger and no
-    verdict.
-    """
-    alpha.require_irrational("alpha")
-    beta.require_irrational("beta")
-    f.require_centered("series data")
-    total = Enclosure.point(0)
-    terms = []
-    for n, c in f.items():
-        mass = Enclosure.point(coefficient_mass(c))
-        num = _half_sine(_tight_dist(beta, abs(n))).square()
-        den = _half_sine(_tight_dist(alpha, abs(n))).square()
-        term = mass * num / den
-        terms.append((n, term))
-        total = total + term
-    return PartialSum(value=total, terms=tuple(terms))
-
-
-def kac_salem_series(
-    magnitudes: Sequence[tuple[int, Rational]],
-    x: QuadraticSurd,
-) -> tuple[PartialSum, Enclosure]:
-    """Partial sum of |phi_hat(k)| / |sin(pi*k*x)| plus the entropy sum.
-
-    The entropy sum is sum |phi_hat(k)| * log(1/|phi_hat(k)|); zero
-    magnitudes contribute zero to both sums. Partial sums only: almost-sure
-    convergence statements attach to generic x, not to any specific one.
-    """
-    x.require_irrational("x")
-    total = Enclosure.point(0)
-    entropy = Enclosure.point(0)
-    terms = []
-    for k, mag in magnitudes:
-        if k == 0:
-            raise ConfigError("magnitudes must avoid k = 0")
-        mag_f = Fraction(mag)
-        if mag_f < 0:
-            raise ConfigError("magnitudes must be nonnegative")
-        if mag_f == 0:
-            continue
-        term = Enclosure.point(mag_f) / _half_sine(_tight_dist(x, abs(k)))
-        terms.append((k, term))
-        total = total + term
-        entropy = entropy + mag_f * log_enclosure(1 / mag_f, _BITS)
-    return PartialSum(value=total, terms=tuple(terms)), entropy

@@ -11,12 +11,12 @@ rounding plus at most 2*pi*(n + 1) * 2**-192, and the per-operation relative
 error stays below 1e-30 throughout the supported desk scale. The certified
 divisors |1 - e(n*alpha)| are divisor_enclosure's, which `spectral` prints;
 the midpoint arithmetic here never feeds a certificate directly.
-Exact masses and real parts are read from the mantissas: a Parseval mass
-shifts every squared mantissa onto the finest exponent grid among the parts
-and builds one Fraction from the integer sum. The phases e(n*alpha), n > 0,
-and the divisors 1 - e(n*alpha), any n, are memoised per (rotation, n) in
-two LRU caches of 65536 entries; an entry holds one WorkComplex, about
-0.4 KB with its key, so each cache stays below 26 MB.
+Exact masses are read from the mantissas: a Parseval mass shifts every
+squared mantissa onto the finest exponent grid among the parts and builds
+one Fraction from the integer sum. The phases e(n*alpha), n > 0, and the
+divisors 1 - e(n*alpha), any n, are memoised per (rotation, n) in two LRU
+caches of 65536 entries; an entry holds one WorkComplex, about 0.4 KB with
+its key, so each cache stays below 26 MB.
 
 Ergodic-sum diagnostics evaluate the Dirichlet kernel
 D(n, x) = |sin(pi*n*x)/sin(pi*x)| in float64 on exactly reduced arguments, a
@@ -221,11 +221,6 @@ def divisor_enclosure(alpha: QuadraticSurd, n: int) -> Enclosure:
         raise ValueError("the zero frequency has no divisor")
     dist = dist_enclosure(alpha, abs(n), abs_tol=_DIVISOR_TOL / 8)
     return 2 * sin_pi_enclosure(dist, 192)
-
-
-def coefficient_real(c: WorkComplex) -> Fraction:
-    """Exact real part of a working-precision coefficient."""
-    return to_fraction(c.re_man, c.re_exp)
 
 
 def _exact_mass(coeffs) -> Fraction:

@@ -22,12 +22,7 @@ from coblab.constructions import (
     check_double_bad,
     check_mur_envelope,
     envelope_sum,
-    joint_summability_sums,
-    kac_salem_series,
-    large_coeff_witness,
-    petersen_series,
 )
-from coblab.diophantine import convergents
 from coblab.dyadic import WorkComplex
 from coblab.errors import ConfigError, ShortfallError
 from coblab.fourier import (
@@ -260,34 +255,6 @@ def test_build_shortfall_when_window_too_small():
 # summability checkers
 
 
-def test_bad_joint_single_mode():
-    f = SparseFourierSeries({3: 0.1})
-    value, _ = joint_summability_sums(f)
-    assert abs(float(value.mid) - 0.3) < 1e-15
-    assert float(value.width) < 1e-28
-
-
-def test_bad_joint_inverse_cube_l2():
-    coeffs = {k: from_mp(mpmath.mpf(1) / k**3) for k in range(1, 101)}
-    f = SparseFourierSeries(coeffs)
-    _, value = joint_summability_sums(f)
-    oracle = sum(Fraction(1, k**4) for k in range(1, 101))
-    assert value.lo == value.hi
-    assert abs(float(value.mid) - float(oracle)) < 1e-12
-    assert abs(float(oracle) - 1.0823) < 1e-4
-
-
-def test_bad_joint_zero_function():
-    for value in joint_summability_sums(SparseFourierSeries({})):
-        assert value.lo == value.hi == 0
-
-
-def test_bad_joint_requires_centered():
-    f = SparseFourierSeries({0: 1})
-    with pytest.raises(ValueError):
-        joint_summability_sums(f)
-
-
 def test_mur_envelope_exact_partial_sum():
     a = [Fraction(1, k * k) for k in range(1, 51)]
     oracle = sum(Fraction(k, k**4) for k in range(1, 51))
@@ -383,139 +350,6 @@ def test_double_bad_refuses_frequencies_past_the_bound(monkeypatch):
     # the bound itself is accepted: only the first log power is reached
     with pytest.raises(AssertionError, match="refusal"):
         check_double_bad(SparseFourierSeries({2: 1, 20000: 1}), gamma=2)
-
-
-# ---------------------------------------------------------------------------
-# obstruction witnesses
-
-
-def _convergent_profile(depth):
-    qs = sorted({q for _, _, q in convergents(ALPHA, depth) if q > 0})
-    coeffs = {}
-    for q in qs:
-        coeffs[q] = from_mp(mpmath.mpf(1) / q)
-        coeffs[-q] = from_mp(mpmath.mpf(1) / q)
-    return SparseFourierSeries(coeffs, real_valued=True), qs
-
-
-def test_large_coeff_witness_inverse_frequency():
-    f, qs = _convergent_profile(8)
-    cert = large_coeff_witness(f, ALPHA, depth=8)
-    assert cert.verdict
-    floor = 1 / (2 * math.pi)
-    witnesses = [
-        e for e in cert.entries if e.description.startswith("|h_hat")
-    ]
-    assert len(witnesses) == len(qs)
-    for e in witnesses:
-        assert float(e.value.lo) > floor - 1e-12
-
-
-def test_large_coeff_witness_phase_invariance():
-    f, _ = _convergent_profile(6)
-    rotated = f.scale(1j)
-    base = large_coeff_witness(f, ALPHA, depth=6)
-    spun = large_coeff_witness(rotated, ALPHA, depth=6)
-    for a, b in zip(base.entries, spun.entries):
-        assert a.value.lo == b.value.lo and a.value.hi == b.value.hi
-
-
-def test_large_coeff_witness_doubling():
-    f, _ = _convergent_profile(6)
-    doubled = large_coeff_witness(f.scale(2), ALPHA, depth=6)
-    base = large_coeff_witness(f, ALPHA, depth=6)
-    pairs = zip(base.entries, doubled.entries)
-    for a, b in pairs:
-        if a.description.startswith("|h_hat"):
-            # enclosure endpoints round outward independently, so linearity
-            # holds to enclosure width rather than bit-exactly
-            ratio = b.value.mid / (2 * a.value.mid)
-            assert abs(ratio - 1) < Fraction(1, 10**30)
-
-
-def test_large_coeff_witness_threshold_can_fail():
-    f, _ = _convergent_profile(6)
-    # each witness is 1/(20*pi*n*||n*alpha||), below the floor 1/10 since
-    # every n*||n*alpha|| here exceeds 1/(2*pi)
-    cert = large_coeff_witness(f.scale(0.1), ALPHA, depth=6)
-    assert not cert.verdict  # reported, not raised: witnesses may fall short
-
-
-def test_large_coeff_witness_needs_hits():
-    f = SparseFourierSeries({3: 1, 7: 1})
-    with pytest.raises(ShortfallError):
-        large_coeff_witness(f, ALPHA, depth=6)
-    with pytest.raises(ConfigError):
-        large_coeff_witness(f, ALPHA, depth=0)
-
-
-# ---------------------------------------------------------------------------
-# diagnostic series
-
-
-def test_petersen_equal_angles_is_l2_norm():
-    f = random_real_series(5, 8)
-    ps = petersen_series(f, ALPHA, ALPHA)
-    exact = f.l2_norm_sq_exact()
-    assert ps.value.lo <= exact <= ps.value.hi
-    assert float(ps.value.width) < 1e-25
-
-
-def test_petersen_single_mode_ratio():
-    f = SparseFourierSeries({7: 0.5})
-    ps = petersen_series(f, ALPHA, BETA)
-    with mpmath.workdps(40):
-        da = dist_oracle(ALPHA, 7)
-        db = dist_oracle(BETA, 7)
-        oracle = mpmath.mpf("0.25") * mpmath.sinpi(db) ** 2 / mpmath.sinpi(da) ** 2
-    assert abs(float(ps.value.mid) - float(oracle)) < 1e-12
-
-
-def test_petersen_blows_up_on_convergent_denominators():
-    # ||169*alpha|| is tiny while ||169*beta|| is generic, so the ratio is huge
-    f = SparseFourierSeries({169: 1})
-    ps = petersen_series(f, ALPHA, BETA)
-    assert float(ps.value.lo) > 1000
-
-
-def test_kac_salem_single_term():
-    ps, entropy = kac_salem_series([(1, Fraction(1, 2))], ALPHA)
-    with mpmath.workdps(40):
-        oracle = mpmath.mpf("0.5") / mpmath.sinpi(dist_oracle(ALPHA, 1))
-    assert abs(float(ps.value.mid) - float(oracle)) < 1e-12
-    assert abs(float(ps.value.mid) - 0.5188) < 1e-3
-    # a single magnitude 1/2 has entropy (1/2) log 2
-    assert abs(float(entropy.mid) - 0.5 * math.log(2)) < 1e-12
-
-
-def test_kac_salem_zero_magnitudes():
-    ps, entropy = kac_salem_series([(1, 0), (2, 0)], ALPHA)
-    assert ps.value.hi == 0
-    assert entropy.hi == 0
-    assert ps.terms == ()
-
-
-def test_kac_salem_entropy_oracle():
-    mags = [(k, Fraction(1, k)) for k in range(1, 6)]
-    _, entropy = kac_salem_series(mags, ALPHA)
-    oracle = sum(math.log(k) / k for k in range(1, 6))
-    assert abs(float(entropy.mid) - oracle) < 1e-12
-
-
-def test_kac_salem_log_regime():
-    mags = []
-    for k in range(2, 201):
-        mags.append((k, 1 / (k * math.log(k) ** 3)))
-    ps, entropy = kac_salem_series(mags, ALPHA)
-    assert float(entropy.hi) < 2.0
-    assert float(ps.value.lo) > 0
-
-
-def test_kac_salem_validation():
-    with pytest.raises(ConfigError):
-        kac_salem_series([(0, Fraction(1, 2))], ALPHA)
-    with pytest.raises(ConfigError):
-        kac_salem_series([(1, -1)], ALPHA)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from mpmath.libmp import from_rational
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coblab.dyadic import PREC, WorkComplex, phase
+from coblab.dyadic import PREC, WorkComplex, phase, to_fraction
 from coblab.errors import ConfigError
 from coblab.fourier import (
     SparseFourierSeries,
@@ -26,7 +26,6 @@ from coblab.fourier import (
     coefficient_mass,
     divisor_enclosure,
     double_ergodic_sum_norm,
-    coefficient_real,
     random_real_series,
     transfer_coefficients,
     unit_phase,
@@ -60,17 +59,11 @@ def max_abs_coeff_diff(f, g):
 # exact dyadic conversion
 
 
-def test_coefficient_real_reads_the_mantissa():
-    assert coefficient_real(WorkComplex(0.375)) == Fraction(3, 8)
-    assert coefficient_real(WorkComplex(-1.5)) == Fraction(-3, 2)
-    assert coefficient_real(WorkComplex(0)) == 0
-    assert coefficient_real(WorkComplex(7)) == 7
-
-
 def test_float_coefficients_are_kept_exactly():
     values = [0.1, -2.7335, 1e-12, 123456.75, -0.0]
     for v in values:
-        assert coefficient_real(WorkComplex(v)) == Fraction(v)
+        c = WorkComplex(v)
+        assert to_fraction(c.re_man, c.re_exp) == Fraction(v)
         assert complex(WorkComplex(v, -v)) == complex(v, -v)
 
 
