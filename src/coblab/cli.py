@@ -70,7 +70,7 @@ _EXPONENT = (lambda v: v <= _EXPONENT_LIMIT, f"must be at most {_EXPONENT_LIMIT}
 # Every config field but the subcommand and action, in --help order: the
 # name of its option and field, its kind, its default, its help and the
 # checks its value must pass. A "count" is an int of at least 1, a "flag" a
-# bool that its option sets, and a "rational" is held as its canonical
+# bool that no option sets, and a "rational" is held as its canonical
 # fraction string ("3/5"), so that a config survives any number of
 # serialization round trips unchanged and two equal configs render
 # byte-identical reports; its checks test it as a Fraction.
@@ -84,7 +84,7 @@ _OPTIONS = (
      (_INTEGER, _POSITIVE_INT)),
     ("N", "count", 64, "range bound for searches, rates, and grids",
      (_INTEGER, _POSITIVE_INT)),
-    ("depth", "count", 30, "continued-fraction / witness search depth",
+    ("depth", "count", 30, "continued-fraction depth",
      (_INTEGER, _POSITIVE_INT)),
     ("delta", "rational", "3/5", "exponent of approx squares, in (0, 1)", (_UNIT,)),
     ("gamma", "rational", "2", "logarithmic decay exponent", (_POSITIVE, _EXPONENT)),
@@ -103,10 +103,9 @@ _OPTIONS = (
      (_INTEGER, (lambda v: v >= 0, "must be nonnegative"))),
     ("threads", "int", 1, "recorded in every report; has no effect",
      (_INTEGER, _AT_LEAST_1)),
-    ("doubling_tripling", "flag", False,
-     "emit the exact unit-variance table for the commuting endomorphism "
-     "square average",
-     ((lambda v: type(v) is bool, "must be true or false, got {value!r}"),)),
+    ("doubling_tripling", "flag", False, "recorded in every report as false",
+     ((lambda v: v is False, "must be false, got {value!r}: the "
+       "doubling/tripling variance table was removed"),)),
 )
 _KINDS = {name: kind for name, kind, *_ in _OPTIONS}
 
@@ -270,11 +269,10 @@ _COMMANDS = {
     "construct": _Command((), _SERIES,
                           "build the certified joint-not-double series"),
     "check": _Command(("double-bad",), (*_SERIES, "gamma"),
-                      "summability, envelope, and witness checkers on the "
-                      "constructed series"),
+                      "certificates about the constructed series"),
     "spectral": _Command((), _SERIES,
                          "atomic spectral measure and membership integrals"),
-    "rates": _Command((), (*_SERIES, "N", "doubling_tripling"),
+    "rates": _Command((), (*_SERIES, "N"),
                       "ergodic averaging rate profiles"),
     "shift": _Command((), ("K", "N", "p"),
                       "lattice shift example: norms, the formal solution, "
@@ -355,11 +353,10 @@ class _Subparser(_Parser):
                 self.add_argument("action", choices=command.actions)
             for option, kind, _, text, _ in _OPTIONS:
                 if option in command.options or option in _OUTPUT:
-                    kwargs = ({"action": "store_true"} if kind == "flag" else
-                              {"type": int if kind in ("count", "int") else None,
-                               "choices": _FORMATS if option == "format" else None})
-                    self.add_argument("--" + option.replace("_", "-"),
-                                      help=text, **kwargs)
+                    self.add_argument(
+                        "--" + option, help=text,
+                        type=int if kind in ("count", "int") else None,
+                        choices=_FORMATS if option == "format" else None)
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error("unrecognized arguments: " + " ".join(extras))

@@ -189,19 +189,6 @@ def _handle_spectral(config) -> _Body:
 
 
 def _handle_rates(config) -> _Body:
-    if config.doubling_tripling:
-        ns = list(range(1, min(config.N, 64) + 1))
-        values = [spectral.doubling_tripling_variance(n) for n in ns]
-        data = {
-            "n": ns,
-            "normalized_variance": [str(v) for v in values],
-        }
-        text = [
-            "normalized ergodic variance of the doubling/tripling square "
-            "average: exactly 1 at every n"
-        ] + [f"n = {n}: {v}" for n, v in zip(ns, values)]
-        rows = ([n, str(v), str(v)] for n, v in zip(ns, values))
-        return _Body(data, text, _VALUE_HEADER, rows)
     alpha, beta, (f, _) = _flagship(config, constructions.flagship_series)
     n_values = sorted({1 << i for i in range(config.N.bit_length())} | {config.N})
     profile = spectral.cesaro_rate_profile(f, alpha, beta, n_values)
@@ -262,12 +249,6 @@ def _handle_shift(config) -> _Body:
 def _handle_selftest(config) -> _Body:
     alpha, beta = _surds(config)
     checks = []
-
-    values = [spectral.doubling_tripling_variance(n) for n in range(1, 65)]
-    checks.append(
-        ("doubling/tripling variance exactly 1 for n <= 64",
-         all(v == 1 for v in values))
-    )
 
     result = constructions.build_joint_not_double(
         alpha, beta, min(config.K, 6), config.Q

@@ -18,7 +18,6 @@ each atom contributes at least an analytic floor.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -121,17 +120,3 @@ def cesaro_rate_profile(
         profile.append((n, norm / n, norm / n**2))
     return profile
 
-
-def doubling_tripling_variance(n: int) -> Fraction:
-    """Exact variance of the n-by-n double average under doubling/tripling.
-
-    The orbit of a single harmonic under x -> 2x and x -> 3x runs through
-    the frequencies v = 2**i * 3**j, i, j < n. By orthogonality
-    ||(1/n) * sum over the block||**2 = sum over v of mult(v)**2 / n**2,
-    where mult(v) counts the pairs (i, j) that land on v. Unique
-    factorization makes every mult(v) one, so the value is 1.
-    """
-    if n < 1:
-        raise ConfigError("n must be positive")
-    mult = Counter(2**i * 3**j for i in range(n) for j in range(n))
-    return Fraction(sum(m * m for m in mult.values()), n * n)

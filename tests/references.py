@@ -248,9 +248,8 @@ def eager_parser(parser_class, commands, options, output, formats):
             subparser.add_argument("action", choices=command.actions)
         for option, kind, _, text, _ in options:
             if option in command.options or option in output:
-                kwargs = ({"action": "store_true"} if kind == "flag" else
-                          {"type": int if kind in ("count", "int") else None,
-                           "choices": formats if option == "format" else None})
-                subparser.add_argument("--" + option.replace("_", "-"),
-                                       help=text, **kwargs)
+                subparser.add_argument(
+                    "--" + option, help=text,
+                    type=int if kind in ("count", "int") else None,
+                    choices=formats if option == "format" else None)
     return parser

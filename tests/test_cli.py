@@ -242,8 +242,7 @@ class TestExperimentConfig:
             assert not refused, text
 
     def test_copy_deepcopy_and_pickle_give_an_equal_config(self):
-        config = ExperimentConfig("rates", doubling_tripling=True, K=5,
-                                  tol="0.001", out="rates.txt")
+        config = ExperimentConfig("rates", K=5, tol="0.001", out="rates.txt")
         for clone in (copy.copy(config), copy.deepcopy(config),
                       pickle.loads(pickle.dumps(config))):
             assert clone == config
@@ -287,6 +286,19 @@ class TestExperimentConfig:
         (line,) = captured.err.splitlines()
         assert json.loads(line)["error"]["type"] == "ConfigError"
 
+    def test_doubling_tripling_must_be_false(self):
+        # the field stays in every report until schema 2, but the table it
+        # switched on is gone, and a report must not name a table it did not
+        # print
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_json_dict(
+                {"subcommand": "rates", "doubling_tripling": True})
+        assert str(info.value) == (
+            "--doubling_tripling must be false, got True: the doubling/tripling "
+            "variance table was removed")
+        assert ExperimentConfig("rates", doubling_tripling=False) == (
+            ExperimentConfig("rates"))
+
     def test_rational_accessor(self):
         from fractions import Fraction
 
@@ -309,7 +321,7 @@ class TestSubcommands:
             dict(subcommand="construct", K=4, Q=300),
             dict(subcommand="spectral", K=4, Q=300),
             dict(subcommand="rates", K=4, Q=300, N=16),
-            dict(subcommand="rates", doubling_tripling=True, N=16),
+            dict(subcommand="rates", K=4, Q=300, N=1),
             dict(subcommand="shift", K=10, N=4),
             dict(subcommand="shift", p="1", K=10, N=4),
             dict(subcommand="selftest", K=6, Q=300),
@@ -369,15 +381,6 @@ class TestReportFormat:
         assert restored.subcommand == "spectral"
         assert "joint_sum" in envelope["result"]
 
-    def test_doubling_tripling_rows_are_exact_ones(self):
-        code, report = run_report(
-            subcommand="rates", doubling_tripling=True, N=16, format="csv"
-        )
-        assert code == 0
-        rows = data_rows(report)
-        assert rows[0] == "n,value_lo,value_hi"
-        assert rows[1:] == [f"{n},1,1" for n in range(1, 17)]
-
     def test_csv_refused_where_no_series_exists(self):
         code, report = run_report(
             subcommand="selftest", K=6, Q=300, format="csv"
@@ -408,12 +411,10 @@ class TestDeterminism:
 
     def test_thread_count_does_not_change_data_rows(self):
         _, serial = run_report(
-            subcommand="rates", doubling_tripling=True, N=32, format="csv",
-            threads=1,
+            subcommand="rates", K=4, Q=300, N=32, format="csv", threads=1
         )
         _, threaded = run_report(
-            subcommand="rates", doubling_tripling=True, N=32, format="csv",
-            threads=4,
+            subcommand="rates", K=4, Q=300, N=32, format="csv", threads=4
         )
         assert data_rows(serial) == data_rows(threaded)
 
@@ -461,16 +462,21 @@ class TestExitCodes:
 
     def test_failed_guarantee_exits_four(self, capsys, monkeypatch):
         from coblab import spectral
+        from coblab.certify import Enclosure
 
+        # a criterion sum that holds no mass fails the change-of-variables check
         monkeypatch.setattr(
-            spectral, "doubling_tripling_variance", lambda n: 0
+            spectral, "criterion_sum",
+            lambda m, s, t: spectral.CriterionSum(Enclosure.point(-1), False, ()),
         )
         code, report = run_report(subcommand="selftest", K=6, Q=300)
         assert code == 4
         assert report == ""
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "certification"
-        assert "doubling/tripling" in err["error"]["message"]
+        assert err["error"]["message"] == (
+            "selftest failures: spectral change of variables recovers the "
+            "solution mass")
 
     def test_unwritable_output_path_is_a_config_error(self, capsys):
         code, _ = run_report(
@@ -505,7 +511,8 @@ class TestMain:
         assert config.action == "cf"
         assert config.depth == 8
 
-    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("command", COMMANDS,
+                             ids=[" ".join(filter(None, c)) for c in COMMANDS])
     def test_parser_defaults_are_the_config_defaults(self, command):
         sub, act = command
         ns = build_parser().parse_args([sub] + ([act] if act else []))
@@ -530,10 +537,12 @@ class TestMain:
 
     def test_main_runs_and_prints_a_report(self, capsys):
         assert main(
-            ["rates", "--doubling-tripling", "--N", "8", "--format", "csv"]
+            ["rates", "--N", "8", "--K", "4", "--Q", "300", "--format", "csv"]
         ) == 0
-        out = capsys.readouterr().out
-        assert data_rows(out)[1:] == [f"{n},1,1" for n in range(1, 9)]
+        rows = [row.split(",") for row in data_rows(capsys.readouterr().out)]
+        assert rows[0] == ["n", "value_lo", "value_hi"]
+        assert [int(n) for n, _, _ in rows[1:]] == [1, 2, 4, 8]
+        assert all(lo == hi for _, lo, hi in rows[1:])
 
     def test_main_rejects_bad_flag_values(self, capsys):
         assert main(["approx", "dirichlet", "--tol", "2"]) == 2
@@ -573,8 +582,8 @@ class TestMain:
         assert "running-time cap" in err["error"]["message"]
 
     # Every (subcommand, action) pair at sizes that run in well under a
-    # second, each given only the sizes it takes, plus the two flagged
-    # variants, then a Fourier build outside the CLI; run with a redirected
+    # second, each given only the sizes it takes, plus shift --p 1, then a
+    # Fourier build outside the CLI; run with a redirected
     # stdout, so the reports stay out of the pipe.
     # Neither mpmath nor numpy (test extras) nor dataclasses (its start-up
     # cost) is ever loaded. The top-level and a subcommand --help load no
@@ -610,8 +619,7 @@ class TestMain:
         "            if k in command.options)]\n"
         "         for sub, command in _COMMANDS.items()\n"
         "         for action in command.actions or (None,)]\n"
-        "argvs += [['rates', '--doubling-tripling', '--N', '8'],\n"
-        "          ['shift', '--p', '1', '--K', '100']]\n"
+        "argvs += [['shift', '--p', '1', '--K', '100']]\n"
         "for argv in argvs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
@@ -747,18 +755,13 @@ ROTATIONS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/1", "(-2+1*sqrt(5))/1",
     tol=st.sampled_from(["1/1000", "1/1000000000000", f"1/{10**40}"]),
     fmt=st.sampled_from(["csv", "json", "text"]),
     seed=st.integers(0, 3),
-    doubling_tripling=st.booleans(),
 )
-def test_every_config_runs_or_exits_with_a_json_error(
-    command, fmt, doubling_tripling, **fields
-):
+def test_every_config_runs_or_exits_with_a_json_error(command, fmt, **fields):
     subcommand, action = command
     options = _COMMANDS[subcommand].options
     argv = [subcommand, *([action] if action else []), f"--format={fmt}"]
     argv += [f"--{name}={value}" for name, value in fields.items()
              if name in options or name == "seed"]
-    if doubling_tripling and "doubling_tripling" in options:
-        argv.append("--doubling-tripling")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -805,7 +808,7 @@ def test_every_json_config_is_refused_or_has_fields_of_their_kinds(command, fiel
 
 
 # Golden reports: the sha256 of stdout for every (subcommand, action) pair in
-# each format at its defaults, plus the two flagged variants. A refactor that
+# each format at its defaults, plus shift at two more powers. A refactor that
 # claims byte-identical reports must leave this table as it is. check
 # double-bad runs at --K 3, since at defaults it takes seconds.
 NO_SERIES = (
@@ -871,15 +874,9 @@ GOLDEN = {
         "2a4499ca43f4b0041968fd23c68341cddccb2bba69f03e514b72db350329e5c0",
     "selftest --format csv": NO_SERIES,
     "selftest --format json":
-        "3da308dafcc96e4f00ee67c9af72f420d75889df50931c5044662f4e6e59895e",
+        "3e52bc4c14e215c04e24c0327a823afebb4f6d51de5d7b08d04482757a89188a",
     "selftest --format text":
-        "7aa3a0f3e1dd22a711f1a60201d74bd9fa32d289cbafeeded56b67ac15d46d90",
-    "rates --doubling-tripling --format csv":
-        "12c91977b742576f864861828318e4bd17b251a64c86d468ea6062169857e6a4",
-    "rates --doubling-tripling --format json":
-        "72317308225e291ad51372aada8d7fef070bb1bd5a28d004c41a1840fa564fcd",
-    "rates --doubling-tripling --format text":
-        "0d6fd679ec260f872ce0de6c10004bc950f08c0bfcaa56226a566fb96c575feb",
+        "176f4c6d7a13dacd7a0e3b986ff4a1b27ccec14ee53e4b0f9b4b019e2bdfea3c",
     "shift --p 1 --format csv":
         "cb80206ec7ab65bc102d416cd884a68e2b82bd7f3638e847a60177b96f3b7131",
     "shift --p 1 --format json":
@@ -938,8 +935,7 @@ def test_golden_configs_read_exactly_the_options_of_their_row(subcommand):
 # selftest build g and both certificates
 SERIES_READERS = [argv for argv in sorted(GOLDEN)
                   if argv.split()[0] in ("check", "rates", "spectral")
-                  and argv.endswith("--format json")
-                  and "--doubling-tripling" not in argv]
+                  and argv.endswith("--format json")]
 
 
 class Refused(Exception):
@@ -972,9 +968,9 @@ def test_construct_and_selftest_build_g(subcommand, no_transfer):
 # built from the option and command tables; these pin the text it prints.
 HELP = {
     "--help":
-        "19c70268b385b01fdd2db5c8f4bc724eda875417939b91683c60731d5df6e484",
+        "5d9cecc3afb59829b0a3ca5e801184711bd1cf3b28a85c3bb8c3d355084b9698",
     "approx --help":
-        "dbfad5b04c12cd79696bc19104b83079389dfa11199aff385716ac7709739c28",
+        "aa12879f807155fa49434b1e008ed1db9ebd986264439f2e81a5eb67e361a5b0",
     "construct --help":
         "6b1916e33ef2cbceccc422379439ce3e280c0aa94803194b1104fa080ac2e0cc",
     "check --help":
@@ -982,7 +978,7 @@ HELP = {
     "spectral --help":
         "e41546f666c7130d5a8897468bfd581236a6b200d7721321e04eab7c9f55aefe",
     "rates --help":
-        "01d0bb495e6c5ba6c80780f87e3d9d8c1a33c48737871fac1010bb6c1a6e68e4",
+        "6e74a1dd2fcd8cb35281deb63158449e8cf4a5b899ec6ca23904dc9c534b5c69",
     "shift --help":
         "928ba940edf356f7da6f0409af5b9e48db61ac25c0c6f0f6ae349d679ba6ca70",
     "selftest --help":
@@ -1053,6 +1049,7 @@ STRAY_OPTIONS = [
     "shift --alpha (-1+1*sqrt(2))/1",
     "selftest --tol 1/2",
     "selftest --doubling-tripling",
+    "rates --doubling-tripling",
 ]
 
 
@@ -1098,6 +1095,17 @@ def test_a_deleted_check_action_exits_two(action, capsys):
         f"coblab check: argument action: invalid choice: '{action}'")
 
 
+# The config fields that no subcommand offers as an option. Every report
+# prints them until schema 2; every other row of _OPTIONS is an option of some
+# subcommand, so an option row that no parser offers fails here.
+REPORT_ONLY_FIELDS = {"threads", "doubling_tripling"}
+
+
+def test_every_option_row_but_the_report_only_fields_is_offered():
+    offered = {name for command in _COMMANDS.values() for name in command.options}
+    assert set(_KINDS) - offered - set(_OUTPUT) == REPORT_ONLY_FIELDS
+
+
 def test_golden_table_covers_every_action_and_format():
     for sub, action in COMMANDS:
         for fmt in ("csv", "json", "text"):
@@ -1105,7 +1113,7 @@ def test_golden_table_covers_every_action_and_format():
             if (sub, action) == ("check", "double-bad"):
                 base += ["--K", "3"]
             assert " ".join(base + ["--format", fmt]) in GOLDEN
-    assert len(GOLDEN) == 3 * len(COMMANDS) + 7
+    assert len(GOLDEN) == 3 * len(COMMANDS) + 4
     assert len(SERIES_READERS) == 3
     assert set(HELP) == {"--help", *(f"{sub} --help" for sub in _COMMANDS)}
     assert {argv.split()[0] for argv in STRAY_OPTIONS} == set(_COMMANDS)

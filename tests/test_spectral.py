@@ -27,7 +27,6 @@ from coblab.fourier import (
 from coblab.spectral import (
     cesaro_rate_profile,
     criterion_sum,
-    doubling_tripling_variance,
     spectral_measure,
 )
 from coblab.surd import COEFFICIENT_LIMIT, RADICAND_LIMIT, QuadraticSurd, parse_surd
@@ -297,29 +296,12 @@ def test_profile_sorts_and_dedupes():
 
 
 # ---------------------------------------------------------------------------
-# doubling/tripling variance
-
-
-def test_variance_small_cases():
-    assert doubling_tripling_variance(1) == 1
-    assert doubling_tripling_variance(4) == 1
-
-
-def test_variance_exact_value_is_rational_one():
-    value = doubling_tripling_variance(64)
-    assert isinstance(value, Fraction)
-    assert value == Fraction(1)
-
-
-def test_variance_guards():
-    with pytest.raises(ConfigError):
-        doubling_tripling_variance(0)
-    assert doubling_tripling_variance(128) == 1
+# doubling/tripling frequencies
 
 
 def test_doubling_tripling_exponents_are_distinct():
-    # the orthogonality behind the unit variance: 2**k * 3**j are pairwise
-    # distinct, checked exactly over the block the CLI reports (n <= 64)
+    # the orthogonality behind criterion 05's unit variance: 2**k * 3**j are
+    # pairwise distinct, checked exactly over its block (n <= 64)
     exponents = {2**k * 3**j for k in range(64) for j in range(64)}
     assert len(exponents) == 64 * 64
 
