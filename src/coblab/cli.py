@@ -132,14 +132,14 @@ class ExperimentConfig(
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if type(subcommand) is not str or subcommand not in _COMMANDS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
-        allowed = _COMMANDS[subcommand].actions
-        if allowed and action not in allowed:
+        reads = _COMMANDS[subcommand].reads
+        if action not in reads:
+            if None in reads:
+                raise ConfigError(f"subcommand {subcommand!r} takes no action")
             raise ConfigError(
                 f"subcommand {subcommand!r} needs an action "
-                f"from {allowed}, got {action!r}"
+                f"from {tuple(reads)}, got {action!r}"
             )
-        if not allowed and action is not None:
-            raise ConfigError(f"subcommand {subcommand!r} takes no action")
         values = {}
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 is none
         for name, kind, default, _, checks in _OPTIONS:
@@ -254,30 +254,34 @@ def _emit(config: ExperimentConfig, body, stream) -> None:
             raise ConfigError(f"cannot write {config.out!r}: {exc}") from exc
 
 
-# Every subcommand, in --help order: its actions (none if it takes none), the
-# options its handler in coblab.commands reads under any action (and those of
-# _OUTPUT, which every report prints) and its help line.
-_Command = namedtuple("_Command", ("actions", "options", "help"))
-_OUTPUT = ("out", "format", "seed")
+# Every subcommand, in --help order: the options that its handler in
+# coblab.commands reads under each of its actions (under None if it takes
+# none), and its help line. Its parser offers the options of all its actions
+# and those of _OUTPUT, which every report prints, and refuses an option that
+# the action it is given does not read.
+_Command = namedtuple("_Command", ("reads", "help"))
+_OUTPUT = ("out", "format")
 # what commands._flagship reads
 _SERIES = ("alpha", "beta", "K", "Q", "ratio", "budget")
 _COMMANDS = {
-    "approx": _Command(("dirichlet", "bad-pair", "squares", "cf"),
-                       ("alpha", "beta", "Q", "N", "depth", "delta", "tol"),
+    "approx": _Command({"dirichlet": ("alpha", "beta", "Q", "tol"),
+                        "bad-pair": ("alpha", "beta", "Q"),
+                        "squares": ("beta", "N", "delta"),
+                        "cf": ("alpha", "depth")},
                        "Diophantine searches: simultaneous denominators, pair "
                        "constants, square powers, continued fractions"),
-    "construct": _Command((), _SERIES,
+    "construct": _Command({None: _SERIES},
                           "build the certified joint-not-double series"),
-    "check": _Command(("double-bad",), (*_SERIES, "gamma"),
+    "check": _Command({"double-bad": (*_SERIES, "gamma")},
                       "certificates about the constructed series"),
-    "spectral": _Command((), _SERIES,
+    "spectral": _Command({None: _SERIES},
                          "atomic spectral measure and membership integrals"),
-    "rates": _Command((), (*_SERIES, "N"),
+    "rates": _Command({None: (*_SERIES, "N")},
                       "ergodic averaging rate profiles"),
-    "shift": _Command((), ("K", "N", "p"),
+    "shift": _Command({None: ("K", "N", "p")},
                       "lattice shift example: norms, the formal solution, "
                       "and its divergence certificate"),
-    "selftest": _Command((), ("alpha", "beta", "K", "Q"),
+    "selftest": _Command({None: ("alpha", "beta", "K", "Q", "seed")},
                          "run the deterministic property suite"),
 }
 
@@ -336,23 +340,26 @@ class _Subparser(_Parser):
     The first command line that reaches it adds the action and options of its
     row of _COMMANDS, so a run builds the options of one subcommand and the
     top-level --help none. It refuses what it leaves unparsed itself, with
-    its own usage, where argparse would hand it up to the top-level parser.
+    its own usage, where argparse would hand it up to the top-level parser,
+    and then an option that the action given, before or after it, does not
+    read.
     """
 
     def __init__(self, *, command: _Command, **kwargs):
         # No option states a default here: an option left out is left out of
         # the namespace, so the defaults of _OPTIONS are the only ones.
         super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
-        self._unfilled = command
+        self._reads, self._unfilled = command.reads, True
 
     def parse_known_args(self, args=None, namespace=None):
         # argparse hands each subparser its part of the command line here
-        command, self._unfilled = self._unfilled, None
-        if command is not None:
-            if command.actions:
-                self.add_argument("action", choices=command.actions)
+        if self._unfilled:
+            self._unfilled = False
+            if None not in self._reads:
+                self.add_argument("action", choices=tuple(self._reads))
+            offered = {name for names in self._reads.values() for name in names}
             for option, kind, _, text, _ in _OPTIONS:
-                if option in command.options or option in _OUTPUT:
+                if option in offered or option in _OUTPUT:
                     self.add_argument(
                         "--" + option, help=text,
                         type=int if kind in ("count", "int") else None,
@@ -360,6 +367,10 @@ class _Subparser(_Parser):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error("unrecognized arguments: " + " ".join(extras))
+        action = getattr(namespace, "action", None)
+        for name in vars(namespace):
+            if name in _KINDS and name not in self._reads[action] + _OUTPUT:
+                self.error(f"{action} takes no --{name}")
         return namespace, extras
 
 
@@ -378,15 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_namespace(ns: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(**vars(ns))
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        config = config_from_namespace(ns)
+        config = ExperimentConfig(**vars(ns))
     except ConfigError as exc:
         _error_report("config", exc)
         return 2

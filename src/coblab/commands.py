@@ -27,8 +27,7 @@ from . import (
 from .errors import CertificationError
 
 # What a handler produces before formatting: data, prose, and the CSV header
-# and rows, the header None when the subcommand has no CSV form. A
-# collections namedtuple, so that a run loads no typing.
+# and rows, the header None when the subcommand has no CSV form.
 _Body = namedtuple("_Body", ("data", "text", "header", "rows"), defaults=(None, ()))
 
 # the header of the n,value_lo,value_hi table that spectral and rates print
@@ -52,8 +51,9 @@ def _flagship(config, build):
 
 
 def _handle_approx(config) -> _Body:
-    alpha, beta = _surds(config)
+    # each action parses only the rotations it reads: cf alpha, squares beta
     if config.action == "dirichlet":
+        alpha, beta = _surds(config)
         records = diophantine.dirichlet_pair_search(
             alpha, beta, config.Q, tol=config.rational("tol")
         )
@@ -82,6 +82,7 @@ def _handle_approx(config) -> _Body:
         )
         return _Body(data, text, header, rows)
     if config.action == "bad-pair":
+        alpha, beta = _surds(config)
         constant, argmin = diophantine.bad_pair_constant(alpha, beta, config.Q)
         data = {
             "constant": report.enclosure_json(constant),
@@ -94,6 +95,7 @@ def _handle_approx(config) -> _Body:
         ]
         return _Body(data, text)
     if config.action == "squares":
+        beta = surd.parse_surd(config.beta, label="beta")
         hits = diophantine.square_approximation_search(
             beta, config.rational("delta"), config.N
         )
@@ -108,6 +110,7 @@ def _handle_approx(config) -> _Body:
             f"||n**2 * beta|| < n**(-{config.delta})"
         ] + [str(n) for n in hits]
         return _Body(data, text, ["n"], ([n] for n in hits))
+    alpha = surd.parse_surd(config.alpha, label="alpha")
     rows = list(diophantine.convergents(alpha, config.depth))
     terms = [a for a, _, _ in rows]
     data = {

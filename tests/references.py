@@ -231,8 +231,26 @@ def eager_parser(parser_class, commands, options, output, formats):
 
     commands, options, output and formats are the tables _COMMANDS, _OPTIONS,
     _OUTPUT and _FORMATS of coblab.cli; parser_class makes the top-level
-    parser and every subparser.
+    parser and every subparser. A subparser offers the options of all the
+    actions of its subcommand, and once parser_class has parsed its part of
+    the command line it refuses an option that the action given does not
+    read.
     """
+    names = {row[0] for row in options}
+
+    class Subparser(parser_class):
+        def __init__(self, *, reads, **kwargs):
+            super().__init__(**kwargs)
+            self.reads = reads
+
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            action = getattr(namespace, "action", None)
+            for name in vars(namespace):
+                if name in names and name not in (*self.reads[action], *output):
+                    self.error(f"{action} takes no --{name}")
+            return namespace, extras
+
     parser = parser_class(
         prog="coblab",
         description=(
@@ -240,14 +258,16 @@ def eager_parser(parser_class, commands, options, output, formats):
             "and double coboundaries of commuting circle rotations."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=Subparser)
     for name, command in commands.items():
-        subparser = sub.add_parser(name, help=command.help,
+        subparser = sub.add_parser(name, help=command.help, reads=command.reads,
                                    argument_default=argparse.SUPPRESS)
-        if command.actions:
-            subparser.add_argument("action", choices=command.actions)
+        if None not in command.reads:
+            subparser.add_argument("action", choices=tuple(command.reads))
+        offered = {option for reads in command.reads.values() for option in reads}
         for option, kind, _, text, _ in options:
-            if option in command.options or option in output:
+            if option in offered or option in output:
                 subparser.add_argument(
                     "--" + option, help=text,
                     type=int if kind in ("count", "int") else None,

@@ -34,7 +34,6 @@ from coblab.cli import (
     _OUTPUT,
     ExperimentConfig,
     build_parser,
-    config_from_namespace,
     main,
     run,
 )
@@ -45,7 +44,7 @@ SCHEMA = "coblab-report-v1"
 
 # every (subcommand, action) pair of the command table
 COMMANDS = [(sub, act) for sub, command in _COMMANDS.items()
-            for act in command.actions or (None,)]
+            for act in command.reads]
 
 
 def run_report(**kwargs):
@@ -506,17 +505,23 @@ class TestMain:
         ns = parser.parse_args(
             ["approx", "cf", "--depth", "8", "--format", "json"]
         )
-        config = config_from_namespace(ns)
+        config = ExperimentConfig(**vars(ns))
         assert config.subcommand == "approx"
         assert config.action == "cf"
         assert config.depth == 8
+        # an option of an approx action may precede it, and selftest, which
+        # seeds its random series, takes --seed
+        assert vars(parser.parse_args(["approx", "--Q", "5", "dirichlet"])) == {
+            "subcommand": "approx", "Q": 5, "action": "dirichlet"}
+        assert vars(parser.parse_args(["selftest", "--seed", "1"])) == {
+            "subcommand": "selftest", "seed": 1}
 
     @pytest.mark.parametrize("command", COMMANDS,
                              ids=[" ".join(filter(None, c)) for c in COMMANDS])
     def test_parser_defaults_are_the_config_defaults(self, command):
         sub, act = command
         ns = build_parser().parse_args([sub] + ([act] if act else []))
-        assert config_from_namespace(ns) == ExperimentConfig(sub, act)
+        assert ExperimentConfig(**vars(ns)) == ExperimentConfig(sub, act)
 
     def test_main_refuses_a_tol_below_the_cap_floor(self, capsys):
         argv = ["approx", "dirichlet", "--Q", "100", "--tol", f"1/{10**3000}"]
@@ -582,8 +587,8 @@ class TestMain:
         assert "running-time cap" in err["error"]["message"]
 
     # Every (subcommand, action) pair at sizes that run in well under a
-    # second, each given only the sizes it takes, plus shift --p 1, then a
-    # Fourier build outside the CLI; run with a redirected
+    # second, each given only the sizes its action reads, plus shift --p 1,
+    # then a Fourier build outside the CLI; run with a redirected
     # stdout, so the reports stay out of the pipe.
     # Neither mpmath nor numpy (test extras) nor dataclasses (its start-up
     # cost) is ever loaded. The top-level and a subcommand --help load no
@@ -615,10 +620,9 @@ class TestMain:
         "    assert not executed, f'{argv} executes {executed}'\n"
         "small = {'Q': 10000, 'K': 8, 'N': 16, 'depth': 10}\n"
         "argvs = [[sub, *([action] if action else []),\n"
-        "          *(f'--{k}={v}' for k, v in small.items()\n"
-        "            if k in command.options)]\n"
+        "          *(f'--{k}={v}' for k, v in small.items() if k in reads)]\n"
         "         for sub, command in _COMMANDS.items()\n"
-        "         for action in command.actions or (None,)]\n"
+        "         for action, reads in command.reads.items()]\n"
         "argvs += [['shift', '--p', '1', '--K', '100']]\n"
         "for argv in argvs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -728,7 +732,7 @@ def test_every_layer_imports_from_the_package():
 
 
 # every (subcommand, action) pair as a command line through main, given the
-# options its subcommand takes: rotation numbers with two invalid ones, and
+# options its action reads: rotation numbers with two invalid ones, and
 # rational knobs on both sides of their ranges (--gamma and --p also past the
 # upper bound that the config refuses); Q, K and N stay small so each run is
 # quick (shift needs K >= 8, so K reaches 10), and K also crosses shift's cap
@@ -758,10 +762,10 @@ ROTATIONS = ["(-1+1*sqrt(2))/1", "(-1+1*sqrt(3))/1", "(-2+1*sqrt(5))/1",
 )
 def test_every_config_runs_or_exits_with_a_json_error(command, fmt, **fields):
     subcommand, action = command
-    options = _COMMANDS[subcommand].options
+    reads = _COMMANDS[subcommand].reads[action]
     argv = [subcommand, *([action] if action else []), f"--format={fmt}"]
     argv += [f"--{name}={value}" for name, value in fields.items()
-             if name in options or name == "seed"]
+             if name in reads]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -899,9 +903,10 @@ def test_report_bytes_match_the_golden_digest(argv):
 
 
 def fields_read(argv):
-    """The config fields that the handler of argv reads, format, out and
-    seed aside, traced on a config subclass that records its attribute
-    reads; the printed config is the tuple itself, not a read."""
+    """The config fields that the handler of argv reads, its rows included,
+    traced on a config subclass that records its attribute reads. The report
+    around them reads only the printed fields format, out and seed, so the
+    handler runs alone."""
     reads = set()
 
     class Traced(ExperimentConfig):
@@ -911,23 +916,26 @@ def fields_read(argv):
             reads.add(name)
             return super().__getattribute__(name)
 
-    config = config_from_namespace(build_parser().parse_args(argv.split()))
-    with contextlib.redirect_stderr(io.StringIO()):
-        run(Traced(**config.to_json_dict()), stream=io.StringIO())
-    return reads & set(_KINDS) - set(_OUTPUT)
+    config = ExperimentConfig(**vars(build_parser().parse_args(argv.split())))
+    body = commands.HANDLERS[config.subcommand](Traced(**config.to_json_dict()))
+    list(body.rows)  # some rows are built only when the CSV is written
+    return reads & set(_KINDS)
 
 
-# Each golden config reads only options of its subcommand's row, and its
-# golden configs together read all of them, so the parser offers no option
-# that no handler reads, and no handler reads a field it is not offered.
+# Each golden config reads only options of its action's row, and the golden
+# configs of each action together read all of them, so the parser offers no
+# action an option that its handler does not read, and no handler reads a
+# field it is not offered.
 @pytest.mark.parametrize("subcommand", list(_COMMANDS))
 def test_golden_configs_read_exactly_the_options_of_their_row(subcommand):
-    options = set(_COMMANDS[subcommand].options)
-    reads = {argv: fields_read(argv) for argv in sorted(GOLDEN)
-             if argv.split()[0] == subcommand}
-    for argv, fields in reads.items():
-        assert fields <= options, (argv, fields - options)
-    assert set().union(*reads.values()) == options
+    for action, options in _COMMANDS[subcommand].reads.items():
+        prefix = [subcommand, action] if action else [subcommand]
+        reads = {argv: fields_read(argv) for argv in sorted(GOLDEN)
+                 if argv.split()[:len(prefix)] == prefix}
+        assert reads, (subcommand, action)
+        for argv, fields in reads.items():
+            assert fields <= set(options), (argv, fields - set(options))
+        assert set().union(*reads.values()) == set(options), action
 
 
 # rates, spectral and check double-bad read the flagship series f alone, so
@@ -953,7 +961,7 @@ def no_transfer(monkeypatch):
 @pytest.mark.parametrize("argv", SERIES_READERS)
 def test_series_readers_build_neither_g_nor_certificates(argv, no_transfer):
     stream = io.StringIO()
-    config = config_from_namespace(build_parser().parse_args(argv.split()))
+    config = ExperimentConfig(**vars(build_parser().parse_args(argv.split())))
     assert run(config, stream=stream) == 0
     assert hashlib.sha256(stream.getvalue().encode()).hexdigest() == GOLDEN[argv]
 
@@ -970,17 +978,17 @@ HELP = {
     "--help":
         "5d9cecc3afb59829b0a3ca5e801184711bd1cf3b28a85c3bb8c3d355084b9698",
     "approx --help":
-        "aa12879f807155fa49434b1e008ed1db9ebd986264439f2e81a5eb67e361a5b0",
+        "b96229fbd5878006ecc0640cb096b4c410346f34e0c873e2832cdbf8812268d8",
     "construct --help":
-        "6b1916e33ef2cbceccc422379439ce3e280c0aa94803194b1104fa080ac2e0cc",
+        "8b905a45f1930855172d0118abad7c944dcffba1a87d7d460271142e3e76a635",
     "check --help":
-        "a66523008a9bdbdd3ba1319977d30880c149e80a6084ece4eeef6130874e0284",
+        "2f18dd9215b9b61d463db46557d49746ab7ebed286fbf7ad865aff10646110e8",
     "spectral --help":
-        "e41546f666c7130d5a8897468bfd581236a6b200d7721321e04eab7c9f55aefe",
+        "40798bbf9615b65ef94ff031cbe9cb36a976eaf5292da0b2928e164428856780",
     "rates --help":
-        "6e74a1dd2fcd8cb35281deb63158449e8cf4a5b899ec6ca23904dc9c534b5c69",
+        "071d246e79664e83c2117c2d775562e6bddfe0af63ab77f661d27ce841d021e6",
     "shift --help":
-        "928ba940edf356f7da6f0409af5b9e48db61ac25c0c6f0f6ae349d679ba6ca70",
+        "bea3ef03497c8cb9b6cd25ff4a91bcd71f1ce09f18605ca23ea9c0f736499cd6",
     "selftest --help":
         "cb5177cac3baed402cf4603f49ec07c349c89f0c0999490b3220ab3d7856e97d",
 }
@@ -1002,9 +1010,9 @@ def test_help_bytes_match_the_pinned_digest(argv, monkeypatch, capsys):
 # Each prints its subcommand's usage and then the JSON error line, and exits 2.
 ARGPARSE_ERRORS = {
     "construct --K x":
-        "1c6ab9dc5af38ad29779f6106ef33e615adab44a630b0014e50c0c64dc4c7049",
+        "2b7b3ed24399bb77c2c6b97315008eac8d7879f1fadbeed442018aa180c8fe9e",
     "construct --bogus 1":
-        "5652888e74bbba56a0dca2f55b5e237ec21b632de12a6fde4d3bfc584cc55af7",
+        "b865fb06b270a90163be5b55b730a239a050f4f8582d0f44a9674c1dd4760cf4",
 }
 
 
@@ -1024,24 +1032,35 @@ def test_argparse_error_bytes_match_the_golden_digest(argv, monkeypatch, capsys)
     assert hashlib.sha256(err.encode()).hexdigest() == ARGPARSE_ERRORS[argv]
 
 
-# Each subcommand --help lists exactly the options of its row and _OUTPUT.
+def offered(subcommand):
+    """The options that the parser of subcommand takes, those of _OUTPUT
+    aside: the options of all its actions."""
+    return {name for reads in _COMMANDS[subcommand].reads.values()
+            for name in reads}
+
+
+# Each subcommand --help lists exactly the options of its actions and _OUTPUT.
 @pytest.mark.parametrize("subcommand", list(_COMMANDS))
 def test_each_help_page_lists_the_options_of_its_row(subcommand, capsys):
     with pytest.raises(SystemExit):
         main([subcommand, "--help"])
     listed = re.findall(r"^  --([\w-]+)", capsys.readouterr().out, re.M)
     assert [name.replace("-", "_") for name in listed] == [
-        name for name in _KINDS
-        if name in _COMMANDS[subcommand].options or name in _OUTPUT]
+        name for name in _KINDS if name in offered(subcommand) or name in _OUTPUT]
 
 
-# One option that its subcommand's row lacks, for each subcommand: its
+# One option that its action's row lacks, for each subcommand: its
 # subparser refuses it like any other bad command line, with its usage text
-# and the JSON error line, and exit 2.
+# and the JSON error line, and exit 2. An option of another action of the
+# same subcommand is refused as one that the action does not read.
 STRAY_OPTIONS = [
     "approx cf --threads 2",
     "approx dirichlet --gamma 3",
+    "approx cf --Q 5",
+    "approx squares --alpha (-1+1*sqrt(5))/1",
+    "approx bad-pair --tol 1/10",
     "construct --gamma 3",
+    "construct --seed 1",
     "check double-bad --N 5",
     "check double-bad --tol 1/2",
     "spectral --depth 5",
@@ -1055,10 +1074,16 @@ STRAY_OPTIONS = [
 
 @pytest.mark.parametrize("argv", STRAY_OPTIONS)
 def test_an_option_outside_the_row_exits_two(argv, capsys):
-    subcommand, stray = argv.split()[0], argv[argv.index(" --") + 1:]
+    subcommand, *action = argv[:argv.index(" --")].split()
+    stray = argv[argv.index(" --") + 1:]
     option = stray.split()[0][2:].replace("-", "_")
     assert option in _KINDS
-    assert option not in _COMMANDS[subcommand].options + _OUTPUT
+    assert option not in _COMMANDS[subcommand].reads[action[0] if action else None]
+    assert option not in _OUTPUT
+    if option in offered(subcommand):
+        message = f"{action[0]} takes no --{option}"
+    else:
+        message = f"unrecognized arguments: {stray}"
     with pytest.raises(SystemExit) as excinfo:
         main(argv.split())
     assert excinfo.value.code == 2
@@ -1068,7 +1093,38 @@ def test_an_option_outside_the_row_exits_two(argv, capsys):
     assert usage.startswith(f"usage: coblab {subcommand} [-h]")
     assert json.loads(line) == {
         "error": {"kind": "config", "type": "ConfigError",
-                  "message": f"coblab {subcommand}: unrecognized arguments: {stray}"},
+                  "message": f"coblab {subcommand}: {message}"},
+        "schema": SCHEMA, "version": coblab.__version__,
+    }
+
+
+# Every option that approx takes but one of its actions does not read, given
+# after the action or before it: the approx subparser parses the options of
+# all four actions, then refuses this one with its usage and one JSON error
+# line that names the action and the option, and exit 2.
+MISREAD = [(action, option) for action, reads in _COMMANDS["approx"].reads.items()
+           for option in _KINDS if option in offered("approx") - set(reads)]
+
+
+@pytest.mark.parametrize("action, option", MISREAD,
+                         ids=[f"{action} --{option}" for action, option in MISREAD])
+@pytest.mark.parametrize("before", [False, True], ids=["after", "before"])
+def test_an_option_that_its_action_does_not_read_exits_two(
+        action, option, before, capsys):
+    given = ["--" + option, VALID_VALUES[_KINDS[option]]]
+    argv = ["approx", *given, action] if before else ["approx", action, *given]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    *usage, line = err.splitlines()
+    assert usage[0].startswith("usage: coblab approx [-h]")
+    assert not any(text.startswith("{") for text in usage)
+    assert json.loads(line) == {
+        "error": {"kind": "config", "type": "ConfigError",
+                  "message": f"coblab approx: {action} takes no --{option}"},
         "schema": SCHEMA, "version": coblab.__version__,
     }
 
@@ -1102,8 +1158,8 @@ REPORT_ONLY_FIELDS = {"threads", "doubling_tripling"}
 
 
 def test_every_option_row_but_the_report_only_fields_is_offered():
-    offered = {name for command in _COMMANDS.values() for name in command.options}
-    assert set(_KINDS) - offered - set(_OUTPUT) == REPORT_ONLY_FIELDS
+    every = set().union(*map(offered, _COMMANDS))
+    assert set(_KINDS) - every - set(_OUTPUT) == REPORT_ONLY_FIELDS
 
 
 def test_golden_table_covers_every_action_and_format():
@@ -1152,7 +1208,7 @@ def command_lines(draw):
     if draw(st.integers(0, 9)) == 0:
         subcommand = draw(st.sampled_from(["juggle", None]))
     command = _COMMANDS.get(subcommand)
-    actions = command.actions if command else ()
+    actions = tuple(filter(None, command.reads)) if command else ()
     groups = []
     with_action = draw(st.integers(0, 3)) if actions else draw(st.booleans())
     if with_action:
@@ -1161,7 +1217,7 @@ def command_lines(draw):
         others = st.sampled_from(["cf", "dirichlet", "nope"])
         groups.append([draw(st.sampled_from(actions) if own_action else others)])
     own = [row for row in _OPTIONS
-           if command and (row[0] in command.options or row[0] in _OUTPUT)]
+           if command and (row[0] in offered(subcommand) or row[0] in _OUTPUT)]
     for _ in range(draw(st.integers(0, 4))):
         name, kind, *_ = draw(st.sampled_from(
             own if own and draw(st.integers(0, 3)) else _OPTIONS))
@@ -1207,6 +1263,10 @@ def parse_outcome(parser, argv):
 @example(argv=["shift", "--form", "json", "--p", "1", "--p", "3/2"])
 @example(argv=["approx", "--Q", "x", "cf"])
 @example(argv=["construct", "--gamma", "3"])
+@example(argv=["construct", "--seed", "1"])
+@example(argv=["selftest", "--seed", "1"])
+@example(argv=["approx", "cf", "--Q", "5", "--tol", "x"])
+@example(argv=["approx", "--Q", "5", "dirichlet"])
 @example(argv=["check", "-h"])
 @example(argv=["-h"])
 def test_the_lazy_parser_agrees_with_the_eager_oracle(argv):
@@ -1229,8 +1289,8 @@ def test_one_command_line_builds_the_options_of_its_subcommand_only(
     assert built == []
     parser.parse_args(["shift", "--p", "1"])
     assert built == [("coblab shift", name) for name in
-                     ("--K", "--N", "--p", "--out", "--format", "--seed")]
+                     ("--K", "--N", "--p", "--out", "--format")]
     parser.parse_args(["shift", "--K", "9"])
-    assert len(built) == 6
+    assert len(built) == 5
     parser.parse_args(["approx", "cf"])
-    assert {prog for prog, _ in built[6:]} == {"coblab approx"}
+    assert {prog for prog, _ in built[5:]} == {"coblab approx"}

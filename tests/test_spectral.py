@@ -296,17 +296,6 @@ def test_profile_sorts_and_dedupes():
 
 
 # ---------------------------------------------------------------------------
-# doubling/tripling frequencies
-
-
-def test_doubling_tripling_exponents_are_distinct():
-    # the orthogonality behind criterion 05's unit variance: 2**k * 3**j are
-    # pairwise distinct, checked exactly over its block (n <= 64)
-    exponents = {2**k * 3**j for k in range(64) for j in range(64)}
-    assert len(exponents) == 64 * 64
-
-
-# ---------------------------------------------------------------------------
 # CSV emission
 
 
